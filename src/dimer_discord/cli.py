@@ -13,9 +13,9 @@ significant digits (default 6).
 """
 
 import argparse
-import math
 import os
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -37,10 +37,6 @@ __all__ = ["main", "build_parser"]
 
 class _UsageError(Exception):
     """Bad arguments detected after argparse; maps to exit code 2."""
-
-
-def _fmt(x: float, precision: int) -> str:
-    return f"%.{precision}g" % x
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +92,11 @@ def _resolve_parameters(
         j = 0.5 * j2_flag
     elif preset is not None:
         j = preset.j_over_kb
+    elif need_coupling:
+        raise _UsageError(
+            "a coupling is required: --preset, --J-over-kB, or --2J-over-kB"
+        )
     else:
-        j = None
-    if j is None:
-        if need_coupling:
-            raise _UsageError(
-                "a coupling is required: --preset, --J-over-kB, or --2J-over-kB"
-            )
         j = -1.0  # placeholder; commands that allow this never read the coupling
     if args.g_tensor is not None:
         g = tuple(args.g_tensor)
@@ -165,13 +159,8 @@ def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
         ("branch", "antiferro" if params.antiferro else "ferro"),
         ("J_over_kB_K", params.j_over_kb),
     ]
-    g_scalar = None
-    if params.g_factor is not None:
-        g_scalar = (
-            thermo.powder_g(*params.g_factor)
-            if isinstance(params.g_factor, tuple)
-            else params.g_factor
-        )
+    g_scalar = params.scalar_g
+    if g_scalar is not None:
         lines.append(("g_factor", g_scalar))
 
     if params.antiferro:
@@ -185,14 +174,10 @@ def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
             ("discord_at_death_bits", at_death.discord),
         ]
 
-        def q_of(t: float) -> float:
-            return dimer_core.correlation_set(params, t).discord
+        def measure(name: str) -> Callable[[float], float]:
+            return lambda t: getattr(dimer_core.correlation_set(params, t), name)
 
-        def c_of(t: float) -> float:
-            return dimer_core.correlation_set(params, t).classical
-
-        def e_of(t: float) -> float:
-            return dimer_core.correlation_set(params, t).entanglement
+        q_of, c_of, e_of = measure("discord"), measure("classical"), measure("entanglement")
 
         t_qe, v_qe = numerics.find_crossing(q_of, e_of, 0.2 * j_abs, 1.0 * j_abs)
         t_ce, v_ce = numerics.find_crossing(c_of, e_of, 0.2 * j_abs, 1.2 * j_abs)
@@ -230,41 +215,56 @@ def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
             ("chi_peak_reduced", reduced),
         ]
 
-    for key, value in lines:
-        out = value if isinstance(value, str) else _fmt(float(value), precision)
-        print(f"{key} = {out}")
+    sys.stdout.write(dataio.text_rows(lines, precision, sep=" = "))
     return 0
+
+
+def _emit_series(
+    series: dataio.MeasurementSeries,
+    invert: Callable[[float, ValueWithUncertainty], ValueWithUncertainty],
+    channel: str,
+    args: argparse.Namespace,
+    precision: int,
+) -> int:
+    """Print one record per row of ``series``; ``invert(t, measured)`` gives its correlator.
+
+    A row that fails is reported on stderr by its 1-based number and left
+    out; the command fails only when every row does.
+    """
+    temperatures = series.temperatures.tolist()
+    values = series.values.tolist()
+    sigmas = series.sigmas.tolist() if series.sigmas is not None else [0.0] * len(values)
+    records = []
+    failures = 0
+    for i, (t, v, s) in enumerate(zip(temperatures, values, sigmas), start=1):
+        try:
+            g = invert(t, ValueWithUncertainty(v, s))
+            records.append(result_from_correlator(t, g, channel))
+        except DimerDiscordError as exc:
+            failures += 1
+            print(f"row {i} (T = {t:g} K): {exc}", file=sys.stderr)
+    if failures and failures == len(values):
+        return 1
+    _emit(records, args, precision)
+    return 0
+
+
+def _clamped_neutron_point(t: float | None, v: ValueWithUncertainty) -> ValueWithUncertainty:
+    g = thermo.clamp_measured_correlator(v.value, "neutron point")
+    return ValueWithUncertainty(g, v.sigma)
 
 
 def _cmd_from_neutron(args: argparse.Namespace, precision: int) -> int:
     if (args.g_value is None) == (args.input is None):
         raise _UsageError("give exactly one of --G or --input")
-    points: list[tuple[float, ValueWithUncertainty]] = []
-    if args.g_value is not None:
-        v = parse_value_with_uncertainty(args.g_value)
-        t = args.temperature if args.temperature is not None else math.nan
-        points.append((t, v))
-    else:
+    if args.input is not None:
         series = load_series(args.input, "correlator")
-        for i in range(len(series)):
-            s = float(series.sigmas[i]) if series.sigmas is not None else 0.0
-            points.append(
-                (float(series.temperatures[i]), ValueWithUncertainty(float(series.values[i]), s))
-            )
-    records = []
-    failures = 0
-    for i, (t, v) in enumerate(points):
-        try:
-            g = thermo.clamp_measured_correlator(v.value, "neutron point")
-            records.append(result_from_correlator(t, ValueWithUncertainty(g, v.sigma), "neutron"))
-        except DimerDiscordError as exc:
-            if args.g_value is not None:
-                raise  # a single explicit point has nothing to fall back on
-            failures += 1
-            print(f"row {i + 1} (T = {t:g} K): {exc}", file=sys.stderr)
-    if points and failures == len(points):
-        return 1
-    _emit(records, args, precision)
+        return _emit_series(series, _clamped_neutron_point, "neutron", args, precision)
+    t = args.temperature
+    if t is None:
+        _note("no temperature given (--T); T_K is left empty")
+    g = _clamped_neutron_point(t, parse_value_with_uncertainty(args.g_value))
+    _emit([result_from_correlator(t, g, "neutron")], args, precision)
     return 0
 
 
@@ -272,29 +272,18 @@ def _cmd_from_chi(args: argparse.Namespace, precision: int) -> int:
     # the inversion reads only the g factor; the coupling may stay unset
     params = _resolve_parameters(args, need_coupling=False, need_g=True)
     series = load_series(args.input, "susceptibility", normalization=f"per_{args.per}")
-    records = []
-    failures = 0
-    for i in range(len(series)):
-        t = float(series.temperatures[i])
-        chi = float(series.values[i])
-        sig = float(series.sigmas[i]) if series.sigmas is not None else 0.0
-        try:
-            g_vwu = numerics.propagate_uncertainty(
-                lambda c: thermo.correlator_from_susceptibility(params, c, t),
-                ValueWithUncertainty(chi, sig),
-            )
-            records.append(result_from_correlator(t, g_vwu, "magnetometric"))
-        except DimerDiscordError as exc:
-            failures += 1
-            print(f"row {i + 1} (T = {t:g} K): {exc}", file=sys.stderr)
-    if len(series) and failures == len(series):
-        return 1
-    _emit(records, args, precision)
-    return 0
+
+    def invert(t: float, chi: ValueWithUncertainty) -> ValueWithUncertainty:
+        return numerics.propagate_uncertainty(
+            lambda c: thermo.correlator_from_susceptibility(params, c, t), chi
+        )
+
+    return _emit_series(series, invert, "magnetometric", args, precision)
 
 
 def _cmd_from_cm(args: argparse.Namespace, precision: int) -> int:
     params = _resolve_parameters(args)
+    cell = dataio.cell_formatter(precision)
     if args.route == "invert":
         if args.temperature is None or args.cm_over_r is None:
             raise _UsageError("route invert needs --T and --cm-over-R")
@@ -302,39 +291,33 @@ def _cmd_from_cm(args: argparse.Namespace, precision: int) -> int:
         side = "hot" if args.temperature >= t_peak else "cold"
         _note(
             f"T = {args.temperature:g} K is on the {side} side of the Schottky peak "
-            f"({_fmt(t_peak, precision)} K)"
+            f"({cell(t_peak)} K)"
         )
+        t = args.temperature
         g = thermo.correlator_from_specific_heat(params, args.cm_over_r, side=side)
-        records = [
-            result_from_correlator(args.temperature, ValueWithUncertainty(g), "calorimetric")
-        ]
-        _emit(records, args, precision)
-        return 0
-
-    # integrate route
-    if args.input is None and args.tail_a is None:
-        raise _UsageError("route integrate needs --input and/or --tail-a/--tail-from")
-    if (args.tail_a is None) != (args.tail_from is None):
-        raise _UsageError("--tail-a and --tail-from go together")
-    tail = TailModel(args.tail_a, args.tail_from) if args.tail_a is not None else None
-    if args.input is not None:
-        series = load_series(args.input, "specific_heat", normalization=f"per_{args.per}")
-        t_arr, v_arr = series.temperatures, series.values
-    else:
-        t_arr = np.array([])
-        v_arr = np.array([])
-    if t_arr.size == 0 and args.u0_over_r is not None:
-        _note(
-            "tail-only record: the energy anchors at u(infinity) = 0, "
-            "so --u0-over-R is ignored"
+    else:  # integrate route
+        if args.input is None and args.tail_a is None:
+            raise _UsageError("route integrate needs --input and/or --tail-a/--tail-from")
+        if (args.tail_a is None) != (args.tail_from is None):
+            raise _UsageError("--tail-a and --tail-from go together")
+        tail = TailModel(args.tail_a, args.tail_from) if args.tail_a is not None else None
+        if args.input is not None:
+            series = load_series(args.input, "specific_heat", normalization=f"per_{args.per}")
+            t_arr, v_arr = series.temperatures, series.values
+        else:
+            t_arr = np.array([])
+            v_arr = np.array([])
+        if t_arr.size == 0 and args.u0_over_r is not None:
+            _note(
+                "tail-only record: the energy anchors at u(infinity) = 0, "
+                "so --u0-over-R is ignored"
+            )
+        t_end, u = thermo.internal_energy_from_specific_heat(
+            t_arr, v_arr, tail=tail, u0_over_r=args.u0_over_r
         )
-    t_end, u = thermo.internal_energy_from_specific_heat(
-        t_arr, v_arr, tail=tail, u0_over_r=args.u0_over_r
-    )
-    _note(f"u({_fmt(t_end, precision)} K)/R = {_fmt(u, precision)} K")
-    g = thermo.correlator_from_internal_energy(params, u)
-    records = [result_from_correlator(t_end, ValueWithUncertainty(g), "calorimetric")]
-    _emit(records, args, precision)
+        _note(f"u({cell(t_end)} K)/R = {cell(u)} K")
+        t, g = t_end, thermo.correlator_from_internal_energy(params, u)
+    _emit([result_from_correlator(t, ValueWithUncertainty(g), "calorimetric")], args, precision)
     return 0
 
 
@@ -343,52 +326,27 @@ def _cmd_fit(args: argparse.Namespace, precision: int) -> int:
     series = load_series(args.input, "susceptibility", normalization=f"per_{args.per}")
     if len(series) < 3:
         raise _UsageError(f"fitting needs at least 3 points, file has {len(series)}")
-    result = numerics.fit_bleaney_bowers(
-        series.temperatures, series.values, init, sigma=series.sigmas
-    )
+    t, chi = series.temperatures, series.values
+    result = numerics.fit_bleaney_bowers(t, chi, init, sigma=series.sigmas)
     fitted = result.parameters
-    chi_model = np.array(
-        [thermo.susceptibility(fitted, float(t)) for t in series.temperatures]
-    )
-    residual = chi_model - series.values
+    chi_model = dimer_core.bleaney_bowers(fitted.j_over_kb, fitted.g_factor, t)
+    columns = ("T_K", "chi_emu_per_mol", "chi_model", "residual")
+    rows = np.column_stack([t, chi, chi_model, chi_model - chi]).tolist()
+    report = {
+        "converged": result.converged,
+        "J_over_kB_K": fitted.j_over_kb,
+        "twoJ_over_kB_K": 2.0 * fitted.j_over_kb,
+        "g_factor": fitted.g_factor,
+        "residual_norm": result.residual_norm,
+        "evaluations": result.evaluations,
+        "n_points": len(series),
+    }
     if args.format == "json":
-        import json
-
-        doc = {
-            "converged": result.converged,
-            "J_over_kB_K": float(_fmt(fitted.j_over_kb, precision)),
-            "twoJ_over_kB_K": float(_fmt(2.0 * fitted.j_over_kb, precision)),
-            "g_factor": float(_fmt(fitted.g_factor, precision)),
-            "residual_norm": float(_fmt(result.residual_norm, precision)),
-            "evaluations": result.evaluations,
-            "n_points": len(series),
-            "rows": [
-                {
-                    "T_K": float(_fmt(float(series.temperatures[i]), precision)),
-                    "chi_emu_per_mol": float(_fmt(float(series.values[i]), precision)),
-                    "chi_model": float(_fmt(float(chi_model[i]), precision)),
-                    "residual": float(_fmt(float(residual[i]), precision)),
-                }
-                for i in range(len(series))
-            ],
-        }
-        print(json.dumps(doc, indent=2))
+        rows = [dict(zip(columns, row)) for row in rows]
+        sys.stdout.write(dataio.json_text({**report, "rows": rows}, precision))
     else:
-        print(f"converged = {'true' if result.converged else 'false'}")
-        print(f"J_over_kB_K = {_fmt(fitted.j_over_kb, precision)}")
-        print(f"twoJ_over_kB_K = {_fmt(2.0 * fitted.j_over_kb, precision)}")
-        print(f"g_factor = {_fmt(fitted.g_factor, precision)}")
-        print(f"residual_norm = {_fmt(result.residual_norm, precision)}")
-        print(f"evaluations = {result.evaluations}")
-        print(f"n_points = {len(series)}")
-        print("T_K,chi_emu_per_mol,chi_model,residual")
-        for i in range(len(series)):
-            print(
-                ",".join(
-                    _fmt(float(x), precision)
-                    for x in (series.temperatures[i], series.values[i], chi_model[i], residual[i])
-                )
-            )
+        text = dataio.text_rows(report.items(), precision, sep=" = ")
+        sys.stdout.write(text + dataio.text_rows([columns, *rows], precision))
     if not result.converged:
         print("fit did not converge; best parameters so far reported", file=sys.stderr)
         return 1
@@ -396,22 +354,24 @@ def _cmd_fit(args: argparse.Namespace, precision: int) -> int:
 
 
 def _figure_data(fig: int, n: int) -> tuple[str, list[str], list[list[float]]]:
-    if fig in (1, 2):
-        params = DimerParameters(-1.0 if fig == 1 else 1.0)
-        grid = np.geomspace(0.01, 5.0, n)
+    if fig in (1, 2, 6):
+        if fig == 6:
+            params = dataio.preset("cu2l-oac-ferro").parameters
+            grid = np.geomspace(1.0, 500.0, n)
+            title = "ferro complex correlations vs temperature"
+            columns = ["T_K", "G"]
+        else:
+            params = DimerParameters(-1.0 if fig == 1 else 1.0)
+            grid = np.geomspace(0.01, 5.0, n)
+            label = "antiferro" if fig == 1 else "ferro"
+            title = f"{label} dimer correlations vs reduced temperature"
+            columns = ["kT_over_absJ", "absG" if fig == 1 else "G"]
         rows = []
-        for tau in grid:
-            m = dimer_core.correlation_set(params, float(tau))
-            g = dimer_core.correlator_from_temperature(params, float(tau))
-            x = abs(g) if fig == 1 else g
-            rows.append([float(tau), x, m.discord, m.classical, m.entanglement])
-        label = "antiferro" if fig == 1 else "ferro"
-        g_col = "absG" if fig == 1 else "G"
-        return (
-            f"{label} dimer correlations vs reduced temperature",
-            ["kT_over_absJ", g_col, "Q", "C", "E"],
-            rows,
-        )
+        for t in grid.tolist():
+            g = dimer_core.correlator_from_temperature(params, t)
+            m = dimer_core.measures_from_correlator(g)
+            rows.append([t, abs(g) if fig == 1 else g, m.discord, m.classical, m.entanglement])
+        return title, columns + ["Q", "C", "E"], rows
     if fig == 3:
         grid = np.linspace(dimer_core.G_MIN, dimer_core.G_MAX, n)
         rows = [[float(g), dimer_core.discord(float(g))] for g in grid]
@@ -420,31 +380,18 @@ def _figure_data(fig: int, n: int) -> tuple[str, list[str], list[list[float]]]:
         grid = np.linspace(dimer_core.G_MIN, dimer_core.G_MAX, n)
         rows = [[float(g), thermo.specific_heat_from_correlator(float(g))] for g in grid]
         return "magnetic specific heat vs correlator", ["G", "cm_over_R"], rows
-    if fig == 5:
-        hydrate = dataio.preset("copper-acetate-hydrate").parameters
-        anhydrous = dataio.preset("copper-acetate-anhydrous").parameters
-        grid = np.geomspace(1.0, 500.0, n)
-        rows = []
-        for t in grid:
-            qh = dimer_core.correlation_set(hydrate, float(t)).discord
-            qa = dimer_core.correlation_set(anhydrous, float(t)).discord
-            rows.append([float(t), qh, qa])
-        return (
-            "copper acetate discord vs temperature",
-            ["T_K", "Q_copper_acetate_hydrate", "Q_copper_acetate_anhydrous"],
-            rows,
-        )
-    # fig == 6
-    params = dataio.preset("cu2l-oac-ferro").parameters
+    # fig == 5
+    hydrate = dataio.preset("copper-acetate-hydrate").parameters
+    anhydrous = dataio.preset("copper-acetate-anhydrous").parameters
     grid = np.geomspace(1.0, 500.0, n)
     rows = []
     for t in grid:
-        g = dimer_core.correlator_from_temperature(params, float(t))
-        m = dimer_core.correlation_set(params, float(t))
-        rows.append([float(t), g, m.discord, m.classical, m.entanglement])
+        qh = dimer_core.correlation_set(hydrate, float(t)).discord
+        qa = dimer_core.correlation_set(anhydrous, float(t)).discord
+        rows.append([float(t), qh, qa])
     return (
-        "ferro complex correlations vs temperature",
-        ["T_K", "G", "Q", "C", "E"],
+        "copper acetate discord vs temperature",
+        ["T_K", "Q_copper_acetate_hydrate", "Q_copper_acetate_anhydrous"],
         rows,
     )
 
@@ -454,20 +401,11 @@ def _cmd_figure(args: argparse.Namespace, precision: int) -> int:
         raise _UsageError(f"need at least 2 grid points, got {args.n_points}")
     title, columns, rows = _figure_data(args.id, args.n_points)
     if args.format == "json":
-        import json
-
-        doc = {
-            "figure": args.id,
-            "title": title,
-            "columns": columns,
-            "rows": [[float(_fmt(v, precision)) for v in row] for row in rows],
-        }
-        print(json.dumps(doc, indent=2))
+        doc = {"figure": args.id, "title": title, "columns": columns, "rows": rows}
+        sys.stdout.write(dataio.json_text(doc, precision))
     else:
-        print(f"# figure {args.id}: {title}")
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(_fmt(v, precision) for v in row))
+        text = dataio.text_rows([columns, *rows], precision)
+        sys.stdout.write(f"# figure {args.id}: {title}\n{text}")
     return 0
 
 

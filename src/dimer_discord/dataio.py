@@ -19,12 +19,14 @@ per-R series.
 import json
 import math
 import re
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .dimer_core import DimerParameters, measures_from_correlator
+from .dimer_core import CODATA, DimerParameters, discord, measures_from_correlator
 from .errors import DataError, DomainError, InconsistencyError
 from .numerics import ValueWithUncertainty, propagate_uncertainty
 
@@ -38,10 +40,13 @@ __all__ = [
     "result_from_correlator",
     "load_series",
     "write_results",
+    "cell_formatter",
+    "text_rows",
+    "json_text",
     "parse_value_with_uncertainty",
 ]
 
-R_GAS = 8.31446261815324  # J/(mol K), exact; converts cm_J_per_mol_K columns
+R_GAS = CODATA.gas_constant  # J/(mol K), exact; converts cm_J_per_mol_K columns
 
 _CHANNELS = ("neutron", "calorimetric", "magnetometric", "theory")
 
@@ -135,9 +140,10 @@ def preset(name: str) -> MaterialPreset:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One output row: a correlator and everything derived from it."""
+    """One output row: a correlator and everything derived from it (``t`` is
+    None for a correlator given without a temperature)."""
 
-    t: float
+    t: float | None
     correlator: ValueWithUncertainty
     discord: ValueWithUncertainty
     classical: float
@@ -155,7 +161,7 @@ class ResultRecord:
 
 
 def result_from_correlator(
-    t: float, g: ValueWithUncertainty, channel: str
+    t: float | None, g: ValueWithUncertainty, channel: str
 ) -> ResultRecord:
     """Expand a correlator (with its error bar) into a full record.
 
@@ -163,11 +169,7 @@ def result_from_correlator(
     measures are reported at the central value only.
     """
     m = measures_from_correlator(g.value)
-
-    def discord_of(x: float) -> float:
-        return measures_from_correlator(x).discord
-
-    q = propagate_uncertainty(discord_of, g) if g.sigma > 0.0 else ValueWithUncertainty(m.discord)
+    q = propagate_uncertainty(discord, g) if g.sigma > 0.0 else ValueWithUncertainty(m.discord)
     return ResultRecord(
         t=t,
         correlator=g,
@@ -311,15 +313,56 @@ def load_series(
 
 
 # ---------------------------------------------------------------------------
-# writing
+# writing: one cell formatter and one JSON serializer serve every output
 
 
-def _fmt(x: float, precision: int) -> str:
-    return f"%.{precision}g" % x
+def cell_formatter(precision: int) -> Callable[[object], str]:
+    """Formatter for one output cell, its format string built once: strings
+    as they are, None as an empty field, booleans as ``true``/``false``,
+    integers in full, other numbers with ``precision`` significant digits."""
+    if precision < 1 or precision > 17:
+        raise DomainError(f"precision must be in [1, 17], got {precision}")
+    number = f"%.{precision}g".__mod__
+
+    def cell(x: object) -> str:
+        if isinstance(x, float):
+            return number(x)
+        if isinstance(x, str):
+            return x
+        if x is None:
+            return ""
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        if isinstance(x, int):
+            return str(x)
+        return number(x)
+
+    return cell
 
 
-def _rounded(x: float, precision: int) -> float:
-    return float(_fmt(x, precision))
+def text_rows(rows: Iterable[Sequence[object]], precision: int, sep: str = ",") -> str:
+    """Rows of cells as lines, cells joined by ``sep``: CSV by default, or
+    ``key = value`` lines with ``sep=" = "``."""
+    cell = cell_formatter(precision)
+    return "".join([sep.join(map(cell, row)) + "\n" for row in rows])
+
+
+def json_text(doc: object, precision: int) -> str:
+    """Indented JSON of ``doc`` with every float rounded to ``precision``
+    significant digits; a NaN or infinity raises ValueError.  An iterator
+    becomes an array, so a large table need not exist unrounded as a whole."""
+    cell = cell_formatter(precision)
+
+    def rounded(x):
+        if isinstance(x, float):
+            return float(cell(x))
+        if isinstance(x, dict):
+            return {k: rounded(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple, Iterator)):
+            return [rounded(v) for v in x]
+        return x
+
+    return json.dumps(rounded(doc), indent=2, allow_nan=False) + "\n"
 
 
 _RESULT_COLUMNS = ("T_K", "G", "sigma_G", "Q", "sigma_Q", "C", "I", "E", "channel")
@@ -335,31 +378,27 @@ def write_results(
     """Serialize result records to CSV or JSON bytes.
 
     Column order is fixed; floats carry ``precision`` significant digits
-    (default 6), so identical inputs give identical bytes.
+    (default 6), so identical inputs give identical bytes.  A record
+    without a temperature has an empty ``T_K`` field (``null`` in JSON).
     """
     if fmt not in ("csv", "json"):
         raise DataError(f"format must be csv or json, got {fmt!r}")
-    if precision < 1 or precision > 17:
-        raise DomainError(f"precision must be in [1, 17], got {precision}")
+    rows = (
+        (
+            r.t,
+            r.correlator.value,
+            r.correlator.sigma,
+            r.discord.value,
+            r.discord.sigma,
+            r.classical,
+            r.mutual_information,
+            r.entanglement,
+            r.channel,
+        )
+        for r in records
+    )
     if fmt == "csv":
-        lines = [",".join(_RESULT_COLUMNS)]
-        for r in records:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(r.t, precision),
-                        _fmt(r.correlator.value, precision),
-                        _fmt(r.correlator.sigma, precision),
-                        _fmt(r.discord.value, precision),
-                        _fmt(r.discord.sigma, precision),
-                        _fmt(r.classical, precision),
-                        _fmt(r.mutual_information, precision),
-                        _fmt(r.entanglement, precision),
-                        r.channel,
-                    ]
-                )
-            )
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return text_rows(chain([_RESULT_COLUMNS], rows), precision).encode("utf-8")
 
     channels = {r.channel for r in records}
     doc = {
@@ -368,21 +407,9 @@ def write_results(
             "preset": preset_name,
             "units": {"T_K": "kelvin", "G": "dimensionless", "correlations": "bit"},
         },
-        "rows": [
-            {
-                "T_K": _rounded(r.t, precision),
-                "G": _rounded(r.correlator.value, precision),
-                "sigma_G": _rounded(r.correlator.sigma, precision),
-                "Q": _rounded(r.discord.value, precision),
-                "sigma_Q": _rounded(r.discord.sigma, precision),
-                "C": _rounded(r.classical, precision),
-                "I": _rounded(r.mutual_information, precision),
-                "E": _rounded(r.entanglement, precision),
-            }
-            for r in records
-        ],
+        "rows": (dict(zip(_RESULT_COLUMNS[:-1], row)) for row in rows),
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return json_text(doc, precision).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

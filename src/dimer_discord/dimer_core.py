@@ -32,6 +32,10 @@ All information measures are reported in bits per dimer:
 Entanglement dies at ``k_B T_e = 2|J|/ln 3`` for antiferromagnetic coupling
 and is absent at every temperature for ferromagnetic coupling; discord
 survives at all finite temperatures.
+
+The module also holds what both the thermodynamic channels and the
+susceptibility fit build on: the CODATA constants, powder averaging of a g
+tensor, and the Bleaney-Bowers susceptibility curve.
 """
 
 import math
@@ -45,6 +49,8 @@ __all__ = [
     "G_MIN",
     "G_MAX",
     "DEATH_TEMPERATURE_SCALE",
+    "PhysicalConstants",
+    "CODATA",
     "DimerParameters",
     "CorrelationSet",
     "validate_correlator",
@@ -56,6 +62,8 @@ __all__ = [
     "concurrence",
     "entanglement_of_formation",
     "entanglement_death_temperature",
+    "powder_g",
+    "bleaney_bowers",
     "density_matrix",
     "ppt_eigenvalues",
     "measures_from_correlator",
@@ -71,6 +79,24 @@ DEATH_TEMPERATURE_SCALE = 2.0 / math.log(3.0)
 _G_TOL = 1e-9  # float fuzz allowed on direct correlator inputs before we refuse
 _XLOG_CUTOFF = 1e-30  # below this, x*log2(x) is 0 to double precision anyway
 _EXP_ARG_MAX = 700.0  # exp() overflows near 709; beyond this use the T=0 limit
+
+
+@dataclass(frozen=True)
+class PhysicalConstants:
+    """CODATA-2018 constants in CGS-emu, as used by magnetochemists."""
+
+    avogadro: float = 6.02214076e23  # 1/mol (exact)
+    bohr_magneton: float = 9.2740100783e-21  # erg/G
+    boltzmann: float = 1.380649e-16  # erg/K (exact)
+    gas_constant: float = 8.31446261815324  # J/(mol K) (exact)
+
+    @property
+    def curie_prefactor(self) -> float:
+        """N_A mu_B^2 / k_B in emu K/mol; about 0.3751481."""
+        return self.avogadro * self.bohr_magneton**2 / self.boltzmann
+
+
+CODATA = PhysicalConstants()
 
 
 @dataclass(frozen=True)
@@ -101,8 +127,7 @@ class DimerParameters:
             if len(gf) != 3:
                 raise DomainError("g tensor needs exactly three principal values")
             comps = tuple(float(c) for c in gf)
-            if any(not math.isfinite(c) or c <= 0.0 for c in comps):
-                raise DomainError(f"g tensor components must be positive, got {gf!r}")
+            powder_g(*comps)  # raises DomainError on a component that is not positive
             object.__setattr__(self, "g_factor", comps)
         else:
             g = float(gf)
@@ -112,6 +137,15 @@ class DimerParameters:
     @property
     def antiferro(self) -> bool:
         return self.j_over_kb < 0.0
+
+    @property
+    def scalar_g(self) -> float | None:
+        """The g factor a powder measurement sees: a tensor triple is
+        powder-averaged; None when no g factor is set."""
+        gf = self.g_factor
+        if gf is None:
+            return None
+        return powder_g(*gf) if isinstance(gf, tuple) else float(gf)
 
 
 @dataclass(frozen=True)
@@ -178,22 +212,36 @@ def temperature_from_correlator(params: DimerParameters, g: float) -> float:
     return -2.0 * j / math.log(4.0 / (1.0 + g) - 3.0)
 
 
+# closed forms of an already validated correlator; public functions validate once
+
+
+def _mutual_information(g: float) -> float:
+    return 0.25 * (_xlog2(1.0 - 3.0 * g) + 3.0 * _xlog2(1.0 + g))
+
+
+def _classical(g: float) -> float:
+    a = abs(g)
+    return 0.5 * (_xlog2(1.0 + a) + _xlog2(1.0 - a))
+
+
+def _concurrence(g: float) -> float:
+    return max(0.0, -(1.0 + 3.0 * g) / 2.0)
+
+
 def mutual_information(g: float) -> float:
     """Total correlation I(G) in bits between the two spins."""
-    g = validate_correlator(g)
-    return 0.25 * (_xlog2(1.0 - 3.0 * g) + 3.0 * _xlog2(1.0 + g))
+    return _mutual_information(validate_correlator(g))
 
 
 def classical_correlation(g: float) -> float:
     """Classical part C(G) of the total correlation, in bits."""
-    a = abs(validate_correlator(g))
-    return 0.5 * (_xlog2(1.0 + a) + _xlog2(1.0 - a))
+    return _classical(validate_correlator(g))
 
 
 def discord(g: float) -> float:
     """Quantum discord Q(G) = I(G) - C(G) in bits."""
     g = validate_correlator(g)
-    return mutual_information(g) - classical_correlation(g)
+    return _mutual_information(g) - _classical(g)
 
 
 def concurrence(g: float, antiferro: bool) -> float:
@@ -208,9 +256,7 @@ def concurrence(g: float, antiferro: bool) -> float:
         raise DomainError(f"correlator {g!r} is positive; not an antiferromagnetic state")
     if not antiferro and g < -_G_TOL:
         raise DomainError(f"correlator {g!r} is negative; not a ferromagnetic state")
-    if not antiferro:
-        return 0.0
-    return max(0.0, -(1.0 + 3.0 * g) / 2.0)
+    return _concurrence(g) if antiferro else 0.0
 
 
 def entanglement_of_formation(c_tilde: float) -> float:
@@ -234,6 +280,27 @@ def entanglement_death_temperature(params: DimerParameters) -> float:
     if params.j_over_kb > 0.0:
         raise DomainError("ferromagnetic dimers are separable at every temperature")
     return DEATH_TEMPERATURE_SCALE * abs(params.j_over_kb)
+
+
+def powder_g(gx: float, gy: float, gz: float) -> float:
+    """Root-mean-square g factor seen by a powder-averaged measurement."""
+    for v in (gx, gy, gz):
+        if not math.isfinite(v) or v <= 0.0:
+            raise DomainError(f"g tensor components must be positive, got {v!r}")
+    return math.sqrt((gx * gx + gy * gy + gz * gz) / 3.0)
+
+
+def bleaney_bowers(
+    j_over_kb: float | np.ndarray, g_factor: float | np.ndarray, t: float | np.ndarray
+) -> float | np.ndarray:
+    """Bleaney-Bowers susceptibility in emu per mole of dimers (CGS), unvalidated.
+
+    ``chi = N_A g^2 mu_B^2 (1 + G) / (2 k_B T)``, evaluated as
+    ``2 g^2 N_A mu_B^2 / (k_B T (3 + exp(-2J/(k_B T))))`` so that no 1 + G
+    cancels when cold.  Floats or numpy arrays; J = 0 gives G = 0.
+    """
+    a = np.minimum(-2.0 * j_over_kb / t, _EXP_ARG_MAX)
+    return 2.0 * g_factor * g_factor * CODATA.curie_prefactor / (t * (3.0 + np.exp(a)))
 
 
 def density_matrix(g: float) -> np.ndarray:
@@ -276,9 +343,9 @@ def measures_from_correlator(g: float) -> CorrelationSet:
     formula returns zero on the whole ferromagnetic range by itself).
     """
     g = validate_correlator(g)
-    i = mutual_information(g)
-    c = classical_correlation(g)
-    ct = max(0.0, -(1.0 + 3.0 * g) / 2.0)
+    i = _mutual_information(g)
+    c = _classical(g)
+    ct = _concurrence(g)
     return CorrelationSet(
         mutual_information=i,
         classical=c,

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import brentq, least_squares
 
-from .dimer_core import DimerParameters
+from .dimer_core import DimerParameters, bleaney_bowers
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -345,7 +345,8 @@ def fit_bleaney_bowers(
     """Least-squares fit of the dimer susceptibility to a measured curve.
 
     The model is the molar (per mole of dimers, CGS-emu) susceptibility
-    ``chi(T) = N_A g^2 mu_B^2 (1 + G(T)) / (2 k_B T)``; the free parameters
+    ``chi(T) = N_A g^2 mu_B^2 (1 + G(T)) / (2 k_B T)`` of
+    :func:`~dimer_discord.dimer_core.bleaney_bowers`; the free parameters
     are ``j_over_kb`` and the g factor.  Internally g is parameterized as a
     square so it stays positive, and the sign of the coupling stays on the
     side chosen by the initial guess in all practical fits.  Damped
@@ -371,10 +372,6 @@ def fit_bleaney_bowers(
         budget the best parameters so far are returned with
         ``converged=False``.
     """
-    # local import: thermo builds on the helpers above, so this module cannot
-    # import it at top level
-    from .thermo import CODATA, powder_g
-
     t = np.asarray(temperatures, dtype=float)
     y = np.asarray(chi, dtype=float)
     if t.ndim != 1 or y.shape != t.shape:
@@ -394,19 +391,12 @@ def fit_bleaney_bowers(
             raise DataError("sigma must be positive, finite, and match the series length")
         w = 1.0 / s
 
-    gf = init.g_factor
-    if gf is None:
+    g0 = init.scalar_g
+    if g0 is None:
         raise DomainError("initial guess must carry a g factor")
-    g0 = powder_g(*gf) if isinstance(gf, tuple) else float(gf)
-    curie = CODATA.curie_prefactor
-
-    def model(j: float, g: float) -> np.ndarray:
-        # Bleaney-Bowers curve; j = 0 mid-iteration is harmless (G -> 0)
-        a = np.clip(-2.0 * j / t, -700.0, 700.0)
-        return 2.0 * g * g * curie / (t * (3.0 + np.exp(a)))
 
     def residuals(p: np.ndarray) -> np.ndarray:
-        return (model(p[0], p[1] * p[1]) - y) * w
+        return (bleaney_bowers(p[0], p[1] * p[1], t) - y) * w
 
     x0 = np.array([init.j_over_kb, math.sqrt(g0)])
     result = least_squares(

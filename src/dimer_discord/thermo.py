@@ -18,16 +18,19 @@ model beyond that tolerance.
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dimer_core import (
+    CODATA,
     G_MAX,
     G_MIN,
     DimerParameters,
+    PhysicalConstants,
+    bleaney_bowers,
     correlator_from_temperature,
+    powder_g,
     validate_correlator,
 )
 from .errors import (
@@ -63,23 +66,6 @@ __all__ = [
     "specific_heat_from_susceptibility_series",
 ]
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA-2018 constants in CGS-emu, as used by magnetochemists."""
-
-    avogadro: float = 6.02214076e23  # 1/mol (exact)
-    bohr_magneton: float = 9.2740100783e-21  # erg/G
-    boltzmann: float = 1.380649e-16  # erg/K (exact)
-    gas_constant: float = 8.31446261815324  # J/(mol K) (exact)
-
-    @property
-    def curie_prefactor(self) -> float:
-        """N_A mu_B^2 / k_B in emu K/mol; about 0.3751481."""
-        return self.avogadro * self.bohr_magneton**2 / self.boltzmann
-
-
-CODATA = PhysicalConstants()
 
 # Stationary points of c_m/R as a function of the correlator: roots of
 # (1 + 3g) ln[(1+g)/(1-3g)] = 4, one per coupling sign.  The peak heights
@@ -121,21 +107,11 @@ def clamp_measured_correlator(g: float, source: str = "measured value") -> float
     )
 
 
-def _scalar_g(params: DimerParameters, context: str) -> float:
-    gf = params.g_factor
-    if gf is None:
+def _require_g(params: DimerParameters, context: str) -> float:
+    g_factor = params.scalar_g
+    if g_factor is None:
         raise DomainError(f"{context} needs a g factor on the parameters")
-    if isinstance(gf, tuple):
-        return powder_g(*gf)
-    return float(gf)
-
-
-def powder_g(gx: float, gy: float, gz: float) -> float:
-    """Root-mean-square g factor seen by a powder-averaged measurement."""
-    for v in (gx, gy, gz):
-        if not math.isfinite(v) or v <= 0.0:
-            raise DomainError(f"g tensor components must be positive, got {v!r}")
-    return math.sqrt((gx * gx + gy * gy + gz * gz) / 3.0)
+    return g_factor
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +160,12 @@ def internal_energy_from_specific_heat(
     dimer, so ``u(t_start) = -a/t_start`` independent of any ``u0_over_r``.
     """
     t = np.asarray(temperatures, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.ndim != 1 or v.shape != t.shape:
-        raise DataError("temperatures and values must be 1-d arrays of equal length")
+    # validates the record; an empty one integrates to 0
+    data_integral = integrate_series_with_tail(t, values, None)
     if t.size == 0:
         if tail is None:
             raise DataError("empty record and no tail: nothing to integrate")
         return tail.t_start, -tail.integral()
-    data_integral = integrate_series_with_tail(t, v, None)
     t_end = float(t[-1])
     if tail is not None and tail.t_start < t_end:
         raise DataError(
@@ -215,6 +189,13 @@ def internal_energy_from_specific_heat(
 
 # ---------------------------------------------------------------------------
 # magnetic specific heat (Schottky channel)
+
+
+def _schottky_peak(params: DimerParameters) -> tuple[float, float]:
+    """``(g_peak, cm_peak)`` of the coupling's branch."""
+    if params.antiferro:
+        return CM_PEAK_G_ANTIFERRO, CM_PEAK_ANTIFERRO
+    return CM_PEAK_G_FERRO, CM_PEAK_FERRO
 
 
 def specific_heat(params: DimerParameters, temperature: float) -> float:
@@ -271,11 +252,10 @@ def correlator_from_specific_heat(
         if side == "hot":
             return 0.0
         return G_MIN if params.antiferro else G_MAX
+    g_peak, cm_peak = _schottky_peak(params)
     if params.antiferro:
-        g_peak, cm_peak = CM_PEAK_G_ANTIFERRO, CM_PEAK_ANTIFERRO
         bracket = (g_peak, 0.0) if side == "hot" else (G_MIN, g_peak)
     else:
-        g_peak, cm_peak = CM_PEAK_G_FERRO, CM_PEAK_FERRO
         bracket = (0.0, g_peak) if side == "hot" else (g_peak, G_MAX)
     if cm_over_r > cm_peak:
         if cm_over_r > cm_peak + _CM_PEAK_TOL:
@@ -303,10 +283,7 @@ def schottky_maximum(params: DimerParameters) -> tuple[float, float]:
     At the stationary point a = 2J/(k_B T) equals 4/(1+3g*), which collapses
     to t_peak = (J/k_B)(1+3g*)/2 — positive on both branches.
     """
-    if params.antiferro:
-        g_peak, cm_peak = CM_PEAK_G_ANTIFERRO, CM_PEAK_ANTIFERRO
-    else:
-        g_peak, cm_peak = CM_PEAK_G_FERRO, CM_PEAK_FERRO
+    g_peak, cm_peak = _schottky_peak(params)
     t_peak = params.j_over_kb * (1.0 + 3.0 * g_peak) / 2.0
     return t_peak, cm_peak
 
@@ -319,14 +296,14 @@ def susceptibility(params: DimerParameters, temperature: float) -> float:
     """Molar susceptibility in emu per mole of dimers (CGS).
 
     The singlet-triplet (Bleaney-Bowers) curve
-    ``chi = N_A g^2 mu_B^2 (1 + G) / (2 k_B T)``; a g tensor triple is
+    ``chi = N_A g^2 mu_B^2 (1 + G) / (2 k_B T)`` of
+    :func:`~dimer_discord.dimer_core.bleaney_bowers`; a g tensor triple is
     powder-averaged first.
     """
     if not math.isfinite(temperature) or temperature <= 0.0:
         raise DomainError(f"temperature must be positive, got {temperature!r}")
-    g_factor = _scalar_g(params, "susceptibility")
-    g = correlator_from_temperature(params, temperature)
-    return CODATA.curie_prefactor * g_factor**2 * (1.0 + g) / (2.0 * temperature)
+    g_factor = _require_g(params, "susceptibility")
+    return float(bleaney_bowers(params.j_over_kb, g_factor, temperature))
 
 
 def correlator_from_susceptibility(
@@ -341,7 +318,7 @@ def correlator_from_susceptibility(
         raise DomainError(f"temperature must be positive, got {temperature!r}")
     if not math.isfinite(chi) or chi < 0.0:
         raise DomainError(f"susceptibility must be non-negative, got {chi!r}")
-    g_factor = _scalar_g(params, "susceptibility inversion")
+    g_factor = _require_g(params, "susceptibility inversion")
     g = 2.0 * temperature * chi / (CODATA.curie_prefactor * g_factor**2) - 1.0
     return clamp_measured_correlator(
         g, f"susceptibility {chi:g} emu/mol at {temperature:g} K"
@@ -361,7 +338,7 @@ def susceptibility_maximum(params: DimerParameters) -> tuple[float, float]:
     """
     if not params.antiferro:
         raise DomainError("only an antiferro dimer has a susceptibility maximum")
-    g_factor = _scalar_g(params, "susceptibility maximum")
+    g_factor = _require_g(params, "susceptibility maximum")
     w = lambert_w(3.0 / math.e)
     j_abs = abs(params.j_over_kb)
     t_max = 2.0 * j_abs / (1.0 + w)

@@ -71,6 +71,12 @@ def chi_of_t(j, g_factor, t, curie):
     return float(mp.mpf(curie) * gf**2 * (1 + g_of_t(j, t)) / (2 * t))
 
 
+def bleaney_bowers(j, g_factor, t, curie):
+    """chi = 2 g^2 C / (T (3 + e^(-2J/T))), with no 1 + G formed in floats."""
+    j, gf, t = mp.mpf(j), mp.mpf(g_factor), mp.mpf(t)
+    return float(2 * gf**2 * mp.mpf(curie) / (t * (3 + mp.e ** (-2 * j / t))))
+
+
 # --- matrix routes -----------------------------------------------------------
 
 PAULI = (

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from numpy.testing import assert_allclose
 
 RUN = [sys.executable, "-m", "dimer_discord"]
@@ -99,6 +100,22 @@ class TestFromNeutron:
         _, rows = csv_rows(r.stdout)
         assert float(rows[0][1]) == -1.0
         assert r.stderr != ""
+
+    def test_point_without_temperature_leaves_it_empty(self, capsys):
+        from dimer_discord import cli
+
+        assert cli.main(["from-neutron", "--G=-0.54(9)"]) == 0
+        out, err = capsys.readouterr()
+        _, rows = csv_rows(out)
+        assert rows[0][:3] == ["", "-0.54", "0.09"]
+        assert err.count("no temperature given") == 1
+
+        assert cli.main(["from-neutron", "--G=-0.54(9)", "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"bare {name} in JSON"))
+        assert doc["rows"][0]["T_K"] is None
+        assert doc["rows"][0]["G"] == -0.54
+        assert err.count("no temperature given") == 1
 
 
 class TestLandmarks:

@@ -1,0 +1,51 @@
+"""Imports point one way: dimer_core and numerics, then thermo, dataio, cli.
+
+Checked on the source with ``ast``, so a cycle cannot hide behind an import
+placed inside a function.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dimer_discord"
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+
+def _package_imports(node: ast.AST) -> set[str]:
+    """Package modules and ``json`` imported by the statements under ``node``."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.ImportFrom) and n.level == 1:
+            found |= {n.module} if n.module else {a.name for a in n.names}
+        elif isinstance(n, ast.ImportFrom) and n.module == "json":
+            found.add("json")
+        elif isinstance(n, ast.Import):
+            found |= {a.name for a in n.names if a.name == "json"}
+    return found
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_imports_a_package_module_or_json(module):
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            assert not _package_imports(node), f"{module}.{node.name} imports inside its body"
+
+
+@pytest.mark.parametrize(
+    "module, allowed",
+    [
+        ("dimer_core", {"errors"}),
+        ("numerics", {"dimer_core", "errors"}),
+        ("thermo", {"dimer_core", "numerics", "errors"}),
+        ("dataio", {"dimer_core", "numerics", "thermo", "errors", "json"}),
+    ],
+)
+def test_imports_point_down(module, allowed):
+    imported = _package_imports(_tree(module))
+    assert imported <= allowed, f"{module} imports {sorted(imported - allowed)}"

@@ -227,6 +227,17 @@ class TestSusceptibility:
                 rtol=1e-12,
             )
 
+    @pytest.mark.parametrize("j, g_factor", [(-2.56, 2.11), (-204.0, 2.13), (35.4, 2.13)])
+    def test_matches_exact_oracle_cold_to_hot(self, j, g_factor):
+        # the cold antiferro end is where forming 1 + G would cancel
+        params = DimerParameters(j, g_factor)
+        for t in np.geomspace(0.02, 20.0, 300) * abs(j):
+            assert_allclose(
+                susceptibility(params, float(t)),
+                oracles.bleaney_bowers(j, g_factor, float(t), CODATA.curie_prefactor),
+                rtol=1e-12,
+            )
+
     def test_needs_g_factor(self):
         with pytest.raises(DomainError):
             susceptibility(CAL, 4.0)
