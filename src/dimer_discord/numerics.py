@@ -6,15 +6,18 @@ maximizer, the trapezoid-with-tail integrator used for calorimetric data,
 symmetric-difference uncertainty propagation, and the Bleaney-Bowers
 susceptibility fit.  All routines are deterministic: identical inputs give
 identical outputs, bit for bit.
+
+The root finder is Brent's method written out here, so importing the package
+needs numpy alone; scipy is loaded only by the fit, on its first call.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
 from .dimer_core import DimerParameters, bleaney_bowers
 from .errors import (
@@ -40,6 +43,7 @@ __all__ = [
 ]
 
 _INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)  # golden-section shrink factor
+_ROOT_RTOL = 4.0 * sys.float_info.epsilon  # relative part of the root stop rule
 
 
 @dataclass(frozen=True)
@@ -151,11 +155,19 @@ def find_root(
 ) -> float:
     """Root of ``f`` inside the bracket ``[lo, hi]``.
 
-    The endpoints must straddle a sign change (an exact zero at either end
-    is returned directly).  Resolution is ``tol`` in the abscissa.
+    The endpoints must straddle a sign change (an exact zero at either end,
+    of either sign, is returned directly).  Brent's method (Brent 1973,
+    ch. 4, step for step as scipy's ``brentq``): inverse quadratic or
+    secant steps, bisection where they would not shrink the bracket fast
+    enough.  It stops at the current best point ``x`` once half the bracket
+    is below ``(tol + 4 eps |x|) / 2``, or at an exact zero.  ``f`` is
+    evaluated once per endpoint and once per iteration.
 
     Raises
     ------
+    DomainError
+        If the bracket is not finite and increasing, ``tol`` is not positive
+        and finite, ``max_iter < 1``, or ``f`` returns NaN.
     BracketError
         If ``f(lo)`` and ``f(hi)`` share a sign.
     ConvergenceError
@@ -165,22 +177,63 @@ def find_root(
     hi = float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise DomainError(f"invalid bracket [{lo!r}, {hi!r}]")
-    f_lo = f(lo)
-    f_hi = f(hi)
-    if f_lo == 0.0:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if fx != fx:
+            raise DomainError(f"f({x!r}) is NaN")
+        return fx
+
+    xpre, fpre = lo, value(lo)
+    xcur, fcur = hi, value(hi)
+    if fpre == 0.0:
         return lo
-    if f_hi == 0.0:
+    if fcur == 0.0:
         return hi
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise BracketError(
-            f"no sign change on [{lo:g}, {hi:g}]: f(lo)={f_lo:.6g}, f(hi)={f_hi:.6g}"
+            f"no sign change on [{lo:g}, {hi:g}]: f(lo)={fpre:.6g}, f(hi)={fcur:.6g}"
         )
-    root, info = brentq(f, lo, hi, xtol=tol, maxiter=max_iter, full_output=True, disp=False)
-    if not info.converged:
-        raise ConvergenceError(
-            f"root not located to {tol:g} within {max_iter} iterations on [{lo:g}, {hi:g}]"
-        )
-    return float(root)
+    # xcur is the best point so far, xblk the far end of the bracket, xpre
+    # the previous point; spre and scur are the last two step lengths.
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(max_iter):
+        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ConvergenceError(
+        f"root not located to {tol:g} within {max_iter} iterations on [{lo:g}, {hi:g}]"
+    )
 
 
 def find_crossing(
@@ -350,7 +403,8 @@ def fit_bleaney_bowers(
     are ``j_over_kb`` and the g factor.  Internally g is parameterized as a
     square so it stays positive, and the sign of the coupling stays on the
     side chosen by the initial guess in all practical fits.  Damped
-    least-squares iteration; converged means the relative parameter step
+    least-squares iteration (scipy's ``least_squares``, Levenberg-Marquardt,
+    imported on the first call); converged means the relative parameter step
     fell below ``step_tol``.
 
     Parameters
@@ -397,6 +451,8 @@ def fit_bleaney_bowers(
 
     def residuals(p: np.ndarray) -> np.ndarray:
         return (bleaney_bowers(p[0], p[1] * p[1], t) - y) * w
+
+    from scipy.optimize import least_squares  # the only scipy use; kept off the import path
 
     x0 = np.array([init.j_over_kb, math.sqrt(g0)])
     result = least_squares(

@@ -1,7 +1,8 @@
 """Imports point one way: dimer_core and numerics, then thermo, dataio, cli.
 
 Checked on the source with ``ast``, so a cycle cannot hide behind an import
-placed inside a function.
+placed inside a function.  scipy is imported in one place only, inside the
+fit, so that importing the package does not load it.
 """
 
 import ast
@@ -30,6 +31,33 @@ def _tree(module: str) -> ast.Module:
     return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
 
 
+def _imports_scipy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "scipy" for a in node.names)
+    return (
+        isinstance(node, ast.ImportFrom)
+        and node.level == 0
+        and (node.module or "").split(".")[0] == "scipy"
+    )
+
+
+def _scipy_import_sites(module: str) -> list[str]:
+    """``module`` for each top-level scipy import, ``module.function`` for each in a body."""
+    sites = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{module}.{child.name}")
+                continue
+            if _imports_scipy(child):
+                sites.append(owner)
+            visit(child, owner)
+
+    visit(_tree(module), module)
+    return sites
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_function_imports_a_package_module_or_json(module):
     for node in ast.walk(_tree(module)):
@@ -49,3 +77,8 @@ def test_no_function_imports_a_package_module_or_json(module):
 def test_imports_point_down(module, allowed):
     imported = _package_imports(_tree(module))
     assert imported <= allowed, f"{module} imports {sorted(imported - allowed)}"
+
+
+def test_scipy_is_imported_only_by_the_fit():
+    sites = [site for module in MODULES for site in _scipy_import_sites(module)]
+    assert sites == ["numerics.fit_bleaney_bowers"]

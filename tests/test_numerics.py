@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
-from dimer_discord.dimer_core import DimerParameters
+from dimer_discord import thermo
+from dimer_discord.dimer_core import DimerParameters, correlation_set
 from dimer_discord.errors import (
     BracketError,
+    ConvergenceError,
     DataError,
     DataWarning,
     DomainError,
@@ -75,6 +78,85 @@ class TestFindRoot:
     def test_bad_bracket(self):
         with pytest.raises(DomainError):
             find_root(lambda x: x, 2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": 0.0},
+            {"tol": -1e-12},
+            {"tol": math.nan},
+            {"tol": math.inf},
+            {"max_iter": 0},
+            {"max_iter": -3},
+        ],
+    )
+    def test_bad_tolerance_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            find_root(lambda x: x * x - 2.0, 0.0, 2.0, **kwargs)
+
+    def test_nan_value_rejected(self):
+        with pytest.raises(DomainError, match="NaN"):
+            find_root(lambda x: math.nan if 0.0 < x < 2.0 else x - 1.0, 0.0, 2.0)
+
+    def test_budget_exhausted(self):
+        with pytest.raises(ConvergenceError):
+            find_root(lambda x: x * x - 2.0, 0.0, 2.0, max_iter=1)
+
+    def test_negative_zero_is_an_exact_zero(self):
+        # at an endpoint, and at an iterate (the first secant step lands on 0.5)
+        assert find_root(lambda x: -x, 0.0, 1.0) == 0.0
+        assert find_root(lambda x: -(x - 1.0), 0.0, 1.0) == 1.0
+        assert find_root(lambda x: -(x - 0.5), 0.0, 1.0) == 0.5
+
+    def test_each_endpoint_evaluated_once(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x * x - 2.0
+
+        find_root(f, 0.0, 2.0)
+        assert seen.count(0.0) == 1 and seen.count(2.0) == 1
+        # brentq's own count includes the endpoints that find_root had
+        # already evaluated once to check the bracket
+        _, info = brentq(lambda x: x * x - 2.0, 0.0, 2.0, xtol=1e-12, full_output=True)
+        assert len(seen) == info.function_calls
+
+    def test_bit_identical_to_brentq(self):
+        """Same roots as scipy's brentq, to the last bit, on a seeded family."""
+        rng = np.random.default_rng(20110)
+        cases = []
+        # c_m/R on both Schottky flanks of both branches, from 1e-15 to the peak
+        flanks = [
+            (thermo.CM_PEAK_ANTIFERRO, (thermo.CM_PEAK_G_ANTIFERRO, 0.0)),
+            (thermo.CM_PEAK_ANTIFERRO, (-1.0, thermo.CM_PEAK_G_ANTIFERRO)),
+            (thermo.CM_PEAK_FERRO, (0.0, thermo.CM_PEAK_G_FERRO)),
+            (thermo.CM_PEAK_FERRO, (thermo.CM_PEAK_G_FERRO, 1.0 / 3.0)),
+        ]
+        for peak, (lo, hi) in flanks:
+            for c in peak * 10.0 ** -rng.uniform(0.0, 15.0, 60):
+                cases.append(
+                    (lambda g, c=c: thermo.specific_heat_from_correlator(g) - c, lo, hi, 1e-12)
+                )
+        # the discord/EoF and classical/EoF crossings that `landmarks` solves
+        for j in (-2.56, -2.59, -204.0, -216.0, -rng.uniform(0.5, 500.0)):
+            params = DimerParameters(j)
+            for name, top in (("discord", 1.0), ("classical", 1.2)):
+                def diff(t, name=name, params=params):
+                    s = correlation_set(params, t)
+                    return getattr(s, name) - s.entanglement
+
+                cases.append((diff, 0.2 * abs(j), top * abs(j), 1e-12))
+        # odd powers x**k - a on lopsided brackets, at assorted tolerances
+        for _ in range(1000):
+            a = rng.uniform(-5.0, 5.0)
+            k = int(rng.choice([1, 3, 5]))
+            tol = float(rng.choice([1e-15, 1e-12, 1e-8, 1e-3]))
+            cases.append((lambda x, a=a, k=k: x**k - a, -7.0, rng.uniform(5.5, 9.0), tol))
+
+        for f, lo, hi, tol in cases:
+            expected = brentq(f, lo, hi, xtol=tol, maxiter=100)
+            assert find_root(f, lo, hi, tol=tol, max_iter=100) == expected, (lo, hi, tol)
 
 
 class TestFindCrossing:
