@@ -23,6 +23,7 @@ from . import dataio, dimer_core, numerics, thermo
 from .dataio import (
     PRESETS,
     ResultRecord,
+    ResultTable,
     load_series,
     parse_value_with_uncertainty,
     result_from_correlator,
@@ -111,7 +112,9 @@ def _resolve_parameters(
     return DimerParameters(j, g)
 
 
-def _emit(records: list[ResultRecord], args: argparse.Namespace, precision: int) -> None:
+def _emit(
+    records: list[ResultRecord] | ResultTable, args: argparse.Namespace, precision: int
+) -> None:
     data = write_results(
         records,
         args.format,
@@ -142,13 +145,8 @@ def _cmd_theory(args: argparse.Namespace, precision: int) -> int:
         grid = np.geomspace(t_min, t_max, args.n_points)
     else:
         grid = np.linspace(t_min, t_max, args.n_points)
-    records = []
-    for t in grid:
-        g = dimer_core.correlator_from_temperature(params, float(t))
-        records.append(
-            result_from_correlator(float(t), ValueWithUncertainty(g), "theory")
-        )
-    _emit(records, args, precision)
+    g = dimer_core.correlator_from_temperature(params, grid)
+    _emit(dataio.results_from_correlators(grid, g, "theory"), args, precision)
     return 0
 
 
@@ -215,7 +213,7 @@ def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
             ("chi_peak_reduced", reduced),
         ]
 
-    sys.stdout.write(dataio.text_rows(lines, precision, sep=" = "))
+    sys.stdout.write(dataio.text_table(list(zip(*lines)), precision, sep=" = "))
     return 0
 
 
@@ -330,8 +328,8 @@ def _cmd_fit(args: argparse.Namespace, precision: int) -> int:
     result = numerics.fit_bleaney_bowers(t, chi, init, sigma=series.sigmas)
     fitted = result.parameters
     chi_model = dimer_core.bleaney_bowers(fitted.j_over_kb, fitted.g_factor, t)
-    columns = ("T_K", "chi_emu_per_mol", "chi_model", "residual")
-    rows = np.column_stack([t, chi, chi_model, chi_model - chi]).tolist()
+    names = ("T_K", "chi_emu_per_mol", "chi_model", "residual")
+    columns = (t, chi, chi_model, chi_model - chi)
     report = {
         "converged": result.converged,
         "J_over_kB_K": fitted.j_over_kb,
@@ -342,69 +340,65 @@ def _cmd_fit(args: argparse.Namespace, precision: int) -> int:
         "n_points": len(series),
     }
     if args.format == "json":
-        rows = [dict(zip(columns, row)) for row in rows]
-        sys.stdout.write(dataio.json_text({**report, "rows": rows}, precision))
+        sys.stdout.write(dataio.json_text(report, precision, rows=columns, keys=names))
     else:
-        text = dataio.text_rows(report.items(), precision, sep=" = ")
-        sys.stdout.write(text + dataio.text_rows([columns, *rows], precision))
+        text = dataio.text_table([list(report), list(report.values())], precision, sep=" = ")
+        sys.stdout.write(text + dataio.text_table(columns, precision, header=names))
     if not result.converged:
         print("fit did not converge; best parameters so far reported", file=sys.stderr)
         return 1
     return 0
 
 
-def _figure_data(fig: int, n: int) -> tuple[str, list[str], list[list[float]]]:
+def _figure_data(fig: int, n: int) -> tuple[str, list[str], list[np.ndarray]]:
     if fig in (1, 2, 6):
         if fig == 6:
             params = dataio.preset("cu2l-oac-ferro").parameters
             grid = np.geomspace(1.0, 500.0, n)
             title = "ferro complex correlations vs temperature"
-            columns = ["T_K", "G"]
+            names = ["T_K", "G"]
         else:
             params = DimerParameters(-1.0 if fig == 1 else 1.0)
             grid = np.geomspace(0.01, 5.0, n)
             label = "antiferro" if fig == 1 else "ferro"
             title = f"{label} dimer correlations vs reduced temperature"
-            columns = ["kT_over_absJ", "absG" if fig == 1 else "G"]
-        rows = []
-        for t in grid.tolist():
-            g = dimer_core.correlator_from_temperature(params, t)
-            m = dimer_core.measures_from_correlator(g)
-            rows.append([t, abs(g) if fig == 1 else g, m.discord, m.classical, m.entanglement])
-        return title, columns + ["Q", "C", "E"], rows
+            names = ["kT_over_absJ", "absG" if fig == 1 else "G"]
+        g = dimer_core.correlator_from_temperature(params, grid)
+        m = dimer_core.measures_from_correlator(g)
+        columns = [grid, np.abs(g) if fig == 1 else g, m.discord, m.classical, m.entanglement]
+        return title, names + ["Q", "C", "E"], columns
     if fig == 3:
         grid = np.linspace(dimer_core.G_MIN, dimer_core.G_MAX, n)
-        rows = [[float(g), dimer_core.discord(float(g))] for g in grid]
-        return "discord vs correlator", ["G", "Q"], rows
+        return "discord vs correlator", ["G", "Q"], [grid, dimer_core.discord(grid)]
     if fig == 4:
         grid = np.linspace(dimer_core.G_MIN, dimer_core.G_MAX, n)
-        rows = [[float(g), thermo.specific_heat_from_correlator(float(g))] for g in grid]
-        return "magnetic specific heat vs correlator", ["G", "cm_over_R"], rows
+        return (
+            "magnetic specific heat vs correlator",
+            ["G", "cm_over_R"],
+            [grid, thermo.specific_heat_from_correlator(grid)],
+        )
     # fig == 5
-    hydrate = dataio.preset("copper-acetate-hydrate").parameters
-    anhydrous = dataio.preset("copper-acetate-anhydrous").parameters
     grid = np.geomspace(1.0, 500.0, n)
-    rows = []
-    for t in grid:
-        qh = dimer_core.correlation_set(hydrate, float(t)).discord
-        qa = dimer_core.correlation_set(anhydrous, float(t)).discord
-        rows.append([float(t), qh, qa])
+    columns = [grid]
+    for name in ("copper-acetate-hydrate", "copper-acetate-anhydrous"):
+        params = dataio.preset(name).parameters
+        columns.append(dimer_core.discord(dimer_core.correlator_from_temperature(params, grid)))
     return (
         "copper acetate discord vs temperature",
         ["T_K", "Q_copper_acetate_hydrate", "Q_copper_acetate_anhydrous"],
-        rows,
+        columns,
     )
 
 
 def _cmd_figure(args: argparse.Namespace, precision: int) -> int:
     if args.n_points < 2:
         raise _UsageError(f"need at least 2 grid points, got {args.n_points}")
-    title, columns, rows = _figure_data(args.id, args.n_points)
+    title, names, columns = _figure_data(args.id, args.n_points)
     if args.format == "json":
-        doc = {"figure": args.id, "title": title, "columns": columns, "rows": rows}
-        sys.stdout.write(dataio.json_text(doc, precision))
+        doc = {"figure": args.id, "title": title, "columns": names}
+        sys.stdout.write(dataio.json_text(doc, precision, rows=columns))
     else:
-        text = dataio.text_rows([columns, *rows], precision)
+        text = dataio.text_table(columns, precision, header=names)
         sys.stdout.write(f"# figure {args.id}: {title}\n{text}")
     return 0
 

@@ -19,10 +19,10 @@ per-R series.
 import json
 import math
 import re
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,11 +37,13 @@ __all__ = [
     "PRESETS",
     "preset",
     "ResultRecord",
+    "ResultTable",
     "result_from_correlator",
+    "results_from_correlators",
     "load_series",
     "write_results",
     "cell_formatter",
-    "text_rows",
+    "text_table",
     "json_text",
     "parse_value_with_uncertainty",
 ]
@@ -160,6 +162,60 @@ class ResultRecord:
             )
 
 
+# a table column: a float array, or any sequence of cells
+Column = np.ndarray | Sequence[object]
+
+
+class ResultTable(NamedTuple):
+    """Output rows held as columns, in the order of the CSV header: float
+    arrays, or sequences whose ``t`` may hold None (no temperature).
+    :func:`write_results` checks every row as :class:`ResultRecord` does."""
+
+    t: Column
+    correlator: Column
+    sigma_correlator: Column
+    discord: Column
+    sigma_discord: Column
+    classical: Column
+    mutual_information: Column
+    entanglement: Column
+    channel: Sequence[str]
+
+
+def _check_table(table: ResultTable) -> None:
+    if len({len(column) for column in table}) > 1:
+        raise DataError("result columns differ in length")
+    for channel in dict.fromkeys(table.channel):
+        if channel not in _CHANNELS:
+            raise DataError(f"channel must be one of {_CHANNELS}, got {channel!r}")
+    q, i, c = (
+        np.asarray(x, dtype=float)
+        for x in (table.discord, table.mutual_information, table.classical)
+    )
+    if (np.abs(q - (i - c)) > 1e-12).any():
+        raise InconsistencyError(
+            "discord does not equal mutual information minus classical correlation"
+        )
+
+
+def _table_of(records: Sequence[ResultRecord]) -> ResultTable:
+    rows = [
+        (
+            r.t,
+            r.correlator.value,
+            r.correlator.sigma,
+            r.discord.value,
+            r.discord.sigma,
+            r.classical,
+            r.mutual_information,
+            r.entanglement,
+            r.channel,
+        )
+        for r in records
+    ]
+    return ResultTable(*(zip(*rows) if rows else [()] * len(ResultTable._fields)))
+
+
 def result_from_correlator(
     t: float | None, g: ValueWithUncertainty, channel: str
 ) -> ResultRecord:
@@ -169,7 +225,10 @@ def result_from_correlator(
     measures are reported at the central value only.
     """
     m = measures_from_correlator(g.value)
-    q = propagate_uncertainty(discord, g) if g.sigma > 0.0 else ValueWithUncertainty(m.discord)
+    if g.sigma > 0.0:
+        q = propagate_uncertainty(lambda v: m.discord if v == g.value else discord(v), g)
+    else:
+        q = ValueWithUncertainty(m.discord)
     return ResultRecord(
         t=t,
         correlator=g,
@@ -178,6 +237,25 @@ def result_from_correlator(
         mutual_information=m.mutual_information,
         entanglement=m.entanglement,
         channel=channel,
+    )
+
+
+def results_from_correlators(t: np.ndarray, g: np.ndarray, channel: str) -> ResultTable:
+    """Expand exact correlators (no error bars) at temperatures ``t`` into a
+    table: :func:`result_from_correlator` for a whole column at once."""
+    g = np.asarray(g, dtype=float)
+    m = measures_from_correlator(g)
+    zeros = np.zeros_like(g)
+    return ResultTable(
+        t=np.asarray(t, dtype=float),
+        correlator=g,
+        sigma_correlator=zeros,
+        discord=m.discord,
+        sigma_discord=zeros,
+        classical=m.classical,
+        mutual_information=m.mutual_information,
+        entanglement=m.entanglement,
+        channel=[channel] * g.size,
     )
 
 
@@ -313,16 +391,20 @@ def load_series(
 
 
 # ---------------------------------------------------------------------------
-# writing: one cell formatter and one JSON serializer serve every output
+# writing: one cell formatter and one column-wise table writer serve every output
+
+
+def _number_formatter(precision: int) -> Callable[[object], str]:
+    if precision < 1 or precision > 17:
+        raise DomainError(f"precision must be in [1, 17], got {precision}")
+    return f"%.{precision}g".__mod__
 
 
 def cell_formatter(precision: int) -> Callable[[object], str]:
     """Formatter for one output cell, its format string built once: strings
     as they are, None as an empty field, booleans as ``true``/``false``,
     integers in full, other numbers with ``precision`` significant digits."""
-    if precision < 1 or precision > 17:
-        raise DomainError(f"precision must be in [1, 17], got {precision}")
-    number = f"%.{precision}g".__mod__
+    number = _number_formatter(precision)
 
     def cell(x: object) -> str:
         if isinstance(x, float):
@@ -340,42 +422,103 @@ def cell_formatter(precision: int) -> Callable[[object], str]:
     return cell
 
 
-def text_rows(rows: Iterable[Sequence[object]], precision: int, sep: str = ",") -> str:
-    """Rows of cells as lines, cells joined by ``sep``: CSV by default, or
-    ``key = value`` lines with ``sep=" = "``."""
+def text_table(
+    columns: Sequence[Column],
+    precision: int,
+    *,
+    header: Sequence[str] | None = None,
+    sep: str = ",",
+) -> str:
+    """The rows of ``columns`` as lines, cells joined by ``sep``: CSV below a
+    ``header`` line, or ``key = value`` lines with ``sep=" = "``.
+
+    Each column is formatted once: a float array with ``precision``
+    significant digits, any other sequence cell by cell as
+    :func:`cell_formatter` says.
+    """
+    number = _number_formatter(precision)
     cell = cell_formatter(precision)
-    return "".join([sep.join(map(cell, row)) + "\n" for row in rows])
+    cells = [
+        map(number, column.tolist()) if isinstance(column, np.ndarray) else map(cell, column)
+        for column in columns
+    ]
+    lines = [sep.join(header)] if header is not None else []
+    lines += map(sep.join, zip(*cells))
+    return "\n".join([*lines, ""])
 
 
-def json_text(doc: object, precision: int) -> str:
+_ROWS_MARK = "\0rows"  # stands in for the table while the rest is dumped
+
+
+def _json_cells(column: Column, number: Callable[[object], str]) -> list[str]:
+    """JSON tokens of one column of scalar cells, each float first rounded
+    by ``number``; a NaN or infinity raises ValueError."""
+    if isinstance(column, np.ndarray):
+        rounded = list(map(float, map(number, column.tolist())))
+    else:
+        rounded = [_rounded(x, number) for x in column]
+    if not rounded:
+        return []
+    # json's own token for each cell; no token holds a raw newline
+    return json.dumps(rounded, allow_nan=False, separators=("\n", ":"))[1:-1].split("\n")
+
+
+def _rounded(x: object, number: Callable[[object], str]) -> object:
+    if isinstance(x, float):
+        return float(number(x))
+    if isinstance(x, dict):
+        return {k: _rounded(v, number) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_rounded(v, number) for v in x]
+    return x
+
+
+def json_text(
+    doc: dict,
+    precision: int,
+    *,
+    rows: Sequence[Column] | None = None,
+    keys: Sequence[str] | None = None,
+) -> str:
     """Indented JSON of ``doc`` with every float rounded to ``precision``
-    significant digits; a NaN or infinity raises ValueError.  An iterator
-    becomes an array, so a large table need not exist unrounded as a whole."""
-    cell = cell_formatter(precision)
+    significant digits; a NaN or infinity raises ValueError.
 
-    def rounded(x):
-        if isinstance(x, float):
-            return float(cell(x))
-        if isinstance(x, dict):
-            return {k: rounded(v) for k, v in x.items()}
-        if isinstance(x, (list, tuple, Iterator)):
-            return [rounded(v) for v in x]
-        return x
-
-    return json.dumps(rounded(doc), indent=2, allow_nan=False) + "\n"
+    With ``rows`` (a table as columns), ``doc`` gains a last key ``"rows"``
+    holding one object per row keyed by ``keys``, or one array per row
+    without keys.  The table is written column-wise; the bytes are those of
+    ``json.dumps(..., indent=2)`` of the rounded document with the table in it.
+    """
+    number = _number_formatter(precision)
+    if rows is None:
+        return json.dumps(_rounded(doc, number), indent=2, allow_nan=False) + "\n"
+    text = json.dumps(_rounded({**doc, "rows": _ROWS_MARK}, number), indent=2, allow_nan=False)
+    tokens = [_json_cells(column, number) for column in rows]
+    if keys is None:
+        opening, closing = "[", "]"
+        names = [""] * len(tokens)
+    else:
+        opening, closing = "{", "}"
+        names = [json.dumps(key).replace("%", "%%") + ": " for key in keys]
+    # one row at the depth json.dumps(indent=2) gives the items of a top-level key
+    cells = ",\n".join(f"      {name}%s" for name in names)
+    template = f"    {opening}\n{cells}\n    {closing}"
+    table = ",\n".join(map(template.__mod__, zip(*tokens)))
+    table = f"[\n{table}\n  ]" if table else "[]"
+    head, _, tail = text.rpartition(json.dumps(_ROWS_MARK))
+    return head + table + tail + "\n"
 
 
 _RESULT_COLUMNS = ("T_K", "G", "sigma_G", "Q", "sigma_Q", "C", "I", "E", "channel")
 
 
 def write_results(
-    records: list[ResultRecord],
+    records: Sequence[ResultRecord] | ResultTable,
     fmt: str = "csv",
     *,
     preset_name: str | None = None,
     precision: int = 6,
 ) -> bytes:
-    """Serialize result records to CSV or JSON bytes.
+    """Serialize result records, or a :class:`ResultTable`, to CSV or JSON bytes.
 
     Column order is fixed; floats carry ``precision`` significant digits
     (default 6), so identical inputs give identical bytes.  A record
@@ -383,33 +526,22 @@ def write_results(
     """
     if fmt not in ("csv", "json"):
         raise DataError(f"format must be csv or json, got {fmt!r}")
-    rows = (
-        (
-            r.t,
-            r.correlator.value,
-            r.correlator.sigma,
-            r.discord.value,
-            r.discord.sigma,
-            r.classical,
-            r.mutual_information,
-            r.entanglement,
-            r.channel,
-        )
-        for r in records
-    )
+    if isinstance(records, ResultTable):
+        _check_table(records)
+        table = records
+    else:  # each record checked itself
+        table = _table_of(records)
     if fmt == "csv":
-        return text_rows(chain([_RESULT_COLUMNS], rows), precision).encode("utf-8")
+        return text_table(table, precision, header=_RESULT_COLUMNS).encode("utf-8")
 
-    channels = {r.channel for r in records}
-    doc = {
-        "meta": {
-            "channel": channels.pop() if len(channels) == 1 else "mixed",
-            "preset": preset_name,
-            "units": {"T_K": "kelvin", "G": "dimensionless", "correlations": "bit"},
-        },
-        "rows": (dict(zip(_RESULT_COLUMNS[:-1], row)) for row in rows),
+    channels = set(table.channel)
+    meta = {
+        "channel": channels.pop() if len(channels) == 1 else "mixed",
+        "preset": preset_name,
+        "units": {"T_K": "kelvin", "G": "dimensionless", "correlations": "bit"},
     }
-    return json_text(doc, precision).encode("utf-8")
+    text = json_text({"meta": meta}, precision, rows=table[:-1], keys=_RESULT_COLUMNS[:-1])
+    return text.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -36,14 +36,25 @@ survives at all finite temperatures.
 The module also holds what both the thermodynamic channels and the
 susceptibility fit build on: the CODATA constants, powder averaging of a g
 tensor, and the Bleaney-Bowers susceptibility curve.
+
+Each closed form is written once and takes a float or a numpy array (a
+whole column of temperatures or correlators).  Only the transcendental
+functions dispatch: a float goes straight to :mod:`math`, and an array has
+the same :mod:`math` function mapped over its elements, so every element of
+an array result equals the float result bit for bit.  numpy's own ``exp``
+and ``log`` are not used there, because they differ from libm in the last
+bit on a share of inputs.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
+
+FloatOrArray = float | np.ndarray
 
 __all__ = [
     "G_MIN",
@@ -159,13 +170,46 @@ class CorrelationSet:
     entanglement: float
 
 
-def validate_correlator(g: float) -> float:
+# Float or array.  The public functions hand the closed forms either Python
+# floats (never numpy scalars) or float arrays, and only the primitives below
+# tell the two apart.  Elsewhere a branch is written as a 0/1 mask factor,
+# which is exact in floating point for both.
+
+
+def _map(fn: Callable[[float], float], x: FloatOrArray) -> FloatOrArray:
+    """``fn(x)`` on a float; on an array, ``fn`` mapped over its elements."""
+    if type(x) is float:
+        return fn(x)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _xlog2(x: FloatOrArray) -> FloatOrArray:
+    # the entropy convention 0*log(0) = 0, with a guard well below double noise
+    if type(x) is float:
+        return 0.0 if x < _XLOG_CUTOFF else x * math.log2(x)
+    x = np.where(x < _XLOG_CUTOFF, 1.0, x)  # 1*log2(1) is that exact 0
+    return x * _map(math.log2, x)
+
+
+def _check_each(check: Callable[[float], object], x: np.ndarray, ok: np.ndarray) -> None:
+    """Array form of a scalar validator: ``check`` raises its own error for
+    the first element of ``x`` where ``ok`` is false."""
+    if not ok.all():
+        check(float(x.ravel()[np.argmin(ok.ravel())]))
+
+
+def validate_correlator(g: FloatOrArray) -> FloatOrArray:
     """Check that ``g`` is a physical correlator, absorbing float fuzz.
 
     Values inside ``[-1, 1/3]`` pass through; values within 1e-9 of the
     endpoints are clamped onto them; anything further out raises
-    :class:`DomainError`.
+    :class:`DomainError`.  An array is checked element by element and the
+    error names its first bad element.
     """
+    if isinstance(g, np.ndarray):
+        g = np.asarray(g, dtype=float)
+        _check_each(validate_correlator, g, (g >= G_MIN - _G_TOL) & (g <= G_MAX + _G_TOL))
+        return np.clip(g, G_MIN, G_MAX)
     g = float(g)
     if not math.isfinite(g):
         raise DomainError(f"correlator must be finite, got {g!r}")
@@ -174,22 +218,25 @@ def validate_correlator(g: float) -> float:
     return min(max(g, G_MIN), G_MAX)
 
 
-def _xlog2(x: float) -> float:
-    # the entropy convention 0*log(0) = 0, with a guard well below double noise
-    if x < _XLOG_CUTOFF:
-        return 0.0
-    return x * math.log2(x)
-
-
-def correlator_from_temperature(params: DimerParameters, t: float) -> float:
+def correlator_from_temperature(params: DimerParameters, t: FloatOrArray) -> FloatOrArray:
     """Thermal spin-spin correlator G(T) of the dimer at temperature ``t`` (K)."""
-    if not math.isfinite(t) or t <= 0.0:
+    if isinstance(t, np.ndarray):
+        t = np.asarray(t, dtype=float)
+        _check_each(
+            lambda v: correlator_from_temperature(params, v), t, np.isfinite(t) & (t > 0.0)
+        )
+    elif not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"temperature must be positive, got {t!r}")
-    a = -2.0 * params.j_over_kb / t
-    if abs(a) > _EXP_ARG_MAX:
-        # T -> 0 limit: pure singlet (G=-1) or thermal triplet (G=1/3)
-        return G_MIN if params.j_over_kb < 0.0 else G_MAX
-    return -1.0 + 4.0 / (3.0 + math.exp(a))
+    else:
+        t = float(t)
+    j = float(params.j_over_kb)
+    a = -2.0 * j / t
+    # T -> 0 limit, where exp() would overflow: pure singlet (G=-1) or
+    # thermal triplet (G=1/3)
+    thawed = abs(a) <= _EXP_ARG_MAX
+    frozen = abs(a) > _EXP_ARG_MAX
+    g = -1.0 + 4.0 / (3.0 + _map(math.exp, a * thawed))
+    return g * thawed + (G_MIN if j < 0.0 else G_MAX) * frozen
 
 
 def temperature_from_correlator(params: DimerParameters, g: float) -> float:
@@ -215,36 +262,38 @@ def temperature_from_correlator(params: DimerParameters, g: float) -> float:
 # closed forms of an already validated correlator; public functions validate once
 
 
-def _mutual_information(g: float) -> float:
+def _mutual_information(g: FloatOrArray) -> FloatOrArray:
     return 0.25 * (_xlog2(1.0 - 3.0 * g) + 3.0 * _xlog2(1.0 + g))
 
 
-def _classical(g: float) -> float:
+def _classical(g: FloatOrArray) -> FloatOrArray:
     a = abs(g)
     return 0.5 * (_xlog2(1.0 + a) + _xlog2(1.0 - a))
 
 
-def _concurrence(g: float) -> float:
-    return max(0.0, -(1.0 + 3.0 * g) / 2.0)
+def _concurrence(g: FloatOrArray) -> FloatOrArray:
+    # max(0, c), exactly: c + |c| is 2c or +0; zero on the whole ferro range
+    c = -(1.0 + 3.0 * g) / 2.0
+    return 0.5 * (c + abs(c))
 
 
-def mutual_information(g: float) -> float:
+def mutual_information(g: FloatOrArray) -> FloatOrArray:
     """Total correlation I(G) in bits between the two spins."""
     return _mutual_information(validate_correlator(g))
 
 
-def classical_correlation(g: float) -> float:
+def classical_correlation(g: FloatOrArray) -> FloatOrArray:
     """Classical part C(G) of the total correlation, in bits."""
     return _classical(validate_correlator(g))
 
 
-def discord(g: float) -> float:
+def discord(g: FloatOrArray) -> FloatOrArray:
     """Quantum discord Q(G) = I(G) - C(G) in bits."""
     g = validate_correlator(g)
     return _mutual_information(g) - _classical(g)
 
 
-def concurrence(g: float, antiferro: bool) -> float:
+def concurrence(g: FloatOrArray, antiferro: bool) -> FloatOrArray:
     """Concurrence of the thermal state with correlator ``g``.
 
     ``max(0, -(1+3G)/2)`` on the antiferromagnetic branch; identically zero
@@ -252,23 +301,35 @@ def concurrence(g: float, antiferro: bool) -> float:
     branch it claims to come from.
     """
     g = validate_correlator(g)
-    if antiferro and g > _G_TOL:
+    if isinstance(g, np.ndarray):
+        on_branch = g <= _G_TOL if antiferro else g >= -_G_TOL
+        _check_each(lambda v: concurrence(v, antiferro), g, on_branch)
+    elif antiferro and g > _G_TOL:
         raise DomainError(f"correlator {g!r} is positive; not an antiferromagnetic state")
-    if not antiferro and g < -_G_TOL:
+    elif not antiferro and g < -_G_TOL:
         raise DomainError(f"correlator {g!r} is negative; not a ferromagnetic state")
-    return _concurrence(g) if antiferro else 0.0
+    return _concurrence(g)
 
 
-def entanglement_of_formation(c_tilde: float) -> float:
+def _entanglement(c: FloatOrArray) -> FloatOrArray:
+    p = 0.5 * (1.0 + _map(math.sqrt, 1.0 - c * c))
+    e = -(_xlog2(p) + _xlog2(1.0 - p))
+    # at c = 0 that is -0.0; the sign flip there gives the +0 of a separable state
+    return e * (1.0 - 2.0 * (c == 0.0))
+
+
+def entanglement_of_formation(c_tilde: FloatOrArray) -> FloatOrArray:
     """Entanglement of formation (bits) for a state of concurrence ``c_tilde``."""
-    c = float(c_tilde)
-    if not math.isfinite(c) or c < -_G_TOL or c > 1.0 + _G_TOL:
-        raise DomainError(f"concurrence must lie in [0, 1], got {c_tilde!r}")
-    c = min(max(c, 0.0), 1.0)
-    if c == 0.0:
-        return 0.0
-    p = 0.5 * (1.0 + math.sqrt(1.0 - c * c))
-    return -(_xlog2(p) + _xlog2(1.0 - p))
+    if isinstance(c_tilde, np.ndarray):
+        c = np.asarray(c_tilde, dtype=float)
+        _check_each(entanglement_of_formation, c, (c >= -_G_TOL) & (c <= 1.0 + _G_TOL))
+        c = np.clip(c, 0.0, 1.0)
+    else:
+        c = float(c_tilde)
+        if not math.isfinite(c) or c < -_G_TOL or c > 1.0 + _G_TOL:
+            raise DomainError(f"concurrence must lie in [0, 1], got {c_tilde!r}")
+        c = min(max(c, 0.0), 1.0)
+    return _entanglement(c)
 
 
 def entanglement_death_temperature(params: DimerParameters) -> float:
@@ -336,11 +397,12 @@ def ppt_eigenvalues(g: float) -> np.ndarray:
     return lam
 
 
-def measures_from_correlator(g: float) -> CorrelationSet:
+def measures_from_correlator(g: FloatOrArray) -> CorrelationSet:
     """Bundle all five correlation measures for a given correlator.
 
     The coupling branch is implied by the sign of ``g`` (the concurrence
-    formula returns zero on the whole ferromagnetic range by itself).
+    formula returns zero on the whole ferromagnetic range by itself).  For
+    an array of correlators each measure is an array of the same shape.
     """
     g = validate_correlator(g)
     i = _mutual_information(g)
@@ -351,10 +413,10 @@ def measures_from_correlator(g: float) -> CorrelationSet:
         classical=c,
         discord=i - c,
         concurrence=ct,
-        entanglement=entanglement_of_formation(ct),
+        entanglement=_entanglement(ct),
     )
 
 
-def correlation_set(params: DimerParameters, t: float) -> CorrelationSet:
+def correlation_set(params: DimerParameters, t: FloatOrArray) -> CorrelationSet:
     """All five correlation measures of the dimer at temperature ``t`` (K)."""
     return measures_from_correlator(correlator_from_temperature(params, t))

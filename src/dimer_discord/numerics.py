@@ -248,16 +248,17 @@ def find_crossing(
 
     Returns ``(x, f(x))``.  The difference ``f - g`` must change sign across
     the bracket; a pair of curves that agree at both endpoints (e.g. the
-    same curve twice) is rejected rather than guessed at.
+    same curve twice) is rejected rather than guessed at.  The difference
+    is evaluated once per endpoint: the root finder gets those values back.
     """
     def diff(x: float) -> float:
         return f(x) - g(x)
 
-    d_lo = diff(float(lo))
-    d_hi = diff(float(hi))
-    if d_lo == 0.0 and d_hi == 0.0:
+    lo, hi = float(lo), float(hi)
+    endpoints = {lo: diff(lo), hi: diff(hi)}
+    if endpoints[lo] == 0.0 and endpoints[hi] == 0.0:
         raise BracketError("curves coincide at both bracket endpoints; no isolated crossing")
-    x = find_root(diff, lo, hi, tol=tol)
+    x = find_root(lambda x: endpoints.pop(x) if x in endpoints else diff(x), lo, hi, tol=tol)
     return x, f(x)
 
 

@@ -27,7 +27,9 @@ from .dimer_core import (
     G_MAX,
     G_MIN,
     DimerParameters,
+    FloatOrArray,
     PhysicalConstants,
+    _map,
     bleaney_bowers,
     correlator_from_temperature,
     powder_g,
@@ -215,19 +217,25 @@ def specific_heat(params: DimerParameters, temperature: float) -> float:
     return 3.0 * a * a * e / (e + 3.0) ** 2
 
 
-def specific_heat_from_correlator(g: float) -> float:
+def specific_heat_from_correlator(g: FloatOrArray) -> FloatOrArray:
     """c_m/R written purely in terms of the correlator.
 
     Algebraically identical to :func:`specific_heat` once G(T) is
     substituted; exposed separately because measured correlators (neutron
-    route) never come with a temperature attached.
+    route) never come with a temperature attached.  Takes a float or an
+    array, like the measures in :mod:`~dimer_discord.dimer_core`.
     """
-    g = validate_correlator(g)
+    return _specific_heat(validate_correlator(g))
+
+
+def _specific_heat(g: FloatOrArray) -> FloatOrArray:
+    # c_m/R of an already validated correlator
     p = 1.0 + g
     q = 1.0 - 3.0 * g
-    if p == 0.0 or q == 0.0:
-        return 0.0
-    r = math.log(p / q)
+    # at the ground states G = -1 and 1/3 a factor p or q is 0, and so is
+    # c_m; shifting both by 1 there keeps the log finite
+    edge = (p == 0.0) | (q == 0.0)
+    r = _map(math.log, (p + edge) / (q + edge))
     return 0.1875 * p * q * r * r
 
 
@@ -270,11 +278,8 @@ def correlator_from_specific_heat(
             stacklevel=2,
         )
         return g_peak
-    return find_root(
-        lambda g: specific_heat_from_correlator(g) - cm_over_r,
-        bracket[0],
-        bracket[1],
-    )
+    # the solver never leaves the bracket, which lies inside [-1, 1/3]
+    return find_root(lambda g: _specific_heat(g) - cm_over_r, bracket[0], bracket[1])
 
 
 def schottky_maximum(params: DimerParameters) -> tuple[float, float]:
@@ -319,10 +324,17 @@ def correlator_from_susceptibility(
     if not math.isfinite(chi) or chi < 0.0:
         raise DomainError(f"susceptibility must be non-negative, got {chi!r}")
     g_factor = _require_g(params, "susceptibility inversion")
-    g = 2.0 * temperature * chi / (CODATA.curie_prefactor * g_factor**2) - 1.0
     return clamp_measured_correlator(
-        g, f"susceptibility {chi:g} emu/mol at {temperature:g} K"
+        _chi_correlator(g_factor, chi, temperature),
+        f"susceptibility {chi:g} emu/mol at {temperature:g} K",
     )
+
+
+def _chi_correlator(
+    g_factor: float, chi: FloatOrArray, temperature: FloatOrArray
+) -> FloatOrArray:
+    # Bleaney-Bowers solved for G, before any clamp
+    return 2.0 * temperature * chi / (CODATA.curie_prefactor * g_factor**2) - 1.0
 
 
 def susceptibility_maximum(params: DimerParameters) -> tuple[float, float]:
@@ -364,14 +376,18 @@ def specific_heat_from_susceptibility_series(
     Each point is inverted to a correlator and pushed through the closed
     form; no smoothing or differentiation is involved, so the result is a
     model-mediated consistency check between the two channels rather than a
-    numerical derivative.
+    numerical derivative.  Points are handled in order, as by
+    :func:`correlator_from_susceptibility` one at a time: one
+    :class:`DataWarning` per clamped point, and the first bad point raises.
     """
     t = np.asarray(temperatures, dtype=float)
     c = np.asarray(chi_values, dtype=float)
     if t.ndim != 1 or c.shape != t.shape:
         raise DataError("temperatures and chi values must be 1-d arrays of equal length")
-    out = np.empty(t.shape, dtype=float)
-    for i in range(t.size):
-        g = correlator_from_susceptibility(params, float(c[i]), float(t[i]))
-        out[i] = specific_heat_from_correlator(g)
-    return out
+    g = _chi_correlator(_require_g(params, "susceptibility inversion"), c, t)
+    # points inside the physical range need no clamp; the rest (a clamp, a
+    # refusal or bad input) go through the one-point inversion, in row order
+    inside = (t > 0.0) & (c >= 0.0) & (g >= G_MIN) & (g <= G_MAX)
+    for i in np.flatnonzero(~inside).tolist():
+        g[i] = correlator_from_susceptibility(params, float(c[i]), float(t[i]))
+    return specific_heat_from_correlator(g)

@@ -1,20 +1,37 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dimer_discord import dimer_core
 from dimer_discord.dataio import (
     PRESETS,
     MaterialPreset,
     ResultRecord,
+    ResultTable,
+    cell_formatter,
+    json_text,
     load_series,
     parse_value_with_uncertainty,
     preset,
     result_from_correlator,
+    results_from_correlators,
+    text_table,
     write_results,
 )
-from dimer_discord.dimer_core import measures_from_correlator
-from dimer_discord.errors import DataError, InconsistencyError
+from dimer_discord.dimer_core import (
+    DimerParameters,
+    classical_correlation,
+    correlator_from_temperature,
+    discord,
+    measures_from_correlator,
+    mutual_information,
+)
+from dimer_discord.errors import DataError, DomainError, InconsistencyError
 from dimer_discord.numerics import ValueWithUncertainty
 
 
@@ -187,6 +204,82 @@ class TestResultRecord:
         rec = result_from_correlator(4.0, ValueWithUncertainty(-0.54), "theory")
         assert rec.discord.sigma == 0.0
 
+    def test_sigma_row_reuses_the_central_discord(self, monkeypatch):
+        calls = []
+        validate = dimer_core.validate_correlator
+        monkeypatch.setattr(
+            dimer_core, "validate_correlator", lambda g: calls.append(g) or validate(g)
+        )
+        g = ValueWithUncertainty(-0.54, 0.09)
+        rec = result_from_correlator(4.0, g, "neutron")
+        # the measures, then the discord at the two secant ends; the centre
+        # was a fourth call when the secant recomputed it
+        assert len(calls) == 3
+        up, down = discord(g.value + g.sigma), discord(g.value - g.sigma)
+        assert rec == ResultRecord(
+            t=4.0,
+            correlator=g,
+            discord=ValueWithUncertainty(discord(g.value), 0.5 * abs(up - down)),
+            classical=classical_correlation(g.value),
+            mutual_information=mutual_information(g.value),
+            entanglement=measures_from_correlator(g.value).entanglement,
+            channel="neutron",
+        )
+
+
+class TestResultTable:
+    def columns(self, n=3):
+        g = np.linspace(-0.9, 0.3, n)
+        m = measures_from_correlator(g)
+        zeros = np.zeros(n)
+        return dict(
+            t=np.linspace(1.0, 3.0, n),
+            correlator=g,
+            sigma_correlator=zeros,
+            discord=m.discord,
+            sigma_discord=zeros,
+            classical=m.classical,
+            mutual_information=m.mutual_information,
+            entanglement=m.entanglement,
+            channel=["theory"] * n,
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_internal_consistency_enforced_per_row(self, fmt):
+        cols = self.columns()
+        assert write_results(ResultTable(**cols), fmt)
+        cols["discord"] = cols["discord"] + np.array([0.0, 1e-6, 0.0])
+        with pytest.raises(InconsistencyError, match="discord does not equal"):
+            write_results(ResultTable(**cols), fmt)
+
+    def test_unknown_channel_rejected(self):
+        cols = self.columns()
+        cols["channel"] = ["theory", "muon", "theory"]
+        with pytest.raises(DataError, match="'muon'"):
+            write_results(ResultTable(**cols))
+
+    def test_ragged_columns_rejected(self):
+        cols = self.columns()
+        cols["t"] = cols["t"][:2]
+        with pytest.raises(DataError):
+            write_results(ResultTable(**cols))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_prints_as_the_records_do(self, fmt):
+        # one record per point through result_from_correlator is the reference
+        t = np.geomspace(0.5, 3000.0, 300)
+        for params in (DimerParameters(-204.0), DimerParameters(35.4)):
+            g = correlator_from_temperature(params, t)
+            records = [
+                result_from_correlator(ti, ValueWithUncertainty(gi), "theory")
+                for ti, gi in zip(t.tolist(), g.tolist())
+            ]
+            table = results_from_correlators(t, g, "theory")
+            for precision in (6, 17):
+                assert write_results(table, fmt, preset_name="p", precision=precision) == (
+                    write_results(records, fmt, preset_name="p", precision=precision)
+                )
+
 
 class TestWriteResults:
     def records(self):
@@ -290,3 +383,118 @@ class TestParseValueWithUncertainty:
         for text in ("", "abc", "1.2(", "1.2(3", "(3)", "1.2(x)", "--1"):
             with pytest.raises(DataError):
                 parse_value_with_uncertainty(text)
+
+
+# ---------------------------------------------------------------------------
+# the column-wise writer against the row-wise one it replaced
+
+
+def reference_text_rows(rows, precision, sep=","):
+    cell = cell_formatter(precision)
+    return "".join([sep.join(map(cell, row)) + "\n" for row in rows])
+
+
+def reference_json(doc, precision):
+    cell = cell_formatter(precision)
+
+    def rounded(x):
+        if isinstance(x, float):
+            return float(cell(x))
+        if isinstance(x, dict):
+            return {k: rounded(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [rounded(v) for v in x]
+        return x
+
+    return json.dumps(rounded(doc), indent=2, allow_nan=False) + "\n"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1.7976931348623157e308])
+CELLS = st.one_of(FINITE, EDGE_FLOATS, st.none(), st.text(max_size=5), st.integers(), st.booleans())
+
+
+@st.composite
+def tables(draw, cells=CELLS, floats=st.one_of(FINITE, EDGE_FLOATS)):
+    """Columns of one length: float arrays, or lists of mixed cells."""
+    n = draw(st.integers(0, 6))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            columns.append(np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=float))
+        else:
+            columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    return columns
+
+
+def as_rows(columns):
+    lists = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    return [list(row) for row in zip(*lists)]
+
+
+KEYS = ["T_K", 'a"b', "%s", "Q"]
+
+
+class TestTableWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(columns=tables(), precision=st.integers(1, 17))
+    @example(columns=[np.array([-0.0, 5e-324, 1e16]), [None, 4.0, "theory"]], precision=6)
+    def test_csv_matches_row_writer(self, columns, precision):
+        header = KEYS[: len(columns)]
+        expected = reference_text_rows([header, *as_rows(columns)], precision)
+        assert text_table(columns, precision, header=header) == expected
+        expected = reference_text_rows(as_rows(columns), precision, sep=" = ")
+        assert text_table(columns, precision, sep=" = ") == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        columns=tables(cells=st.one_of(FINITE, st.none(), st.text(max_size=5), st.integers())),
+        precision=st.integers(1, 17),
+        keyed=st.booleans(),
+        meta=st.one_of(FINITE, st.none(), st.text(max_size=5)),
+    )
+    @example(
+        columns=[np.array([-0.0, 5e-324, 1e16]), [None, 4.0, "theory"]],
+        precision=17,
+        keyed=True,
+        meta=None,
+    )
+    def test_json_matches_dumped_document(self, columns, precision, keyed, meta):
+        doc = {"meta": {"value": meta, "units": ["K", "bit"]}, "n": 3, "ok": True}
+        rows = as_rows(columns)
+        if keyed:
+            keys = KEYS[: len(columns)]
+            table = [dict(zip(keys, row)) for row in rows]
+        else:
+            keys = None
+            table = rows
+        try:
+            expected = reference_json({**doc, "rows": table}, precision)
+        except ValueError:  # a large float rounds past the largest double
+            with pytest.raises(ValueError):
+                json_text(doc, precision, rows=columns, keys=keys)
+        else:
+            assert json_text(doc, precision, rows=columns, keys=keys) == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("as_array", [True, False])
+    def test_json_refuses_non_finite_cells(self, bad, as_array):
+        column = [1.0, bad]
+        with pytest.raises(ValueError):
+            reference_json({"rows": [[x] for x in column]}, 6)
+        with pytest.raises(ValueError):
+            json_text({}, 6, rows=[np.array(column) if as_array else column])
+
+    def test_json_refuses_a_float_rounded_past_the_largest(self):
+        # the largest double is finite, but rounds to 2e+308 at one digit
+        column = np.array([1.7976931348623157e308])
+        with pytest.raises(ValueError):
+            json_text({}, 1, rows=[column])
+        assert "1.7976931348623157e+308" in json_text({}, 17, rows=[column])
+
+    def test_bad_precision_rejected(self):
+        for precision in (0, 18):
+            with pytest.raises(DomainError):
+                text_table([np.array([1.0])], precision)
+            with pytest.raises(DomainError):
+                json_text({}, precision, rows=[np.array([1.0])])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
@@ -332,3 +334,87 @@ class TestBundles:
             m = correlation_set(FM, float(t))
             assert m.concurrence == 0.0
             assert m.entanglement == 0.0
+
+
+# ---------------------------------------------------------------------------
+# columns: every kernel takes an array and equals its float form bit for bit
+
+
+def assert_same_bits(column, floats):
+    """``column`` holds exactly ``floats``, signs of zero included."""
+    column = np.asarray(column)
+    assert column.dtype == np.float64
+    assert column.view(np.uint64).tolist() == np.array(floats, dtype=float).view(np.uint64).tolist()
+
+
+# T/|J| from 1e-4, where exp() would overflow and G takes its T = 0 limit
+# (|2J/T| > 700 below T/|J| = 1/350), to 1e6
+REDUCED_T = st.floats(-4.0, 6.0).map(lambda e: 10.0**e)
+COUPLINGS = st.sampled_from([-216.0, -204.0, -2.56, -1.0, 1.0, 35.4])
+# the physical range, its endpoints and -1/3, and the 1e-9 fuzz clamped onto the ends
+CORRELATORS = st.one_of(
+    st.floats(G_MIN, G_MAX),
+    st.sampled_from([G_MIN, G_MAX, -1.0 / 3.0, 0.0, -0.0, G_MIN - 1e-9, G_MAX + 1e-9]),
+    st.floats(G_MIN - 1e-9, G_MIN),
+    st.floats(G_MAX, G_MAX + 1e-9),
+)
+COLUMNS = dict(min_size=1, max_size=40)
+
+
+class TestColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(j=COUPLINGS, tau=st.lists(REDUCED_T, **COLUMNS))
+    @example(j=35.4, tau=[1e-4, 1.0 / 350.0, 2.0 / 700.0, 3e-3, 1e-2, 1e6])
+    @example(j=-1.0, tau=[1e-4, 2.0 / 700.0, 2.0 / 700.000001, 1.0])
+    def test_correlator_of_temperature(self, j, tau):
+        params = DimerParameters(j)
+        t = np.array(tau) * abs(j)
+        column = correlator_from_temperature(params, t)
+        assert_same_bits(column, [correlator_from_temperature(params, x) for x in t.tolist()])
+        m = correlation_set(params, t)
+        for name in ("mutual_information", "classical", "discord", "concurrence", "entanglement"):
+            expected = [getattr(correlation_set(params, x), name) for x in t.tolist()]
+            assert_same_bits(getattr(m, name), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=st.lists(CORRELATORS, **COLUMNS))
+    def test_measures_of_correlator(self, g):
+        column = np.array(g)
+        for f in (validate_correlator, mutual_information, classical_correlation, discord):
+            assert_same_bits(f(column), [f(x) for x in g])
+        m = measures_from_correlator(column)
+        for name in ("mutual_information", "classical", "discord", "concurrence", "entanglement"):
+            assert_same_bits(getattr(m, name), [getattr(measures_from_correlator(x), name) for x in g])
+        for antiferro, branch in ((True, column[column <= 0.0]), (False, column[column >= 0.0])):
+            expected = [concurrence(x, antiferro) for x in branch.tolist()]
+            assert_same_bits(concurrence(branch, antiferro), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(-1e-9, 1.0 + 1e-9)), **COLUMNS))
+    @example(c=[0.0, -0.0, 1e-9, 1e-300, 1.0, 1.0 + 1e-9, -1e-9])
+    def test_entanglement_of_formation(self, c):
+        expected = [entanglement_of_formation(x) for x in c]
+        assert_same_bits(entanglement_of_formation(np.array(c)), expected)
+
+    def test_any_shape(self):
+        g = np.linspace(G_MIN, G_MAX, 12).reshape(3, 4)
+        q = discord(g)
+        assert q.shape == (3, 4)
+        assert_same_bits(q.ravel(), [discord(x) for x in g.ravel().tolist()])
+
+    def test_bad_element_raises_as_the_float_does(self):
+        cases = [
+            (validate_correlator, [-0.5, 0.34, math.nan], 0.34),
+            (validate_correlator, [-0.5, math.nan], math.nan),
+            (lambda t: correlator_from_temperature(AFM, t), [1.0, -2.0, 0.0], -2.0),
+            (lambda t: correlator_from_temperature(AFM, t), [1.0, math.inf], math.inf),
+            (entanglement_of_formation, [0.5, 1.1], 1.1),
+            (lambda g: concurrence(g, True), [-0.5, 0.2, 0.3], 0.2),
+            (lambda g: concurrence(g, False), [0.2, -0.5], -0.5),
+        ]
+        for f, column, bad in cases:
+            with pytest.raises(DomainError) as expected:
+                f(bad)
+            with pytest.raises(DomainError) as got:
+                f(np.array(column))
+            assert str(got.value) == str(expected.value)

@@ -1,7 +1,9 @@
 """Golden stdout: one small invocation per subcommand and format, run in process.
 
 Each case runs ``cli.main`` on fixed arguments and small fixture files and
-compares stdout byte for byte with ``golden_stdout.json``.  The expected
+compares stdout byte for byte with ``golden_stdout.json``.  The ``-p17`` cases
+print at ``DIMER_DISCORD_PRECISION=17``, so that a change in the last bit of
+any computed column shows.  The expected
 bytes change only with a deliberate change to what the CLI prints; after
 one, regenerate them with
 
@@ -11,6 +13,7 @@ one, regenerate them with
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -91,7 +94,19 @@ CASES = {
         for fig in range(1, 7)
         for fmt in ("csv", "json")
     },
+    # both cold grids reach the T -> 0 limit of G(T) (|2J/T| > 700)
+    "theory-csv-p17": ["theory", "--preset", "copper-nitrate-magnetometric",
+                       "--t-min", "0.001", "--t-max", "1000", "--n-points", "2000"],
+    "theory-json-p17": ["theory", "--preset", "cu2l-oac-ferro", "--t-min", "0.01",
+                        "--t-max", "1e5", "--n-points", "2000", "--format", "json"],
+    **{
+        f"figure-{fig}-{fmt}-p17": ["figure", str(fig), "--n-points", "500", "--format", fmt]
+        for fig in range(1, 7)
+        for fmt in ("csv", "json")
+    },
 }
+
+CASE_ENV = {case: {"DIMER_DISCORD_PRECISION": "17"} for case in CASES if case.endswith("-p17")}
 
 
 def _argv(case: str, workdir: Path) -> list[str]:
@@ -109,6 +124,8 @@ def golden():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_matches_golden(case, golden, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("DIMER_DISCORD_PRECISION", raising=False)
+    for name, value in CASE_ENV.get(case, {}).items():
+        monkeypatch.setenv(name, value)
     argv = _argv(case, tmp_path)
     capsys.readouterr()
     code = cli.main(argv)
@@ -116,12 +133,30 @@ def test_stdout_matches_golden(case, golden, tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == golden[case]
 
 
+@contextlib.contextmanager
+def _environment(overrides: dict[str, str]):
+    saved = {name: os.environ.get(name) for name in (*overrides, "DIMER_DISCORD_PRECISION")}
+    os.environ.pop("DIMER_DISCORD_PRECISION", None)
+    os.environ.update(overrides)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def _regenerate() -> None:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
             buf = io.StringIO()
-            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.ExitStack() as stack:
+                stack.enter_context(contextlib.redirect_stdout(buf))
+                stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+                stack.enter_context(_environment(CASE_ENV.get(case, {})))
                 code = cli.main(_argv(case, Path(tmp)))
             if code != 0:
                 sys.exit(f"{case}: exit code {code}")

@@ -174,6 +174,28 @@ class TestFindCrossing:
         with pytest.raises(BracketError):
             find_crossing(lambda t: t + 2.0, lambda t: t, 0.0, 1.0)
 
+    def test_endpoints_evaluated_once(self):
+        # the copper-acetate Q/E crossing that `landmarks` reports: the root
+        # finder is served the endpoint differences already computed
+        params = DimerParameters(-204.0)
+        calls = []
+
+        def q(t):
+            calls.append(t)
+            return correlation_set(params, t).discord
+
+        def e(t):
+            return correlation_set(params, t).entanglement
+
+        lo, hi = 0.2 * 204.0, 204.0
+        x, y = find_crossing(q, e, lo, hi)
+        # 13 differences and the value at the root; 16 when find_root
+        # evaluated both endpoints again
+        assert len(calls) == 14
+        assert len(set(calls)) == 13
+        assert x == find_root(lambda t: q(t) - e(t), lo, hi)
+        assert y == q(x)
+
 
 class TestMaximize:
     def test_parabola(self):

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
@@ -137,6 +140,27 @@ class TestSpecificHeat:
         assert specific_heat(DimerParameters(-300.0), 1e-3) == 0.0
         assert specific_heat(DimerParameters(300.0), 1e-3) == 0.0
         assert specific_heat(CAL, 1e9) < 1e-15
+
+
+class TestSpecificHeatOfCorrelatorColumn:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        g=st.lists(
+            st.one_of(
+                st.floats(G_MIN, G_MAX),
+                st.sampled_from([G_MIN, G_MAX, 0.0, -0.0, G_MIN - 1e-9, G_MAX + 1e-9]),
+                st.floats(G_MIN - 1e-9, G_MIN),
+                st.floats(G_MAX, G_MAX + 1e-9),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example(g=[G_MIN, G_MAX, CM_PEAK_G_ANTIFERRO, CM_PEAK_G_FERRO])
+    def test_equals_the_float_form_bit_for_bit(self, g):
+        column = specific_heat_from_correlator(np.array(g))
+        expected = [specific_heat_from_correlator(x) for x in g]
+        assert column.view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
 
 
 class TestSpecificHeatInversion:
@@ -377,3 +401,40 @@ class TestCrossChannel:
         cm = specific_heat_from_susceptibility_series(MAG, t, chi)
         expected = np.array([specific_heat(MAG, float(x)) for x in t])
         assert_allclose(cm, expected, rtol=1e-9)
+
+        # point by point, as the series was once computed: the reference for
+        # values, warnings and the error alike
+        def by_rows(temperatures, chi_values):
+            return np.array([
+                specific_heat_from_correlator(correlator_from_susceptibility(MAG, c, x))
+                for x, c in zip(temperatures.tolist(), chi_values.tolist())
+            ])
+
+        def chi_for(g, x):  # the susceptibility that inverts to correlator g at x kelvin
+            return (1.0 + g) * CODATA.curie_prefactor * MAG.g_factor**2 / (2.0 * x)
+
+        def run(f, *args):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    out = f(*args)
+                except InconsistencyError as exc:
+                    out = exc
+            return out, [(w.category, str(w.message)) for w in caught]
+
+        # two points clamped onto 1/3 (chi >= 0 keeps G >= -1)
+        chi[4], chi[9] = chi_for(G_MAX + 0.009, t[4]), chi_for(G_MAX + 0.004, t[9])
+        cm, warned = run(specific_heat_from_susceptibility_series, MAG, t, chi)
+        expected, expected_warned = run(by_rows, t, chi)
+        assert cm.tolist() == expected.tolist()
+        assert cm[4] == 0.0 and cm[9] == 0.0
+        assert warned == expected_warned and len(warned) == 2
+        assert all(category is DataWarning for category, _ in warned)
+
+        # a point beyond the tolerance raises, after the warnings of the rows before it
+        chi[12] = chi_for(0.4, t[12])
+        error, warned = run(specific_heat_from_susceptibility_series, MAG, t, chi)
+        expected, expected_warned = run(by_rows, t, chi)
+        assert isinstance(error, InconsistencyError)
+        assert str(error) == str(expected)
+        assert warned == expected_warned and len(warned) == 2
