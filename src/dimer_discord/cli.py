@@ -20,15 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import dataio, dimer_core, numerics, thermo
-from .dataio import (
-    PRESETS,
-    ResultRecord,
-    ResultTable,
-    load_series,
-    parse_value_with_uncertainty,
-    result_from_correlator,
-    write_results,
-)
+from .dataio import PRESETS, ResultTable, load_series, parse_value_with_uncertainty, write_results
 from .dimer_core import DimerParameters
 from .errors import DimerDiscordError
 from .numerics import TailModel, ValueWithUncertainty
@@ -44,29 +36,28 @@ class _UsageError(Exception):
 # shared flags
 
 
-def _add_parameter_flags(sub: argparse.ArgumentParser, *, coupling: bool = True) -> None:
+def _add_parameter_flags(sub: argparse.ArgumentParser) -> None:
     group = sub.add_argument_group("model parameters")
     group.add_argument(
         "--preset",
         choices=sorted(PRESETS),
         help="material preset supplying the coupling (and usually the g factor)",
     )
-    if coupling:
-        ex = group.add_mutually_exclusive_group()
-        ex.add_argument(
-            "--J-over-kB",
-            dest="j_over_kb",
-            type=float,
-            metavar="K",
-            help="exchange coupling J/k_B in kelvin (negative = antiferro)",
-        )
-        ex.add_argument(
-            "--2J-over-kB",
-            dest="j2_over_kb",
-            type=float,
-            metavar="K",
-            help="the same coupling quoted as 2J/k_B",
-        )
+    ex = group.add_mutually_exclusive_group()
+    ex.add_argument(
+        "--J-over-kB",
+        dest="j_over_kb",
+        type=float,
+        metavar="K",
+        help="exchange coupling J/k_B in kelvin (negative = antiferro)",
+    )
+    ex.add_argument(
+        "--2J-over-kB",
+        dest="j2_over_kb",
+        type=float,
+        metavar="K",
+        help="the same coupling quoted as 2J/k_B",
+    )
     gx = group.add_mutually_exclusive_group()
     gx.add_argument("--g-factor", dest="g_factor", type=float, help="scalar g factor")
     gx.add_argument(
@@ -112,11 +103,9 @@ def _resolve_parameters(
     return DimerParameters(j, g)
 
 
-def _emit(
-    records: list[ResultRecord] | ResultTable, args: argparse.Namespace, precision: int
-) -> None:
+def _emit(table: ResultTable, args: argparse.Namespace, precision: int) -> None:
     data = write_results(
-        records,
+        table,
         args.format,
         preset_name=getattr(args, "preset", None),
         precision=precision,
@@ -217,6 +206,19 @@ def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
     return 0
 
 
+def _row(t: float | None, g: ValueWithUncertainty) -> tuple:
+    # all of an output row that the closed forms of G cannot give
+    return t, g.value, g.sigma, numerics.propagate_uncertainty(dimer_core.discord, g).sigma
+
+
+def _table(rows: list[tuple], channel: str) -> ResultTable:
+    """The output table of rows (T, G, sigma_G, sigma_Q), measures computed column-wise."""
+    t, g, sigma_g, sigma_q = zip(*rows) if rows else ((),) * 4
+    # a None temperature is NaN to the measures; the t column keeps the None
+    table = dataio.results_from_correlators(t, g, channel)
+    return table._replace(t=t, sigma_correlator=sigma_g, sigma_discord=sigma_q)
+
+
 def _emit_series(
     series: dataio.MeasurementSeries,
     invert: Callable[[float, ValueWithUncertainty], ValueWithUncertainty],
@@ -224,26 +226,24 @@ def _emit_series(
     args: argparse.Namespace,
     precision: int,
 ) -> int:
-    """Print one record per row of ``series``; ``invert(t, measured)`` gives its correlator.
+    """Print a result row per row of ``series``; ``invert(t, measured)`` gives its correlator.
 
-    A row that fails is reported on stderr by its 1-based number and left
-    out; the command fails only when every row does.
+    A row that fails, its discord sigma included, is reported on stderr by
+    its 1-based number and left out; the command fails only when every row
+    does.
     """
     temperatures = series.temperatures.tolist()
     values = series.values.tolist()
     sigmas = series.sigmas.tolist() if series.sigmas is not None else [0.0] * len(values)
-    records = []
-    failures = 0
+    rows = []
     for i, (t, v, s) in enumerate(zip(temperatures, values, sigmas), start=1):
         try:
-            g = invert(t, ValueWithUncertainty(v, s))
-            records.append(result_from_correlator(t, g, channel))
+            rows.append(_row(t, invert(t, ValueWithUncertainty(v, s))))
         except DimerDiscordError as exc:
-            failures += 1
             print(f"row {i} (T = {t:g} K): {exc}", file=sys.stderr)
-    if failures and failures == len(values):
+    if values and not rows:
         return 1
-    _emit(records, args, precision)
+    _emit(_table(rows, channel), args, precision)
     return 0
 
 
@@ -262,7 +262,7 @@ def _cmd_from_neutron(args: argparse.Namespace, precision: int) -> int:
     if t is None:
         _note("no temperature given (--T); T_K is left empty")
     g = _clamped_neutron_point(t, parse_value_with_uncertainty(args.g_value))
-    _emit([result_from_correlator(t, g, "neutron")], args, precision)
+    _emit(_table([_row(t, g)], "neutron"), args, precision)
     return 0
 
 
@@ -315,7 +315,7 @@ def _cmd_from_cm(args: argparse.Namespace, precision: int) -> int:
         )
         _note(f"u({cell(t_end)} K)/R = {cell(u)} K")
         t, g = t_end, thermo.correlator_from_internal_energy(params, u)
-    _emit([result_from_correlator(t, ValueWithUncertainty(g), "calorimetric")], args, precision)
+    _emit(_table([_row(t, ValueWithUncertainty(g))], "calorimetric"), args, precision)
     return 0
 
 

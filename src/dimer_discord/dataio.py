@@ -74,7 +74,6 @@ class MeasurementSeries:
     values: np.ndarray
     sigmas: np.ndarray | None
     units: str
-    normalization: str = "per_dimer"
 
     def __len__(self) -> int:
         return int(self.temperatures.size)
@@ -142,8 +141,9 @@ def preset(name: str) -> MaterialPreset:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One output row: a correlator and everything derived from it (``t`` is
-    None for a correlator given without a temperature)."""
+    """One point: a correlator and everything derived from it, as
+    :func:`result_from_correlator` gives it (``t`` is None for a correlator
+    given without a temperature)."""
 
     t: float | None
     correlator: ValueWithUncertainty
@@ -196,24 +196,6 @@ def _check_table(table: ResultTable) -> None:
         raise InconsistencyError(
             "discord does not equal mutual information minus classical correlation"
         )
-
-
-def _table_of(records: Sequence[ResultRecord]) -> ResultTable:
-    rows = [
-        (
-            r.t,
-            r.correlator.value,
-            r.correlator.sigma,
-            r.discord.value,
-            r.discord.sigma,
-            r.classical,
-            r.mutual_information,
-            r.entanglement,
-            r.channel,
-        )
-        for r in records
-    ]
-    return ResultTable(*(zip(*rows) if rows else [()] * len(ResultTable._fields)))
 
 
 def result_from_correlator(
@@ -386,7 +368,6 @@ def load_series(
         values=v_arr,
         sigmas=s_arr,
         units=value_tag if value_tag is not None else accepted[0],
-        normalization="per_dimer",
     )
 
 
@@ -477,20 +458,18 @@ def json_text(
     doc: dict,
     precision: int,
     *,
-    rows: Sequence[Column] | None = None,
+    rows: Sequence[Column],
     keys: Sequence[str] | None = None,
 ) -> str:
-    """Indented JSON of ``doc`` with every float rounded to ``precision``
-    significant digits; a NaN or infinity raises ValueError.
+    """Indented JSON of ``doc`` and a table, with every float rounded to
+    ``precision`` significant digits; a NaN or infinity raises ValueError.
 
-    With ``rows`` (a table as columns), ``doc`` gains a last key ``"rows"``
-    holding one object per row keyed by ``keys``, or one array per row
+    ``doc`` gains a last key ``"rows"`` holding the table ``rows`` (given as
+    columns): one object per row keyed by ``keys``, or one array per row
     without keys.  The table is written column-wise; the bytes are those of
     ``json.dumps(..., indent=2)`` of the rounded document with the table in it.
     """
     number = _number_formatter(precision)
-    if rows is None:
-        return json.dumps(_rounded(doc, number), indent=2, allow_nan=False) + "\n"
     text = json.dumps(_rounded({**doc, "rows": _ROWS_MARK}, number), indent=2, allow_nan=False)
     tokens = [_json_cells(column, number) for column in rows]
     if keys is None:
@@ -512,25 +491,21 @@ _RESULT_COLUMNS = ("T_K", "G", "sigma_G", "Q", "sigma_Q", "C", "I", "E", "channe
 
 
 def write_results(
-    records: Sequence[ResultRecord] | ResultTable,
+    table: ResultTable,
     fmt: str = "csv",
     *,
     preset_name: str | None = None,
     precision: int = 6,
 ) -> bytes:
-    """Serialize result records, or a :class:`ResultTable`, to CSV or JSON bytes.
+    """Serialize a :class:`ResultTable` to CSV or JSON bytes.
 
     Column order is fixed; floats carry ``precision`` significant digits
-    (default 6), so identical inputs give identical bytes.  A record
-    without a temperature has an empty ``T_K`` field (``null`` in JSON).
+    (default 6), so identical inputs give identical bytes.  A row without
+    a temperature has an empty ``T_K`` field (``null`` in JSON).
     """
     if fmt not in ("csv", "json"):
         raise DataError(f"format must be csv or json, got {fmt!r}")
-    if isinstance(records, ResultTable):
-        _check_table(records)
-        table = records
-    else:  # each record checked itself
-        table = _table_of(records)
+    _check_table(table)
     if fmt == "csv":
         return text_table(table, precision, header=_RESULT_COLUMNS).encode("utf-8")
 

@@ -313,9 +313,9 @@ def concurrence(g: FloatOrArray, antiferro: bool) -> FloatOrArray:
 
 def _entanglement(c: FloatOrArray) -> FloatOrArray:
     p = 0.5 * (1.0 + _map(math.sqrt, 1.0 - c * c))
-    e = -(_xlog2(p) + _xlog2(1.0 - p))
-    # at c = 0 that is -0.0; the sign flip there gives the +0 of a separable state
-    return e * (1.0 - 2.0 * (c == 0.0))
+    # 0 - x, not -x: the same for x != 0, and +0 (a separable state) where the
+    # entropy rounds to 0, at c = 0 and for c below ~1e-8
+    return 0.0 - (_xlog2(p) + _xlog2(1.0 - p))
 
 
 def entanglement_of_formation(c_tilde: FloatOrArray) -> FloatOrArray:

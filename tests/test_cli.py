@@ -101,6 +101,14 @@ class TestFromNeutron:
         assert float(rows[0][1]) == -1.0
         assert r.stderr != ""
 
+    def test_vanishing_entanglement_prints_as_zero(self, capsys):
+        from dimer_discord import cli
+
+        # the concurrence is ~4e-9, where the entanglement of formation rounds to 0
+        assert cli.main(["from-neutron", "--G=-0.333333336", "--T", "1"]) == 0
+        _, rows = csv_rows(capsys.readouterr().out)
+        assert rows[0][7] == "0"
+
     def test_point_without_temperature_leaves_it_empty(self, capsys):
         from dimer_discord import cli
 

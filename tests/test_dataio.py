@@ -32,7 +32,7 @@ from dimer_discord.dimer_core import (
     mutual_information,
 )
 from dimer_discord.errors import DataError, DomainError, InconsistencyError
-from dimer_discord.numerics import ValueWithUncertainty
+from dimer_discord.numerics import ValueWithUncertainty, propagate_uncertainty
 
 
 class TestLoadSeries:
@@ -63,7 +63,6 @@ class TestLoadSeries:
         assert_allclose(s.values, [0.126])
         assert_allclose(s.sigmas, [0.002])
         assert_allclose(s.temperatures, [4.0])  # temperatures never rescale
-        assert s.normalization == "per_dimer"  # stored values are converted
 
     def test_joule_units_divide_by_gas_constant(self, tmp_path):
         f = tmp_path / "cm.csv"
@@ -264,9 +263,31 @@ class TestResultTable:
         with pytest.raises(DataError):
             write_results(ResultTable(**cols))
 
+    def test_columns_equal_the_records_field_by_field(self):
+        # result_from_correlator at each point is the reference
+        t = np.geomspace(0.5, 3000.0, 300)
+        for params in (DimerParameters(-204.0), DimerParameters(35.4)):
+            g = correlator_from_temperature(params, t)
+            table = results_from_correlators(t, g, "theory")
+            columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table]
+            for ti, gi, row in zip(t.tolist(), g.tolist(), zip(*columns, strict=True)):
+                r = result_from_correlator(ti, ValueWithUncertainty(gi), "theory")
+                assert row == (
+                    r.t,
+                    r.correlator.value,
+                    r.correlator.sigma,
+                    r.discord.value,
+                    r.discord.sigma,
+                    r.classical,
+                    r.mutual_information,
+                    r.entanglement,
+                    r.channel,
+                )
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_table_prints_as_the_records_do(self, fmt):
-        # one record per point through result_from_correlator is the reference
+        # one record per point through result_from_correlator, gathered into
+        # plain-float columns, is the reference for the array table's bytes
         t = np.geomspace(0.5, 3000.0, 300)
         for params in (DimerParameters(-204.0), DimerParameters(35.4)):
             g = correlator_from_temperature(params, t)
@@ -274,26 +295,43 @@ class TestResultTable:
                 result_from_correlator(ti, ValueWithUncertainty(gi), "theory")
                 for ti, gi in zip(t.tolist(), g.tolist())
             ]
+            reference = ResultTable(
+                t=[r.t for r in records],
+                correlator=[r.correlator.value for r in records],
+                sigma_correlator=[r.correlator.sigma for r in records],
+                discord=[r.discord.value for r in records],
+                sigma_discord=[r.discord.sigma for r in records],
+                classical=[r.classical for r in records],
+                mutual_information=[r.mutual_information for r in records],
+                entanglement=[r.entanglement for r in records],
+                channel=[r.channel for r in records],
+            )
             table = results_from_correlators(t, g, "theory")
             for precision in (6, 17):
                 assert write_results(table, fmt, preset_name="p", precision=precision) == (
-                    write_results(records, fmt, preset_name="p", precision=precision)
+                    write_results(reference, fmt, preset_name="p", precision=precision)
                 )
 
 
+def neutron_table(t, g, sigma_g):
+    """The table the CLI prints for correlators with error bars."""
+    sigma_q = [
+        propagate_uncertainty(discord, ValueWithUncertainty(*x)).sigma for x in zip(g, sigma_g)
+    ]
+    table = results_from_correlators(t, g, "neutron")
+    return table._replace(sigma_correlator=sigma_g, sigma_discord=sigma_q)
+
+
 class TestWriteResults:
-    def records(self):
-        return [
-            result_from_correlator(4.0, ValueWithUncertainty(-0.54, 0.09), "neutron"),
-            result_from_correlator(2.0, ValueWithUncertainty(-0.71, 0.05), "neutron"),
-        ]
+    def table(self):
+        return neutron_table([4.0, 2.0], [-0.54, -0.71], [0.09, 0.05])
 
     def test_empty_csv_is_header_only(self):
-        out = write_results([], fmt="csv")
+        out = write_results(neutron_table([], [], []), fmt="csv")
         assert out == b"T_K,G,sigma_G,Q,sigma_Q,C,I,E,channel\n"
 
     def test_csv_values(self):
-        out = write_results(self.records(), fmt="csv").decode()
+        out = write_results(self.table(), fmt="csv").decode()
         lines = out.strip().split("\n")
         assert lines[0] == "T_K,G,sigma_G,Q,sigma_Q,C,I,E,channel"
         assert lines[1].startswith("4,-0.54,0.09,0.301676,0.0910441,")
@@ -301,20 +339,20 @@ class TestWriteResults:
         assert len(lines) == 3
 
     def test_six_significant_digits_default(self):
-        out = write_results(self.records(), fmt="csv").decode()
+        out = write_results(self.table(), fmt="csv").decode()
         assert "0.301676" in out and "0.3016761" not in out
 
     def test_precision_override(self):
-        out = write_results(self.records(), fmt="csv", precision=9).decode()
+        out = write_results(self.table(), fmt="csv", precision=9).decode()
         assert "0.301676055" in out
 
     def test_deterministic(self):
-        a = write_results(self.records(), fmt="csv", preset_name="x")
-        b = write_results(self.records(), fmt="csv", preset_name="x")
+        a = write_results(self.table(), fmt="csv", preset_name="x")
+        b = write_results(self.table(), fmt="csv", preset_name="x")
         assert a == b
 
     def test_json_meta_and_rows(self):
-        out = json.loads(write_results(self.records(), fmt="json", preset_name="cn"))
+        out = json.loads(write_results(self.table(), fmt="json", preset_name="cn"))
         assert out["meta"]["channel"] == "neutron"
         assert out["meta"]["preset"] == "cn"
         assert out["meta"]["units"]["T_K"] == "kelvin"
@@ -324,17 +362,14 @@ class TestWriteResults:
         assert_allclose(row["Q"], 0.301676, rtol=1e-6)
 
     def test_mixed_channels_marked(self):
-        recs = [
-            result_from_correlator(4.0, ValueWithUncertainty(-0.5), "neutron"),
-            result_from_correlator(4.0, ValueWithUncertainty(-0.5), "theory"),
-        ]
-        out = json.loads(write_results(recs, fmt="json"))
+        table = results_from_correlators([4.0, 4.0], [-0.5, -0.5], "neutron")
+        out = json.loads(write_results(table._replace(channel=["neutron", "theory"]), fmt="json"))
         assert out["meta"]["channel"] == "mixed"
 
     def test_csv_output_reloads_as_correlator_series(self, tmp_path):
         # the writer's schema doubles as a valid correlator input file
         f = tmp_path / "out.csv"
-        f.write_bytes(write_results(self.records(), fmt="csv"))
+        f.write_bytes(write_results(self.table(), fmt="csv"))
         s = load_series(f, "correlator")
         assert_allclose(s.temperatures, [2.0, 4.0])
         assert_allclose(s.values, [-0.71, -0.54])
@@ -342,7 +377,7 @@ class TestWriteResults:
 
     def test_unknown_format(self):
         with pytest.raises(DataError):
-            write_results([], fmt="yaml")
+            write_results(self.table(), fmt="yaml")
 
 
 class TestParseValueWithUncertainty:

@@ -250,6 +250,12 @@ class TestEntanglementOfFormation:
         vals = [entanglement_of_formation(float(c)) for c in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("c", [0.0, 1e-9, 1e-12])
+    def test_separable_limit_is_positive_zero(self, c):
+        # the entropy rounds to zero below c ~ 1e-8; no -0 may reach the output
+        for e in (entanglement_of_formation(c), entanglement_of_formation(np.array([c]))[0]):
+            assert e == 0.0 and math.copysign(1.0, e) == 1.0
+
     def test_fuzz_clamped_and_rejected(self):
         assert entanglement_of_formation(-1e-12) == 0.0
         assert_allclose(entanglement_of_formation(1.0 + 1e-12), 1.0, rtol=1e-12)

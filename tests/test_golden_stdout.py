@@ -1,11 +1,14 @@
-"""Golden stdout: one small invocation per subcommand and format, run in process.
+"""Golden stdout and stderr: one small invocation per subcommand and format, run in process.
 
 Each case runs ``cli.main`` on fixed arguments and small fixture files and
-compares stdout byte for byte with ``golden_stdout.json``.  The ``-p17`` cases
+compares stdout byte for byte with ``golden_stdout.json``, and stderr with
+``golden_stderr.json``.  On stderr every warning is shown, in the order it
+was raised, as ``Category: text`` (without the ``path:line:`` prefix of
+Python's own format, which names source lines).  The ``-p17`` cases
 print at ``DIMER_DISCORD_PRECISION=17``, so that a change in the last bit of
 any computed column shows.  The expected
 bytes change only with a deliberate change to what the CLI prints; after
-one, regenerate them with
+one, regenerate both files with
 
     PYTHONPATH=src python tests/test_golden_stdout.py
 """
@@ -16,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -23,6 +27,7 @@ import pytest
 from dimer_discord import cli
 
 GOLDEN = Path(__file__).with_name("golden_stdout.json")
+GOLDEN_STDERR = Path(__file__).with_name("golden_stderr.json")
 
 # copper nitrate (J/k_B = -2.56 K, g = 2.11) at T >= 0.5 |J|, a few tenths
 # of a percent off the model, per mole of dimers
@@ -58,7 +63,43 @@ T_K,cm_over_R
 4.0,0.30
 """
 
-FIXTURES = {"chi": CHI8, "correlator": CORRELATOR, "cm": SPECIFIC_HEAT}
+# rows whose discord sigma goes one-sided on the lower side (1, 2) and on
+# the upper side (5, 6), clamped rows (2, 6), a refused row (3) and a row
+# whose discord is undefined on both sides of its sigma (4)
+CORRELATOR_EDGES = """\
+T_K,G,sigma_G
+1,-0.95,0.1
+2,-1.004,0.01
+3,-1.5,0.01
+4,-0.4,2
+5,0.3,0.1
+6,0.335,0.001
+7,-0.2,0.05
+8,0.1,0
+"""
+
+# with g = 2.11: at 1 K chi - sigma < 0 (one-sided chi, then one-sided
+# discord below); at 3 K chi is undefined on both sides; at 4 K both go
+# one-sided above; 6 K is clamped onto 1/3; 7 K is refused; at 8 K the
+# upper chi endpoint is clamped and the discord goes one-sided above
+CHI_EDGES = """\
+T_K,chi_emu_per_mol,sigma_chi
+1,0.0042,0.006
+3,0.139,0.5
+4,0.2714,0.02
+5,0.1336,0.001
+6,0.18595,0
+7,0.18,0.001
+8,0.138834,0.00104
+"""
+
+FIXTURES = {
+    "chi": CHI8,
+    "correlator": CORRELATOR,
+    "cm": SPECIFIC_HEAT,
+    "correlator_edges": CORRELATOR_EDGES,
+    "chi_edges": CHI_EDGES,
+}
 
 CASES = {
     "theory-csv": ["theory", "--preset", "copper-nitrate-magnetometric", "--n-points", "5"],
@@ -73,6 +114,11 @@ CASES = {
     "neutron-point-json": ["from-neutron", "--G=-0.54(9)", "--T", "4", "--format", "json"],
     "neutron-series-csv": ["from-neutron", "--input", "{correlator}"],
     "neutron-series-json": ["from-neutron", "--input", "{correlator}", "--format", "json"],
+    "neutron-edges-csv": ["from-neutron", "--input", "{correlator_edges}"],
+    "neutron-edges-json": ["from-neutron", "--input", "{correlator_edges}", "--format", "json"],
+    "chi-edges-csv": ["from-chi", "--input", "{chi_edges}", "--g-factor", "2.11"],
+    "chi-edges-json": ["from-chi", "--input", "{chi_edges}", "--g-factor", "2.11",
+                       "--format", "json"],
     "chi-csv": ["from-chi", "--input", "{chi}", "--preset", "copper-nitrate-magnetometric"],
     "chi-monomer-json": ["from-chi", "--input", "{chi}", "--per", "monomer",
                          "--g-factor", "2.11", "--format", "json"],
@@ -116,23 +162,6 @@ def _argv(case: str, workdir: Path) -> list[str]:
     return [a.format_map(paths) for a in CASES[case]]
 
 
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_stdout_matches_golden(case, golden, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("DIMER_DISCORD_PRECISION", raising=False)
-    for name, value in CASE_ENV.get(case, {}).items():
-        monkeypatch.setenv(name, value)
-    argv = _argv(case, tmp_path)
-    capsys.readouterr()
-    code = cli.main(argv)
-    assert code == 0
-    assert capsys.readouterr().out == golden[case]
-
-
 @contextlib.contextmanager
 def _environment(overrides: dict[str, str]):
     saved = {name: os.environ.get(name) for name in (*overrides, "DIMER_DISCORD_PRECISION")}
@@ -148,20 +177,56 @@ def _environment(overrides: dict[str, str]):
                 os.environ[name] = value
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(f"{category.__name__}: {message}\n")
+
+
+def _run(case: str, workdir: Path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one case, every warning shown in order."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(_environment(CASE_ENV.get(case, {})))
+        stack.enter_context(warnings.catch_warnings())
+        warnings.simplefilter("always")
+        warnings.showwarning = _show_warning
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = cli.main(_argv(case, workdir))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def golden_stderr():
+    return json.loads(GOLDEN_STDERR.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_matches_golden(case, golden, tmp_path):
+    code, out, _ = _run(case, tmp_path)
+    assert code == 0
+    assert out == golden[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stderr_matches_golden(case, golden_stderr, tmp_path):
+    _, _, err = _run(case, tmp_path)
+    assert err == golden_stderr[case]
+
+
 def _regenerate() -> None:
-    out = {}
+    out, err = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
-            buf = io.StringIO()
-            with contextlib.ExitStack() as stack:
-                stack.enter_context(contextlib.redirect_stdout(buf))
-                stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
-                stack.enter_context(_environment(CASE_ENV.get(case, {})))
-                code = cli.main(_argv(case, Path(tmp)))
+            code, out[case], err[case] = _run(case, Path(tmp))
             if code != 0:
                 sys.exit(f"{case}: exit code {code}")
-            out[case] = buf.getvalue()
-    GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    for path, doc in ((GOLDEN, out), (GOLDEN_STDERR, err)):
+        path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

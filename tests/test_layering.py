@@ -2,7 +2,8 @@
 
 Checked on the source with ``ast``, so a cycle cannot hide behind an import
 placed inside a function.  scipy is imported in one place only, inside the
-fit, so that importing the package does not load it.
+fit, so that importing the package does not load it.  The CLI builds its
+output as column tables only, never through the one-point result record.
 """
 
 import ast
@@ -82,3 +83,15 @@ def test_imports_point_down(module, allowed):
 def test_scipy_is_imported_only_by_the_fit():
     sites = [site for module in MODULES for site in _scipy_import_sites(module)]
     assert sites == ["numerics.fit_bleaney_bowers"]
+
+
+def test_cli_builds_no_result_record():
+    names = set()
+    for node in ast.walk(_tree("cli")):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not names & {"ResultRecord", "result_from_correlator"}
