@@ -356,12 +356,20 @@ def bleaney_bowers(
 ) -> float | np.ndarray:
     """Bleaney-Bowers susceptibility in emu per mole of dimers (CGS), unvalidated.
 
-    ``chi = N_A g^2 mu_B^2 (1 + G) / (2 k_B T)``, evaluated as
-    ``2 g^2 N_A mu_B^2 / (k_B T (3 + exp(-2J/(k_B T))))`` so that no 1 + G
+    ``chi = N_A g^2 mu_B^2 (1 + G) / (2 k_B T)``, evaluated as ``g^2`` times
+    the g = 1 curve of :func:`_unit_susceptibility`, so that no 1 + G
     cancels when cold.  Floats or numpy arrays; J = 0 gives G = 0.
     """
-    a = np.minimum(-2.0 * j_over_kb / t, _EXP_ARG_MAX)
-    return 2.0 * g_factor * g_factor * CODATA.curie_prefactor / (t * (3.0 + np.exp(a)))
+    return g_factor * g_factor * _unit_susceptibility(j_over_kb, t)[0]
+
+
+def _unit_susceptibility(j: FloatOrArray, t: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
+    """The g = 1 curve ``K = 2 N_A mu_B^2 / (k_B T (3 + e))`` and its factor
+    ``e = exp(-2J/(k_B T))`` (capped at e^700), which the fit's dK/dJ reuses."""
+    a = -2.0 * j / t
+    a = a if isinstance(a, np.ndarray) else float(a)
+    e = _map(math.exp, a * (a <= _EXP_ARG_MAX) + _EXP_ARG_MAX * (a > _EXP_ARG_MAX))
+    return 2.0 * CODATA.curie_prefactor / (t * (3.0 + e)), e
 
 
 def density_matrix(g: float) -> np.ndarray:

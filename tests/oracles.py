@@ -77,6 +77,16 @@ def bleaney_bowers(j, g_factor, t, curie):
     return float(2 * gf**2 * mp.mpf(curie) / (t * (3 + mp.e ** (-2 * j / t))))
 
 
+def fit_cost(j, g_factor, t, chi, sigma, curie):
+    """Weighted least-squares cost of the Bleaney-Bowers model at (j, g_factor), at 50 digits."""
+    j, gf, curie = mp.mpf(j), mp.mpf(g_factor), mp.mpf(curie)
+    total = mp.mpf(0)
+    for x, y, s in zip(*(np.asarray(a, dtype=float).tolist() for a in (t, chi, sigma))):
+        x = mp.mpf(x)
+        total += ((2 * gf**2 * curie / (x * (3 + mp.e ** (-2 * j / x))) - y) / s) ** 2
+    return total
+
+
 # --- matrix routes -----------------------------------------------------------
 
 PAULI = (

@@ -279,13 +279,13 @@ class TestFromCm:
 
 
 class TestFit:
-    def chi_file(self, tmp_path, n=25):
+    def chi_file(self, tmp_path, n=25, t_max=20.0):
         import numpy as np
         from dimer_discord.dimer_core import DimerParameters
         from dimer_discord.thermo import susceptibility
 
         p = DimerParameters(-2.56, 2.11)
-        t = np.linspace(1.5, 20.0, n)
+        t = np.linspace(1.5, t_max, n)
         lines = ["T_K,chi_emu_per_mol"] + [
             f"{x:.10g},{susceptibility(p, float(x)):.12g}" for x in t
         ]
@@ -312,6 +312,23 @@ class TestFit:
         out = json.loads(r.stdout)
         assert out["converged"] is True
         assert_allclose(out["J_over_kB_K"], -2.56, rtol=1e-6)
+
+    def test_negative_susceptibility_is_an_error(self, tmp_path):
+        f = tmp_path / "chi.csv"
+        f.write_text("T_K,chi_emu_per_mol\n2,-0.1\n3,-0.12\n4,-0.11\n6,-0.09\n")
+        r = run("fit", "--input", str(f), "--J-over-kB", "-2", "--g-factor", "2")
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: best g^2 is -")
+        assert "Traceback" not in r.stderr
+
+    def test_no_minimum_on_the_guess_branch(self, tmp_path):
+        # rising with T, as below the antiferro peak near 3.2 K: no ferro curve fits
+        f = self.chi_file(tmp_path, n=8, t_max=3.0)
+        r = run("fit", "--input", str(f), "--J-over-kB", "2", "--g-factor", "2")
+        assert r.returncode == 1
+        assert "converged = false" in r.stdout
+        assert r.stderr == "fit did not converge; best parameters so far reported\n"
 
     def test_too_few_points(self, tmp_path):
         f = tmp_path / "chi.csv"

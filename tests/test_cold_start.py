@@ -1,4 +1,4 @@
-"""Cold start: scipy stays off the import path of everything but ``fit``.
+"""Cold start: no command, ``fit`` included, imports scipy.
 
 Each case runs a fresh interpreter under ``-X importtime``, which lists on
 stderr every module the process imported.
@@ -46,7 +46,7 @@ def test_landmarks_loads_no_scipy():
     assert _scipy(modules) == []
 
 
-def test_fit_still_loads_scipy_optimize(tmp_path):
+def test_fit_loads_no_scipy(tmp_path):
     out, modules = _run(["-m", "dimer_discord", *_argv("fit-csv", tmp_path)])
     assert out == _golden("fit-csv")
-    assert "scipy.optimize" in modules
+    assert _scipy(modules) == []

@@ -13,6 +13,7 @@ from dimer_discord.dimer_core import (
     G_MIN,
     CorrelationSet,
     DimerParameters,
+    bleaney_bowers,
     classical_correlation,
     concurrence,
     correlation_set,
@@ -381,6 +382,14 @@ class TestColumns:
         for name in ("mutual_information", "classical", "discord", "concurrence", "entanglement"):
             expected = [getattr(correlation_set(params, x), name) for x in t.tolist()]
             assert_same_bits(getattr(m, name), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(j=COUPLINGS, g_factor=st.floats(1.5, 2.5), tau=st.lists(REDUCED_T, **COLUMNS))
+    @example(j=-1.0, g_factor=2.11, tau=[1e-4, 2.0 / 700.0, 2.0 / 700.000001, 1.0])
+    def test_bleaney_bowers(self, j, g_factor, tau):
+        t = np.array(tau) * abs(j)
+        column = bleaney_bowers(j, g_factor, t)
+        assert_same_bits(column, [bleaney_bowers(j, g_factor, x) for x in t.tolist()])
 
     @settings(max_examples=200, deadline=None)
     @given(g=st.lists(CORRELATORS, **COLUMNS))

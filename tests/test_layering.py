@@ -1,8 +1,8 @@
 """Imports point one way: dimer_core and numerics, then thermo, dataio, cli.
 
 Checked on the source with ``ast``, so a cycle cannot hide behind an import
-placed inside a function.  scipy is imported in one place only, inside the
-fit, so that importing the package does not load it.  The CLI builds its
+placed inside a function.  No module imports scipy, at the top or inside a
+function: the package runs on numpy alone.  The CLI builds its
 output as column tables only, never through the one-point result record.
 """
 
@@ -42,23 +42,6 @@ def _imports_scipy(node: ast.AST) -> bool:
     )
 
 
-def _scipy_import_sites(module: str) -> list[str]:
-    """``module`` for each top-level scipy import, ``module.function`` for each in a body."""
-    sites = []
-
-    def visit(node: ast.AST, owner: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, f"{module}.{child.name}")
-                continue
-            if _imports_scipy(child):
-                sites.append(owner)
-            visit(child, owner)
-
-    visit(_tree(module), module)
-    return sites
-
-
 @pytest.mark.parametrize("module", MODULES)
 def test_no_function_imports_a_package_module_or_json(module):
     for node in ast.walk(_tree(module)):
@@ -80,9 +63,9 @@ def test_imports_point_down(module, allowed):
     assert imported <= allowed, f"{module} imports {sorted(imported - allowed)}"
 
 
-def test_scipy_is_imported_only_by_the_fit():
-    sites = [site for module in MODULES for site in _scipy_import_sites(module)]
-    assert sites == ["numerics.fit_bleaney_bowers"]
+def test_no_module_imports_scipy():
+    importers = [m for m in MODULES if any(_imports_scipy(n) for n in ast.walk(_tree(m)))]
+    assert importers == []
 
 
 def test_cli_builds_no_result_record():

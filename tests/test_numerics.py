@@ -1,18 +1,22 @@
+import io
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import brentq
+from scipy.optimize import brentq, least_squares
 
+import oracles
+from test_golden_stdout import CHI8
 from dimer_discord import thermo
-from dimer_discord.dimer_core import DimerParameters, correlation_set
+from dimer_discord.dimer_core import CODATA, DimerParameters, bleaney_bowers, correlation_set
 from dimer_discord.errors import (
     BracketError,
     ConvergenceError,
     DataError,
     DataWarning,
     DomainError,
+    InconsistencyError,
     PropagationWarning,
 )
 from dimer_discord.numerics import (
@@ -368,6 +372,66 @@ class TestFit:
         chi = self._chi(truth, t)
         res = fit_bleaney_bowers(t, chi, DimerParameters(-40.0, (2.0, 2.0, 2.4)))
         assert_allclose(res.parameters.g_factor, 2.1416504538945347, rtol=1e-6)
+
+    def test_golden_fixture_reaches_the_50_digit_optimum(self):
+        # the copper-nitrate file of the golden fit cases; J, g and the
+        # residual norm at the minimum of its weighted cost, found with
+        # mpmath at 50 digits
+        data = np.loadtxt(io.StringIO(CHI8), delimiter=",", skiprows=1)
+        res = fit_bleaney_bowers(
+            data[:, 0], data[:, 1], DimerParameters(-2.0, 2.0), sigma=data[:, 2]
+        )
+        assert res.converged
+        assert_allclose(res.j_over_kb, -2.5588731653237643242, rtol=1e-12)
+        assert_allclose(res.g_factor, 2.1096194595009593915, rtol=1e-12)
+        assert_allclose(res.residual_norm, 1.0809472530720374609, rtol=1e-12)
+
+    def test_cost_no_higher_than_scipy_least_squares(self):
+        # the weighted cost of both answers at 50 digits: a sum of n squares
+        # ranks two points only to n units of roundoff
+        rng = np.random.default_rng(20261018)
+        for _ in range(12):
+            j = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 2.5)
+            n = int(rng.integers(5, 40))
+            t = np.sort(rng.uniform(0.2, 10.0, n) * abs(j))
+            chi_true = bleaney_bowers(j, rng.uniform(1.9, 2.3), t)
+            sigma = chi_true * 10.0 ** rng.uniform(-4.0, -2.0)
+            chi = chi_true + rng.normal(size=n) * sigma
+            init = DimerParameters(j * rng.uniform(0.7, 1.3), 2.0)
+            res = fit_bleaney_bowers(t, chi, init, sigma=sigma)
+            assert res.converged
+            lsq = least_squares(
+                lambda p: (bleaney_bowers(p[0], p[1], t) - chi) / sigma,
+                [init.j_over_kb, 2.0], method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+            )
+            data = (t, chi, sigma, CODATA.curie_prefactor)
+            ours = oracles.fit_cost(res.j_over_kb, res.g_factor, *data)
+            assert ours <= oracles.fit_cost(*lsq.x, *data) * (1 + n * 2.0**-53)
+
+    def test_negative_susceptibility_is_inconsistent(self):
+        t = np.linspace(2.0, 8.0, 12)
+        chi = -bleaney_bowers(-10.0, 2.0, t)
+        for j0 in (-5.0, 5.0):
+            with pytest.raises(InconsistencyError, match=r"best g\^2 is -"):
+                fit_bleaney_bowers(t, chi, DimerParameters(j0, 2.0))
+
+    def test_no_minimum_on_the_guess_branch(self):
+        # below its peak an antiferro curve rises with T, which no ferro
+        # curve does: the walk ends at |J| = 350 T_min unconverged
+        t = np.linspace(2.0, 8.0, 12)
+        chi = bleaney_bowers(-10.0, 2.0, t)
+        res = fit_bleaney_bowers(t, chi, DimerParameters(5.0, 2.0))
+        assert not res.converged
+        assert_allclose(res.j_over_kb, 350.0 * 2.0, rtol=1e-14)
+        # a guess past that end starts there
+        far = fit_bleaney_bowers(t, chi, DimerParameters(1e4, 2.0))
+        assert far == FitResult(res.parameters, res.residual_norm, 1, False)
+        # and a guess on the right branch, however far off, converges
+        for j0 in (-1e4, -1e-9):
+            res = fit_bleaney_bowers(t, chi, DimerParameters(j0, 2.0))
+            assert res.converged
+            assert_allclose(res.j_over_kb, -10.0, rtol=1e-12)
+            assert_allclose(res.g_factor, 2.0, rtol=1e-12)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(DataError):
