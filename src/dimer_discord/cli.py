@@ -12,16 +12,16 @@ variable ``DIMER_DISCORD_PRECISION`` overrides the printed number of
 significant digits (default 6).
 """
 
+from __future__ import annotations
+
 import argparse
 import os
 import sys
 from typing import Callable
 
-import numpy as np
-
 from . import dataio, dimer_core, numerics, thermo
 from .dataio import PRESETS, ResultTable, load_series, parse_value_with_uncertainty, write_results
-from .dimer_core import DimerParameters
+from .dimer_core import DimerParameters, _numpy
 from .errors import DimerDiscordError
 from .numerics import TailModel, ValueWithUncertainty
 
@@ -130,6 +130,7 @@ def _cmd_theory(args: argparse.Namespace, precision: int) -> int:
         raise _UsageError(f"need 0 < t-min < t-max, got {t_min:g} and {t_max:g}")
     if args.n_points < 2:
         raise _UsageError(f"need at least 2 grid points, got {args.n_points}")
+    np = _numpy()
     if args.grid == "log":
         grid = np.geomspace(t_min, t_max, args.n_points)
     else:
@@ -212,11 +213,13 @@ def _row(t: float | None, g: ValueWithUncertainty) -> tuple:
 
 
 def _table(rows: list[tuple], channel: str) -> ResultTable:
-    """The output table of rows (T, G, sigma_G, sigma_Q), measures computed column-wise."""
+    """The output table of rows (T, G, sigma_G, sigma_Q), the measures computed
+    column-wise: as arrays for a series, as floats for a single point."""
     t, g, sigma_g, sigma_q = zip(*rows) if rows else ((),) * 4
-    # a None temperature is NaN to the measures; the t column keeps the None
+    if len(rows) > 1:
+        g = _numpy().array(g, dtype=float)
     table = dataio.results_from_correlators(t, g, channel)
-    return table._replace(t=t, sigma_correlator=sigma_g, sigma_discord=sigma_q)
+    return table._replace(sigma_correlator=sigma_g, sigma_discord=sigma_q)
 
 
 def _emit_series(
@@ -303,9 +306,8 @@ def _cmd_from_cm(args: argparse.Namespace, precision: int) -> int:
             series = load_series(args.input, "specific_heat", normalization=f"per_{args.per}")
             t_arr, v_arr = series.temperatures, series.values
         else:
-            t_arr = np.array([])
-            v_arr = np.array([])
-        if t_arr.size == 0 and args.u0_over_r is not None:
+            t_arr = v_arr = ()
+        if len(t_arr) == 0 and args.u0_over_r is not None:
             _note(
                 "tail-only record: the energy anchors at u(infinity) = 0, "
                 "so --u0-over-R is ignored"
@@ -351,6 +353,7 @@ def _cmd_fit(args: argparse.Namespace, precision: int) -> int:
 
 
 def _figure_data(fig: int, n: int) -> tuple[str, list[str], list[np.ndarray]]:
+    np = _numpy()
     if fig in (1, 2, 6):
         if fig == 6:
             params = dataio.preset("cu2l-oac-ferro").parameters

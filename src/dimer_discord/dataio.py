@@ -16,17 +16,19 @@ to multiples of R.  Downstream code therefore only ever sees per-dimer,
 per-R series.
 """
 
+from __future__ import annotations
+
 import json
 import math
 import re
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
-from .dimer_core import CODATA, DimerParameters, discord, measures_from_correlator
+from .dimer_core import (
+    CODATA, CorrelationSet, DimerParameters, _is_array, _numpy, discord, measures_from_correlator
+)
 from .errors import DataError, DomainError, InconsistencyError
 from .numerics import ValueWithUncertainty, propagate_uncertainty
 
@@ -163,7 +165,7 @@ class ResultRecord:
 
 
 # a table column: a float array, or any sequence of cells
-Column = np.ndarray | Sequence[object]
+Column = "np.ndarray | Sequence[object]"
 
 
 class ResultTable(NamedTuple):
@@ -188,11 +190,13 @@ def _check_table(table: ResultTable) -> None:
     for channel in dict.fromkeys(table.channel):
         if channel not in _CHANNELS:
             raise DataError(f"channel must be one of {_CHANNELS}, got {channel!r}")
-    q, i, c = (
-        np.asarray(x, dtype=float)
-        for x in (table.discord, table.mutual_information, table.classical)
-    )
-    if (np.abs(q - (i - c)) > 1e-12).any():
+    q, i, c = table.discord, table.mutual_information, table.classical
+    if any(map(_is_array, (q, i, c))):
+        q, i, c = (_numpy().asarray(x, dtype=float) for x in (q, i, c))
+        inconsistent = (abs(q - (i - c)) > 1e-12).any()
+    else:
+        inconsistent = any(abs(qr - (ir - cr)) > 1e-12 for qr, ir, cr in zip(q, i, c))
+    if inconsistent:
         raise InconsistencyError(
             "discord does not equal mutual information minus classical correlation"
         )
@@ -222,14 +226,24 @@ def result_from_correlator(
     )
 
 
-def results_from_correlators(t: np.ndarray, g: np.ndarray, channel: str) -> ResultTable:
+def results_from_correlators(t: Column, g: Column, channel: str) -> ResultTable:
     """Expand exact correlators (no error bars) at temperatures ``t`` into a
-    table: :func:`result_from_correlator` for a whole column at once."""
-    g = np.asarray(g, dtype=float)
-    m = measures_from_correlator(g)
-    zeros = np.zeros_like(g)
+    table: :func:`result_from_correlator` for a whole column at once.  An
+    array ``g`` gives array columns; any other sequence gives tuples of the
+    same bits from the float closed forms, with a None temperature kept."""
+    if _is_array(g):
+        np = _numpy()
+        g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
+        m = measures_from_correlator(g)
+        zeros = np.zeros_like(g)
+    else:
+        g = tuple(map(float, g))
+        t = tuple(x if x is None else float(x) for x in t)
+        rows = [astuple(measures_from_correlator(x)) for x in g]
+        m = CorrelationSet(*(zip(*rows) if rows else [()] * 5))
+        zeros = (0.0,) * len(g)
     return ResultTable(
-        t=np.asarray(t, dtype=float),
+        t=t,
         correlator=g,
         sigma_correlator=zeros,
         discord=m.discord,
@@ -237,7 +251,7 @@ def results_from_correlators(t: np.ndarray, g: np.ndarray, channel: str) -> Resu
         classical=m.classical,
         mutual_information=m.mutual_information,
         entanglement=m.entanglement,
-        channel=[channel] * g.size,
+        channel=[channel] * len(g),
     )
 
 
@@ -341,6 +355,7 @@ def load_series(
         raise DataError(f"{p}: no header line found")
 
     rows.sort(key=lambda r: r[0])
+    np = _numpy()
     t_arr = np.array([r[0] for r in rows], dtype=float)
     v_arr = np.array([r[1] for r in rows], dtype=float)
     if t_arr.size > 1 and np.any(np.diff(t_arr) == 0.0):
@@ -420,7 +435,7 @@ def text_table(
     number = _number_formatter(precision)
     cell = cell_formatter(precision)
     cells = [
-        map(number, column.tolist()) if isinstance(column, np.ndarray) else map(cell, column)
+        map(number, column.tolist()) if _is_array(column) else map(cell, column)
         for column in columns
     ]
     lines = [sep.join(header)] if header is not None else []
@@ -434,7 +449,7 @@ _ROWS_MARK = "\0rows"  # stands in for the table while the rest is dumped
 def _json_cells(column: Column, number: Callable[[object], str]) -> list[str]:
     """JSON tokens of one column of scalar cells, each float first rounded
     by ``number``; a NaN or infinity raises ValueError."""
-    if isinstance(column, np.ndarray):
+    if _is_array(column):
         rounded = list(map(float, map(number, column.tolist())))
     else:
         rounded = [_rounded(x, number) for x in column]

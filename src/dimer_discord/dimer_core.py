@@ -43,18 +43,21 @@ functions dispatch: a float goes straight to :mod:`math`, and an array has
 the same :mod:`math` function mapped over its elements, so every element of
 an array result equals the float result bit for bit.  numpy's own ``exp``
 and ``log`` are not used there, because they differ from libm in the last
-bit on a share of inputs.
+bit on a share of inputs.  numpy itself is imported with the first array
+(:func:`_numpy`), so scalar callers never pay for its start-up.
 """
 
+from __future__ import annotations
+
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError
 
-FloatOrArray = float | np.ndarray
+# annotations are never evaluated, so numpy need not be loaded to name its types
+FloatOrArray = "float | np.ndarray"
 
 __all__ = [
     "G_MIN",
@@ -176,18 +179,31 @@ class CorrelationSet:
 # which is exact in floating point for both.
 
 
+def _numpy():
+    """numpy, imported on the first call: the package's one import of it."""
+    import numpy
+
+    return numpy
+
+
+def _is_array(x: object) -> bool:
+    """Whether ``x`` is a numpy array of any shape; no array exists before numpy loads."""
+    np = sys.modules.get("numpy") if type(x) is not float else None  # a float needs no lookup
+    return np is not None and isinstance(x, np.ndarray)
+
+
 def _map(fn: Callable[[float], float], x: FloatOrArray) -> FloatOrArray:
     """``fn(x)`` on a float; on an array, ``fn`` mapped over its elements."""
     if type(x) is float:
         return fn(x)
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return _numpy().fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _xlog2(x: FloatOrArray) -> FloatOrArray:
     # the entropy convention 0*log(0) = 0, with a guard well below double noise
     if type(x) is float:
         return 0.0 if x < _XLOG_CUTOFF else x * math.log2(x)
-    x = np.where(x < _XLOG_CUTOFF, 1.0, x)  # 1*log2(1) is that exact 0
+    x = _numpy().where(x < _XLOG_CUTOFF, 1.0, x)  # 1*log2(1) is that exact 0
     return x * _map(math.log2, x)
 
 
@@ -195,7 +211,7 @@ def _check_each(check: Callable[[float], object], x: np.ndarray, ok: np.ndarray)
     """Array form of a scalar validator: ``check`` raises its own error for
     the first element of ``x`` where ``ok`` is false."""
     if not ok.all():
-        check(float(x.ravel()[np.argmin(ok.ravel())]))
+        check(float(x.ravel()[ok.ravel().argmin()]))
 
 
 def validate_correlator(g: FloatOrArray) -> FloatOrArray:
@@ -206,10 +222,10 @@ def validate_correlator(g: FloatOrArray) -> FloatOrArray:
     :class:`DomainError`.  An array is checked element by element and the
     error names its first bad element.
     """
-    if isinstance(g, np.ndarray):
-        g = np.asarray(g, dtype=float)
+    if _is_array(g):
+        g = _numpy().asarray(g, dtype=float)
         _check_each(validate_correlator, g, (g >= G_MIN - _G_TOL) & (g <= G_MAX + _G_TOL))
-        return np.clip(g, G_MIN, G_MAX)
+        return g.clip(G_MIN, G_MAX)
     g = float(g)
     if not math.isfinite(g):
         raise DomainError(f"correlator must be finite, got {g!r}")
@@ -220,7 +236,8 @@ def validate_correlator(g: FloatOrArray) -> FloatOrArray:
 
 def correlator_from_temperature(params: DimerParameters, t: FloatOrArray) -> FloatOrArray:
     """Thermal spin-spin correlator G(T) of the dimer at temperature ``t`` (K)."""
-    if isinstance(t, np.ndarray):
+    if _is_array(t):
+        np = _numpy()
         t = np.asarray(t, dtype=float)
         _check_each(
             lambda v: correlator_from_temperature(params, v), t, np.isfinite(t) & (t > 0.0)
@@ -301,7 +318,7 @@ def concurrence(g: FloatOrArray, antiferro: bool) -> FloatOrArray:
     branch it claims to come from.
     """
     g = validate_correlator(g)
-    if isinstance(g, np.ndarray):
+    if _is_array(g):
         on_branch = g <= _G_TOL if antiferro else g >= -_G_TOL
         _check_each(lambda v: concurrence(v, antiferro), g, on_branch)
     elif antiferro and g > _G_TOL:
@@ -320,10 +337,10 @@ def _entanglement(c: FloatOrArray) -> FloatOrArray:
 
 def entanglement_of_formation(c_tilde: FloatOrArray) -> FloatOrArray:
     """Entanglement of formation (bits) for a state of concurrence ``c_tilde``."""
-    if isinstance(c_tilde, np.ndarray):
-        c = np.asarray(c_tilde, dtype=float)
+    if _is_array(c_tilde):
+        c = _numpy().asarray(c_tilde, dtype=float)
         _check_each(entanglement_of_formation, c, (c >= -_G_TOL) & (c <= 1.0 + _G_TOL))
-        c = np.clip(c, 0.0, 1.0)
+        c = c.clip(0.0, 1.0)
     else:
         c = float(c_tilde)
         if not math.isfinite(c) or c < -_G_TOL or c > 1.0 + _G_TOL:
@@ -367,7 +384,7 @@ def _unit_susceptibility(j: FloatOrArray, t: FloatOrArray) -> tuple[FloatOrArray
     """The g = 1 curve ``K = 2 N_A mu_B^2 / (k_B T (3 + e))`` and its factor
     ``e = exp(-2J/(k_B T))`` (capped at e^700), which the fit's dK/dJ reuses."""
     a = -2.0 * j / t
-    a = a if isinstance(a, np.ndarray) else float(a)
+    a = a if _is_array(a) else float(a)
     e = _map(math.exp, a * (a <= _EXP_ARG_MAX) + _EXP_ARG_MAX * (a > _EXP_ARG_MAX))
     return 2.0 * CODATA.curie_prefactor / (t * (3.0 + e)), e
 
@@ -382,7 +399,7 @@ def density_matrix(g: float) -> np.ndarray:
     d = 0.25 * (1.0 + g)
     m = 0.25 * (1.0 - g)
     o = 0.5 * g
-    return np.array(
+    return _numpy().array(
         [
             [d, 0.0, 0.0, 0.0],
             [0.0, m, o, 0.0],
@@ -400,7 +417,7 @@ def ppt_eigenvalues(g: float) -> np.ndarray:
     when the concurrence is positive.
     """
     g = validate_correlator(g)
-    lam = np.array([0.25 * (1.0 + 3.0 * g)] + [0.25 * (1.0 - g)] * 3)
+    lam = _numpy().array([0.25 * (1.0 + 3.0 * g)] + [0.25 * (1.0 - g)] * 3)
     lam.sort()
     return lam
 

@@ -8,9 +8,11 @@ susceptibility fit.  All routines are deterministic: identical inputs give
 identical outputs, bit for bit.
 
 The root finder is Brent's method written out here, and the fit reduces to
-a root of one slope by variable projection, so the package needs numpy
-alone.
+a root of one slope by variable projection, so numpy is the one dependency,
+and only the series routines import it (not for a record of no samples).
 """
+
+from __future__ import annotations
 
 import math
 import sys
@@ -18,9 +20,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .dimer_core import DimerParameters, _unit_susceptibility
+from .dimer_core import DimerParameters, _numpy, _unit_susceptibility
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -324,6 +324,10 @@ def integrate_series_with_tail(
     Negative samples (noise undershoot) are clamped to zero with a warning;
     an empty series with a tail gives the pure tail integral.
     """
+    tail_part = tail.integral() if tail is not None else 0.0
+    if all(isinstance(s, (list, tuple)) and not s for s in (temperatures, values)):
+        return 0.0 + tail_part  # the sum below with no samples, built without numpy
+    np = _numpy()
     t = np.asarray(temperatures, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or v.shape != t.shape:
@@ -348,7 +352,6 @@ def integrate_series_with_tail(
     data_part = 0.0
     if t.size:
         data_part = 0.5 * t[0] * v[0] + float(np.trapezoid(v, t))
-    tail_part = tail.integral() if tail is not None else 0.0
     return data_part + tail_part
 
 
@@ -438,6 +441,7 @@ def fit_bleaney_bowers(
         If the best g^2 is not positive (no positive susceptibility curve
         fits the data).
     """
+    np = _numpy()
     t = np.asarray(temperatures, dtype=float)
     y = np.asarray(chi, dtype=float)
     if t.ndim != 1 or y.shape != t.shape:

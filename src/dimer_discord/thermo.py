@@ -16,11 +16,11 @@ clamping (with a warning), and refuse values that are inconsistent with the
 model beyond that tolerance.
 """
 
+from __future__ import annotations
+
 import math
 import warnings
 from typing import Sequence
-
-import numpy as np
 
 from .dimer_core import (
     CODATA,
@@ -30,6 +30,7 @@ from .dimer_core import (
     FloatOrArray,
     PhysicalConstants,
     _map,
+    _numpy,
     bleaney_bowers,
     correlator_from_temperature,
     powder_g,
@@ -161,14 +162,13 @@ def internal_energy_from_specific_heat(
     anchored at the other end instead: u(infinity) = 0 exactly for the
     dimer, so ``u(t_start) = -a/t_start`` independent of any ``u0_over_r``.
     """
-    t = np.asarray(temperatures, dtype=float)
     # validates the record; an empty one integrates to 0
-    data_integral = integrate_series_with_tail(t, values, None)
-    if t.size == 0:
+    data_integral = integrate_series_with_tail(temperatures, values, None)
+    if len(temperatures) == 0:
         if tail is None:
             raise DataError("empty record and no tail: nothing to integrate")
         return tail.t_start, -tail.integral()
-    t_end = float(t[-1])
+    t_end = float(_numpy().asarray(temperatures, dtype=float)[-1])
     if tail is not None and tail.t_start < t_end:
         raise DataError(
             f"tail start {tail.t_start:g} K lies below the last sample {t_end:g} K"
@@ -380,6 +380,7 @@ def specific_heat_from_susceptibility_series(
     :func:`correlator_from_susceptibility` one at a time: one
     :class:`DataWarning` per clamped point, and the first bad point raises.
     """
+    np = _numpy()
     t = np.asarray(temperatures, dtype=float)
     c = np.asarray(chi_values, dtype=float)
     if t.ndim != 1 or c.shape != t.shape:

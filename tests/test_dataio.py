@@ -306,11 +306,17 @@ class TestResultTable:
                 entanglement=[r.entanglement for r in records],
                 channel=[r.channel for r in records],
             )
-            table = results_from_correlators(t, g, "theory")
-            for precision in (6, 17):
-                assert write_results(table, fmt, preset_name="p", precision=precision) == (
-                    write_results(reference, fmt, preset_name="p", precision=precision)
-                )
+            tables = [
+                results_from_correlators(t, g, "theory"),
+                # sequences of floats take the float closed forms, row by row
+                results_from_correlators(t.tolist(), g.tolist(), "theory"),
+            ]
+            assert all(type(column) is tuple for column in tables[1][:-1])
+            for table in tables:
+                for precision in (6, 17):
+                    assert write_results(table, fmt, preset_name="p", precision=precision) == (
+                        write_results(reference, fmt, preset_name="p", precision=precision)
+                    )
 
 
 def neutron_table(t, g, sigma_g):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -433,3 +435,63 @@ class TestColumns:
             with pytest.raises(DomainError) as got:
                 f(np.array(column))
             assert str(got.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# dispatch: numpy scalars are floats, arrays of any shape take the array path
+
+
+COLUMN_FORMS = [
+    (validate_correlator, -0.5),
+    (mutual_information, -0.5),
+    (classical_correlation, -0.5),
+    (discord, 0.2),
+    (lambda g: concurrence(g, True), -0.5),
+    (entanglement_of_formation, 0.5),
+    (lambda t: correlator_from_temperature(AFM, t), 2.0),
+]
+# and one function that takes floats only
+DISPATCHED = [*COLUMN_FORMS, (lambda g: temperature_from_correlator(FM, g), 0.2)]
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("f, x", DISPATCHED)
+    @pytest.mark.parametrize("scalar", [np.float64, np.float32])
+    def test_numpy_scalar_takes_the_float_path(self, f, x, scalar):
+        got = f(scalar(x))
+        assert type(got) is float
+        assert got == f(float(scalar(x)))
+
+    @pytest.mark.parametrize("f, x", COLUMN_FORMS)
+    def test_arrays_of_any_shape_take_the_array_path(self, f, x):
+        zero_d = f(np.asarray(x))
+        # numpy arithmetic on a 0-d array gives a numpy scalar, not a Python float
+        assert type(zero_d) is np.float64
+        assert_same_bits([zero_d], [f(x)])
+        column = np.full((2, 3), x)
+        got = f(column)
+        assert type(got) is np.ndarray and got.shape == (2, 3)
+        assert_same_bits(got.ravel(), [f(x)] * 6)
+
+    @pytest.mark.parametrize("f, x", DISPATCHED)
+    def test_a_list_is_refused(self, f, x):
+        with pytest.raises(TypeError):
+            f([x, x])
+
+    def test_first_array_loads_numpy_in_a_fresh_process(self):
+        script = (
+            "import sys\n"
+            "from dimer_discord import dimer_core\n"
+            "q = dimer_core.discord(-0.5)\n"
+            "assert 'numpy' not in sys.modules\n"
+            "rho = dimer_core.density_matrix(-0.5)\n"
+            "assert 'numpy' in sys.modules and rho.shape == (4, 4)\n"
+            "import numpy\n"
+            "column = dimer_core.discord(numpy.array([-0.5, 0.2]))\n"
+            "assert column[0] == q and column[1] == dimer_core.discord(0.2)\n"
+            "print('ok')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=False
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")

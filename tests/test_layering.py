@@ -2,7 +2,9 @@
 
 Checked on the source with ``ast``, so a cycle cannot hide behind an import
 placed inside a function.  No module imports scipy, at the top or inside a
-function: the package runs on numpy alone.  The CLI builds its
+function: the package runs on numpy alone.  numpy itself is imported at one
+place, inside ``dimer_core._numpy``, so that it loads with the first array
+and a scalar call never pays for it.  The CLI builds its
 output as column tables only, never through the one-point result record.
 """
 
@@ -32,13 +34,13 @@ def _tree(module: str) -> ast.Module:
     return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
 
 
-def _imports_scipy(node: ast.AST) -> bool:
+def _imports(node: ast.AST, package: str) -> bool:
     if isinstance(node, ast.Import):
-        return any(a.name.split(".")[0] == "scipy" for a in node.names)
+        return any(a.name.split(".")[0] == package for a in node.names)
     return (
         isinstance(node, ast.ImportFrom)
         and node.level == 0
-        and (node.module or "").split(".")[0] == "scipy"
+        and (node.module or "").split(".")[0] == package
     )
 
 
@@ -64,8 +66,20 @@ def test_imports_point_down(module, allowed):
 
 
 def test_no_module_imports_scipy():
-    importers = [m for m in MODULES if any(_imports_scipy(n) for n in ast.walk(_tree(m)))]
+    importers = [m for m in MODULES if any(_imports(n, "scipy") for n in ast.walk(_tree(m)))]
     assert importers == []
+
+
+def test_numpy_is_imported_only_inside_the_accessor():
+    for module in MODULES:
+        top = [n.lineno for n in _tree(module).body if _imports(n, "numpy")]
+        assert top == [], f"{module} imports numpy at the top, line {top}"
+    sites = [(m, n.lineno) for m in MODULES for n in ast.walk(_tree(m)) if _imports(n, "numpy")]
+    (accessor,) = (
+        f for f in _tree("dimer_core").body if isinstance(f, ast.FunctionDef) and f.name == "_numpy"
+    )
+    assert sites == [("dimer_core", n.lineno) for n in ast.walk(accessor) if _imports(n, "numpy")]
+    assert len(sites) == 1
 
 
 def test_cli_builds_no_result_record():
