@@ -33,6 +33,7 @@ from .dimer_core import (
     entanglement_of_formation,
     measures_from_correlator,
     mutual_information,
+    powder_g,
     temperature_from_correlator,
 )
 from .errors import (
@@ -65,7 +66,6 @@ from .thermo import (
     correlator_from_susceptibility,
     internal_energy,
     internal_energy_from_specific_heat,
-    powder_g,
     schottky_maximum,
     specific_heat,
     specific_heat_from_correlator,

@@ -15,6 +15,7 @@ significant digits (default 6).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Callable
@@ -126,8 +127,8 @@ def _cmd_theory(args: argparse.Namespace, precision: int) -> int:
     j_abs = abs(params.j_over_kb)
     t_min = args.t_min if args.t_min is not None else 0.02 * j_abs
     t_max = args.t_max if args.t_max is not None else 6.0 * j_abs
-    if not (0.0 < t_min < t_max):
-        raise _UsageError(f"need 0 < t-min < t-max, got {t_min:g} and {t_max:g}")
+    if not (0.0 < t_min < t_max < math.inf):
+        raise _UsageError(f"need 0 < t-min < t-max < inf, got {t_min:g} and {t_max:g}")
     if args.n_points < 2:
         raise _UsageError(f"need at least 2 grid points, got {args.n_points}")
     np = _numpy()
@@ -162,22 +163,20 @@ def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
             ("discord_at_death_bits", at_death.discord),
         ]
 
-        def measure(name: str) -> Callable[[float], float]:
-            return lambda t: getattr(dimer_core.correlation_set(params, t), name)
-
-        q_of, c_of, e_of = measure("discord"), measure("classical"), measure("entanglement")
-
-        t_qe, v_qe = numerics.find_crossing(q_of, e_of, 0.2 * j_abs, 1.0 * j_abs)
-        t_ce, v_ce = numerics.find_crossing(c_of, e_of, 0.2 * j_abs, 1.2 * j_abs)
+        # each crossing sits at a fixed correlator, so at a fixed k_B T/|J|
+        t_qe = dimer_core.temperature_from_correlator(params, dimer_core.QE_CROSSING_G)
+        t_ce = dimer_core.temperature_from_correlator(params, dimer_core.CE_CROSSING_G)
+        at_qe = dimer_core.measures_from_correlator(dimer_core.QE_CROSSING_G)
+        at_ce = dimer_core.measures_from_correlator(dimer_core.CE_CROSSING_G)
         lines += [
             ("QE_crossing_kT_over_absJ", t_qe / j_abs),
             ("QE_crossing_T_K", t_qe),
-            ("QE_crossing_bits", v_qe),
+            ("QE_crossing_bits", at_qe.discord),
             ("CE_crossing_kT_over_absJ", t_ce / j_abs),
             ("CE_crossing_T_K", t_ce),
-            ("CE_crossing_bits", v_ce),
+            ("CE_crossing_bits", at_ce.classical),
             # the discord does not pass through this crossing; report it too
-            ("CE_crossing_discord_bits", q_of(t_ce)),
+            ("CE_crossing_discord_bits", at_ce.discord),
         ]
     else:
         at_zero = dimer_core.measures_from_correlator(dimer_core.G_MAX)
@@ -512,6 +511,9 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     try:
+        t = getattr(args, "temperature", None)  # --T, checked before any note is printed
+        if t is not None and not 0.0 < t < math.inf:
+            raise _UsageError(f"--T must be a positive, finite temperature, got {t:g}")
         return args.func(args, precision)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """File ingestion, material presets, and result serialization.
 
-CSV files are UTF-8, ``#`` starts a comment line, a header line is
-required, and columns are picked out by name (extra columns are ignored,
-which lets result files round-trip as correlator input):
+CSV files are UTF-8 (a leading byte-order mark is skipped), ``#`` starts a
+comment line, a header line is required, and columns are picked out by name
+(extra columns are ignored, which lets result files round-trip as
+correlator input):
 
 * susceptibility:  ``T_K,chi_emu_per_mol[,sigma_chi]``   (emu/mol, CGS)
 * specific heat:   ``T_K,cm_over_R[,sigma]``  (dimensionless; the unit tag
@@ -275,7 +276,6 @@ def load_series(
     path: str | Path,
     kind: str,
     *,
-    units: str | None = None,
     normalization: str = "per_dimer",
 ) -> MeasurementSeries:
     """Read one measured curve from a CSV file.
@@ -286,9 +286,8 @@ def load_series(
         File in the schema described in the module docstring.
     kind : {"susceptibility", "specific_heat", "correlator"}
         Which curve the file holds; decides the value column looked for.
-    units : str, optional
-        Expected unit tag.  Defaults to whichever accepted tag the header
-        carries; passing it makes a mismatch an error instead of a guess.
+        The first accepted tag the header carries is read (``cm_over_R``
+        before ``cm_J_per_mol_K``), and the series' ``units`` name it.
     normalization : {"per_dimer", "per_monomer"}
         How the file is normalized.  Per-monomer values (and sigmas) are
         doubled on load; temperatures are never touched.  A correlator is
@@ -301,19 +300,17 @@ def load_series(
     if normalization == "per_monomer" and kind == "correlator":
         raise DataError("a correlator has no per-monomer form; it is not extensive")
     accepted = _VALUE_TAGS[kind]
-    if units is not None and units not in accepted:
-        raise DataError(f"unknown unit tag {units!r} for {kind}; accepted: {accepted}")
 
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {p}: {exc}") from exc
 
     header: list[str] | None = None
     rows: list[tuple[float, float, float | None]] = []
     t_col = v_col = s_col = -1
-    value_tag = units
+    value_tag = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -325,14 +322,11 @@ def load_series(
                 raise DataError(f"{p}:{line_no}: header lacks required column T_K")
             t_col = header.index("T_K")
             present = [tag for tag in accepted if tag in header]
-            if value_tag is None:
-                if not present:
-                    raise DataError(
-                        f"{p}:{line_no}: header has no {kind} column; expected one of {accepted}"
-                    )
-                value_tag = present[0]
-            elif value_tag not in header:
-                raise DataError(f"{p}:{line_no}: header lacks declared column {value_tag!r}")
+            if not present:
+                raise DataError(
+                    f"{p}:{line_no}: header has no {kind} column; expected one of {accepted}"
+                )
+            value_tag = present[0]
             v_col = header.index(value_tag)
             sigma_tag = _SIGMA_TAGS[kind]
             s_col = header.index(sigma_tag) if sigma_tag in header else -1
@@ -382,7 +376,7 @@ def load_series(
         temperatures=t_arr,
         values=v_arr,
         sigmas=s_arr,
-        units=value_tag if value_tag is not None else accepted[0],
+        units=value_tag,
     )
 
 

@@ -63,6 +63,8 @@ __all__ = [
     "G_MIN",
     "G_MAX",
     "DEATH_TEMPERATURE_SCALE",
+    "QE_CROSSING_G",
+    "CE_CROSSING_G",
     "PhysicalConstants",
     "CODATA",
     "DimerParameters",
@@ -89,6 +91,13 @@ G_MAX = 1.0 / 3.0
 
 # k_B T_e / |J|: the dimensionless entanglement-death temperature, 2/ln 3.
 DEATH_TEMPERATURE_SCALE = 2.0 / math.log(3.0)
+
+# Antiferro correlators where the entanglement of formation E crosses the
+# discord Q and the classical correlation C: roots of Q(g) = E(g) and
+# C(g) = E(g) on (-1, -1/3), correctly rounded from 50 digits.  Every measure
+# is a closed form of g, so each crossing sits at one universal k_B T/|J|.
+QE_CROSSING_G = -0.878753087946204
+CE_CROSSING_G = -0.6571969044257224
 
 _G_TOL = 1e-9  # float fuzz allowed on direct correlator inputs before we refuse
 _XLOG_CUTOFF = 1e-30  # below this, x*log2(x) is 0 to double precision anyway

@@ -9,7 +9,8 @@ identical outputs, bit for bit.
 
 The root finder is Brent's method written out here, and the fit reduces to
 a root of one slope by variable projection, so numpy is the one dependency,
-and only the series routines import it (not for a record of no samples).
+and only the series routines import it.  The Lambert W and the maximizer
+work to fixed tolerances, stated in their docstrings.
 """
 
 from __future__ import annotations
@@ -104,19 +105,19 @@ class FitResult:
         return self.evaluations
 
 
-def lambert_w(x: float, *, tol: float = 1e-12, max_iter: int = 50) -> float:
+def lambert_w(x: float) -> float:
     """Principal branch W(x) of ``w * exp(w) = x`` for ``x >= -1/e``.
 
     Halley refinement started from ``log1p(x)`` (or the square-root branch
     expansion close to -1/e), stopped when the residual ``|w e^w - x|``
-    drops below ``tol`` relative to ``|x|``.
+    drops below ``1e-12 |x|``.
 
     Raises
     ------
     DomainError
         If ``x < -1/e``.
     ConvergenceError
-        If the residual target is not met within ``max_iter`` steps.
+        If the residual target is not met within 50 steps.
     """
     x = float(x)
     branch_point = -1.0 / math.e
@@ -135,8 +136,8 @@ def lambert_w(x: float, *, tol: float = 1e-12, max_iter: int = 50) -> float:
     else:
         w = math.log1p(x)
 
-    target = tol * abs(x)
-    for _ in range(max_iter):
+    target = 1e-12 * abs(x)
+    for _ in range(50):
         ew = math.exp(w)
         f = w * ew - x
         if abs(f) <= target:
@@ -146,7 +147,7 @@ def lambert_w(x: float, *, tol: float = 1e-12, max_iter: int = 50) -> float:
         w -= f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
     if abs(w * math.exp(w) - x) <= target:
         return w
-    raise ConvergenceError(f"lambert_w({x!r}) did not reach tolerance in {max_iter} steps")
+    raise ConvergenceError(f"lambert_w({x!r}) did not reach tolerance in 50 steps")
 
 
 def find_root(
@@ -245,12 +246,11 @@ def find_crossing(
     g: Callable[[float], float],
     lo: float,
     hi: float,
-    *,
-    tol: float = 1e-12,
 ) -> tuple[float, float]:
     """Point where two curves cross inside ``[lo, hi]``.
 
-    Returns ``(x, f(x))``.  The difference ``f - g`` must change sign across
+    Returns ``(x, f(x))``, with ``x`` located by :func:`find_root` to its
+    default tolerance.  The difference ``f - g`` must change sign across
     the bracket; a pair of curves that agree at both endpoints (e.g. the
     same curve twice) is rejected rather than guessed at.  The difference
     is evaluated once per endpoint: the root finder gets those values back.
@@ -262,37 +262,31 @@ def find_crossing(
     endpoints = {lo: diff(lo), hi: diff(hi)}
     if endpoints[lo] == 0.0 and endpoints[hi] == 0.0:
         raise BracketError("curves coincide at both bracket endpoints; no isolated crossing")
-    x = find_root(lambda x: endpoints.pop(x) if x in endpoints else diff(x), lo, hi, tol=tol)
+    x = find_root(lambda x: endpoints.pop(x) if x in endpoints else diff(x), lo, hi)
     return x, f(x)
 
 
 def maximize_scalar(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    rel_tol: float = 1e-9,
-    max_iter: int = 200,
+    f: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float]:
     """Maximum of a unimodal ``f`` on ``[lo, hi]`` by golden-section search.
 
-    The bracket is shrunk until its width falls below ``rel_tol * (hi - lo)``;
-    returns ``(x_max, f(x_max))`` at the final midpoint.
+    The bracket is shrunk until its width falls below ``1e-9 (hi - lo)``,
+    within 200 steps or :class:`ConvergenceError`; returns
+    ``(x_max, f(x_max))`` at the final midpoint.
     """
     lo = float(lo)
     hi = float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise DomainError(f"invalid interval [{lo!r}, {hi!r}]")
-    if rel_tol <= 0.0:
-        raise DomainError("rel_tol must be positive")
     span = hi - lo
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc = f(c)
     fd = f(d)
-    for _ in range(max_iter):
-        if (b - a) <= rel_tol * span:
+    for _ in range(200):
+        if (b - a) <= 1e-9 * span:
             break
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -303,7 +297,7 @@ def maximize_scalar(
             d = a + _INV_PHI * (b - a)
             fd = f(d)
     else:
-        raise ConvergenceError(f"interval not reduced to tolerance in {max_iter} iterations")
+        raise ConvergenceError("interval not reduced to tolerance in 200 iterations")
     x = 0.5 * (a + b)
     return x, f(x)
 
@@ -325,8 +319,6 @@ def integrate_series_with_tail(
     an empty series with a tail gives the pure tail integral.
     """
     tail_part = tail.integral() if tail is not None else 0.0
-    if all(isinstance(s, (list, tuple)) and not s for s in (temperatures, values)):
-        return 0.0 + tail_part  # the sum below with no samples, built without numpy
     np = _numpy()
     t = np.asarray(temperatures, dtype=float)
     v = np.asarray(values, dtype=float)

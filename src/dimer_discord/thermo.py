@@ -28,12 +28,10 @@ from .dimer_core import (
     G_MIN,
     DimerParameters,
     FloatOrArray,
-    PhysicalConstants,
     _map,
     _numpy,
     bleaney_bowers,
     correlator_from_temperature,
-    powder_g,
     validate_correlator,
 )
 from .errors import (
@@ -43,16 +41,15 @@ from .errors import (
     InconsistencyError,
     NoSolutionError,
 )
-from .numerics import TailModel, find_root, integrate_series_with_tail, lambert_w
+from .numerics import TailModel, find_root, integrate_series_with_tail
 
 __all__ = [
-    "PhysicalConstants",
     "CODATA",
     "CM_PEAK_G_ANTIFERRO",
     "CM_PEAK_ANTIFERRO",
     "CM_PEAK_G_FERRO",
     "CM_PEAK_FERRO",
-    "powder_g",
+    "CHI_PEAK_W",
     "clamp_measured_correlator",
     "internal_energy",
     "ground_state_internal_energy",
@@ -78,6 +75,10 @@ CM_PEAK_G_ANTIFERRO = -0.8019936160953929
 CM_PEAK_ANTIFERRO = 1.0234905543865051
 CM_PEAK_G_FERRO = 0.28397164067231203
 CM_PEAK_FERRO = 0.16632055381487849
+
+# W(3/e), the principal Lambert W value that places the antiferro
+# susceptibility maximum; correctly rounded from 50 digits.
+CHI_PEAK_W = 0.603545739535836
 
 # measured values may overshoot the physical domain by this much (absolute
 # in G) before they are declared inconsistent with the dimer model
@@ -162,12 +163,11 @@ def internal_energy_from_specific_heat(
     anchored at the other end instead: u(infinity) = 0 exactly for the
     dimer, so ``u(t_start) = -a/t_start`` independent of any ``u0_over_r``.
     """
-    # validates the record; an empty one integrates to 0
-    data_integral = integrate_series_with_tail(temperatures, values, None)
-    if len(temperatures) == 0:
+    if len(temperatures) == len(values) == 0:  # no samples: numpy is not needed
         if tail is None:
             raise DataError("empty record and no tail: nothing to integrate")
         return tail.t_start, -tail.integral()
+    data_integral = integrate_series_with_tail(temperatures, values, None)  # validates too
     t_end = float(_numpy().asarray(temperatures, dtype=float)[-1])
     if tail is not None and tail.t_start < t_end:
         raise DataError(
@@ -340,7 +340,8 @@ def _chi_correlator(
 def susceptibility_maximum(params: DimerParameters) -> tuple[float, float]:
     """Location and height of the antiferro susceptibility maximum.
 
-    Closed form through the Lambert W function, with w = W(3/e):
+    Closed form through the Lambert W function, with w = W(3/e)
+    (:data:`CHI_PEAK_W`):
 
         k_B T_max / |J| = 2 / (1 + w)
         chi_max = N_A g^2 mu_B^2 w / (3 k_B |J|)
@@ -351,10 +352,9 @@ def susceptibility_maximum(params: DimerParameters) -> tuple[float, float]:
     if not params.antiferro:
         raise DomainError("only an antiferro dimer has a susceptibility maximum")
     g_factor = _require_g(params, "susceptibility maximum")
-    w = lambert_w(3.0 / math.e)
     j_abs = abs(params.j_over_kb)
-    t_max = 2.0 * j_abs / (1.0 + w)
-    chi_max = CODATA.curie_prefactor * g_factor**2 * w / (3.0 * j_abs)
+    t_max = 2.0 * j_abs / (1.0 + CHI_PEAK_W)
+    chi_max = CODATA.curie_prefactor * g_factor**2 * CHI_PEAK_W / (3.0 * j_abs)
     return t_max, chi_max
 
 

@@ -87,6 +87,27 @@ def fit_cost(j, g_factor, t, chi, sigma, curie):
     return total
 
 
+def entanglement_crossing(measure):
+    """The antiferro correlator, as a 50-digit mpf, where the entanglement of
+    formation crosses the discord (``measure="discord"``) or the classical
+    correlation (``"classical"``); each has one root on (-0.95, -0.4)."""
+
+    def classical(g):  # |g| = -g on the antiferro branch
+        return (_xlg(1 - g) + _xlg(1 + g)) / 2
+
+    def discord(g):
+        return (_xlg(1 - 3 * g) + 3 * _xlg(1 + g)) / 4 - classical(g)
+
+    def entanglement(g):
+        x = (1 + mp.sqrt(1 - ((1 + 3 * g) / 2) ** 2)) / 2
+        return -_xlg(x) - _xlg(1 - x)
+
+    f = {"discord": discord, "classical": classical}[measure]
+    return mp.findroot(
+        lambda g: f(g) - entanglement(g), (mp.mpf("-0.95"), mp.mpf("-0.4")), solver="anderson"
+    )
+
+
 # --- matrix routes -----------------------------------------------------------
 
 PAULI = (

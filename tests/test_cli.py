@@ -38,6 +38,17 @@ class TestExitCodes:
         assert run("from-neutron").returncode == 2  # neither --G nor --input
         assert run("landmarks").returncode == 2  # no coupling at all
         assert run("nonsense").returncode == 2
+        # a temperature must be positive and finite; refused before any note
+        invert = ["from-cm", "--J-over-kB", "-2.59", "--route", "invert", "--cm-over-R", "0.3"]
+        for argv in (
+            *(["from-neutron", "--G=-0.5", "--T", t] for t in ("-4", "0", "nan", "inf")),
+            [*invert, "--T", "nan"],
+            [*invert, "--T", "-4"],
+        ):
+            r = run(*argv)
+            assert (r.returncode, r.stdout) == (2, ""), argv
+            assert r.stderr.startswith("usage error: --T must be a positive, finite temperature")
+            assert "note" not in r.stderr
 
     def test_conflicting_parameter_sources(self):
         r = run("landmarks", "--preset", "copper-nitrate-magnetometric",
@@ -51,6 +62,9 @@ class TestExitCodes:
     def test_bad_theory_range(self):
         r = run("theory", "--J-over-kB", "-1", "--t-min", "5", "--t-max", "2")
         assert r.returncode == 2
+        r = run("theory", "--J-over-kB", "-1", "--t-min", "1", "--t-max", "inf")
+        assert r.returncode == 2
+        assert r.stderr == "usage error: need 0 < t-min < t-max < inf, got 1 and inf\n"
 
 
 class TestDeterminism:
@@ -157,6 +171,19 @@ class TestLandmarks:
         assert_allclose(float(got["discord_to_classical_T0"]), 4.07976, rtol=1e-5)
         assert_allclose(float(got["schottky_peak_kT_over_absJ"]), 0.925957, rtol=1e-5)
         assert "entanglement_death_T_K" not in got
+
+    @pytest.mark.parametrize("j", ["-1e-300", "-1e307"])
+    def test_crossings_are_universal_at_extreme_couplings(self, j, capsys):
+        # near both ends of the double range (subnormal T, and T near overflow)
+        # the crossings still sit at their fixed k_B T/|J|
+        from dimer_discord import cli
+
+        assert cli.main(["landmarks", f"--J-over-kB={j}"]) == 0
+        out = capsys.readouterr().out
+        got = dict(line.split(" = ") for line in out.strip().split("\n"))
+        assert got["QE_crossing_kT_over_absJ"] == "0.588083"
+        assert got["CE_crossing_kT_over_absJ"] == "0.926056"
+        assert_allclose(float(got["QE_crossing_T_K"]), 0.588083 * -float(j), rtol=1e-5)
 
     def test_two_j_flag_halves(self):
         a = run("landmarks", "--J-over-kB", "-2.59")

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -143,6 +144,39 @@ class TestLoadSeries:
         f.write_text("T_K,G\n")
         s = load_series(f, "correlator")
         assert len(s) == 0
+
+    def test_byte_order_mark_and_crlf_line_ends(self, tmp_path):
+        # as a spreadsheet exports it
+        f = tmp_path / "export.csv"
+        f.write_bytes(b"\xef\xbb\xbfT_K,chi_emu_per_mol\r\n4.0,0.126\r\n2.0,0.110\r\n")
+        s = load_series(f, "susceptibility")
+        assert_allclose(s.temperatures, [2.0, 4.0])
+        assert_allclose(s.values, [0.110, 0.126])
+        assert s.units == "chi_emu_per_mol"
+
+    @pytest.mark.parametrize(
+        "text, kwargs, message",
+        [
+            ("T_K,G\n4.0,nan\n", {}, r"x\.csv:2: column 'G' is not finite"),
+            (None, {}, r"cannot read .*x\.csv"),
+            ("# a comment only\n\n", {}, r"x\.csv: no header line found"),
+            (
+                "T_K,G\n4.0,-0.5\n",
+                {"normalization": "per_pair"},
+                "normalization must be per_dimer or per_monomer, got 'per_pair'",
+            ),
+        ],
+        ids=["non-finite-field", "unreadable-path", "no-header", "bad-normalization"],
+    )
+    def test_bad_input_rejected(self, tmp_path, text, kwargs, message):
+        f = tmp_path / "x.csv"
+        if text is not None:
+            f.write_text(text)
+        with pytest.raises(DataError, match=message):
+            load_series(f, "correlator", **kwargs)
+
+    def test_no_unit_option(self):
+        assert list(inspect.signature(load_series).parameters) == ["path", "kind", "normalization"]
 
     def test_unknown_kind(self, tmp_path):
         f = tmp_path / "x.csv"

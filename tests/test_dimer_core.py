@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
+from dimer_discord import thermo
 from dimer_discord.dimer_core import (
+    CE_CROSSING_G,
     DEATH_TEMPERATURE_SCALE,
     G_MAX,
     G_MIN,
+    QE_CROSSING_G,
     CorrelationSet,
     DimerParameters,
     bleaney_bowers,
@@ -58,6 +61,10 @@ class TestParameters:
     def test_g_tensor_coerced_to_tuple(self):
         p = DimerParameters(-1.0, [2.0, 2.0, 2.4])
         assert p.g_factor == (2.0, 2.0, 2.4)
+
+    def test_rejects_a_g_tensor_of_two_values(self):
+        with pytest.raises(DomainError, match="g tensor needs exactly three principal values"):
+            DimerParameters(-1.0, (2.0, 2.1))
 
     def test_rejects_nonpositive_g(self):
         with pytest.raises(DomainError):
@@ -282,6 +289,21 @@ class TestDeathTemperature:
     def test_ferro_rejected(self):
         with pytest.raises(DomainError):
             entanglement_death_temperature(FM)
+
+
+@pytest.mark.parametrize(
+    "frozen, exact",
+    [
+        (QE_CROSSING_G, lambda: oracles.entanglement_crossing("discord")),
+        (CE_CROSSING_G, lambda: oracles.entanglement_crossing("classical")),
+        (thermo.CHI_PEAK_W, lambda: oracles.mp.lambertw(3 / oracles.mp.e)),
+    ],
+    ids=["QE_CROSSING_G", "CE_CROSSING_G", "CHI_PEAK_W"],
+)
+def test_frozen_landmark_constant_is_correctly_rounded(frozen, exact):
+    x = exact()  # 50 digits
+    assert frozen == float(x)
+    assert abs(oracles.mp.mpf(frozen) - x) <= math.ulp(frozen) / 2
 
 
 class TestDensityMatrix:

@@ -6,6 +6,8 @@ function: the package runs on numpy alone.  numpy itself is imported at one
 place, inside ``dimer_core._numpy``, so that it loads with the first array
 and a scalar call never pays for it.  The CLI builds its
 output as column tables only, never through the one-point result record.
+The landmark crossings and the susceptibility maximum are frozen constants,
+so neither the CLI nor ``thermo`` calls a solver for them.
 """
 
 import ast
@@ -82,13 +84,26 @@ def test_numpy_is_imported_only_inside_the_accessor():
     assert len(sites) == 1
 
 
-def test_cli_builds_no_result_record():
+def _names(module: str) -> set[str]:
+    """Every name, attribute and imported alias the module mentions."""
     names = set()
-    for node in ast.walk(_tree("cli")):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-    assert not names & {"ResultRecord", "result_from_correlator"}
+    return names
+
+
+def test_cli_builds_no_result_record():
+    assert not _names("cli") & {"ResultRecord", "result_from_correlator"}
+
+
+@pytest.mark.parametrize(
+    "module, solvers",
+    [("cli", {"find_crossing", "lambert_w", "maximize_scalar"}), ("thermo", {"lambert_w"})],
+)
+def test_landmarks_come_from_frozen_constants_not_solvers(module, solvers):
+    assert not _names(module) & solvers

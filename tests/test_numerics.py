@@ -1,3 +1,4 @@
+import inspect
 import io
 import math
 
@@ -217,6 +218,19 @@ class TestMaximize:
             maximize_scalar(math.sin, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "solver, parameters",
+    [
+        (lambert_w, ["x"]),
+        (find_crossing, ["f", "g", "lo", "hi"]),
+        (maximize_scalar, ["f", "lo", "hi"]),
+    ],
+    ids=["lambert_w", "find_crossing", "maximize_scalar"],
+)
+def test_solvers_take_no_tolerance_options(solver, parameters):
+    assert list(inspect.signature(solver).parameters) == parameters
+
+
 class TestIntegrate:
     def test_linear_through_origin_is_exact(self):
         # ramp + trapezoid are both exact for f = c t, so the whole
@@ -267,6 +281,18 @@ class TestIntegrate:
             integrate_series_with_tail([0.0, 1.0], [1.0, 1.0])
         with pytest.raises(DataError):
             integrate_series_with_tail([1.0, 1.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "t, v, message",
+        [
+            ([1.0, 2.0], [1.0], "temperatures and values must be 1-d arrays of equal length"),
+            ([1.0, 2.0], [1.0, math.nan], "series contains non-finite entries"),
+        ],
+        ids=["shape-mismatch", "non-finite"],
+    )
+    def test_bad_series_rejected(self, t, v, message):
+        with pytest.raises(DataError, match=message):
+            integrate_series_with_tail(t, v)
 
     def test_tail_must_start_past_data(self):
         with pytest.raises(DataError):
@@ -440,6 +466,20 @@ class TestFit:
             fit_bleaney_bowers(
                 [2.0, 2.0, 2.0], [0.1, 0.1, 0.1], DimerParameters(-1.0, 2.0)
             )
+
+    @pytest.mark.parametrize(
+        "t, chi, message",
+        [
+            ([1.0, 2.0, 3.0], [0.1, 0.2], "temperatures and chi must be 1-d arrays of equal length"),
+            ([1.0, 2.0, 3.0], [0.1, math.inf, 0.3], "series contains non-finite entries"),
+            ([0.0, 2.0, 3.0], [0.1, 0.2, 0.3], "temperatures must be positive"),
+            ([-1.0, 2.0, 3.0], [0.1, 0.2, 0.3], "temperatures must be positive"),
+        ],
+        ids=["shape-mismatch", "non-finite", "zero-T", "negative-T"],
+    )
+    def test_bad_series_rejected(self, t, chi, message):
+        with pytest.raises(DataError, match=message):
+            fit_bleaney_bowers(t, chi, DimerParameters(-1.0, 2.0))
 
     def test_needs_a_g_factor(self):
         with pytest.raises(DomainError):

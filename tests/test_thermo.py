@@ -13,6 +13,7 @@ from dimer_discord.dimer_core import (
     G_MIN,
     DimerParameters,
     correlator_from_temperature,
+    powder_g,
 )
 from dimer_discord.errors import (
     DataError,
@@ -36,7 +37,6 @@ from dimer_discord.thermo import (
     internal_energy,
     internal_energy_from_specific_heat,
     internal_energy_from_susceptibility,
-    powder_g,
     schottky_maximum,
     specific_heat,
     specific_heat_from_correlator,
@@ -387,6 +387,52 @@ class TestClampMeasured:
             clamp_measured_correlator(-1.02)
         with pytest.raises(InconsistencyError):
             clamp_measured_correlator(0.35)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: specific_heat(CAL, 0.0), DomainError, "temperature must be positive, got 0.0"),
+        (lambda: susceptibility(MAG, -4.0), DomainError, "temperature must be positive, got -4.0"),
+        (
+            lambda: correlator_from_susceptibility(MAG, 0.1, 0.0),
+            DomainError,
+            "temperature must be positive, got 0.0",
+        ),
+        (
+            lambda: clamp_measured_correlator(math.nan),
+            InconsistencyError,
+            "measured value implies a non-finite correlator",
+        ),
+        (
+            lambda: correlator_from_internal_energy(CAL, math.nan),
+            DomainError,
+            "internal energy must be finite, got nan",
+        ),
+        (
+            lambda: internal_energy_from_specific_heat([1.0, 2.0], [0.1, 0.2], u0_over_r=math.nan),
+            DomainError,
+            "u0_over_r must be finite, got nan",
+        ),
+        (
+            lambda: specific_heat_from_susceptibility_series(MAG, [1.0, 2.0], [0.1]),
+            DataError,
+            "temperatures and chi values must be 1-d arrays of equal length",
+        ),
+    ],
+    ids=[
+        "specific-heat-at-zero-T",
+        "susceptibility-at-negative-T",
+        "chi-inversion-at-zero-T",
+        "clamp-nan",
+        "energy-inversion-nan",
+        "u0-nan",
+        "chi-series-shape-mismatch",
+    ],
+)
+def test_bad_input_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestCrossChannel:
