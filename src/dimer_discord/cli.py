@@ -24,7 +24,7 @@ from . import dataio, dimer_core, numerics, thermo
 from .dataio import PRESETS, ResultTable, load_series, parse_value_with_uncertainty, write_results
 from .dimer_core import DimerParameters, _numpy
 from .errors import DimerDiscordError
-from .numerics import TailModel, ValueWithUncertainty
+from .numerics import TailModel
 
 __all__ = ["main", "build_parser"]
 
@@ -206,52 +206,40 @@ def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
     return 0
 
 
-def _row(t: float | None, g: ValueWithUncertainty) -> tuple:
-    # all of an output row that the closed forms of G cannot give
-    return t, g.value, g.sigma, numerics.propagate_uncertainty(dimer_core.discord, g).sigma
-
-
-def _table(rows: list[tuple], channel: str) -> ResultTable:
-    """The output table of rows (T, G, sigma_G, sigma_Q), the measures computed
-    column-wise: as arrays for a series, as floats for a single point."""
-    t, g, sigma_g, sigma_q = zip(*rows) if rows else ((),) * 4
-    if len(rows) > 1:
-        g = _numpy().array(g, dtype=float)
-    table = dataio.results_from_correlators(t, g, channel)
-    return table._replace(sigma_correlator=sigma_g, sigma_discord=sigma_q)
+def _neutron_point(t: float | None, g: float) -> float:
+    # the neutron channel's scalar inversion: a measured correlator is only clamped
+    return thermo.clamp_measured_correlator(g, "neutron point")
 
 
 def _emit_series(
     series: dataio.MeasurementSeries,
-    invert: Callable[[float, ValueWithUncertainty], ValueWithUncertainty],
+    check: Callable[[float, float], float],
     channel: str,
     args: argparse.Namespace,
     precision: int,
+    invert: Callable | None = None,
 ) -> int:
-    """Print a result row per row of ``series``; ``invert(t, measured)`` gives its correlator.
+    """Print a result row per row of ``series`` that inverts; the rows go
+    through ``dataio._measured_results`` as columns, ``invert`` passed on.
 
-    A row that fails, its discord sigma included, is reported on stderr by
-    its 1-based number and left out; the command fails only when every row
-    does.
+    Each flagged row, in row order, runs again through ``check(t, value)``,
+    the channel's scalar inversion, to warn; a row that fails is reported on
+    stderr by its 1-based number and left out.  The command fails only when
+    every row does.
     """
-    temperatures = series.temperatures.tolist()
-    values = series.values.tolist()
-    sigmas = series.sigmas.tolist() if series.sigmas is not None else [0.0] * len(values)
-    rows = []
-    for i, (t, v, s) in enumerate(zip(temperatures, values, sigmas), start=1):
+    t, values = series.temperatures, series.values
+    sigmas = series.sigmas if series.sigmas is not None else _numpy().zeros_like(values)
+    table, status = dataio._measured_results(t, values, sigmas, channel, invert)
+    for i in status.nonzero()[0].tolist():
+        row = float(t[i]), float(values[i]), float(sigmas[i])
         try:
-            rows.append(_row(t, invert(t, ValueWithUncertainty(v, s))))
+            dataio._replay_row(check, *row, secant=invert is not None)
         except DimerDiscordError as exc:
-            print(f"row {i} (T = {t:g} K): {exc}", file=sys.stderr)
-    if values and not rows:
+            print(f"row {i + 1} (T = {row[0]:g} K): {exc}", file=sys.stderr)
+    if len(series) and not len(table.t):
         return 1
-    _emit(_table(rows, channel), args, precision)
+    _emit(table, args, precision)
     return 0
-
-
-def _clamped_neutron_point(t: float | None, v: ValueWithUncertainty) -> ValueWithUncertainty:
-    g = thermo.clamp_measured_correlator(v.value, "neutron point")
-    return ValueWithUncertainty(g, v.sigma)
 
 
 def _cmd_from_neutron(args: argparse.Namespace, precision: int) -> int:
@@ -259,12 +247,15 @@ def _cmd_from_neutron(args: argparse.Namespace, precision: int) -> int:
         raise _UsageError("give exactly one of --G or --input")
     if args.input is not None:
         series = load_series(args.input, "correlator")
-        return _emit_series(series, _clamped_neutron_point, "neutron", args, precision)
+        return _emit_series(series, _neutron_point, "neutron", args, precision)
     t = args.temperature
     if t is None:
         _note("no temperature given (--T); T_K is left empty")
-    g = _clamped_neutron_point(t, parse_value_with_uncertainty(args.g_value))
-    _emit(_table([_row(t, g)], "neutron"), args, precision)
+    g = parse_value_with_uncertainty(args.g_value)
+    table, status = dataio._measured_results(t, g.value, g.sigma, "neutron")
+    if status:  # warns, and raises for a point that fails
+        dataio._replay_row(_neutron_point, t, g.value, g.sigma, secant=False)
+    _emit(table, args, precision)
     return 0
 
 
@@ -272,13 +263,14 @@ def _cmd_from_chi(args: argparse.Namespace, precision: int) -> int:
     # the inversion reads only the g factor; the coupling may stay unset
     params = _resolve_parameters(args, need_coupling=False, need_g=True)
     series = load_series(args.input, "susceptibility", normalization=f"per_{args.per}")
-
-    def invert(t: float, chi: ValueWithUncertainty) -> ValueWithUncertainty:
-        return numerics.propagate_uncertainty(
-            lambda c: thermo.correlator_from_susceptibility(params, c, t), chi
-        )
-
-    return _emit_series(series, invert, "magnetometric", args, precision)
+    return _emit_series(
+        series,
+        lambda t, chi: thermo.correlator_from_susceptibility(params, chi, t),
+        "magnetometric",
+        args,
+        precision,
+        thermo._chi_inversion(params, series.temperatures),
+    )
 
 
 def _cmd_from_cm(args: argparse.Namespace, precision: int) -> int:
@@ -287,14 +279,11 @@ def _cmd_from_cm(args: argparse.Namespace, precision: int) -> int:
     if args.route == "invert":
         if args.temperature is None or args.cm_over_r is None:
             raise _UsageError("route invert needs --T and --cm-over-R")
-        t_peak, _ = thermo.schottky_maximum(params)
-        side = "hot" if args.temperature >= t_peak else "cold"
-        _note(
-            f"T = {args.temperature:g} K is on the {side} side of the Schottky peak "
-            f"({cell(t_peak)} K)"
-        )
         t = args.temperature
+        t_peak, _ = thermo.schottky_maximum(params)
+        side = "hot" if t >= t_peak else "cold"
         g = thermo.correlator_from_specific_heat(params, args.cm_over_r, side=side)
+        _note(f"T = {t:g} K is on the {side} side of the Schottky peak ({cell(t_peak)} K)")
     else:  # integrate route
         if args.input is None and args.tail_a is None:
             raise _UsageError("route integrate needs --input and/or --tail-a/--tail-from")
@@ -306,17 +295,17 @@ def _cmd_from_cm(args: argparse.Namespace, precision: int) -> int:
             t_arr, v_arr = series.temperatures, series.values
         else:
             t_arr = v_arr = ()
+        t, u = thermo.internal_energy_from_specific_heat(
+            t_arr, v_arr, tail=tail, u0_over_r=args.u0_over_r
+        )
+        g = thermo.correlator_from_internal_energy(params, u)
         if len(t_arr) == 0 and args.u0_over_r is not None:
             _note(
                 "tail-only record: the energy anchors at u(infinity) = 0, "
                 "so --u0-over-R is ignored"
             )
-        t_end, u = thermo.internal_energy_from_specific_heat(
-            t_arr, v_arr, tail=tail, u0_over_r=args.u0_over_r
-        )
-        _note(f"u({cell(t_end)} K)/R = {cell(u)} K")
-        t, g = t_end, thermo.correlator_from_internal_energy(params, u)
-    _emit(_table([_row(t, ValueWithUncertainty(g))], "calorimetric"), args, precision)
+        _note(f"u({cell(t)} K)/R = {cell(u)} K")
+    _emit(dataio._measured_results(t, g, 0.0, "calorimetric")[0], args, precision)
     return 0
 
 

@@ -23,15 +23,19 @@ import json
 import math
 import re
 from collections.abc import Callable, Sequence
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+from . import thermo
 from .dimer_core import (
-    CODATA, CorrelationSet, DimerParameters, _is_array, _numpy, discord, measures_from_correlator
+    CODATA, G_MAX, G_MIN, DimerParameters, FloatOrArray, _G_TOL, _clip, _is_array, _numpy,
+    discord, measures_from_correlator,
 )
 from .errors import DataError, DomainError, InconsistencyError
-from .numerics import ValueWithUncertainty, propagate_uncertainty
+from .numerics import (
+    _DROPPED, _REFUSED, ValueWithUncertainty, _secant_column, propagate_uncertainty
+)
 
 __all__ = [
     "R_GAS",
@@ -212,10 +216,7 @@ def result_from_correlator(
     measures are reported at the central value only.
     """
     m = measures_from_correlator(g.value)
-    if g.sigma > 0.0:
-        q = propagate_uncertainty(lambda v: m.discord if v == g.value else discord(v), g)
-    else:
-        q = ValueWithUncertainty(m.discord)
+    q = propagate_uncertainty(lambda v: m.discord if v == g.value else discord(v), g)
     return ResultRecord(
         t=t,
         correlator=g,
@@ -229,20 +230,12 @@ def result_from_correlator(
 
 def results_from_correlators(t: Column, g: Column, channel: str) -> ResultTable:
     """Expand exact correlators (no error bars) at temperatures ``t`` into a
-    table: :func:`result_from_correlator` for a whole column at once.  An
-    array ``g`` gives array columns; any other sequence gives tuples of the
-    same bits from the float closed forms, with a None temperature kept."""
-    if _is_array(g):
-        np = _numpy()
-        g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
-        m = measures_from_correlator(g)
-        zeros = np.zeros_like(g)
-    else:
-        g = tuple(map(float, g))
-        t = tuple(x if x is None else float(x) for x in t)
-        rows = [astuple(measures_from_correlator(x)) for x in g]
-        m = CorrelationSet(*(zip(*rows) if rows else [()] * 5))
-        zeros = (0.0,) * len(g)
+    table of float arrays: :func:`result_from_correlator` for a whole column
+    at once."""
+    np = _numpy()
+    g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
+    m = measures_from_correlator(g)
+    zeros = np.zeros_like(g)
     return ResultTable(
         t=t,
         correlator=g,
@@ -254,6 +247,62 @@ def results_from_correlators(t: Column, g: Column, channel: str) -> ResultTable:
         entanglement=m.entanglement,
         channel=[channel] * len(g),
     )
+
+
+def _discord_column(g: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
+    # the discord where validate_correlator takes g, refused where it raises
+    refused = (g < G_MIN - _G_TOL) | (g > G_MAX + _G_TOL)
+    return discord(_clip(g, G_MIN, G_MAX)), _REFUSED * refused
+
+
+def _measured_results(
+    t: Column,
+    measured: FloatOrArray,
+    sigma: FloatOrArray,
+    channel: str,
+    invert: Callable | None = None,
+) -> tuple[ResultTable, FloatOrArray]:
+    """Measured values and their sigmas, columns or one float point, to the
+    table of the rows kept and each row's status bits (``_DROPPED`` rows are
+    left out of a column table, not of a point's).
+
+    Without ``invert`` the values are correlators and ``sigma`` is sigma_G;
+    else ``invert`` is the channel's inversion before its clamp, and sigma_G
+    its secant.  The correlators are clamped as ``clamp_measured_correlator``
+    does, and sigma_Q is the discord's secant about the Q column.
+    """
+    if invert is None:
+        g, status = thermo._clamp_column(measured)
+        sigma_g = sigma
+    else:
+        g, status = thermo._clamp_column(invert(measured))
+        sigma_g, flags = _secant_column(
+            lambda x: thermo._clamp_column(invert(x)), g, measured, sigma
+        )
+        status |= flags
+    m = measures_from_correlator(g)
+    sigma_q, flags = _secant_column(_discord_column, m.discord, g, sigma_g)
+    status |= flags
+    columns = (t, g, sigma_g, m.discord, sigma_q, m.classical, m.mutual_information, m.entanglement)
+    if _is_array(g):
+        kept = (status & _DROPPED) == 0
+        columns = [column[kept] for column in columns]
+    else:
+        columns = [(column,) for column in columns]
+    return ResultTable(*columns, channel=[channel] * len(columns[1])), status
+
+
+def _replay_row(check: Callable, t: float | None, value: float, sigma: float, secant: bool):
+    """One row of :func:`_measured_results` again, through the public scalar
+    functions: they warn as the row needs, in order, and raise its error.
+    ``check(t, value)`` is the channel's scalar inversion; with ``secant``
+    sigma_G is its secant, else ``sigma`` is sigma_G."""
+    x = ValueWithUncertainty(value, sigma)
+    if secant:
+        g = propagate_uncertainty(lambda v: check(t, v), x)
+    else:
+        g = ValueWithUncertainty(check(t, value), sigma)
+    propagate_uncertainty(discord, g)
 
 
 # ---------------------------------------------------------------------------

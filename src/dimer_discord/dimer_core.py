@@ -208,6 +208,24 @@ def _map(fn: Callable[[float], float], x: FloatOrArray) -> FloatOrArray:
     return _numpy().fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
+def _clip(x: FloatOrArray, lo: float, hi: float) -> FloatOrArray:
+    """``x`` clipped to ``[lo, hi]``, a NaN sent to ``lo``."""
+    if _is_array(x):
+        return _numpy().fmin(hi, _numpy().fmax(lo, x))
+    return min(hi, max(lo, x))
+
+
+def _boltzmann(j: FloatOrArray, t: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
+    """``a = -2J/(k_B T)`` and ``e^a`` with its exponent capped at +-_EXP_ARG_MAX,
+    so that e stays finite even where a is infinite (T below ~|J|/1e308 K)."""
+    if _is_array(t) or _is_array(j):
+        with _numpy().errstate(over="ignore"):
+            a = -2.0 * j / t
+        return a, _map(math.exp, _clip(a, -_EXP_ARG_MAX, _EXP_ARG_MAX))
+    a = float(-2.0 * j / t)
+    return a, math.exp(a if abs(a) <= _EXP_ARG_MAX else math.copysign(_EXP_ARG_MAX, a))
+
+
 def _xlog2(x: FloatOrArray) -> FloatOrArray:
     # the entropy convention 0*log(0) = 0, with a guard well below double noise
     if type(x) is float:
@@ -256,12 +274,12 @@ def correlator_from_temperature(params: DimerParameters, t: FloatOrArray) -> Flo
     else:
         t = float(t)
     j = float(params.j_over_kb)
-    a = -2.0 * j / t
+    a, e = _boltzmann(j, t)
     # T -> 0 limit, where exp() would overflow: pure singlet (G=-1) or
     # thermal triplet (G=1/3)
     thawed = abs(a) <= _EXP_ARG_MAX
     frozen = abs(a) > _EXP_ARG_MAX
-    g = -1.0 + 4.0 / (3.0 + _map(math.exp, a * thawed))
+    g = -1.0 + 4.0 / (3.0 + e)
     return g * thawed + (G_MIN if j < 0.0 else G_MAX) * frozen
 
 
@@ -282,7 +300,7 @@ def temperature_from_correlator(params: DimerParameters, g: float) -> float:
         raise DomainError(
             f"correlator {g!r} not reachable at finite T with ferromagnetic coupling"
         )
-    return -2.0 * j / math.log(4.0 / (1.0 + g) - 3.0)
+    return -2.0 * (j / math.log(4.0 / (1.0 + g) - 3.0))  # divided first: no overflow
 
 
 # closed forms of an already validated correlator; public functions validate once
@@ -366,7 +384,10 @@ def entanglement_death_temperature(params: DimerParameters) -> float:
     """
     if params.j_over_kb > 0.0:
         raise DomainError("ferromagnetic dimers are separable at every temperature")
-    return DEATH_TEMPERATURE_SCALE * abs(params.j_over_kb)
+    t = DEATH_TEMPERATURE_SCALE * abs(params.j_over_kb)
+    if t == math.inf:
+        raise DomainError(f"death temperature overflows a double at J/k_B = {params.j_over_kb!r}")
+    return t
 
 
 def powder_g(gx: float, gy: float, gz: float) -> float:
@@ -391,10 +412,8 @@ def bleaney_bowers(
 
 def _unit_susceptibility(j: FloatOrArray, t: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
     """The g = 1 curve ``K = 2 N_A mu_B^2 / (k_B T (3 + e))`` and its factor
-    ``e = exp(-2J/(k_B T))`` (capped at e^700), which the fit's dK/dJ reuses."""
-    a = -2.0 * j / t
-    a = a if _is_array(a) else float(a)
-    e = _map(math.exp, a * (a <= _EXP_ARG_MAX) + _EXP_ARG_MAX * (a > _EXP_ARG_MAX))
+    ``e`` of :func:`_boltzmann`, which the fit's dK/dJ reuses."""
+    e = _boltzmann(j, t)[1]
     return 2.0 * CODATA.curie_prefactor / (t * (3.0 + e)), e
 
 

@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dimer_core import DimerParameters, _numpy, _unit_susceptibility
+from .dimer_core import DimerParameters, FloatOrArray, _numpy, _unit_susceptibility
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -49,6 +49,12 @@ _INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)  # golden-section shrink factor
 _ROOT_RTOL = 4.0 * sys.float_info.epsilon  # relative part of the root stop rule
 # |J| / T_min the fit searches: exp(2|J|/T) is capped above, chi is Curie's to ~1e-6 below
 _FIT_J_MIN, _FIT_J_MAX = 1e-6, 350.0
+
+# status bits of a measured row, 0 where it passes without a message; a
+# refused or undefined row is dropped, and its other bits mean nothing
+_CLAMPED_LOW, _CLAMPED_HIGH, _ONE_SIDED_UPPER, _ONE_SIDED_LOWER, _REFUSED, _UNDEFINED = (
+    1, 2, 4, 8, 16, 32)
+_DROPPED = _REFUSED | _UNDEFINED
 
 
 @dataclass(frozen=True)
@@ -360,30 +366,52 @@ def propagate_uncertainty(
     if x.sigma == 0.0:
         return ValueWithUncertainty(center, 0.0)
 
-    def attempt(point: float) -> float | None:
+    def attempt(point: float) -> tuple[float, int]:
         try:
-            return f(point)
+            return f(point), 0
         except ValueError:
-            return None
+            return center, _REFUSED
 
-    upper = attempt(x.value + x.sigma)
-    lower = attempt(x.value - x.sigma)
-    if upper is None and lower is None:
+    sigma, status = _secant_column(attempt, center, x.value, x.sigma)
+    if status & _UNDEFINED:
         raise DomainError(
             f"function undefined at both {x.value - x.sigma!r} and {x.value + x.sigma!r}"
         )
-    if upper is None or lower is None:
-        side = "upper" if upper is None else "lower"
+    if status:
+        side = "upper" if status & _ONE_SIDED_UPPER else "lower"
         warnings.warn(
             f"{side} endpoint outside the function domain; sigma taken one-sided",
             PropagationWarning,
             stacklevel=2,
         )
-        known = lower if upper is None else upper
-        sigma = abs(known - center)
-    else:
-        sigma = 0.5 * abs(upper - lower)
     return ValueWithUncertainty(center, sigma)
+
+
+def _secant_column(
+    f: Callable[[FloatOrArray], tuple], center: FloatOrArray, x: FloatOrArray, sigma: FloatOrArray
+) -> tuple[FloatOrArray, FloatOrArray]:
+    """The secant of :func:`propagate_uncertainty` on floats or columns, without
+    its messages: ``(sigma_f, status)``.  ``f`` gives ``(values, status)``,
+    ``_REFUSED`` where undefined, and ``center = f(x)``; the bits of a defined
+    endpoint pass to the row, and no endpoint counts where ``sigma`` is 0."""
+    spread = sigma > 0.0
+    upper, upper_status = f(x + sigma)
+    lower, lower_status = f(x - sigma)
+    up = spread & ((upper_status & _REFUSED) == 0)
+    lo = spread & ((lower_status & _REFUSED) == 0)
+    sigma_f = (
+        0.5 * abs(upper - lower) * (up & lo)
+        + abs(upper - center) * (up > lo)
+        + abs(lower - center) * (lo > up)
+    )
+    status = (
+        upper_status * up
+        | lower_status * lo
+        | _ONE_SIDED_UPPER * (lo > up)
+        | _ONE_SIDED_LOWER * (up > lo)
+        | _UNDEFINED * (spread > (up | lo))
+    )
+    return sigma_f, status
 
 
 def fit_bleaney_bowers(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .dimer_core import (
     CODATA,
@@ -28,6 +28,7 @@ from .dimer_core import (
     G_MIN,
     DimerParameters,
     FloatOrArray,
+    _clip,
     _map,
     _numpy,
     bleaney_bowers,
@@ -41,7 +42,9 @@ from .errors import (
     InconsistencyError,
     NoSolutionError,
 )
-from .numerics import TailModel, find_root, integrate_series_with_tail
+from .numerics import (
+    _CLAMPED_HIGH, _CLAMPED_LOW, _REFUSED, TailModel, find_root, integrate_series_with_tail
+)
 
 __all__ = [
     "CODATA",
@@ -95,20 +98,31 @@ def clamp_measured_correlator(g: float, source: str = "measured value") -> float
         raise InconsistencyError(f"{source} implies a non-finite correlator")
     if G_MIN <= g <= G_MAX:
         return g
-    if G_MIN - _EXPERIMENTAL_G_TOL <= g < G_MIN:
-        warnings.warn(
-            f"{source} implies correlator {g:.6g}; clamped to -1", DataWarning, stacklevel=3
+    clamped, status = _clamp_column(g)
+    if status & _REFUSED:
+        raise InconsistencyError(
+            f"{source} implies correlator {g:.6g}, outside [-1, 1/3] by more than "
+            f"{_EXPERIMENTAL_G_TOL:g}: inconsistent with an isolated dimer"
         )
-        return G_MIN
-    if G_MAX < g <= G_MAX + _EXPERIMENTAL_G_TOL:
-        warnings.warn(
-            f"{source} implies correlator {g:.6g}; clamped to 1/3", DataWarning, stacklevel=3
-        )
-        return G_MAX
-    raise InconsistencyError(
-        f"{source} implies correlator {g:.6g}, outside [-1, 1/3] by more than "
-        f"{_EXPERIMENTAL_G_TOL:g}: inconsistent with an isolated dimer"
+    if status:
+        edge = "-1" if status == _CLAMPED_LOW else "1/3"
+        warnings.warn(f"{source} implies correlator {g:.6g}; clamped to {edge}", DataWarning,
+                      stacklevel=3)
+    return clamped
+
+
+def _clamp_column(g: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
+    """:func:`clamp_measured_correlator` on a float or a column, without its
+    messages: ``(clamped, status)``, with ``_CLAMPED_LOW``/``_HIGH`` where it
+    warns and ``_REFUSED`` where it raises (NaN included)."""
+    tol = _EXPERIMENTAL_G_TOL
+    g = _clip(g, G_MIN - 1.0, G_MAX + 1.0)  # finite from here on; NaN is refused
+    status = (
+        _CLAMPED_LOW * ((g < G_MIN) & (g >= G_MIN - tol))
+        | _CLAMPED_HIGH * ((g > G_MAX) & (g <= G_MAX + tol))
+        | _REFUSED * ((g < G_MIN - tol) | (g > G_MAX + tol))
     )
+    return _clip(g, G_MIN, G_MAX), status
 
 
 def _require_g(params: DimerParameters, context: str) -> float:
@@ -210,10 +224,11 @@ def specific_heat(params: DimerParameters, temperature: float) -> float:
     if not math.isfinite(temperature) or temperature <= 0.0:
         raise DomainError(f"temperature must be positive, got {temperature!r}")
     a = 2.0 * params.j_over_kb / temperature
+    e = math.exp(-abs(a))
+    if e == 0.0:  # frozen out, a infinite included
+        return 0.0
     if a <= 0.0:
-        e = math.exp(a)
         return 3.0 * a * a * e / (1.0 + 3.0 * e) ** 2
-    e = math.exp(-a)
     return 3.0 * a * a * e / (e + 3.0) ** 2
 
 
@@ -289,7 +304,7 @@ def schottky_maximum(params: DimerParameters) -> tuple[float, float]:
     to t_peak = (J/k_B)(1+3g*)/2 — positive on both branches.
     """
     g_peak, cm_peak = _schottky_peak(params)
-    t_peak = params.j_over_kb * (1.0 + 3.0 * g_peak) / 2.0
+    t_peak = params.j_over_kb / 2.0 * (1.0 + 3.0 * g_peak)  # halved first: no overflow
     return t_peak, cm_peak
 
 
@@ -337,6 +352,19 @@ def _chi_correlator(
     return 2.0 * temperature * chi / (CODATA.curie_prefactor * g_factor**2) - 1.0
 
 
+def _chi_inversion(params: DimerParameters, temperatures: np.ndarray) -> Callable:
+    """:func:`correlator_from_susceptibility` at ``temperatures`` as a map of chi
+    columns, before its clamp: NaN where it refuses chi or T outright."""
+    g_factor, np = _require_g(params, "susceptibility inversion"), _numpy()
+
+    def invert(chi: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            g = _chi_correlator(g_factor, chi, temperatures)
+        return np.where((temperatures > 0.0) & (chi >= 0.0), g, np.nan)
+
+    return invert
+
+
 def susceptibility_maximum(params: DimerParameters) -> tuple[float, float]:
     """Location and height of the antiferro susceptibility maximum.
 
@@ -353,7 +381,7 @@ def susceptibility_maximum(params: DimerParameters) -> tuple[float, float]:
         raise DomainError("only an antiferro dimer has a susceptibility maximum")
     g_factor = _require_g(params, "susceptibility maximum")
     j_abs = abs(params.j_over_kb)
-    t_max = 2.0 * j_abs / (1.0 + CHI_PEAK_W)
+    t_max = 2.0 * (j_abs / (1.0 + CHI_PEAK_W))  # divided first: no overflow
     chi_max = CODATA.curie_prefactor * g_factor**2 * CHI_PEAK_W / (3.0 * j_abs)
     return t_max, chi_max
 
@@ -376,7 +404,7 @@ def specific_heat_from_susceptibility_series(
     Each point is inverted to a correlator and pushed through the closed
     form; no smoothing or differentiation is involved, so the result is a
     model-mediated consistency check between the two channels rather than a
-    numerical derivative.  Points are handled in order, as by
+    numerical derivative.  Points are reported in order, as by
     :func:`correlator_from_susceptibility` one at a time: one
     :class:`DataWarning` per clamped point, and the first bad point raises.
     """
@@ -385,10 +413,7 @@ def specific_heat_from_susceptibility_series(
     c = np.asarray(chi_values, dtype=float)
     if t.ndim != 1 or c.shape != t.shape:
         raise DataError("temperatures and chi values must be 1-d arrays of equal length")
-    g = _chi_correlator(_require_g(params, "susceptibility inversion"), c, t)
-    # points inside the physical range need no clamp; the rest (a clamp, a
-    # refusal or bad input) go through the one-point inversion, in row order
-    inside = (t > 0.0) & (c >= 0.0) & (g >= G_MIN) & (g <= G_MAX)
-    for i in np.flatnonzero(~inside).tolist():
-        g[i] = correlator_from_susceptibility(params, float(c[i]), float(t[i]))
+    g, status = _clamp_column(_chi_inversion(params, t)(c))
+    for i in np.flatnonzero(status).tolist():  # the one-point inversion warns or raises
+        correlator_from_susceptibility(params, float(c[i]), float(t[i]))
     return specific_heat_from_correlator(g)

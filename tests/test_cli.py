@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -185,6 +186,30 @@ class TestLandmarks:
         assert got["CE_crossing_kT_over_absJ"] == "0.926056"
         assert_allclose(float(got["QE_crossing_T_K"]), 0.588083 * -float(j), rtol=1e-5)
 
+    @pytest.mark.parametrize("j", ["-9e307", "1e308"])
+    def test_representable_temperatures_print_finite(self, j, capsys):
+        # |J| near the top of the double range: each temperature is formed
+        # by dividing before scaling, so none overflows to inf
+        from dimer_discord import cli
+
+        assert cli.main(["landmarks", f"--J-over-kB={j}"]) == 0
+        out, err = capsys.readouterr()
+        got = dict(line.split(" = ") for line in out.strip().split("\n"))
+        numbers = {key: float(v) for key, v in got.items() if key != "branch"}
+        assert all(map(math.isfinite, numbers.values())), numbers
+        assert_allclose(numbers["schottky_peak_T_K"], numbers["schottky_peak_kT_over_absJ"]
+                        * abs(float(j)), rtol=1e-5)
+        assert err == ""
+
+    def test_overflowing_death_temperature_is_refused(self, capsys):
+        # 1.82 |J| exceeds the largest double: an error, not "inf"
+        from dimer_discord import cli
+
+        assert cli.main(["landmarks", "--J-over-kB=-1e308"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: death temperature overflows a double at J/k_B = -1e+308\n"
+
     def test_two_j_flag_halves(self):
         a = run("landmarks", "--J-over-kB", "-2.59")
         b = run("landmarks", "--2J-over-kB", "-5.18")
@@ -259,6 +284,18 @@ class TestFromCm:
         _, rows = csv_rows(r.stdout)
         assert float(rows[0][1]) == 0
         assert float(rows[0][3]) == 0
+
+    @pytest.mark.parametrize("cm", ["nan", "-1"])
+    def test_invert_failure_prints_no_note(self, cm, capsys):
+        # the Schottky-side note follows a successful inversion only
+        from dimer_discord import cli
+
+        argv = ["from-cm", "--route", "invert", "--preset", "copper-nitrate-calorimetric",
+                "--T", "4", "--cm-over-R", cm]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: c_m/R must be non-negative, got {float(cm)!r}\n"
 
     def test_integrate_tail_only(self):
         r = run("from-cm", "--route", "integrate", "--tail-a", "6.6",
@@ -378,6 +415,15 @@ class TestTheory:
         assert len(rows) == 7
         t = [float(row[0]) for row in rows]
         assert t == sorted(t)
+
+    @pytest.mark.parametrize("j, g", [("-2", "-1"), ("2", "0.333333")])
+    def test_grid_from_the_smallest_double(self, j, g):
+        # 2|J|/T overflows a double at T = 5e-324 K; G takes its T -> 0 limit
+        r = run("theory", f"--J-over-kB={j}", "--t-min", "5e-324", "--t-max", "1",
+                "--n-points", "3", env={"PYTHONWARNINGS": "error"})
+        assert (r.returncode, r.stderr) == (0, "")
+        _, rows = csv_rows(r.stdout)
+        assert [row[1] for row in rows[:2]] == [g, g]
 
     def test_json_has_meta(self):
         r = run("theory", "--preset", "copper-acetate-hydrate", "--n-points", "5",

@@ -22,9 +22,16 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dimer_discord import cli
+from dimer_discord import cli, thermo
+from dimer_discord.dataio import results_from_correlators, write_results
+from dimer_discord.dimer_core import CODATA, DimerParameters, discord
+from dimer_discord.errors import DimerDiscordError
+from dimer_discord.numerics import ValueWithUncertainty, propagate_uncertainty
 
 GOLDEN = Path(__file__).with_name("golden_stdout.json")
 GOLDEN_STDERR = Path(__file__).with_name("golden_stderr.json")
@@ -183,16 +190,21 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 def _run(case: str, workdir: Path) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one case, every warning shown in order."""
+    return _shown(cli.main, _argv(case, workdir), env=CASE_ENV.get(case, {}))
+
+
+def _shown(fn, *args, env=None) -> tuple[object, str, str]:
+    """``fn(*args)``, its stdout and its stderr, every warning shown in order."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
-        stack.enter_context(_environment(CASE_ENV.get(case, {})))
+        stack.enter_context(_environment(env or {}))
         stack.enter_context(warnings.catch_warnings())
         warnings.simplefilter("always")
         warnings.showwarning = _show_warning
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
-        code = cli.main(_argv(case, workdir))
-    return code, out.getvalue(), err.getvalue()
+        result = fn(*args)
+    return result, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +228,93 @@ def test_stdout_matches_golden(case, golden, tmp_path):
 def test_stderr_matches_golden(case, golden_stderr, tmp_path):
     _, _, err = _run(case, tmp_path)
     assert err == golden_stderr[case]
+
+
+# Equivalence of the column path with the per-row path it replaced.  A row is
+# (T, G, sigma_G); the susceptibility series holds the chi that inverts to G
+# and its sigma, so that both channels see clamped rows (G within 0.01 of an
+# end), refused ones, sigma = 0, one-sided sigmas on both sides and sigmas
+# undefined on both sides (sigma_G above ~2/3).
+CHI_G_FACTOR = 2.11
+CHI_SCALE = CODATA.curie_prefactor * CHI_G_FACTOR**2 / 2.0  # chi * T per 1 + G
+CORRELATORS = st.one_of(
+    st.floats(-1.0, 1.0 / 3.0),
+    st.floats(-1.012, -0.998),
+    st.floats(0.331, 0.346),
+    st.floats(-1.6, 0.6),
+    st.sampled_from([-1.0, 1.0 / 3.0, 0.0]),
+)
+SIGMAS = st.one_of(st.just(0.0), st.floats(1e-4, 0.05), st.floats(0.3, 2.5))
+ROWS = st.lists(
+    st.tuples(st.floats(0.5, 20.0), CORRELATORS, SIGMAS),
+    min_size=1,
+    max_size=12,
+    unique_by=lambda row: row[0],
+)
+EDGE_ROWS = [  # CORRELATOR_EDGES, then sigma_G ending just inside and outside the
+    # 1e-9 that validate_correlator forgives beyond each end
+    (1.0, -0.95, 0.1), (2.0, -1.004, 0.01), (3.0, -1.5, 0.01), (4.0, -0.4, 2.0),
+    (5.0, 0.3, 0.1), (6.0, 0.335, 0.001), (7.0, -0.2, 0.05), (8.0, 0.1, 0.0),
+    (9.0, -0.99, 0.0100000005), (10.0, -0.99, 0.0100000015),
+    (11.0, 0.32, 0.0133333338), (12.0, 0.32, 0.0133333348),
+]
+# per channel: the command and file header, the file's (value, sigma) of a
+# row, and the channel's public scalar inversion
+CHANNELS = {
+    "neutron": (
+        ["from-neutron"],
+        "T_K,G,sigma_G",
+        lambda t, g, s: (g, s),
+        lambda t, g: thermo.clamp_measured_correlator(g, "neutron point"),
+    ),
+    "magnetometric": (
+        ["from-chi", "--g-factor", str(CHI_G_FACTOR)],
+        "T_K,chi_emu_per_mol,sigma_chi",
+        lambda t, g, s: ((1.0 + g) * CHI_SCALE / t, s * CHI_SCALE / t),
+        lambda t, chi: thermo.correlator_from_susceptibility(
+            DimerParameters(-1.0, CHI_G_FACTOR), chi, t
+        ),
+    ),
+}
+
+
+def _per_row(rows: list[tuple[float, float, float]], channel: str) -> tuple[int, str]:
+    """Exit code and 17-digit stdout of the per-row path on (T, value, sigma)
+    rows: the channel's public scalar inversion, propagate_uncertainty for
+    sigma_G (susceptibility) and sigma_Q, a stderr line per failed row."""
+    check = CHANNELS[channel][3]
+    kept = []
+    for i, (t, v, s) in enumerate(sorted(rows), start=1):
+        try:
+            x = ValueWithUncertainty(v, s)
+            if channel == "neutron":
+                g = ValueWithUncertainty(check(t, v), s)
+            else:
+                g = propagate_uncertainty(lambda c: check(t, c), x)
+            kept.append((t, g.value, g.sigma, propagate_uncertainty(discord, g).sigma))
+        except DimerDiscordError as exc:
+            print(f"row {i} (T = {t:g} K): {exc}", file=sys.stderr)
+    if not kept:
+        return 1, ""
+    t, g, sigma_g, sigma_q = (np.array(column) for column in zip(*kept))
+    table = results_from_correlators(t, g, channel)
+    table = table._replace(sigma_correlator=sigma_g, sigma_discord=sigma_q)
+    return 0, write_results(table, precision=17).decode("utf-8")
+
+
+@pytest.mark.parametrize("channel", sorted(CHANNELS))
+@settings(max_examples=150, deadline=None)
+@given(rows=ROWS)
+@example(rows=EDGE_ROWS)
+def test_column_path_prints_what_the_per_row_path_did(channel, rows, tmp_path_factory):
+    command, header, to_file, _ = CHANNELS[channel]
+    file_rows = [(t, *to_file(t, g, s)) for t, g, s in rows]
+    path = tmp_path_factory.mktemp("series") / "series.csv"
+    text = "".join(f"{t!r},{v!r},{s!r}\n" for t, v, s in file_rows)
+    path.write_text(f"{header}\n{text}", encoding="utf-8")
+    (code, out), _, err = _shown(_per_row, file_rows, channel)
+    argv = [*command, "--input", str(path)]
+    assert _shown(cli.main, argv, env={"DIMER_DISCORD_PRECISION": "17"}) == (code, out, err)
 
 
 def _regenerate() -> None:

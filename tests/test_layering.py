@@ -5,7 +5,8 @@ placed inside a function.  No module imports scipy, at the top or inside a
 function: the package runs on numpy alone.  numpy itself is imported at one
 place, inside ``dimer_core._numpy``, so that it loads with the first array
 and a scalar call never pays for it.  The CLI builds its
-output as column tables only, never through the one-point result record.
+output as column tables only, never through the one-point result record,
+and takes no uncertainty secant of its own.
 The landmark crossings and the susceptibility maximum are frozen constants,
 so neither the CLI nor ``thermo`` calls a solver for them.
 """
@@ -99,6 +100,11 @@ def _names(module: str) -> set[str]:
 
 def test_cli_builds_no_result_record():
     assert not _names("cli") & {"ResultRecord", "result_from_correlator"}
+
+
+def test_cli_takes_no_secant_of_its_own():
+    # sigma_G and sigma_Q come from the column path, whose secant is numerics'
+    assert "propagate_uncertainty" not in _names("cli")
 
 
 @pytest.mark.parametrize(

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from test_dimer_core import assert_same_bits
 
 import oracles
 from dimer_discord.dimer_core import (
     G_MAX,
     G_MIN,
     DimerParameters,
+    bleaney_bowers,
     correlator_from_temperature,
     powder_g,
 )
@@ -301,6 +303,26 @@ class TestSusceptibility:
         with pytest.warns(DataWarning):
             g = correlator_from_susceptibility(MAG, chi_ceiling * 1.001, 300.0)
         assert g == G_MAX
+
+
+@pytest.mark.parametrize("j", [-2.0, 2.0])
+def test_forward_maps_below_the_smallest_temperature_scale(j):
+    # at T = 5e-324 K, 2|J|/T overflows a double: every map takes its T -> 0
+    # limit, with no NaN and no numpy warning, and a column agrees with the
+    # float bit for bit (the ferro chi ~ 1/T overflows in truth: left aside)
+    p = DimerParameters(j, 2.11)
+    t = np.array([5e-324, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = correlator_from_temperature(p, 5e-324)
+        assert g == (G_MIN if j < 0.0 else G_MAX)
+        assert_same_bits(correlator_from_temperature(p, t)[:1], [g])
+        assert internal_energy(p, 5e-324) == -1.5 * j * g
+        assert specific_heat(p, 5e-324) == 0.0
+        if j < 0.0:
+            chi = susceptibility(p, 5e-324)
+            assert math.isfinite(chi)
+            assert_same_bits(bleaney_bowers(j, 2.11, t)[:1], [chi])
 
 
 class TestSusceptibilityMaximum:
