@@ -21,7 +21,7 @@ import sys
 from typing import Callable
 
 from . import dataio, dimer_core, numerics, thermo
-from .dataio import PRESETS, ResultTable, load_series, parse_value_with_uncertainty, write_results
+from .dataio import PRESETS, ResultTable, load_series, parse_value_with_uncertainty
 from .dimer_core import DimerParameters, _numpy
 from .errors import DimerDiscordError
 from .numerics import TailModel
@@ -105,13 +105,9 @@ def _resolve_parameters(
 
 
 def _emit(table: ResultTable, args: argparse.Namespace, precision: int) -> None:
-    data = write_results(
-        table,
-        args.format,
-        preset_name=getattr(args, "preset", None),
-        precision=precision,
-    )
-    sys.stdout.write(data.decode("utf-8"))
+    # the text write_results encodes, written as it is
+    preset_name = getattr(args, "preset", None)
+    sys.stdout.write(dataio._results_text(table, args.format, preset_name, precision))
 
 
 def _note(text: str) -> None:

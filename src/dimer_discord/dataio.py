@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -430,20 +430,20 @@ def load_series(
 
 
 # ---------------------------------------------------------------------------
-# writing: one cell formatter and one column-wise table writer serve every output
+# writing: one cell formatter and one row template per table serve every output
 
 
-def _number_formatter(precision: int) -> Callable[[object], str]:
+def _number_spec(precision: int) -> str:
     if precision < 1 or precision > 17:
         raise DomainError(f"precision must be in [1, 17], got {precision}")
-    return f"%.{precision}g".__mod__
+    return f"%.{precision}g"
 
 
 def cell_formatter(precision: int) -> Callable[[object], str]:
     """Formatter for one output cell, its format string built once: strings
     as they are, None as an empty field, booleans as ``true``/``false``,
     integers in full, other numbers with ``precision`` significant digits."""
-    number = _number_formatter(precision)
+    number = _number_spec(precision).__mod__
 
     def cell(x: object) -> str:
         if isinstance(x, float):
@@ -461,6 +461,21 @@ def cell_formatter(precision: int) -> Callable[[object], str]:
     return cell
 
 
+_BLOCK_ROWS = 4096  # rows formatted at a time: only one block's cells are alive
+
+
+def _row_blocks(
+    template: str, columns: Sequence[Column], cells: Sequence[Callable], sep: str
+) -> Iterator[str]:
+    """Each block of rows of ``columns`` filled into ``template``, the rows
+    joined by ``sep``; ``cells[k]`` turns a block of column k into the
+    values its fields take.  Rows stop with the shortest column."""
+    n = min(map(len, columns), default=0)
+    for start in range(0, n, _BLOCK_ROWS):
+        block = [f(column[start:start + _BLOCK_ROWS]) for f, column in zip(cells, columns)]
+        yield sep.join(map(template.__mod__, zip(*block)))
+
+
 def text_table(
     columns: Sequence[Column],
     precision: int,
@@ -471,35 +486,64 @@ def text_table(
     """The rows of ``columns`` as lines, cells joined by ``sep``: CSV below a
     ``header`` line, or ``key = value`` lines with ``sep=" = "``.
 
-    Each column is formatted once: a float array with ``precision``
-    significant digits, any other sequence cell by cell as
-    :func:`cell_formatter` says.
+    Every line comes from one ``%`` row template, built once from the kinds
+    of the columns: a float array fills a ``%.{precision}g`` field with its
+    values, a column of strings a ``%s`` field as they are, and any other
+    sequence a ``%s`` field with its cells formatted by :func:`cell_formatter`.
     """
-    number = _number_formatter(precision)
+    number = _number_spec(precision)
     cell = cell_formatter(precision)
-    cells = [
-        map(number, column.tolist()) if _is_array(column) else map(cell, column)
-        for column in columns
+    fields, cells = [], []
+    for column in columns:
+        if _is_array(column):
+            fields.append(number)
+            cells.append(lambda block: block.tolist())
+        else:
+            fields.append("%s")
+            strings = {*map(type, column)} <= {str}
+            cells.append((lambda block: block) if strings else (lambda block: map(cell, block)))
+    template = sep.replace("%", "%%").join(fields) + "\n"
+    head = "" if header is None else sep.join(header) + "\n"
+    return "".join([head, *_row_blocks(template, columns, cells, "")])
+
+
+def _json_floats(strings: Iterable[str]) -> list[str]:
+    """json's tokens for the floats that number strings stand for: their
+    ``repr``.  A NaN or infinity raises ValueError, as
+    ``json.dumps(allow_nan=False)`` does."""
+    tokens = list(map(repr, map(float, strings)))
+    if {"nan", "inf", "-inf"}.intersection(tokens):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return tokens
+
+
+def _json_numbers(precision: int) -> Callable[[Iterable[str]], list[str]]:
+    """json's tokens for the ``%.{precision}g`` strings of floats.
+
+    Up to 15 digits (DBL_DIG) a normal double keeps the digits of its
+    string, so the string is its token where the two layouts agree.  They
+    differ only on an integer or ``-0``, which needs ``.0``, and on an
+    exponent from ``precision`` to 15, which ``repr`` writes out in full;
+    those, and exponents of 308 and more in size (subnormals, which may lose
+    digits, and roundings past the largest double), go through
+    :func:`_json_floats`.  Past 15 digits every string does.
+    """
+    if precision > 15:
+        return _json_floats
+
+    def other(s: str) -> str:
+        if "e" in s:
+            exponent = int(s.partition("e")[2])
+            if -308 < exponent < 308 and not precision <= exponent < 16:
+                return s
+        elif s[-1].isdigit():  # a negative integer, or -0
+            return s + ".0"
+        return _json_floats((s,))[0]
+
+    return lambda strings: [
+        s if "." in s and "e" not in s else s + ".0" if s.isdigit() else other(s)
+        for s in strings
     ]
-    lines = [sep.join(header)] if header is not None else []
-    lines += map(sep.join, zip(*cells))
-    return "\n".join([*lines, ""])
-
-
-_ROWS_MARK = "\0rows"  # stands in for the table while the rest is dumped
-
-
-def _json_cells(column: Column, number: Callable[[object], str]) -> list[str]:
-    """JSON tokens of one column of scalar cells, each float first rounded
-    by ``number``; a NaN or infinity raises ValueError."""
-    if _is_array(column):
-        rounded = list(map(float, map(number, column.tolist())))
-    else:
-        rounded = [_rounded(x, number) for x in column]
-    if not rounded:
-        return []
-    # json's own token for each cell; no token holds a raw newline
-    return json.dumps(rounded, allow_nan=False, separators=("\n", ":"))[1:-1].split("\n")
 
 
 def _rounded(x: object, number: Callable[[object], str]) -> object:
@@ -512,6 +556,9 @@ def _rounded(x: object, number: Callable[[object], str]) -> object:
     return x
 
 
+_ROWS_MARK = "\0rows"  # stands in for the table while the rest is dumped
+
+
 def json_text(
     doc: dict,
     precision: int,
@@ -520,32 +567,62 @@ def json_text(
     keys: Sequence[str] | None = None,
 ) -> str:
     """Indented JSON of ``doc`` and a table, with every float rounded to
-    ``precision`` significant digits; a NaN or infinity raises ValueError.
+    ``precision`` significant digits; a NaN or infinity, or a float that
+    rounds past the largest double, raises ValueError.
 
     ``doc`` gains a last key ``"rows"`` holding the table ``rows`` (given as
-    columns): one object per row keyed by ``keys``, or one array per row
-    without keys.  The table is written column-wise; the bytes are those of
-    ``json.dumps(..., indent=2)`` of the rounded document with the table in it.
+    columns of scalar cells): one object per row keyed by ``keys``, or one
+    array per row without keys.  The bytes are those of
+    ``json.dumps(..., indent=2)`` of the rounded document with the table in
+    it.  The table comes from one ``%s`` row template at that depth; a
+    float's token is taken from its ``%.{precision}g`` string as
+    :func:`_json_numbers` says, any other cell is dumped by ``json``.
     """
-    number = _number_formatter(precision)
+    number = _number_spec(precision).__mod__
+    numbers = _json_numbers(precision)
     text = json.dumps(_rounded({**doc, "rows": _ROWS_MARK}, number), indent=2, allow_nan=False)
-    tokens = [_json_cells(column, number) for column in rows]
+
+    def floats(block: np.ndarray) -> list[str]:
+        return numbers(map(number, block.tolist()))
+
+    def scalars(block: Sequence[object]) -> list[str]:
+        return [numbers((number(x),))[0] if isinstance(x, float) else json.dumps(x) for x in block]
+
     if keys is None:
         opening, closing = "[", "]"
-        names = [""] * len(tokens)
+        names = [""] * len(rows)
     else:
         opening, closing = "{", "}"
         names = [json.dumps(key).replace("%", "%%") + ": " for key in keys]
     # one row at the depth json.dumps(indent=2) gives the items of a top-level key
-    cells = ",\n".join(f"      {name}%s" for name in names)
-    template = f"    {opening}\n{cells}\n    {closing}"
-    table = ",\n".join(map(template.__mod__, zip(*tokens)))
-    table = f"[\n{table}\n  ]" if table else "[]"
+    fields = ",\n".join(f"      {name}%s" for name in names)
+    template = f"    {opening}\n{fields}\n    {closing}"
+    cells = [floats if _is_array(column) else scalars for column in rows]
+    table = ",\n".join(_row_blocks(template, rows, cells, ",\n"))
     head, _, tail = text.rpartition(json.dumps(_ROWS_MARK))
-    return head + table + tail + "\n"
+    return "".join([head, "[\n", table, "\n  ]", tail, "\n"] if table else [head, "[]", tail, "\n"])
 
 
 _RESULT_COLUMNS = ("T_K", "G", "sigma_G", "Q", "sigma_Q", "C", "I", "E", "channel")
+
+
+def _results_text(
+    table: ResultTable, fmt: str, preset_name: str | None, precision: int
+) -> str:
+    """The text of :func:`write_results`, which the CLI writes as it is."""
+    if fmt not in ("csv", "json"):
+        raise DataError(f"format must be csv or json, got {fmt!r}")
+    _check_table(table)
+    if fmt == "csv":
+        return text_table(table, precision, header=_RESULT_COLUMNS)
+
+    channels = set(table.channel)
+    meta = {
+        "channel": channels.pop() if len(channels) == 1 else "mixed",
+        "preset": preset_name,
+        "units": {"T_K": "kelvin", "G": "dimensionless", "correlations": "bit"},
+    }
+    return json_text({"meta": meta}, precision, rows=table[:-1], keys=_RESULT_COLUMNS[:-1])
 
 
 def write_results(
@@ -561,20 +638,7 @@ def write_results(
     (default 6), so identical inputs give identical bytes.  A row without
     a temperature has an empty ``T_K`` field (``null`` in JSON).
     """
-    if fmt not in ("csv", "json"):
-        raise DataError(f"format must be csv or json, got {fmt!r}")
-    _check_table(table)
-    if fmt == "csv":
-        return text_table(table, precision, header=_RESULT_COLUMNS).encode("utf-8")
-
-    channels = set(table.channel)
-    meta = {
-        "channel": channels.pop() if len(channels) == 1 else "mixed",
-        "preset": preset_name,
-        "units": {"T_K": "kelvin", "G": "dimensionless", "correlations": "bit"},
-    }
-    text = json_text({"meta": meta}, precision, rows=table[:-1], keys=_RESULT_COLUMNS[:-1])
-    return text.encode("utf-8")
+    return _results_text(table, fmt, preset_name, precision).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

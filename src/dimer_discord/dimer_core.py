@@ -411,10 +411,36 @@ def bleaney_bowers(
 
 
 def _unit_susceptibility(j: FloatOrArray, t: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
-    """The g = 1 curve ``K = 2 N_A mu_B^2 / (k_B T (3 + e))`` and its factor
-    ``e`` of :func:`_boltzmann`, which the fit's dK/dJ reuses."""
-    e = _boltzmann(j, t)[1]
+    """The g = 1 curve ``K = 2 N_A mu_B^2 / (k_B T (3 + e^a))`` and the capped
+    factor ``e`` of :func:`_boltzmann`, which the fit's dK/dJ reuses.
+
+    The cap would hold K up where a > _EXP_ARG_MAX; there 3 e^-a is below
+    half an ulp of 1, and K = 2 N_A mu_B^2 e^-a / (k_B T), taken through
+    its logarithm so that no factor underflows early.
+    """
+    if _is_array(t) or _is_array(j):
+        a, e = _boltzmann(j, t)
+        k = 2.0 * CODATA.curie_prefactor / (t * (3.0 + e))
+        cold = a > _EXP_ARG_MAX
+        if cold.any():
+            np = _numpy()
+            k, cold = np.array(k), np.asarray(cold)  # a 0-d result is a numpy scalar
+            t_cold, a_cold = (np.broadcast_to(x, k.shape)[cold].tolist() for x in (t, a))
+            k[cold] = list(map(_frozen_unit_susceptibility, t_cold, a_cold))
+        return k, e
+    a = float(-2.0 * j / t)
+    if abs(a) <= _EXP_ARG_MAX:
+        e = math.exp(a)
+    elif a < 0.0:
+        e = math.exp(-_EXP_ARG_MAX)
+    else:
+        return _frozen_unit_susceptibility(t, a), math.exp(_EXP_ARG_MAX)
     return 2.0 * CODATA.curie_prefactor / (t * (3.0 + e)), e
+
+
+def _frozen_unit_susceptibility(t: float, a: float) -> float:
+    # K of _unit_susceptibility where a > _EXP_ARG_MAX
+    return math.exp(math.log(2.0 * CODATA.curie_prefactor) - math.log(t) - a)
 
 
 def density_matrix(g: float) -> np.ndarray:

@@ -382,8 +382,11 @@ def susceptibility_maximum(params: DimerParameters) -> tuple[float, float]:
     g_factor = _require_g(params, "susceptibility maximum")
     j_abs = abs(params.j_over_kb)
     t_max = 2.0 * (j_abs / (1.0 + CHI_PEAK_W))  # divided first: no overflow
-    chi_max = CODATA.curie_prefactor * g_factor**2 * CHI_PEAK_W / (3.0 * j_abs)
-    return t_max, chi_max
+    height = CODATA.curie_prefactor * g_factor**2 * CHI_PEAK_W
+    three_j = 3.0 * j_abs
+    if three_j == math.inf:  # |J| above ~6e307: divided first there, and only there
+        return t_max, height / 3.0 / j_abs
+    return t_max, height / three_j
 
 
 def internal_energy_from_susceptibility(

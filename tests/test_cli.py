@@ -201,6 +201,14 @@ class TestLandmarks:
                         * abs(float(j)), rtol=1e-5)
         assert err == ""
 
+    def test_susceptibility_peak_where_three_j_overflows(self, capsys):
+        from dimer_discord import cli
+
+        assert cli.main(["landmarks", "--J-over-kB=-9e307", "--g-factor", "2"]) == 0
+        got = dict(line.split(" = ") for line in capsys.readouterr().out.strip().split("\n"))
+        assert got["chi_peak_reduced"] == "0.201182"
+        assert_allclose(float(got["chi_peak_emu_per_mol"]), 3.35436e-309, rtol=1e-5)
+
     def test_overflowing_death_temperature_is_refused(self, capsys):
         # 1.82 |J| exceeds the largest double: an error, not "inf"
         from dimer_discord import cli

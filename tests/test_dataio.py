@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dimer_discord import dimer_core
+from dimer_discord import dataio, dimer_core
 from dimer_discord.dataio import (
     PRESETS,
     MaterialPreset,
@@ -506,12 +506,20 @@ def as_rows(columns):
 
 
 KEYS = ["T_K", 'a"b', "%s", "Q"]
+# where 15 and 16 digits part: 16 digits need not survive the double
+# (0.587851162064913 prints 0.5878511620649129), and an exponent of 15 is
+# written out in full by repr, 16 is not
+BOUNDARY = [0.587851162064913, 2.0 / 3.0, 1e15, 123456789012345.0, 1234567890123456.0, 1e16, 1e-5]
 
 
 class TestTableWriter:
     @settings(max_examples=150, deadline=None)
     @given(columns=tables(), precision=st.integers(1, 17))
     @example(columns=[np.array([-0.0, 5e-324, 1e16]), [None, 4.0, "theory"]], precision=6)
+    @example(columns=[np.array([1e6, 1.23457e15, 1e16]), np.array([-0.0, 5.0, 5e-324])], precision=6)
+    @example(columns=[np.array(BOUNDARY), np.array(BOUNDARY[::-1])], precision=15)
+    @example(columns=[np.array(BOUNDARY), np.array(BOUNDARY[::-1])], precision=16)
+    @example(columns=[[None, 4.0, 1e6], ["theory", "neutron", "%s"]], precision=6)
     def test_csv_matches_row_writer(self, columns, precision):
         header = KEYS[: len(columns)]
         expected = reference_text_rows([header, *as_rows(columns)], precision)
@@ -532,6 +540,25 @@ class TestTableWriter:
         keyed=True,
         meta=None,
     )
+    # the %g string is json's token except for these: 1e+06 and 1.23457e+15
+    # are written out in full, 1e+16 is not; -0 and 5 need .0; 5e-324 is
+    # 4.94066e-324 at six digits
+    @example(
+        columns=[np.array([1e6, 1.23457e15, 1e16]), np.array([-0.0, 5.0, 5e-324])],
+        precision=6,
+        keyed=True,
+        meta=1e6,
+    )
+    @example(columns=[np.array(BOUNDARY), [*BOUNDARY[::-1]]], precision=15, keyed=False, meta=None)
+    @example(columns=[np.array(BOUNDARY), [*BOUNDARY[::-1]]], precision=16, keyed=True, meta=None)
+    @example(
+        columns=[[None, 4.0, 1e6], ["theory", "neutron", "%s"], np.array([0.0, 5.0, 1e15])],
+        precision=6,
+        keyed=True,
+        meta="x",
+    )
+    # rounds to 2e+308 at one digit, past the largest double: refused in a list too
+    @example(columns=[[1.0, 1.7976931348623157e308]], precision=1, keyed=False, meta=None)
     def test_json_matches_dumped_document(self, columns, precision, keyed, meta):
         doc = {"meta": {"value": meta, "units": ["K", "bit"]}, "n": 3, "ok": True}
         rows = as_rows(columns)
@@ -548,6 +575,20 @@ class TestTableWriter:
                 json_text(doc, precision, rows=columns, keys=keys)
         else:
             assert json_text(doc, precision, rows=columns, keys=keys) == expected
+
+    def test_rows_past_one_block(self):
+        # rows are formatted a block at a time; a table over two blocks long
+        # reads as the row writer and the dumped document say
+        n = 2 * dataio._BLOCK_ROWS + 3
+        columns = [
+            np.linspace(-1.0, 1e6, n),
+            [None if i % 7 == 0 else i / 3.0 for i in range(n)],
+            np.zeros(n),
+        ]
+        expected = reference_text_rows([KEYS[:3], *as_rows(columns)], 6)
+        assert text_table(columns, 6, header=KEYS[:3]) == expected
+        table = [dict(zip(KEYS, row)) for row in as_rows(columns)]
+        assert json_text({}, 6, rows=columns, keys=KEYS[:3]) == reference_json({"rows": table}, 6)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("as_array", [True, False])

@@ -26,6 +26,7 @@ from dimer_discord.errors import (
 )
 from dimer_discord.numerics import TailModel, maximize_scalar
 from dimer_discord.thermo import (
+    CHI_PEAK_W,
     CM_PEAK_ANTIFERRO,
     CM_PEAK_FERRO,
     CM_PEAK_G_ANTIFERRO,
@@ -264,6 +265,26 @@ class TestSusceptibility:
                 rtol=1e-12,
             )
 
+    @pytest.mark.parametrize(
+        "j, t",
+        [(-2.0, 4.0 / 705.0), (-1e-300, 2e-300 / 745.0), (-1e-200, 2e-200 / 750.0),
+         (-2.0, 1e-300), (-2.0, 5e-324)],
+    )
+    def test_matches_exact_oracle_past_the_exponent_cap(self, j, t):
+        # a = 2|J|/T > 700, where e^a is capped for the fit: chi still falls as
+        # e^-a, to 0 where that underflows (it stayed near 2C g^2 e^-700/T)
+        chi = bleaney_bowers(j, 2.11, t)
+        exact = oracles.bleaney_bowers(j, 2.11, t, CODATA.curie_prefactor)
+        assert_allclose(chi, exact, rtol=1e-12, atol=0.0)
+        assert_same_bits(bleaney_bowers(j, 2.11, np.array([t, 1.0]))[:1], [chi])
+
+    @pytest.mark.parametrize("a", [-750.0, -700.0, -3.0, 0.5, 699.0, 700.0])
+    def test_capped_range_keeps_its_formula(self, a):
+        j = -0.5 * a  # at T = 1 K
+        e = math.exp(max(a, -700.0))
+        expected = 2.11 * 2.11 * (2.0 * CODATA.curie_prefactor / (1.0 * (3.0 + e)))
+        assert bleaney_bowers(j, 2.11, 1.0) == expected
+
     def test_needs_g_factor(self):
         with pytest.raises(DomainError):
             susceptibility(CAL, 4.0)
@@ -343,6 +364,22 @@ class TestSusceptibilityMaximum:
     def test_ferro_has_none(self):
         with pytest.raises(DomainError):
             susceptibility_maximum(DimerParameters(35.4, 2.13))
+
+    def test_matches_mpmath_where_three_j_overflows(self):
+        # 3|J| overflows above ~6e307, so chi_max is divided by 3 first there
+        mp = oracles.mp
+        t_max, chi_max = susceptibility_maximum(DimerParameters(-9e307, 2.0))
+        w = mp.lambertw(3 / mp.e)
+        exact = mp.mpf(CODATA.curie_prefactor) * 4 * w / (3 * mp.mpf(9e307))
+        assert abs(chi_max - float(exact)) <= 5e-324  # a subnormal: one step
+        reduced = chi_max * 9e307 / (CODATA.curie_prefactor * 4.0)
+        assert_allclose(reduced, float(w / 3), rtol=1e-14)
+        assert_allclose(t_max, float(2 * mp.mpf(9e307) / (1 + w)), rtol=1e-15)
+
+    @pytest.mark.parametrize("j", [-1e-300, -2.56, -204.0, -5.9e307])
+    def test_ordinary_couplings_keep_their_bits(self, j):
+        _, chi_max = susceptibility_maximum(DimerParameters(j, 2.11))
+        assert chi_max == CODATA.curie_prefactor * 2.11**2 * CHI_PEAK_W / (3.0 * -j)
 
 
 class TestEnergyFromRecord:
