@@ -7,9 +7,10 @@ Seven subcommands: ``theory`` (sweep the exact curves), ``landmarks``
 
 Conventions: machine-readable output on stdout, notes and warnings on
 stderr; exit 0 on success, 1 when a computation fails, 2 on usage errors.
-Identical invocations produce byte-identical stdout.  The environment
-variable ``DIMER_DISCORD_PRECISION`` overrides the printed number of
-significant digits (default 6).
+Identical invocations produce byte-identical stdout.  Every warning is
+shown, in the order it is raised, as one ``Category: text`` line.  The
+environment variable ``DIMER_DISCORD_PRECISION`` overrides the printed
+number of significant digits (default 6).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from typing import Callable
 
 from . import dataio, dimer_core, numerics, thermo
@@ -114,6 +116,10 @@ def _note(text: str) -> None:
     print(f"note: {text}", file=sys.stderr)
 
 
+def _show_warning(message, category, *_) -> None:
+    sys.stderr.write(f"{category.__name__}: {message}\n")  # no path:line: or source line
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -139,7 +145,6 @@ def _cmd_theory(args: argparse.Namespace, precision: int) -> int:
 
 def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
     params = _resolve_parameters(args)
-    j_abs = abs(params.j_over_kb)
     lines: list[tuple[str, object]] = [
         ("branch", "antiferro" if params.antiferro else "ferro"),
         ("J_over_kB_K", params.j_over_kb),
@@ -147,6 +152,8 @@ def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
     g_scalar = params.scalar_g
     if g_scalar is not None:
         lines.append(("g_factor", g_scalar))
+    # each k_B T/|J| line is universal: read at |J| = 1, not divided by a rounded T
+    unit = DimerParameters(math.copysign(1.0, params.j_over_kb), g_scalar)
 
     if params.antiferro:
         t_death = dimer_core.entanglement_death_temperature(params)
@@ -160,15 +167,16 @@ def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
         ]
 
         # each crossing sits at a fixed correlator, so at a fixed k_B T/|J|
-        t_qe = dimer_core.temperature_from_correlator(params, dimer_core.QE_CROSSING_G)
-        t_ce = dimer_core.temperature_from_correlator(params, dimer_core.CE_CROSSING_G)
-        at_qe = dimer_core.measures_from_correlator(dimer_core.QE_CROSSING_G)
-        at_ce = dimer_core.measures_from_correlator(dimer_core.CE_CROSSING_G)
+        qe, ce = dimer_core.QE_CROSSING_G, dimer_core.CE_CROSSING_G
+        t_qe = dimer_core.temperature_from_correlator(params, qe)
+        t_ce = dimer_core.temperature_from_correlator(params, ce)
+        at_qe = dimer_core.measures_from_correlator(qe)
+        at_ce = dimer_core.measures_from_correlator(ce)
         lines += [
-            ("QE_crossing_kT_over_absJ", t_qe / j_abs),
+            ("QE_crossing_kT_over_absJ", dimer_core.temperature_from_correlator(unit, qe)),
             ("QE_crossing_T_K", t_qe),
             ("QE_crossing_bits", at_qe.discord),
-            ("CE_crossing_kT_over_absJ", t_ce / j_abs),
+            ("CE_crossing_kT_over_absJ", dimer_core.temperature_from_correlator(unit, ce)),
             ("CE_crossing_T_K", t_ce),
             ("CE_crossing_bits", at_ce.classical),
             # the discord does not pass through this crossing; report it too
@@ -184,18 +192,18 @@ def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
 
     t_peak, cm_peak = thermo.schottky_maximum(params)
     lines += [
-        ("schottky_peak_kT_over_absJ", t_peak / j_abs),
+        ("schottky_peak_kT_over_absJ", thermo.schottky_maximum(unit)[0]),
         ("schottky_peak_T_K", t_peak),
         ("schottky_peak_cm_over_R", cm_peak),
     ]
     if params.antiferro and g_scalar is not None:
         t_chi, chi_max = thermo.susceptibility_maximum(params)
-        reduced = chi_max * j_abs / (thermo.CODATA.curie_prefactor * g_scalar**2)
         lines += [
-            ("chi_peak_kT_over_absJ", t_chi / j_abs),
+            ("chi_peak_kT_over_absJ", thermo.susceptibility_maximum(unit)[0]),
             ("chi_peak_T_K", t_chi),
             ("chi_peak_emu_per_mol", chi_max),
-            ("chi_peak_reduced", reduced),
+            # chi_max |J| / (N_A g^2 mu_B^2 / k_B)
+            ("chi_peak_reduced", thermo.CHI_PEAK_W / 3.0),
         ]
 
     sys.stdout.write(dataio.text_table(list(zip(*lines)), precision, sep=" = "))
@@ -244,10 +252,10 @@ def _cmd_from_neutron(args: argparse.Namespace, precision: int) -> int:
     if args.input is not None:
         series = load_series(args.input, "correlator")
         return _emit_series(series, _neutron_point, "neutron", args, precision)
+    g = parse_value_with_uncertainty(args.g_value)  # a value it refuses prints no note
     t = args.temperature
     if t is None:
         _note("no temperature given (--T); T_K is left empty")
-    g = parse_value_with_uncertainty(args.g_value)
     table, status = dataio._measured_results(t, g.value, g.sigma, "neutron")
     if status:  # warns, and raises for a point that fails
         dataio._replay_row(_neutron_point, t, g.value, g.sigma, secant=False)
@@ -499,7 +507,10 @@ def main(argv: list[str] | None = None) -> int:
         t = getattr(args, "temperature", None)  # --T, checked before any note is printed
         if t is not None and not 0.0 < t < math.inf:
             raise _UsageError(f"--T must be a positive, finite temperature, got {t:g}")
-        return args.func(args, precision)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # a repeated row remark is shown again
+            warnings.showwarning = _show_warning
+            return args.func(args, precision)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

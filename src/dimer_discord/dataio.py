@@ -23,14 +23,13 @@ import json
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 from . import thermo
 from .dimer_core import (
     CODATA, G_MAX, G_MIN, DimerParameters, FloatOrArray, _G_TOL, _clip, _is_array, _numpy,
-    discord, measures_from_correlator,
+    _validated_make, discord, measures_from_correlator,
 )
 from .errors import DataError, DomainError, InconsistencyError
 from .numerics import (
@@ -72,22 +71,22 @@ _SIGMA_TAGS = {
 }
 
 
-@dataclass(eq=False)
 class MeasurementSeries:
-    """One experimental curve, already normalized per mole of dimers."""
+    """One experimental curve, already normalized per mole of dimers; its
+    ``len()`` is its number of rows, and it equals only itself."""
 
-    kind: str
-    temperatures: np.ndarray
-    values: np.ndarray
-    sigmas: np.ndarray | None
-    units: str
+    __slots__ = ("kind", "temperatures", "values", "sigmas", "units")
+
+    def __init__(self, kind: str, temperatures: np.ndarray, values: np.ndarray,
+                 sigmas: np.ndarray | None, units: str):
+        self.kind, self.temperatures, self.values = kind, temperatures, values
+        self.sigmas, self.units = sigmas, units
 
     def __len__(self) -> int:
         return int(self.temperatures.size)
 
 
-@dataclass(frozen=True)
-class MaterialPreset:
+class MaterialPreset(NamedTuple):
     """Fitted parameters for a material, as published."""
 
     name: str
@@ -146,12 +145,7 @@ def preset(name: str) -> MaterialPreset:
         raise DataError(f"unknown preset {name!r}; available: {known}") from None
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    """One point: a correlator and everything derived from it, as
-    :func:`result_from_correlator` gives it (``t`` is None for a correlator
-    given without a temperature)."""
-
+class _ResultRecord(NamedTuple):
     t: float | None
     correlator: ValueWithUncertainty
     discord: ValueWithUncertainty
@@ -160,13 +154,24 @@ class ResultRecord:
     entanglement: float
     channel: str
 
-    def __post_init__(self):
-        if self.channel not in _CHANNELS:
-            raise DataError(f"channel must be one of {_CHANNELS}, got {self.channel!r}")
-        if abs(self.discord.value - (self.mutual_information - self.classical)) > 1e-12:
+
+class ResultRecord(_ResultRecord):
+    """One point: a correlator and everything derived from it, as
+    :func:`result_from_correlator` gives it (``t`` is None for a correlator
+    given without a temperature)."""
+
+    __slots__ = ()
+    _make = classmethod(_validated_make)
+
+    def __new__(cls, *fields, **named):
+        record = super().__new__(cls, *fields, **named)
+        if record.channel not in _CHANNELS:
+            raise DataError(f"channel must be one of {_CHANNELS}, got {record.channel!r}")
+        if abs(record.discord.value - (record.mutual_information - record.classical)) > 1e-12:
             raise InconsistencyError(
                 "discord does not equal mutual information minus classical correlation"
             )
+        return record
 
 
 # a table column: a float array, or any sequence of cells
@@ -656,19 +661,23 @@ def parse_value_with_uncertainty(text: str) -> ValueWithUncertainty:
 
     ``"-0.54(9)"`` means -0.54 with one sigma of 0.09: the parenthesized
     digits scale the last decimal place of the mantissa.  A bare number has
-    sigma 0.  An exponent suffix applies to both.
+    sigma 0.  An exponent suffix applies to both.  Each number is read from
+    its decimal string in one correctly rounded step; one that lies beyond
+    the largest double raises :class:`DataError`.
     """
     s = text.strip().replace("−", "-")  # tolerate a typographic minus
     m = _VWU_RE.match(s)
     if m is None:
         raise DataError(f"cannot parse {text!r} as value(uncertainty)")
-    mantissa = m.group("mantissa")
-    exponent = m.group("exponent")
-    scale = 10.0 ** int(exponent[1:]) if exponent else 1.0
-    value = float(mantissa) * scale
-    digits = m.group("digits")
-    if digits is None:
-        return ValueWithUncertainty(value, 0.0)
-    decimals = len(mantissa.partition(".")[2])
-    sigma = int(digits) * 10.0 ** (-decimals) * scale
+    mantissa, digits, exponent = m.groups(default="")
+    value = float(mantissa + exponent)
+    sigma = 0.0
+    if digits:
+        # the digits with the mantissa's decimal point: "9" under "-0.54" is "0.09"
+        decimals = len(mantissa.partition(".")[2])
+        padded = digits.rjust(decimals + 1, "0")
+        cut = len(padded) - decimals
+        sigma = float(f"{padded[:cut]}.{padded[cut:]}{exponent}")
+    if not (math.isfinite(value) and math.isfinite(sigma)):
+        raise DataError(f"{text!r} lies beyond the range of a double")
     return ValueWithUncertainty(value, sigma)

@@ -51,8 +51,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError
 
@@ -80,7 +79,6 @@ __all__ = [
     "entanglement_death_temperature",
     "powder_g",
     "bleaney_bowers",
-    "density_matrix",
     "ppt_eigenvalues",
     "measures_from_correlator",
     "correlation_set",
@@ -104,8 +102,7 @@ _XLOG_CUTOFF = 1e-30  # below this, x*log2(x) is 0 to double precision anyway
 _EXP_ARG_MAX = 700.0  # exp() overflows near 709; beyond this use the T=0 limit
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(NamedTuple):
     """CODATA-2018 constants in CGS-emu, as used by magnetochemists."""
 
     avogadro: float = 6.02214076e23  # 1/mol (exact)
@@ -122,8 +119,17 @@ class PhysicalConstants:
 CODATA = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class DimerParameters:
+def _validated_make(cls, fields):
+    # _make, and so _replace, of a validating record goes through its __new__
+    return cls(*fields)
+
+
+class _DimerParameters(NamedTuple):
+    j_over_kb: float
+    g_factor: float | tuple[float, float, float] | None = None
+
+
+class DimerParameters(_DimerParameters):
     """Exchange coupling and, when needed, the spectroscopic g factor.
 
     Parameters
@@ -136,26 +142,23 @@ class DimerParameters:
         powder-averaged, or None when no magnetometric work is planned.
     """
 
-    j_over_kb: float
-    g_factor: float | tuple[float, float, float] | None = None
+    __slots__ = ()
+    _make = classmethod(_validated_make)
 
-    def __post_init__(self):
-        j = self.j_over_kb
+    def __new__(cls, j_over_kb: float, g_factor=None):
+        j = j_over_kb
         if not isinstance(j, (int, float)) or not math.isfinite(j) or j == 0.0:
             raise DomainError(f"j_over_kb must be finite and nonzero, got {j!r}")
-        gf = self.g_factor
-        if gf is None:
-            return
-        if isinstance(gf, (list, tuple)):
-            if len(gf) != 3:
+        if isinstance(g_factor, (list, tuple)):
+            if len(g_factor) != 3:
                 raise DomainError("g tensor needs exactly three principal values")
-            comps = tuple(float(c) for c in gf)
-            powder_g(*comps)  # raises DomainError on a component that is not positive
-            object.__setattr__(self, "g_factor", comps)
-        else:
-            g = float(gf)
+            g_factor = tuple(float(c) for c in g_factor)
+            powder_g(*g_factor)  # raises DomainError on a component that is not positive
+        elif g_factor is not None:
+            g = float(g_factor)
             if not math.isfinite(g) or g <= 0.0:
-                raise DomainError(f"g factor must be positive, got {gf!r}")
+                raise DomainError(f"g factor must be positive, got {g_factor!r}")
+        return super().__new__(cls, j_over_kb, g_factor)
 
     @property
     def antiferro(self) -> bool:
@@ -171,8 +174,7 @@ class DimerParameters:
         return powder_g(*gf) if isinstance(gf, tuple) else float(gf)
 
 
-@dataclass(frozen=True)
-class CorrelationSet:
+class CorrelationSet(NamedTuple):
     """All five correlation measures of one thermal state, in bits per dimer."""
 
     mutual_information: float
@@ -441,26 +443,6 @@ def _unit_susceptibility(j: FloatOrArray, t: FloatOrArray) -> tuple[FloatOrArray
 def _frozen_unit_susceptibility(t: float, a: float) -> float:
     # K of _unit_susceptibility where a > _EXP_ARG_MAX
     return math.exp(math.log(2.0 * CODATA.curie_prefactor) - math.log(t) - a)
-
-
-def density_matrix(g: float) -> np.ndarray:
-    """4x4 thermal density matrix ``(1 + G sigma_1 . sigma_2)/4``.
-
-    Basis order ``|00>, |01>, |10>, |11>``.  Real, symmetric, unit trace;
-    positive semidefinite exactly on the physical range of ``g``.
-    """
-    g = validate_correlator(g)
-    d = 0.25 * (1.0 + g)
-    m = 0.25 * (1.0 - g)
-    o = 0.5 * g
-    return _numpy().array(
-        [
-            [d, 0.0, 0.0, 0.0],
-            [0.0, m, o, 0.0],
-            [0.0, o, m, 0.0],
-            [0.0, 0.0, 0.0, d],
-        ]
-    )
 
 
 def ppt_eigenvalues(g: float) -> np.ndarray:

@@ -18,10 +18,9 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .dimer_core import DimerParameters, FloatOrArray, _numpy, _unit_susceptibility
+from .dimer_core import DimerParameters, FloatOrArray, _numpy, _unit_susceptibility, _validated_make
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -57,40 +56,49 @@ _CLAMPED_LOW, _CLAMPED_HIGH, _ONE_SIDED_UPPER, _ONE_SIDED_LOWER, _REFUSED, _UNDE
 _DROPPED = _REFUSED | _UNDEFINED
 
 
-@dataclass(frozen=True)
-class ValueWithUncertainty:
-    """A scalar with a one-sigma spread (sigma = 0 means exact)."""
-
+class _ValueWithUncertainty(NamedTuple):
     value: float
     sigma: float = 0.0
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise DomainError(f"value must be finite, got {self.value!r}")
-        if not math.isfinite(self.sigma) or self.sigma < 0.0:
-            raise DomainError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+
+class ValueWithUncertainty(_ValueWithUncertainty):
+    """A scalar with a one-sigma spread (sigma = 0 means exact)."""
+
+    __slots__ = ()
+    _make = classmethod(_validated_make)
+
+    def __new__(cls, value: float, sigma: float = 0.0):
+        if not math.isfinite(value):
+            raise DomainError(f"value must be finite, got {value!r}")
+        if not math.isfinite(sigma) or sigma < 0.0:
+            raise DomainError(f"sigma must be finite and >= 0, got {sigma!r}")
+        return super().__new__(cls, value, sigma)
 
 
-@dataclass(frozen=True)
-class TailModel:
-    """High-temperature continuation ``c(T) = a / T**2`` above ``t_start``."""
-
+class _TailModel(NamedTuple):
     a: float
     t_start: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.a) or self.a < 0.0:
-            raise DomainError(f"tail coefficient must be >= 0, got {self.a!r}")
-        if not math.isfinite(self.t_start) or self.t_start <= 0.0:
-            raise DomainError(f"tail start must be positive, got {self.t_start!r}")
+
+class TailModel(_TailModel):
+    """High-temperature continuation ``c(T) = a / T**2`` above ``t_start``."""
+
+    __slots__ = ()
+    _make = classmethod(_validated_make)
+
+    def __new__(cls, a: float, t_start: float):
+        if not math.isfinite(a) or a < 0.0:
+            raise DomainError(f"tail coefficient must be >= 0, got {a!r}")
+        if not math.isfinite(t_start) or t_start <= 0.0:
+            raise DomainError(f"tail start must be positive, got {t_start!r}")
+        return super().__new__(cls, a, t_start)
 
     def integral(self) -> float:
         """Exact integral of the tail over [t_start, infinity)."""
         return self.a / self.t_start
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Outcome of a susceptibility fit."""
 
     parameters: DimerParameters
@@ -105,10 +113,6 @@ class FitResult:
     @property
     def g_factor(self) -> float:
         return self.parameters.g_factor
-
-    @property
-    def iterations(self) -> int:
-        return self.evaluations
 
 
 def lambert_w(x: float) -> float:

@@ -55,7 +55,6 @@ __all__ = [
     "CHI_PEAK_W",
     "clamp_measured_correlator",
     "internal_energy",
-    "ground_state_internal_energy",
     "correlator_from_internal_energy",
     "internal_energy_from_specific_heat",
     "specific_heat",
@@ -65,8 +64,6 @@ __all__ = [
     "susceptibility",
     "correlator_from_susceptibility",
     "susceptibility_maximum",
-    "internal_energy_from_susceptibility",
-    "specific_heat_from_susceptibility_series",
 ]
 
 
@@ -140,12 +137,6 @@ def internal_energy(params: DimerParameters, temperature: float) -> float:
     """Magnetic internal energy u/R in kelvin, per mole of dimers."""
     g = correlator_from_temperature(params, temperature)
     return -1.5 * params.j_over_kb * g
-
-
-def ground_state_internal_energy(params: DimerParameters) -> float:
-    """u(T=0)/R: 1.5 J/k_B below a singlet ground state, -0.5 J/k_B ferro."""
-    g0 = G_MIN if params.antiferro else G_MAX
-    return -1.5 * params.j_over_kb * g0
 
 
 def correlator_from_internal_energy(params: DimerParameters, u_over_r: float) -> float:
@@ -387,36 +378,3 @@ def susceptibility_maximum(params: DimerParameters) -> tuple[float, float]:
     if three_j == math.inf:  # |J| above ~6e307: divided first there, and only there
         return t_max, height / 3.0 / j_abs
     return t_max, height / three_j
-
-
-def internal_energy_from_susceptibility(
-    params: DimerParameters, chi: float, temperature: float
-) -> float:
-    """Cross-channel bridge: u/R implied by one susceptibility point."""
-    g = correlator_from_susceptibility(params, chi, temperature)
-    return -1.5 * params.j_over_kb * g
-
-
-def specific_heat_from_susceptibility_series(
-    params: DimerParameters,
-    temperatures: Sequence[float] | np.ndarray,
-    chi_values: Sequence[float] | np.ndarray,
-) -> np.ndarray:
-    """Predict c_m/R pointwise from a measured chi(T) record.
-
-    Each point is inverted to a correlator and pushed through the closed
-    form; no smoothing or differentiation is involved, so the result is a
-    model-mediated consistency check between the two channels rather than a
-    numerical derivative.  Points are reported in order, as by
-    :func:`correlator_from_susceptibility` one at a time: one
-    :class:`DataWarning` per clamped point, and the first bad point raises.
-    """
-    np = _numpy()
-    t = np.asarray(temperatures, dtype=float)
-    c = np.asarray(chi_values, dtype=float)
-    if t.ndim != 1 or c.shape != t.shape:
-        raise DataError("temperatures and chi values must be 1-d arrays of equal length")
-    g, status = _clamp_column(_chi_inversion(params, t)(c))
-    for i in np.flatnonzero(status).tolist():  # the one-point inversion warns or raises
-        correlator_from_susceptibility(params, float(c[i]), float(t[i]))
-    return specific_heat_from_correlator(g)

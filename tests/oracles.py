@@ -119,6 +119,11 @@ PAULI = (
 SPIN_DOT = sum(np.kron(s, s) for s in PAULI).real
 
 
+def density_matrix(g):
+    """The thermal state (1 + G sigma1.sigma2)/4 in the basis |00>, |01>, |10>, |11>."""
+    return (np.eye(4) + g * SPIN_DOT) / 4.0
+
+
 def gibbs_correlator(j, t):
     """G(T) straight from exp(-H/T) of H = -(J/2) sigma1.sigma2, no formulas."""
     h = -0.5 * j * SPIN_DOT

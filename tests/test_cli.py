@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from numpy.testing import assert_allclose
@@ -50,6 +51,13 @@ class TestExitCodes:
             assert (r.returncode, r.stdout) == (2, ""), argv
             assert r.stderr.startswith("usage error: --T must be a positive, finite temperature")
             assert "note" not in r.stderr
+
+    @pytest.mark.parametrize("g", ["1e999", "1(9)e400", "0.1(" + "9" * 400 + ")"])
+    def test_value_beyond_a_double_is_one_error_line(self, g):
+        r = run("from-neutron", f"--G={g}")
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        assert "Traceback" not in r.stderr
 
     def test_conflicting_parameter_sources(self):
         r = run("landmarks", "--preset", "copper-nitrate-magnetometric",
@@ -200,6 +208,23 @@ class TestLandmarks:
         assert_allclose(numbers["schottky_peak_T_K"], numbers["schottky_peak_kT_over_absJ"]
                         * abs(float(j)), rtol=1e-5)
         assert err == ""
+
+    @pytest.mark.parametrize("j", ["-1e-320", "5e-324", "-2.56", "-204", "35.4", "1e308"])
+    def test_reduced_lines_are_those_of_unit_coupling(self, j, capsys):
+        # every k_B T/|J| line, and chi_peak_reduced, is a universal constant:
+        # at 17 digits it prints as at |J| = 1, whatever the coupling
+        from dimer_discord import cli
+
+        def reduced(argv):
+            with mock.patch.dict(os.environ, {"DIMER_DISCORD_PRECISION": "17"}):
+                assert cli.main(["landmarks", *argv, "--g-factor", "2"]) == 0
+            lines = capsys.readouterr().out.strip().split("\n")
+            return {k: v for k, v in (line.split(" = ") for line in lines)
+                    if k.endswith("_kT_over_absJ") or k == "chi_peak_reduced"}
+
+        unit = reduced([f"--J-over-kB={math.copysign(1.0, float(j))}"])
+        assert len(unit) == (6 if j.startswith("-") else 1)
+        assert reduced([f"--J-over-kB={j}"]) == unit
 
     def test_susceptibility_peak_where_three_j_overflows(self, capsys):
         from dimer_discord import cli

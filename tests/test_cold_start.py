@@ -1,4 +1,5 @@
-"""Cold start: no command imports scipy, and scalar commands import no numpy.
+"""Cold start: no command imports scipy, and scalar commands import no numpy,
+``dataclasses`` or ``inspect``.
 
 Each case runs a fresh interpreter that lists ``sys.modules`` as it exits:
 every module the process imported.  The modules a bare interpreter imports
@@ -98,6 +99,13 @@ def test_scalar_command_runs_on_the_standard_library(case, interpreter_modules, 
         if m.split(".")[0] not in sys.stdlib_module_names | {"dimer_discord"}
     )
     assert foreign == []
+
+
+@pytest.mark.parametrize("case", SCALAR_CASES)
+def test_scalar_command_loads_no_dataclasses_or_inspect(case, interpreter_modules, tmp_path):
+    # the records are NamedTuples: building them needs neither module at start-up
+    _, _, modules = _run(_command(case, tmp_path), tmp_path)
+    assert {"dataclasses", "inspect"} & (modules - interpreter_modules) == set()
 
 
 def test_theory_still_loads_numpy_and_prints_its_golden_bytes(tmp_path):

@@ -50,6 +50,8 @@ class TestLoadSeries:
         assert_allclose(s.sigmas, [0.002, 0.002])
         assert s.units == "chi_emu_per_mol"
         assert len(s) == 2
+        # a series holds arrays: it is no tuple, and it equals only itself
+        assert not isinstance(s, tuple) and s != load_series(f, "susceptibility")
 
     def test_sigma_column_optional(self, tmp_path):
         f = tmp_path / "g.csv"
@@ -226,6 +228,14 @@ class TestResultRecord:
     def test_unknown_channel_rejected(self):
         with pytest.raises(DataError):
             result_from_correlator(4.0, ValueWithUncertainty(-0.54), "muon")
+
+    def test_replace_validates_again(self):
+        rec = result_from_correlator(None, ValueWithUncertainty(-0.54), "neutron")
+        assert rec._replace(channel="theory").channel == "theory"
+        with pytest.raises(DataError, match="channel must be one of"):
+            rec._replace(channel="muon")
+        with pytest.raises(InconsistencyError):
+            rec._replace(classical=rec.classical + 1e-6)
 
     def test_sigma_propagation(self):
         rec = result_from_correlator(4.0, ValueWithUncertainty(-0.54, 0.09), "neutron")
@@ -456,6 +466,31 @@ class TestParseValueWithUncertainty:
         for text in ("", "abc", "1.2(", "1.2(3", "(3)", "1.2(x)", "--1"):
             with pytest.raises(DataError):
                 parse_value_with_uncertainty(text)
+
+    @pytest.mark.parametrize(
+        "text, value, sigma",
+        [
+            ("-0.54(9)", -0.54, 0.09),
+            ("-1.2(0)", -1.2, 0.0),
+            ("-0.7(3)", -0.7, 0.3),  # not 3 * 0.1 = 0.30000000000000004
+            ("-1.1(3)e-5", -1.1e-5, 3e-6),  # not -1.1 * 1e-5
+            ("1.25(13)E+2", 125.0, 13.0),
+            ("5.(3)", 5.0, 3.0),
+            (".5(3)", 0.5, 0.3),
+            ("7(12)e-400", 0.0, 0.0),  # both underflow to zero
+        ],
+    )
+    def test_each_number_is_rounded_once(self, text, value, sigma):
+        # the float of the decimal string: one correct rounding, no 10.0 ** n scaling
+        v = parse_value_with_uncertainty(text)
+        assert (v.value.hex(), v.sigma.hex()) == (value.hex(), sigma.hex())
+
+    @pytest.mark.parametrize(
+        "text", ["1e999", "1(9)e400", "0.1(" + "9" * 400 + ")", "-2e" + "9" * 5000]
+    )
+    def test_beyond_the_largest_double_is_a_data_error(self, text):
+        with pytest.raises(DataError, match="lies beyond the range of a double"):
+            parse_value_with_uncertainty(text)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from dimer_discord.dimer_core import (
     concurrence,
     correlation_set,
     correlator_from_temperature,
-    density_matrix,
     discord,
     entanglement_death_temperature,
     entanglement_of_formation,
@@ -75,6 +74,20 @@ class TestParameters:
     def test_frozen(self):
         with pytest.raises(Exception):
             AFM.j_over_kb = 2.0
+
+    def test_a_record_is_a_tuple_of_its_fields(self):
+        p = DimerParameters(-1.0, [2.0, 2.0, 2.4])
+        assert p == (-1.0, (2.0, 2.0, 2.4)) and p[0] == -1.0 and len(p) == 2
+        assert hash(p) == hash(DimerParameters(-1.0, (2.0, 2.0, 2.4)))
+        assert repr(AFM) == "DimerParameters(j_over_kb=-1.0, g_factor=None)"
+        m = measures_from_correlator(-0.5)
+        assert tuple(m) == (m.mutual_information, m.classical, m.discord, m.concurrence,
+                            m.entanglement)
+
+    def test_replace_validates_again(self):
+        with pytest.raises(DomainError, match="j_over_kb must be finite and nonzero"):
+            AFM._replace(j_over_kb=0.0)
+        assert AFM._replace(g_factor=[2.0, 2.0, 2.4]).g_factor == (2.0, 2.0, 2.4)
 
 
 class TestValidateCorrelator:
@@ -216,7 +229,7 @@ class TestMeasures:
     def test_entropy_route_agrees(self):
         # I(G) against S(A) + S(B) - S(AB) of the actual density matrix
         for g in np.linspace(-0.999, G_MAX - 1e-3, 97):
-            rho = density_matrix(float(g))
+            rho = oracles.density_matrix(float(g))
             assert_allclose(
                 mutual_information(float(g)),
                 oracles.mutual_information_from_state(rho),
@@ -307,9 +320,10 @@ def test_frozen_landmark_constant_is_correctly_rounded(frozen, exact):
 
 
 class TestDensityMatrix:
+    # the oracle state that the entropy and partial-transpose checks build on
     def test_state_properties(self):
         for g in np.linspace(G_MIN, G_MAX, 41):
-            rho = density_matrix(float(g))
+            rho = oracles.density_matrix(float(g))
             assert_allclose(np.trace(rho), 1.0, rtol=1e-14)
             assert_allclose(rho, rho.T, atol=1e-15)
             w = np.linalg.eigvalsh(rho)
@@ -317,12 +331,12 @@ class TestDensityMatrix:
 
     def test_spectrum(self):
         g = -0.54
-        w = np.sort(np.linalg.eigvalsh(density_matrix(g)))
+        w = np.sort(np.linalg.eigvalsh(oracles.density_matrix(g)))
         expected = np.sort([(1 - 3 * g) / 4, (1 + g) / 4, (1 + g) / 4, (1 + g) / 4])
         assert_allclose(w, expected, atol=1e-14)
 
     def test_reduced_states_maximally_mixed(self):
-        ra, rb = oracles.reduced_states(density_matrix(-0.7))
+        ra, rb = oracles.reduced_states(oracles.density_matrix(-0.7))
         assert_allclose(ra, np.eye(2) / 2, atol=1e-15)
         assert_allclose(rb, np.eye(2) / 2, atol=1e-15)
 
@@ -331,7 +345,8 @@ class TestPPT:
     def test_matches_numeric_partial_transpose(self):
         for g in G_GRID[::17]:
             g = float(g)
-            numeric = np.sort(np.linalg.eigvalsh(oracles.partial_transpose(density_matrix(g))))
+            rho_pt = oracles.partial_transpose(oracles.density_matrix(g))
+            numeric = np.sort(np.linalg.eigvalsh(rho_pt))
             assert_allclose(ppt_eigenvalues(g), numeric, atol=1e-14)
 
     def test_negativity_iff_entangled(self):
@@ -506,8 +521,8 @@ class TestDispatch:
             "from dimer_discord import dimer_core\n"
             "q = dimer_core.discord(-0.5)\n"
             "assert 'numpy' not in sys.modules\n"
-            "rho = dimer_core.density_matrix(-0.5)\n"
-            "assert 'numpy' in sys.modules and rho.shape == (4, 4)\n"
+            "lam = dimer_core.ppt_eigenvalues(-0.5)\n"
+            "assert 'numpy' in sys.modules and lam.shape == (4,)\n"
             "import numpy\n"
             "column = dimer_core.discord(numpy.array([-0.5, 0.2]))\n"
             "assert column[0] == q and column[1] == dimer_core.discord(0.2)\n"

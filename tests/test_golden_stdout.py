@@ -4,7 +4,8 @@ Each case runs ``cli.main`` on fixed arguments and small fixture files and
 compares stdout byte for byte with ``golden_stdout.json``, and stderr with
 ``golden_stderr.json``.  On stderr every warning is shown, in the order it
 was raised, as ``Category: text`` (without the ``path:line:`` prefix of
-Python's own format, which names source lines).  The ``-p17`` cases
+Python's own format, which names source lines); the CLI does so itself, and
+a few cases check that in a real process too.  The ``-p17`` cases
 print at ``DIMER_DISCORD_PRECISION=17``, so that a change in the last bit of
 any computed column shows.  The expected
 bytes change only with a deliberate change to what the CLI prints; after
@@ -17,6 +18,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -228,6 +230,18 @@ def test_stdout_matches_golden(case, golden, tmp_path):
 def test_stderr_matches_golden(case, golden_stderr, tmp_path):
     _, _, err = _run(case, tmp_path)
     assert err == golden_stderr[case]
+
+
+@pytest.mark.parametrize(
+    "case", ["chi-edges-csv", "chi-edges-json", "neutron-edges-csv", "neutron-edges-json"]
+)
+def test_a_real_process_prints_the_golden_stderr(case, golden, golden_stderr, tmp_path):
+    # under Python's own warning filter a repeated remark would print once,
+    # with a path:line: prefix; the CLI itself shows each one, in row order
+    env = {k: v for k, v in os.environ.items() if k != "DIMER_DISCORD_PRECISION"}
+    proc = subprocess.run([sys.executable, "-m", "dimer_discord", *_argv(case, tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, golden[case], golden_stderr[case])
 
 
 # Equivalence of the column path with the per-row path it replaced.  A row is

@@ -2,7 +2,8 @@
 
 Checked on the source with ``ast``, so a cycle cannot hide behind an import
 placed inside a function.  No module imports scipy, at the top or inside a
-function: the package runs on numpy alone.  numpy itself is imported at one
+function: the package runs on numpy alone, and no module imports
+``dataclasses``.  numpy itself is imported at one
 place, inside ``dimer_core._numpy``, so that it loads with the first array
 and a scalar call never pays for it.  The CLI builds its
 output as column tables only, never through the one-point result record,
@@ -70,6 +71,14 @@ def test_imports_point_down(module, allowed):
 
 def test_no_module_imports_scipy():
     importers = [m for m in MODULES if any(_imports(n, "scipy") for n in ast.walk(_tree(m)))]
+    assert importers == []
+
+
+def test_no_module_imports_dataclasses():
+    # every value record is a NamedTuple; dataclasses would load inspect and ast at start-up
+    importers = [
+        m for m in MODULES if any(_imports(n, "dataclasses") for n in ast.walk(_tree(m)))
+    ]
     assert importers == []
 
 

@@ -36,14 +36,11 @@ from dimer_discord.thermo import (
     correlator_from_internal_energy,
     correlator_from_specific_heat,
     correlator_from_susceptibility,
-    ground_state_internal_energy,
     internal_energy,
     internal_energy_from_specific_heat,
-    internal_energy_from_susceptibility,
     schottky_maximum,
     specific_heat,
     specific_heat_from_correlator,
-    specific_heat_from_susceptibility_series,
     susceptibility,
     susceptibility_maximum,
 )
@@ -73,10 +70,6 @@ class TestInternalEnergy:
             for t in (1.0, 4.0, 50.0, 300.0):
                 assert_allclose(internal_energy(p, t), oracles.u_of_t(j, t), rtol=1e-12)
 
-    def test_ground_state(self):
-        assert_allclose(ground_state_internal_energy(CAL), -3.885, rtol=1e-14)
-        assert_allclose(ground_state_internal_energy(FM), -0.5, rtol=1e-14)
-
     def test_inversion_round_trip(self):
         for t in np.geomspace(0.6, 40.0, 30):
             u = internal_energy(CAL, float(t))
@@ -93,7 +86,7 @@ class TestInternalEnergy:
 
     def test_overshoot_clamped_with_warning(self):
         # a hair more negative than the ground state still reads as G = -1
-        u_ground = ground_state_internal_energy(CAL)
+        u_ground = -1.5 * CAL.j_over_kb * G_MIN  # u(0)/R of the singlet
         with pytest.warns(DataWarning):
             g = correlator_from_internal_energy(CAL, u_ground * 1.001)
         assert g == G_MIN
@@ -398,7 +391,7 @@ class TestEnergyFromRecord:
         t = np.linspace(0.05, 12.0, 4000)
         v = np.array([specific_heat(CAL, float(x)) for x in t])
         t_end, u = internal_energy_from_specific_heat(
-            t, v, u0_over_r=ground_state_internal_energy(CAL)
+            t, v, u0_over_r=-1.5 * CAL.j_over_kb * G_MIN
         )
         assert_allclose(u, internal_energy(CAL, 12.0), atol=2e-4)
 
@@ -473,11 +466,6 @@ class TestClampMeasured:
             DomainError,
             "u0_over_r must be finite, got nan",
         ),
-        (
-            lambda: specific_heat_from_susceptibility_series(MAG, [1.0, 2.0], [0.1]),
-            DataError,
-            "temperatures and chi values must be 1-d arrays of equal length",
-        ),
     ],
     ids=[
         "specific-heat-at-zero-T",
@@ -486,60 +474,8 @@ class TestClampMeasured:
         "clamp-nan",
         "energy-inversion-nan",
         "u0-nan",
-        "chi-series-shape-mismatch",
     ],
 )
 def test_bad_input_rejected(call, error, message):
     with pytest.raises(error, match=message):
         call()
-
-
-class TestCrossChannel:
-    def test_energy_from_susceptibility(self):
-        chi = susceptibility(MAG, 4.0)
-        u = internal_energy_from_susceptibility(MAG, chi, 4.0)
-        assert_allclose(u, internal_energy(MAG, 4.0), rtol=1e-10)
-
-    def test_specific_heat_predicted_from_chi_curve(self):
-        t = np.geomspace(1.0, 30.0, 25)
-        chi = np.array([susceptibility(MAG, float(x)) for x in t])
-        cm = specific_heat_from_susceptibility_series(MAG, t, chi)
-        expected = np.array([specific_heat(MAG, float(x)) for x in t])
-        assert_allclose(cm, expected, rtol=1e-9)
-
-        # point by point, as the series was once computed: the reference for
-        # values, warnings and the error alike
-        def by_rows(temperatures, chi_values):
-            return np.array([
-                specific_heat_from_correlator(correlator_from_susceptibility(MAG, c, x))
-                for x, c in zip(temperatures.tolist(), chi_values.tolist())
-            ])
-
-        def chi_for(g, x):  # the susceptibility that inverts to correlator g at x kelvin
-            return (1.0 + g) * CODATA.curie_prefactor * MAG.g_factor**2 / (2.0 * x)
-
-        def run(f, *args):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    out = f(*args)
-                except InconsistencyError as exc:
-                    out = exc
-            return out, [(w.category, str(w.message)) for w in caught]
-
-        # two points clamped onto 1/3 (chi >= 0 keeps G >= -1)
-        chi[4], chi[9] = chi_for(G_MAX + 0.009, t[4]), chi_for(G_MAX + 0.004, t[9])
-        cm, warned = run(specific_heat_from_susceptibility_series, MAG, t, chi)
-        expected, expected_warned = run(by_rows, t, chi)
-        assert cm.tolist() == expected.tolist()
-        assert cm[4] == 0.0 and cm[9] == 0.0
-        assert warned == expected_warned and len(warned) == 2
-        assert all(category is DataWarning for category, _ in warned)
-
-        # a point beyond the tolerance raises, after the warnings of the rows before it
-        chi[12] = chi_for(0.4, t[12])
-        error, warned = run(specific_heat_from_susceptibility_series, MAG, t, chi)
-        expected, expected_warned = run(by_rows, t, chi)
-        assert isinstance(error, InconsistencyError)
-        assert str(error) == str(expected)
-        assert warned == expected_warned and len(warned) == 2
