@@ -11,6 +11,20 @@ Identical invocations produce byte-identical stdout.  Every warning is
 shown, in the order it is raised, as one ``Category: text`` line.  The
 environment variable ``DIMER_DISCORD_PRECISION`` overrides the printed
 number of significant digits (default 6).
+
+A measured series (``from-chi``, ``from-neutron --input``) is computed in one
+column pass, and each row it flags prints one stderr line, in row order.  A
+dropped row gives its reason, and no other line starts with ``row ``::
+
+    row 3 (T = 3 K): neutron point implies correlator -1.5, outside [-1, 1/3] by more than 0.01: inconsistent with an isolated dimer
+
+A kept row lists its remarks once each, under ``DataWarning`` if anything was
+clamped, else under ``PropagationWarning``::
+
+    DataWarning: row 2 (T = 2 K): neutron point implies correlator -1.004; clamped to -1; lower endpoint outside the function domain; sigma_Q taken one-sided
+
+A ``from-neutron --G`` point prints the same line without its ``row N (T = X
+K): `` part, and one that would be dropped exits 1 with ``error: <reason>``.
 """
 
 from __future__ import annotations
@@ -20,7 +34,6 @@ import math
 import os
 import sys
 import warnings
-from typing import Callable
 
 from . import dataio, dimer_core, numerics, thermo
 from .dataio import PRESETS, ResultTable, load_series, parse_value_with_uncertainty
@@ -210,36 +223,24 @@ def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
     return 0
 
 
-def _neutron_point(t: float | None, g: float) -> float:
-    # the neutron channel's scalar inversion: a measured correlator is only clamped
-    return thermo.clamp_measured_correlator(g, "neutron point")
-
-
 def _emit_series(
-    series: dataio.MeasurementSeries,
-    check: Callable[[float, float], float],
-    channel: str,
-    args: argparse.Namespace,
-    precision: int,
-    invert: Callable | None = None,
+    series: dataio.MeasurementSeries, channel: str, args: argparse.Namespace, precision: int,
+    g_factor: float | None = None,
 ) -> int:
-    """Print a result row per row of ``series`` that inverts; the rows go
-    through ``dataio._measured_results`` as columns, ``invert`` passed on.
-
-    Each flagged row, in row order, runs again through ``check(t, value)``,
-    the channel's scalar inversion, to warn; a row that fails is reported on
-    stderr by its 1-based number and left out.  The command fails only when
-    every row does.
+    """Print a result row per row of ``series`` that inverts, through
+    ``dataio._measured_results`` with ``g_factor``, and on stderr, in row order,
+    each flagged row's remark named by the row's 1-based number.  The command
+    fails only when every row does.
     """
     t, values = series.temperatures, series.values
     sigmas = series.sigmas if series.sigmas is not None else _numpy().zeros_like(values)
-    table, status = dataio._measured_results(t, values, sigmas, channel, invert)
-    for i in status.nonzero()[0].tolist():
-        row = float(t[i]), float(values[i]), float(sigmas[i])
-        try:
-            dataio._replay_row(check, *row, secant=invert is not None)
-        except DimerDiscordError as exc:
-            print(f"row {i + 1} (T = {row[0]:g} K): {exc}", file=sys.stderr)
+    table, remarks = dataio._measured_results(t, values, sigmas, channel, g_factor)
+    for i, kind, text in remarks:
+        line = f"row {i + 1} (T = {float(t[i]):g} K): {text}"
+        if issubclass(kind, DimerDiscordError):  # a dropped row
+            print(line, file=sys.stderr)
+        else:
+            _show_warning(line, kind)
     if len(series) and not len(table.t):
         return 1
     _emit(table, args, precision)
@@ -251,14 +252,16 @@ def _cmd_from_neutron(args: argparse.Namespace, precision: int) -> int:
         raise _UsageError("give exactly one of --G or --input")
     if args.input is not None:
         series = load_series(args.input, "correlator")
-        return _emit_series(series, _neutron_point, "neutron", args, precision)
+        return _emit_series(series, "neutron", args, precision)
     g = parse_value_with_uncertainty(args.g_value)  # a value it refuses prints no note
     t = args.temperature
     if t is None:
         _note("no temperature given (--T); T_K is left empty")
-    table, status = dataio._measured_results(t, g.value, g.sigma, "neutron")
-    if status:  # warns, and raises for a point that fails
-        dataio._replay_row(_neutron_point, t, g.value, g.sigma, secant=False)
+    table, remarks = dataio._measured_results(t, g.value, g.sigma, "neutron")
+    for _, kind, text in remarks:
+        if issubclass(kind, DimerDiscordError):
+            raise kind(text)
+        _show_warning(text, kind)
     _emit(table, args, precision)
     return 0
 
@@ -267,14 +270,7 @@ def _cmd_from_chi(args: argparse.Namespace, precision: int) -> int:
     # the inversion reads only the g factor; the coupling may stay unset
     params = _resolve_parameters(args, need_coupling=False, need_g=True)
     series = load_series(args.input, "susceptibility", normalization=f"per_{args.per}")
-    return _emit_series(
-        series,
-        lambda t, chi: thermo.correlator_from_susceptibility(params, chi, t),
-        "magnetometric",
-        args,
-        precision,
-        thermo._chi_inversion(params, series.temperatures),
-    )
+    return _emit_series(series, "magnetometric", args, precision, params.scalar_g)
 
 
 def _cmd_from_cm(args: argparse.Namespace, precision: int) -> int:

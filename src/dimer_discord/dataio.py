@@ -31,9 +31,11 @@ from .dimer_core import (
     CODATA, G_MAX, G_MIN, DimerParameters, FloatOrArray, _G_TOL, _clip, _is_array, _numpy,
     _validated_make, discord, measures_from_correlator,
 )
-from .errors import DataError, DomainError, InconsistencyError
+from .errors import DataError, DataWarning, DomainError, InconsistencyError, PropagationWarning
 from .numerics import (
-    _DROPPED, _REFUSED, ValueWithUncertainty, _secant_column, propagate_uncertainty
+    _CLAMPED, _DROPPED, _ENDPOINT_CLAMPED, _NAN, _OF_Q, _ONE_SIDED, _OUT_OF_BAND, _REFUSED,
+    _UNDEFINED, _UNDEFINED_TEXT, ValueWithUncertainty, _one_sided_text, _secant_column,
+    propagate_uncertainty,
 )
 
 __all__ = [
@@ -257,57 +259,69 @@ def results_from_correlators(t: Column, g: Column, channel: str) -> ResultTable:
 def _discord_column(g: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
     # the discord where validate_correlator takes g, refused where it raises
     refused = (g < G_MIN - _G_TOL) | (g > G_MAX + _G_TOL)
-    return discord(_clip(g, G_MIN, G_MAX)), _REFUSED * refused
+    return discord(_clip(g, G_MIN, G_MAX)), _OUT_OF_BAND * refused
 
 
 def _measured_results(
-    t: Column,
-    measured: FloatOrArray,
-    sigma: FloatOrArray,
-    channel: str,
-    invert: Callable | None = None,
-) -> tuple[ResultTable, FloatOrArray]:
-    """Measured values and their sigmas, columns or one float point, to the
-    table of the rows kept and each row's status bits (``_DROPPED`` rows are
-    left out of a column table, not of a point's).
+    t: Column | float | None, measured: FloatOrArray, sigma: FloatOrArray, channel: str,
+    g_factor: float | None = None,
+) -> tuple[ResultTable, list[tuple[int, type, str]]]:
+    """Measured values and their sigmas, columns or one float point, in one
+    pass to the table of the rows kept (a dropped row is left out of a column
+    table, not of a point's) and a remark ``(index, class, text)`` per flagged
+    row: what the scalar functions raise or warn of, from :func:`_remark`.
 
-    Without ``invert`` the values are correlators and ``sigma`` is sigma_G;
-    else ``invert`` is the channel's inversion before its clamp, and sigma_G
-    its secant.  The correlators are clamped as ``clamp_measured_correlator``
-    does, and sigma_Q is the discord's secant about the Q column.
+    The values are correlators with sigma_G, or with a ``g_factor`` a chi
+    column, inverted as ``correlator_from_susceptibility`` does, and sigma_G
+    that inversion's secant.  The correlators are clamped as
+    ``clamp_measured_correlator`` does; sigma_Q is the discord's secant.
     """
-    if invert is None:
-        g, status = thermo._clamp_column(measured)
+    raw = measured if g_factor is None else thermo._chi_column(g_factor, measured, t)
+    g, status = thermo._clamp_column(raw)
+    if g_factor is None:
         sigma_g = sigma
     else:
-        g, status = thermo._clamp_column(invert(measured))
         sigma_g, flags = _secant_column(
-            lambda x: thermo._clamp_column(invert(x)), g, measured, sigma
+            lambda x: thermo._clamp_column(thermo._chi_column(g_factor, x, t)), g, measured, sigma
         )
         status |= flags
     m = measures_from_correlator(g)
     sigma_q, flags = _secant_column(_discord_column, m.discord, g, sigma_g)
-    status |= flags
+    status |= flags * _OF_Q
     columns = (t, g, sigma_g, m.discord, sigma_q, m.classical, m.mutual_information, m.entanglement)
+    rows = (t, measured, sigma, raw, g, sigma_g, status)
     if _is_array(g):
-        kept = (status & _DROPPED) == 0
-        columns = [column[kept] for column in columns]
+        flagged = status.nonzero()[0].tolist()
+        rows = [column[flagged].tolist() for column in rows]
+        columns = [column[(status & _DROPPED) == 0] for column in columns]
     else:
+        flagged = [0] if status else []
+        rows = [(column,) for column in rows]
         columns = [(column,) for column in columns]
-    return ResultTable(*columns, channel=[channel] * len(columns[1])), status
+    remarks = [(i, *_remark(channel, *row)) for i, *row in zip(flagged, *rows)]
+    return ResultTable(*columns, channel=[channel] * len(columns[1])), remarks
 
 
-def _replay_row(check: Callable, t: float | None, value: float, sigma: float, secant: bool):
-    """One row of :func:`_measured_results` again, through the public scalar
-    functions: they warn as the row needs, in order, and raise its error.
-    ``check(t, value)`` is the channel's scalar inversion; with ``secant``
-    sigma_G is its secant, else ``sigma`` is sigma_G."""
-    x = ValueWithUncertainty(value, sigma)
-    if secant:
-        g = propagate_uncertainty(lambda v: check(t, v), x)
-    else:
-        g = ValueWithUncertainty(check(t, value), sigma)
-    propagate_uncertainty(discord, g)
+def _remark(channel: str, t, value, sigma, raw, g, sigma_g, status: int) -> tuple[type, str]:
+    """The class and text of what the scalar functions raise or warn of for a row with these
+    values and status bits: a dropped row's first cause, or a kept row's remarks in one text."""
+    if status & _NAN:
+        return DomainError, thermo._NEGATIVE_CHI.format(value)
+    # the source of the correlator, as a clamp or refusal names it
+    source = thermo._CHI_SOURCE.format(value, t) if channel == "magnetometric" else "neutron point"
+    if status & _REFUSED:
+        return InconsistencyError, thermo._correlator_text(source, raw, status)
+    for bits, x, s in ((status, value, sigma), (status // _OF_Q, g, sigma_g)):
+        if bits & _UNDEFINED:
+            return DomainError, _UNDEFINED_TEXT.format(x - s, x + s)
+    remarks = [thermo._correlator_text(source, raw, status)] if status & _CLAMPED else []
+    if status & _ENDPOINT_CLAMPED:
+        remarks.append("a sigma_G endpoint clamped into [-1, 1/3]")
+    for name, bits in (("sigma_G", status), ("sigma_Q", status // _OF_Q)):
+        if bits & _ONE_SIDED:
+            remarks.append(_one_sided_text(bits, name))
+    kind = DataWarning if status & (_CLAMPED | _ENDPOINT_CLAMPED) else PropagationWarning
+    return kind, "; ".join(remarks)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +379,7 @@ def load_series(
     rows: list[tuple[float, float, float | None]] = []
     t_col = v_col = s_col = -1
     value_tag = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):  # read_text made every end "\n"
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

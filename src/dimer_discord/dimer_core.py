@@ -87,8 +87,9 @@ __all__ = [
 G_MIN = -1.0
 G_MAX = 1.0 / 3.0
 
-# k_B T_e / |J|: the dimensionless entanglement-death temperature, 2/ln 3.
-DEATH_TEMPERATURE_SCALE = 2.0 / math.log(3.0)
+# k_B T_e / |J|: the dimensionless entanglement-death temperature, 2/ln 3,
+# correctly rounded from 50 digits (2.0 / math.log(3.0) rounds twice).
+DEATH_TEMPERATURE_SCALE = 1.8204784532536749
 
 # Antiferro correlators where the entanglement of formation E crosses the
 # discord Q and the classical correlation C: roots of Q(g) = E(g) and

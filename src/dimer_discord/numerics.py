@@ -49,11 +49,15 @@ _ROOT_RTOL = 4.0 * sys.float_info.epsilon  # relative part of the root stop rule
 # |J| / T_min the fit searches: exp(2|J|/T) is capped above, chi is Curie's to ~1e-6 below
 _FIT_J_MIN, _FIT_J_MAX = 1e-6, 350.0
 
-# status bits of a measured row, 0 where it passes without a message; a
-# refused or undefined row is dropped, and its other bits mean nothing
-_CLAMPED_LOW, _CLAMPED_HIGH, _ONE_SIDED_UPPER, _ONE_SIDED_LOWER, _REFUSED, _UNDEFINED = (
-    1, 2, 4, 8, 16, 32)
-_DROPPED = _REFUSED | _UNDEFINED
+# Status bits of a measured row, 0 where it passes without a message: its G
+# clamped onto -1 or 1/3, or refused as NaN (an inversion's mark for a value it
+# refuses), infinite or out of band; then for sigma_G (sigma_Q: times _OF_Q) an
+# endpoint outside the domain (one-sided), both (undefined), or one clamped.
+_CLAMPED_LOW, _CLAMPED_HIGH, _NAN, _INFINITE, _OUT_OF_BAND = 1, 2, 4, 8, 16
+_UPPER_OUT, _LOWER_OUT, _UNDEFINED, _ENDPOINT_CLAMPED, _OF_Q = 32, 64, 128, 256, 32
+_CLAMPED, _REFUSED = _CLAMPED_LOW | _CLAMPED_HIGH, _NAN | _INFINITE | _OUT_OF_BAND
+_ONE_SIDED, _DROPPED = _UPPER_OUT | _LOWER_OUT, _REFUSED | _UNDEFINED | _UNDEFINED * _OF_Q
+_UNDEFINED_TEXT = "function undefined at both {!r} and {!r}"  # propagate_uncertainty's error
 
 
 class _ValueWithUncertainty(NamedTuple):
@@ -378,17 +382,15 @@ def propagate_uncertainty(
 
     sigma, status = _secant_column(attempt, center, x.value, x.sigma)
     if status & _UNDEFINED:
-        raise DomainError(
-            f"function undefined at both {x.value - x.sigma!r} and {x.value + x.sigma!r}"
-        )
+        raise DomainError(_UNDEFINED_TEXT.format(x.value - x.sigma, x.value + x.sigma))
     if status:
-        side = "upper" if status & _ONE_SIDED_UPPER else "lower"
-        warnings.warn(
-            f"{side} endpoint outside the function domain; sigma taken one-sided",
-            PropagationWarning,
-            stacklevel=2,
-        )
+        warnings.warn(_one_sided_text(status), PropagationWarning, stacklevel=2)
     return ValueWithUncertainty(center, sigma)
+
+
+def _one_sided_text(status: int, name: str = "sigma") -> str:
+    side = "upper" if status & _UPPER_OUT else "lower"
+    return f"{side} endpoint outside the function domain; {name} taken one-sided"
 
 
 def _secant_column(
@@ -396,8 +398,8 @@ def _secant_column(
 ) -> tuple[FloatOrArray, FloatOrArray]:
     """The secant of :func:`propagate_uncertainty` on floats or columns, without
     its messages: ``(sigma_f, status)``.  ``f`` gives ``(values, status)``,
-    ``_REFUSED`` where undefined, and ``center = f(x)``; the bits of a defined
-    endpoint pass to the row, and no endpoint counts where ``sigma`` is 0."""
+    a ``_REFUSED`` bit where undefined and a ``_CLAMPED`` one where clamped,
+    and ``center = f(x)``; no endpoint counts where ``sigma`` is 0."""
     spread = sigma > 0.0
     upper, upper_status = f(x + sigma)
     lower, lower_status = f(x - sigma)
@@ -409,10 +411,9 @@ def _secant_column(
         + abs(lower - center) * (lo > up)
     )
     status = (
-        upper_status * up
-        | lower_status * lo
-        | _ONE_SIDED_UPPER * (lo > up)
-        | _ONE_SIDED_LOWER * (up > lo)
+        _ENDPOINT_CLAMPED * (((upper_status * up | lower_status * lo) & _CLAMPED) != 0)
+        | _UPPER_OUT * (lo > up)
+        | _LOWER_OUT * (up > lo)
         | _UNDEFINED * (spread > (up | lo))
     )
     return sigma_f, status

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .dimer_core import (
     CODATA,
@@ -43,7 +43,8 @@ from .errors import (
     NoSolutionError,
 )
 from .numerics import (
-    _CLAMPED_HIGH, _CLAMPED_LOW, _REFUSED, TailModel, find_root, integrate_series_with_tail
+    _CLAMPED_HIGH, _CLAMPED_LOW, _INFINITE, _NAN, _OUT_OF_BAND, _REFUSED, TailModel, find_root,
+    integrate_series_with_tail,
 )
 
 __all__ = [
@@ -53,6 +54,7 @@ __all__ = [
     "CM_PEAK_G_FERRO",
     "CM_PEAK_FERRO",
     "CHI_PEAK_W",
+    "CHI_PEAK_TEMPERATURE_SCALE",
     "clamp_measured_correlator",
     "internal_energy",
     "correlator_from_internal_energy",
@@ -77,8 +79,10 @@ CM_PEAK_G_FERRO = 0.28397164067231203
 CM_PEAK_FERRO = 0.16632055381487849
 
 # W(3/e), the principal Lambert W value that places the antiferro
-# susceptibility maximum; correctly rounded from 50 digits.
+# susceptibility maximum, and k_B T_max / |J| = 2 / (1 + W(3/e)) there; each
+# correctly rounded from 50 digits, so that T_max takes one rounding.
 CHI_PEAK_W = 0.603545739535836
+CHI_PEAK_TEMPERATURE_SCALE = 1.2472360162167386
 
 # measured values may overshoot the physical domain by this much (absolute
 # in G) before they are declared inconsistent with the dimer model
@@ -91,35 +95,38 @@ _CM_PEAK_TOL = 1e-6
 
 def clamp_measured_correlator(g: float, source: str = "measured value") -> float:
     """Pull a measured correlator back into [-1, 1/3], within tolerance."""
-    if not math.isfinite(g):
-        raise InconsistencyError(f"{source} implies a non-finite correlator")
     if G_MIN <= g <= G_MAX:
         return g
     clamped, status = _clamp_column(g)
     if status & _REFUSED:
-        raise InconsistencyError(
-            f"{source} implies correlator {g:.6g}, outside [-1, 1/3] by more than "
-            f"{_EXPERIMENTAL_G_TOL:g}: inconsistent with an isolated dimer"
-        )
-    if status:
-        edge = "-1" if status == _CLAMPED_LOW else "1/3"
-        warnings.warn(f"{source} implies correlator {g:.6g}; clamped to {edge}", DataWarning,
-                      stacklevel=3)
+        raise InconsistencyError(_correlator_text(source, g, status))
+    warnings.warn(_correlator_text(source, g, status), DataWarning, stacklevel=3)
     return clamped
 
 
 def _clamp_column(g: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
     """:func:`clamp_measured_correlator` on a float or a column, without its
-    messages: ``(clamped, status)``, with ``_CLAMPED_LOW``/``_HIGH`` where it
-    warns and ``_REFUSED`` where it raises (NaN included)."""
+    messages: ``(clamped, status)``, the status bits naming what it would say."""
     tol = _EXPERIMENTAL_G_TOL
-    g = _clip(g, G_MIN - 1.0, G_MAX + 1.0)  # finite from here on; NaN is refused
     status = (
         _CLAMPED_LOW * ((g < G_MIN) & (g >= G_MIN - tol))
         | _CLAMPED_HIGH * ((g > G_MAX) & (g <= G_MAX + tol))
-        | _REFUSED * ((g < G_MIN - tol) | (g > G_MAX + tol))
+        | _OUT_OF_BAND * ((g < G_MIN - tol) | (g > G_MAX + tol))
+        | _INFINITE * (abs(g) == math.inf)
+        | _NAN * (g != g)
     )
-    return _clip(g, G_MIN, G_MAX), status
+    return _clip(g, G_MIN, G_MAX), status  # a NaN sent to -1
+
+
+def _correlator_text(source: str, g: float, status: int) -> str:
+    """What :func:`clamp_measured_correlator` says of ``g`` with these bits."""
+    if status & (_NAN | _INFINITE):
+        return f"{source} implies a non-finite correlator"
+    if status & _OUT_OF_BAND:
+        return (f"{source} implies correlator {g:.6g}, outside [-1, 1/3] by more than "
+                f"{_EXPERIMENTAL_G_TOL:g}: inconsistent with an isolated dimer")
+    edge = "-1" if status & _CLAMPED_LOW else "1/3"
+    return f"{source} implies correlator {g:.6g}; clamped to {edge}"
 
 
 def _require_g(params: DimerParameters, context: str) -> float:
@@ -328,12 +335,15 @@ def correlator_from_susceptibility(
     if not math.isfinite(temperature) or temperature <= 0.0:
         raise DomainError(f"temperature must be positive, got {temperature!r}")
     if not math.isfinite(chi) or chi < 0.0:
-        raise DomainError(f"susceptibility must be non-negative, got {chi!r}")
-    g_factor = _require_g(params, "susceptibility inversion")
-    return clamp_measured_correlator(
-        _chi_correlator(g_factor, chi, temperature),
-        f"susceptibility {chi:g} emu/mol at {temperature:g} K",
-    )
+        raise DomainError(_NEGATIVE_CHI.format(chi))
+    g = _chi_correlator(_require_g(params, "susceptibility inversion"), chi, temperature)
+    if G_MIN <= g <= G_MAX:  # nothing to say: the source text is not built
+        return g
+    return clamp_measured_correlator(g, _CHI_SOURCE.format(chi, temperature))
+
+
+_NEGATIVE_CHI = "susceptibility must be non-negative, got {!r}"  # a chi the inversion refuses
+_CHI_SOURCE = "susceptibility {:g} emu/mol at {:g} K"  # as the clamp names it
 
 
 def _chi_correlator(
@@ -343,17 +353,12 @@ def _chi_correlator(
     return 2.0 * temperature * chi / (CODATA.curie_prefactor * g_factor**2) - 1.0
 
 
-def _chi_inversion(params: DimerParameters, temperatures: np.ndarray) -> Callable:
-    """:func:`correlator_from_susceptibility` at ``temperatures`` as a map of chi
-    columns, before its clamp: NaN where it refuses chi or T outright."""
-    g_factor, np = _require_g(params, "susceptibility inversion"), _numpy()
-
-    def invert(chi: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            g = _chi_correlator(g_factor, chi, temperatures)
-        return np.where((temperatures > 0.0) & (chi >= 0.0), g, np.nan)
-
-    return invert
+def _chi_column(g_factor: float, chi: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
+    """:func:`correlator_from_susceptibility` on a chi column at positive
+    ``temperatures``, before its clamp: NaN where it refuses a negative chi."""
+    np = _numpy()
+    with np.errstate(all="ignore"):
+        return np.where(chi >= 0.0, _chi_correlator(g_factor, chi, temperatures), np.nan)
 
 
 def susceptibility_maximum(params: DimerParameters) -> tuple[float, float]:
@@ -362,7 +367,7 @@ def susceptibility_maximum(params: DimerParameters) -> tuple[float, float]:
     Closed form through the Lambert W function, with w = W(3/e)
     (:data:`CHI_PEAK_W`):
 
-        k_B T_max / |J| = 2 / (1 + w)
+        k_B T_max / |J| = 2 / (1 + w)    (:data:`CHI_PEAK_TEMPERATURE_SCALE`)
         chi_max = N_A g^2 mu_B^2 w / (3 k_B |J|)
 
     Ferro dimers have no maximum (chi falls monotonically), so they are
@@ -372,7 +377,7 @@ def susceptibility_maximum(params: DimerParameters) -> tuple[float, float]:
         raise DomainError("only an antiferro dimer has a susceptibility maximum")
     g_factor = _require_g(params, "susceptibility maximum")
     j_abs = abs(params.j_over_kb)
-    t_max = 2.0 * (j_abs / (1.0 + CHI_PEAK_W))  # divided first: no overflow
+    t_max = CHI_PEAK_TEMPERATURE_SCALE * j_abs
     height = CODATA.curie_prefactor * g_factor**2 * CHI_PEAK_W
     three_j = 3.0 * j_abs
     if three_j == math.inf:  # |J| above ~6e307: divided first there, and only there

@@ -157,6 +157,22 @@ class TestLoadSeries:
         assert s.units == "chi_emu_per_mol"
 
     @pytest.mark.parametrize(
+        "separator", ["\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_a_line_end_ends_a_line(self, tmp_path, separator):
+        # a form feed or a Unicode separator inside a comment leaves it one comment
+        f = tmp_path / "paged.csv"
+        f.write_text(f"# note{separator} page 2\nT_K,G\n4.0,-0.54\n", encoding="utf-8")
+        s = load_series(f, "correlator")
+        assert_allclose(s.values, [-0.54])
+
+    def test_bad_value_after_a_paged_comment_names_its_line(self, tmp_path):
+        f = tmp_path / "paged.csv"
+        f.write_text("# note\x0c page 2\nT_K,G\n4.0,-0.54\n5.0,oops\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"paged\.csv:4: column 'G' has non-numeric value"):
+            load_series(f, "correlator")
+
+    @pytest.mark.parametrize(
         "text, kwargs, message",
         [
             ("T_K,G\n4.0,nan\n", {}, r"x\.csv:2: column 'G' is not finite"),

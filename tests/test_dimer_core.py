@@ -310,8 +310,16 @@ class TestDeathTemperature:
         (QE_CROSSING_G, lambda: oracles.entanglement_crossing("discord")),
         (CE_CROSSING_G, lambda: oracles.entanglement_crossing("classical")),
         (thermo.CHI_PEAK_W, lambda: oracles.mp.lambertw(3 / oracles.mp.e)),
+        (DEATH_TEMPERATURE_SCALE, lambda: 2 / oracles.mp.log(3)),
+        (
+            thermo.CHI_PEAK_TEMPERATURE_SCALE,
+            lambda: 2 / (1 + oracles.mp.lambertw(3 / oracles.mp.e)),
+        ),
     ],
-    ids=["QE_CROSSING_G", "CE_CROSSING_G", "CHI_PEAK_W"],
+    ids=[
+        "QE_CROSSING_G", "CE_CROSSING_G", "CHI_PEAK_W", "DEATH_TEMPERATURE_SCALE",
+        "CHI_PEAK_TEMPERATURE_SCALE",
+    ],
 )
 def test_frozen_landmark_constant_is_correctly_rounded(frozen, exact):
     x = exact()  # 50 digits

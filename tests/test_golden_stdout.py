@@ -18,6 +18,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -29,6 +30,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dimer_discord
 from dimer_discord import cli, thermo
 from dimer_discord.dataio import results_from_correlators, write_results
 from dimer_discord.dimer_core import CODATA, DimerParameters, discord
@@ -37,6 +39,7 @@ from dimer_discord.numerics import ValueWithUncertainty, propagate_uncertainty
 
 GOLDEN = Path(__file__).with_name("golden_stdout.json")
 GOLDEN_STDERR = Path(__file__).with_name("golden_stderr.json")
+LAYERS = ("cli", "dataio", "dimer_core", "numerics", "thermo")
 
 # copper nitrate (J/k_B = -2.56 K, g = 2.11) at T >= 0.5 |J|, a few tenths
 # of a percent off the model, per mole of dimers
@@ -244,6 +247,39 @@ def test_a_real_process_prints_the_golden_stderr(case, golden, golden_stderr, tm
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, golden[case], golden_stderr[case])
 
 
+# the edge fixtures, and --G points clamped, one-sided both ways, refused and undefined
+ONE_PASS_ARGV = [
+    *(CASES[case] for case in ("neutron-edges-csv", "neutron-edges-json", "chi-edges-csv",
+                               "chi-edges-json", "neutron-series-csv", "chi-monomer-json")),
+    *(["from-neutron", f"--G={g}", "--T", "4"] for g in (
+        "-1.004(10)", "0.335(1)", "-0.95(10)", "0.3(1)", "-1.5", "-0.4(20)", "-0.54(9)")),
+    ["from-neutron", "--G=-1.004(10)"],
+]
+SCALAR_INVERSIONS = (
+    thermo.correlator_from_susceptibility, thermo.clamp_measured_correlator, propagate_uncertainty
+)
+
+
+@pytest.mark.parametrize("argv", ONE_PASS_ARGV, ids=" ".join)
+def test_series_and_points_take_one_pass(argv, monkeypatch, tmp_path):
+    # each row is computed once, by the column pass, and its messages are
+    # rendered from its status: no public scalar inversion runs again
+    paths = {name: tmp_path / f"{name}.csv" for name in FIXTURES}
+    for name, path in paths.items():
+        path.write_text(FIXTURES[name], encoding="utf-8")
+    argv = [a.format_map(paths) for a in argv]
+    expected = _shown(cli.main, argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a public scalar inversion ran")
+
+    for module in (dimer_discord, *(getattr(dimer_discord, m) for m in LAYERS)):
+        for name, value in list(vars(module).items()):
+            if any(value is f for f in SCALAR_INVERSIONS):
+                monkeypatch.setattr(module, name, refuse)
+    assert _shown(cli.main, argv) == expected
+
+
 # Equivalence of the column path with the per-row path it replaced.  A row is
 # (T, G, sigma_G); the susceptibility series holds the chi that inverts to G
 # and its sigma, so that both channels see clamped rows (G within 0.01 of an
@@ -292,28 +328,35 @@ CHANNELS = {
 }
 
 
-def _per_row(rows: list[tuple[float, float, float]], channel: str) -> tuple[int, str]:
-    """Exit code and 17-digit stdout of the per-row path on (T, value, sigma)
-    rows: the channel's public scalar inversion, propagate_uncertainty for
-    sigma_G (susceptibility) and sigma_Q, a stderr line per failed row."""
+def _per_row(rows: list[tuple[float, float, float]], channel: str):
+    """The per-row path on (T, value, sigma) rows: the channel's public scalar
+    inversion, propagate_uncertainty for sigma_G (susceptibility) and sigma_Q.
+    Returns its exit code, its 17-digit stdout, the stderr line of each row
+    that fails, and the set of kept rows (1-based) on which it warned."""
     check = CHANNELS[channel][3]
-    kept = []
+    kept, errors, warned = [], [], set()
     for i, (t, v, s) in enumerate(sorted(rows), start=1):
-        try:
-            x = ValueWithUncertainty(v, s)
-            if channel == "neutron":
-                g = ValueWithUncertainty(check(t, v), s)
-            else:
-                g = propagate_uncertainty(lambda c: check(t, c), x)
-            kept.append((t, g.value, g.sigma, propagate_uncertainty(discord, g).sigma))
-        except DimerDiscordError as exc:
-            print(f"row {i} (T = {t:g} K): {exc}", file=sys.stderr)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                x = ValueWithUncertainty(v, s)
+                if channel == "neutron":
+                    g = ValueWithUncertainty(check(t, v), s)
+                else:
+                    g = propagate_uncertainty(lambda c: check(t, c), x)
+                sigma_q = propagate_uncertainty(discord, g).sigma
+            except DimerDiscordError as exc:
+                errors.append(f"row {i} (T = {t:g} K): {exc}\n")
+                continue
+        kept.append((t, g.value, g.sigma, sigma_q))
+        if caught:
+            warned.add(i)
     if not kept:
-        return 1, ""
+        return 1, "", "".join(errors), warned
     t, g, sigma_g, sigma_q = (np.array(column) for column in zip(*kept))
     table = results_from_correlators(t, g, channel)
     table = table._replace(sigma_correlator=sigma_g, sigma_discord=sigma_q)
-    return 0, write_results(table, precision=17).decode("utf-8")
+    return 0, write_results(table, precision=17).decode("utf-8"), "".join(errors), warned
 
 
 @pytest.mark.parametrize("channel", sorted(CHANNELS))
@@ -321,14 +364,23 @@ def _per_row(rows: list[tuple[float, float, float]], channel: str) -> tuple[int,
 @given(rows=ROWS)
 @example(rows=EDGE_ROWS)
 def test_column_path_prints_what_the_per_row_path_did(channel, rows, tmp_path_factory):
+    # stdout, exit code and every dropped row's line byte for byte; a kept
+    # row has one warning line exactly where the per-row path warned
     command, header, to_file, _ = CHANNELS[channel]
     file_rows = [(t, *to_file(t, g, s)) for t, g, s in rows]
     path = tmp_path_factory.mktemp("series") / "series.csv"
     text = "".join(f"{t!r},{v!r},{s!r}\n" for t, v, s in file_rows)
     path.write_text(f"{header}\n{text}", encoding="utf-8")
-    (code, out), _, err = _shown(_per_row, file_rows, channel)
+    code, out, errors, warned = _per_row(file_rows, channel)
     argv = [*command, "--input", str(path)]
-    assert _shown(cli.main, argv, env={"DIMER_DISCORD_PRECISION": "17"}) == (code, out, err)
+    cli_code, cli_out, err = _shown(cli.main, argv, env={"DIMER_DISCORD_PRECISION": "17"})
+    assert (cli_code, cli_out) == (code, out)
+    lines = err.splitlines(keepends=True)
+    assert "".join(line for line in lines if line.startswith("row ")) == errors
+    warning_rows = [int(m) for m in re.findall(r"^(?:Data|Propagation)Warning: row (\d+) \(T = ",
+                                               err, re.MULTILINE)]
+    assert sorted(warning_rows) == sorted(warned)
+    assert len(lines) == errors.count("\n") + len(warned)
 
 
 def _regenerate() -> None:

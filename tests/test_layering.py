@@ -9,7 +9,8 @@ and a scalar call never pays for it.  The CLI builds its
 output as column tables only, never through the one-point result record,
 and takes no uncertainty secant of its own.
 The landmark crossings and the susceptibility maximum are frozen constants,
-so neither the CLI nor ``thermo`` calls a solver for them.
+so neither the CLI nor ``thermo`` calls a solver for them.  No module-level
+private name is left behind without a reference outside its own definition.
 """
 
 import ast
@@ -122,3 +123,38 @@ def test_cli_takes_no_secant_of_its_own():
 )
 def test_landmarks_come_from_frozen_constants_not_solvers(module, solvers):
     assert not _names(module) & solvers
+
+
+def _module_level_private_names(tree: ast.Module):
+    """``(name, node)`` for each private name a top-level statement defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [ast.Name(node.name)]
+        elif isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for n in ast.walk(target):
+                if isinstance(n, ast.Name) and n.id.startswith("_") and not n.id.startswith("__"):
+                    yield n.id, node
+
+
+def test_every_private_name_is_referenced_outside_its_definition():
+    # an import alone is no reference: a leftover imported elsewhere still shows
+    trees = [_tree(m) for m in MODULES]
+    used = {}
+    for tree in trees:
+        for top in tree.body:
+            for n in ast.walk(top):
+                if isinstance(n, (ast.Name, ast.Attribute)):
+                    used.setdefault(n.id if isinstance(n, ast.Name) else n.attr, []).append(top)
+    unreferenced = [
+        f"{module}.{name}"
+        for module, tree in zip(MODULES, trees)
+        for name, node in _module_level_private_names(tree)
+        if all(top is node for top in used.get(name, []))
+    ]
+    assert unreferenced == []
