@@ -375,6 +375,7 @@ def load_series(
     except OSError as exc:
         raise DataError(f"cannot read {p}: {exc}") from exc
 
+    name = str(p)  # once per file, not once per parsed field
     header: list[str] | None = None
     rows: list[tuple[float, float, float | None]] = []
     t_col = v_col = s_col = -1
@@ -403,13 +404,13 @@ def load_series(
             raise DataError(
                 f"{p}:{line_no}: row has {len(fields)} fields, header has {len(header)}"
             )
-        t = _parse_float(fields[t_col], str(p), line_no, "T_K")
+        t = _parse_float(fields[t_col], name, line_no, "T_K")
         if t <= 0.0:
             raise DataError(f"{p}:{line_no}: temperature must be positive, got {t:g}")
-        v = _parse_float(fields[v_col], str(p), line_no, value_tag)
+        v = _parse_float(fields[v_col], name, line_no, value_tag)
         s = None
         if s_col >= 0 and fields[s_col] != "":
-            s = _parse_float(fields[s_col], str(p), line_no, _SIGMA_TAGS[kind])
+            s = _parse_float(fields[s_col], name, line_no, _SIGMA_TAGS[kind])
             if s < 0.0:
                 raise DataError(f"{p}:{line_no}: sigma must be >= 0, got {s:g}")
         rows.append((t, v, s))

@@ -88,8 +88,10 @@ G_MIN = -1.0
 G_MAX = 1.0 / 3.0
 
 # k_B T_e / |J|: the dimensionless entanglement-death temperature, 2/ln 3,
-# correctly rounded from 50 digits (2.0 / math.log(3.0) rounds twice).
+# correctly rounded from 50 digits (2.0 / math.log(3.0) rounds twice), and
+# the rest of 2/ln 3 below it, so that T_e itself takes one rounding.
 DEATH_TEMPERATURE_SCALE = 1.8204784532536749
+_DEATH_TEMPERATURE_SCALE_LO = -6.813257472014464e-17
 
 # Antiferro correlators where the entanglement of formation E crosses the
 # discord Q and the classical correlation C: roots of Q(g) = E(g) and
@@ -380,17 +382,30 @@ def entanglement_of_formation(c_tilde: FloatOrArray) -> FloatOrArray:
 
 
 def entanglement_death_temperature(params: DimerParameters) -> float:
-    """Sudden-death temperature T_e = (2/ln 3) |J|/k_B in kelvin.
+    """Sudden-death temperature T_e = (2/ln 3) |J|/k_B in kelvin, correctly rounded.
 
     Only antiferromagnetic dimers are ever entangled, so ferromagnetic
     parameters are rejected.
     """
     if params.j_over_kb > 0.0:
         raise DomainError("ferromagnetic dimers are separable at every temperature")
-    t = DEATH_TEMPERATURE_SCALE * abs(params.j_over_kb)
+    t = _scaled_abs(DEATH_TEMPERATURE_SCALE, _DEATH_TEMPERATURE_SCALE_LO, params.j_over_kb)
     if t == math.inf:
         raise DomainError(f"death temperature overflows a double at J/k_B = {params.j_over_kb!r}")
     return t
+
+
+def _scaled_abs(hi: float, lo: float, j: float) -> float:
+    """(hi + lo) |j|, correctly rounded, for a scale frozen as a hi/lo pair.
+
+    Formed as one exact integer quotient, which Python rounds correctly
+    (subnormals included); inf past the largest double, as a float product.
+    """
+    (a, b), (c, d), (n, m) = hi.as_integer_ratio(), lo.as_integer_ratio(), abs(j).as_integer_ratio()
+    try:
+        return (a * d + b * c) * n / (b * d * m)
+    except OverflowError:
+        return math.inf
 
 
 def powder_g(gx: float, gy: float, gz: float) -> float:

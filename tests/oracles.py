@@ -62,6 +62,32 @@ def cm_of_t(j, t):
     return float(3 * a**2 * e / (1 + 3 * e) ** 2)
 
 
+def cm_inversion(cm, antiferro, side):
+    """The correlator where c_m/R equals the float ``cm`` on one flank of the
+    Schottky curve, as a 50-digit mpf.  Bisection in ln x, x = |2J/(k_B T)|,
+    inside (sqrt(cm), x*) on the hot side and (x*, 800) on the cold one:
+    c_m/R <= x^2/4 everywhere, and is below the smallest double past x = 800."""
+    c = mp.mpf(cm)
+
+    def log_cm(x):
+        e = mp.e ** (-x)
+        return mp.log(3 * x * x * e / ((1 + 3 * e) if antiferro else (3 + e)) ** 2)
+
+    def slope(x):  # d ln c_m / dx, zero at the peak x*
+        return 2 / x - 1 + (6 / (mp.e**x + 3) if antiferro else 2 / (3 * mp.e**x + 1))
+
+    x_peak = mp.findroot(slope, (mp.mpf(1), mp.mpf(4)), solver="anderson")
+    lo, hi = (mp.sqrt(c), x_peak) if side == "hot" else (x_peak, mp.mpf(800))
+    for _ in range(100):  # ln(hi/lo) < 400 shrinks below 1e-27
+        mid = mp.sqrt(lo * hi)
+        if (log_cm(mid) > mp.log(c)) == (side == "hot"):
+            hi = mid
+        else:
+            lo = mid
+    em = mp.expm1(-mp.sqrt(lo * hi))  # e^-x - 1, for x below 1e-50 too
+    return em / (3 * em + 4) if antiferro else -em / (em + 4)
+
+
 def u_of_t(j, t):
     return float(mp.mpf("-1.5") * mp.mpf(j) * g_of_t(j, t))
 

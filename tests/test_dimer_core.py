@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
-from dimer_discord import thermo
+from dimer_discord import dimer_core, thermo
 from dimer_discord.dimer_core import (
     CE_CROSSING_G,
     DEATH_TEMPERATURE_SCALE,
@@ -315,16 +315,48 @@ class TestDeathTemperature:
             thermo.CHI_PEAK_TEMPERATURE_SCALE,
             lambda: 2 / (1 + oracles.mp.lambertw(3 / oracles.mp.e)),
         ),
+        # the rest of each scale below its double, which T_K is formed with
+        (
+            dimer_core._DEATH_TEMPERATURE_SCALE_LO,
+            lambda: 2 / oracles.mp.log(3) - DEATH_TEMPERATURE_SCALE,
+        ),
+        (
+            thermo._CHI_PEAK_TEMPERATURE_SCALE_LO,
+            lambda: 2 / (1 + oracles.mp.lambertw(3 / oracles.mp.e))
+            - thermo.CHI_PEAK_TEMPERATURE_SCALE,
+        ),
     ],
     ids=[
         "QE_CROSSING_G", "CE_CROSSING_G", "CHI_PEAK_W", "DEATH_TEMPERATURE_SCALE",
-        "CHI_PEAK_TEMPERATURE_SCALE",
+        "CHI_PEAK_TEMPERATURE_SCALE", "DEATH_TEMPERATURE_SCALE_LO",
+        "CHI_PEAK_TEMPERATURE_SCALE_LO",
     ],
 )
 def test_frozen_landmark_constant_is_correctly_rounded(frozen, exact):
     x = exact()  # 50 digits
     assert frozen == float(x)
     assert abs(oracles.mp.mpf(frozen) - x) <= math.ulp(frozen) / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(j=st.floats(-5.0, 5.0).map(lambda decades: 10.0**decades))
+@example(j=2.59)
+@example(j=2.56)
+@example(j=204.0)
+@example(j=216.0)
+@example(j=1e-320)
+@example(j=9e307)
+def test_landmark_temperatures_are_correctly_rounded(j):
+    t_death = entanglement_death_temperature(DimerParameters(-j))
+    t_chi = thermo.susceptibility_maximum(DimerParameters(-j, 2.0))[0]
+    assert t_death == float(2 * oracles.mp.mpf(j) / oracles.mp.log(3))
+    assert t_chi == float(2 * oracles.mp.mpf(j) / (1 + oracles.mp.lambertw(3 / oracles.mp.e)))
+
+
+def test_landmark_temperature_past_the_largest_double():
+    with pytest.raises(DomainError, match="death temperature overflows a double"):
+        entanglement_death_temperature(DimerParameters(-1e308))
+    assert thermo.susceptibility_maximum(DimerParameters(-1.5e308, 2.0))[0] == math.inf
 
 
 class TestDensityMatrix:

@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from test_dimer_core import assert_same_bits
 
 import oracles
+from dimer_discord import thermo
 from dimer_discord.dimer_core import (
     G_MAX,
     G_MIN,
@@ -16,6 +17,7 @@ from dimer_discord.dimer_core import (
     bleaney_bowers,
     correlator_from_temperature,
     powder_g,
+    temperature_from_correlator,
 )
 from dimer_discord.errors import (
     DataError,
@@ -210,6 +212,80 @@ class TestSpecificHeatInversion:
             correlator_from_specific_heat(CAL, -0.1)
         with pytest.raises(DomainError):
             correlator_from_specific_heat(CAL, 0.5, side="warm")
+
+
+# the four flanks of the Schottky curve, as (antiferro, side)
+FLANKS = [(True, "hot"), (True, "cold"), (False, "hot"), (False, "cold")]
+FLANK_IDS = ["antiferro-hot", "antiferro-cold", "ferro-hot", "ferro-cold"]
+
+
+def _unit_and_peak(antiferro):
+    return (AFM, CM_PEAK_ANTIFERRO) if antiferro else (FM, CM_PEAK_FERRO)
+
+
+class TestSpecificHeatNewton:
+    """The bracketed Newton in x = |a| against 50 digits, on every flank."""
+
+    @pytest.mark.parametrize("antiferro, side", FLANKS, ids=FLANK_IDS)
+    @settings(max_examples=40, deadline=None)
+    @given(decades=st.floats(-323.0, math.log10(0.999)))
+    @example(decades=math.log10(0.999))
+    @example(decades=-323.0)  # a subnormal height
+    def test_within_1e_13_of_the_oracle_up_to_999_permille_of_the_peak(
+        self, antiferro, side, decades
+    ):
+        params, peak = _unit_and_peak(antiferro)
+        cm = peak * 10.0**decades
+        g = correlator_from_specific_heat(params, cm, side=side)
+        exact = oracles.cm_inversion(cm, antiferro, side)
+        assert abs(g - exact) <= 1e-13 * abs(exact), (cm, g, exact)
+
+    @pytest.mark.parametrize("antiferro, side", FLANKS, ids=FLANK_IDS)
+    @settings(max_examples=60, deadline=None)
+    @given(decades=st.floats(-300.0, math.log10(0.999)), gap=st.floats(-12.0, 0.0))
+    def test_monotone_in_the_height(self, antiferro, side, decades, gap):
+        # heights closer than the 1e-13 accuracy above may come back in
+        # either order (a few ulp apart they do); past it the order holds
+        params, peak = _unit_and_peak(antiferro)
+        low = peak * 10.0**decades
+        high = low * (1.0 + 10.0**gap)
+        assume(high <= 0.999 * peak)
+        g_low = correlator_from_specific_heat(params, low, side=side)
+        g_high = correlator_from_specific_heat(params, high, side=side)
+        # toward the peak G rises on the antiferro cold and ferro hot flanks
+        rising = antiferro == (side == "cold")
+        assert (g_low <= g_high) if rising else (g_low >= g_high)
+
+    @pytest.mark.parametrize("antiferro", [True, False], ids=["antiferro", "ferro"])
+    @settings(max_examples=100, deadline=None)
+    @given(decades=st.floats(-2.0, 6.0))
+    @example(decades=-2.0)
+    @example(decades=6.0)
+    def test_temperature_round_trips_in_x(self, antiferro, decades):
+        # T -> c_m/R -> x -> 2|J|/x over T/|J| in [1e-2, 1e6]; x is the
+        # coordinate the inversion solves in (G itself is -1 or 1/3 in
+        # doubles below T/|J| ~ 0.05).  The bound carries the conditioning
+        # 1/|s| of the curve, s = d ln c_m / d ln x, which is 0 at the peak.
+        params, peak = _unit_and_peak(antiferro)
+        t = 10.0**decades
+        cm = specific_heat(params, t)
+        assume(cm <= peak)  # within an ulp or so of the peak it reads as the peak
+        x = thermo._schottky_x(cm, antiferro, t > schottky_maximum(params)[0])
+        e = math.exp(-2.0 / t)
+        s = 2.0 - 2.0 / t + (6.0 * e / (1.0 + 3.0 * e) if antiferro else 2.0 * e / (3.0 + e)) * 2.0 / t
+        assert abs(2.0 / x - t) <= (1e-14 + 2e-15 / abs(s)) * t
+
+    def test_cold_end_of_copper_nitrate(self):
+        # J/k_B = -204 K (the Cu(NO3)2 2.5 D2O-scale coupling of the
+        # landmarks), cold flank: T -> c_m/R -> G -> T
+        params = DimerParameters(-204.0)
+        for t, bound in ((15.0, 2e-6), (20.0, 1e-9)):
+            g = correlator_from_specific_heat(params, specific_heat(params, t), side="cold")
+            assert abs(temperature_from_correlator(params, g) - t) <= bound * t
+        # 1 + G = 6.9e-15 here: the inversion keeps it off -1
+        g = correlator_from_specific_heat(params, specific_heat(params, 12.0), side="cold")
+        assert g > G_MIN
+        assert temperature_from_correlator(params, g) > 0.0
 
 
 class TestSchottky:
