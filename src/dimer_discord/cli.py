@@ -180,17 +180,15 @@ def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
         ]
 
         # each crossing sits at a fixed correlator, so at a fixed k_B T/|J|
-        qe, ce = dimer_core.QE_CROSSING_G, dimer_core.CE_CROSSING_G
-        t_qe = dimer_core.temperature_from_correlator(params, qe)
-        t_ce = dimer_core.temperature_from_correlator(params, ce)
-        at_qe = dimer_core.measures_from_correlator(qe)
-        at_ce = dimer_core.measures_from_correlator(ce)
+        j = params.j_over_kb
+        at_qe = dimer_core.measures_from_correlator(dimer_core.QE_CROSSING_G)
+        at_ce = dimer_core.measures_from_correlator(dimer_core.CE_CROSSING_G)
         lines += [
-            ("QE_crossing_kT_over_absJ", dimer_core.temperature_from_correlator(unit, qe)),
-            ("QE_crossing_T_K", t_qe),
+            ("QE_crossing_kT_over_absJ", dimer_core._QE_CROSSING_SCALE),
+            ("QE_crossing_T_K", dimer_core._scaled_abs(dimer_core._QE_CROSSING_TEMPERATURE, j)),
             ("QE_crossing_bits", at_qe.discord),
-            ("CE_crossing_kT_over_absJ", dimer_core.temperature_from_correlator(unit, ce)),
-            ("CE_crossing_T_K", t_ce),
+            ("CE_crossing_kT_over_absJ", dimer_core._CE_CROSSING_SCALE),
+            ("CE_crossing_T_K", dimer_core._scaled_abs(dimer_core._CE_CROSSING_TEMPERATURE, j)),
             ("CE_crossing_bits", at_ce.classical),
             # the discord does not pass through this crossing; report it too
             ("CE_crossing_discord_bits", at_ce.discord),

@@ -450,7 +450,7 @@ def load_series(
 
 
 # ---------------------------------------------------------------------------
-# writing: one cell formatter and one row template per table serve every output
+# writing: one cell formatter and one row template per block serve every output
 
 
 def _number_spec(precision: int) -> str:
@@ -483,17 +483,45 @@ def cell_formatter(precision: int) -> Callable[[object], str]:
 
 _BLOCK_ROWS = 4096  # rows formatted at a time: only one block's cells are alive
 
+# a column block's field in its row template: a % field and the values that fill it, or a
+# literal (its % escaped) and None
+Field = "tuple[str, Iterable[object] | None]"
+
+
+def _literal(text: str) -> Field:
+    return text.replace("%", "%%"), None
+
+
+def _constant(block: Column) -> bool:
+    """Whether a column block holds one value: floats all ``==`` the first and of its sign
+    bit (-0.0 stands apart from 0.0, and a NaN never holds), or strings all equal."""
+    if _is_array(block):
+        first, np = block[0], _numpy()
+        return bool((block == first).all() and (np.signbit(block) == np.signbit(first)).all())
+    return isinstance(block[0], str) and block.count(block[0]) == len(block)
+
 
 def _row_blocks(
-    template: str, columns: Sequence[Column], cells: Sequence[Callable], sep: str
+    columns: Sequence[Column], fields: Sequence[Callable[[Column], Field]],
+    prefixes: Sequence[str], end: str, sep: str,
 ) -> Iterator[str]:
-    """Each block of rows of ``columns`` filled into ``template``, the rows
-    joined by ``sep``; ``cells[k]`` turns a block of column k into the
-    values its fields take.  Rows stop with the shortest column."""
+    """Each block of rows of ``columns``, the rows joined by ``sep``.  A block's rows come
+    from one ``%`` row template, built for the block: ``prefixes[k]`` then the field that
+    ``fields[k]`` gives the block of column k, for each k, then ``end``.  A field is a
+    literal (a block that holds one value) or a ``%`` field with the values that fill it;
+    a block of literals only is its one row repeated.  Rows stop with the shortest column."""
     n = min(map(len, columns), default=0)
+    prefixes = [prefix.replace("%", "%%") for prefix in prefixes]
     for start in range(0, n, _BLOCK_ROWS):
-        block = [f(column[start:start + _BLOCK_ROWS]) for f, column in zip(cells, columns)]
-        yield sep.join(map(template.__mod__, zip(*block)))
+        stop = min(start + _BLOCK_ROWS, n)
+        template, values = [], []
+        for prefix, field, column in zip(prefixes, fields, columns):
+            spec, cells = field(column[start:stop])
+            template += prefix, spec
+            if cells is not None:
+                values.append(cells)
+        row = "".join(template) + end
+        yield sep.join(map(row.__mod__, zip(*values)) if values else [row % ()] * (stop - start))
 
 
 def text_table(
@@ -506,25 +534,32 @@ def text_table(
     """The rows of ``columns`` as lines, cells joined by ``sep``: CSV below a
     ``header`` line, or ``key = value`` lines with ``sep=" = "``.
 
-    Every line comes from one ``%`` row template, built once from the kinds
-    of the columns: a float array fills a ``%.{precision}g`` field with its
-    values, a column of strings a ``%s`` field as they are, and any other
+    Each block of lines (:data:`_BLOCK_ROWS` of them) comes from one ``%`` row
+    template, built from the block's cells.  A column's block that holds one
+    value (see :func:`_constant`) is a literal: that cell's text.  Otherwise a
+    float array's block is a ``%.{precision}g`` field filled with its values,
+    a column of strings a ``%s`` field with them as they are, and any other
     sequence a ``%s`` field with its cells formatted by :func:`cell_formatter`.
     """
     number = _number_spec(precision)
     cell = cell_formatter(precision)
-    fields, cells = [], []
-    for column in columns:
-        if _is_array(column):
-            fields.append(number)
-            cells.append(lambda block: block.tolist())
-        else:
-            fields.append("%s")
-            strings = {*map(type, column)} <= {str}
-            cells.append((lambda block: block) if strings else (lambda block: map(cell, block)))
-    template = sep.replace("%", "%%").join(fields) + "\n"
+
+    def floats(block: np.ndarray) -> Field:
+        return _literal(number % block[0]) if _constant(block) else (number, block.tolist())
+
+    def strings(block: Sequence[str]) -> Field:
+        return _literal(block[0]) if _constant(block) else ("%s", block)
+
+    def others(block: Sequence[object]) -> Field:
+        return "%s", map(cell, block)
+
+    fields = [
+        floats if _is_array(column) else strings if {*map(type, column)} <= {str} else others
+        for column in columns
+    ]
+    prefixes = ["", *[sep] * (len(columns) - 1)]
     head = "" if header is None else sep.join(header) + "\n"
-    return "".join([head, *_row_blocks(template, columns, cells, "")])
+    return "".join([head, *_row_blocks(columns, fields, prefixes, "\n", "")])
 
 
 def _json_floats(strings: Iterable[str]) -> list[str]:
@@ -566,6 +601,25 @@ def _json_numbers(precision: int) -> Callable[[Iterable[str]], list[str]]:
     ]
 
 
+def _flagged(block: np.ndarray, precision: int) -> list[int]:
+    """The cells of a float block whose ``%.{precision}g`` string may not be
+    json's token, for a precision up to 15: the non-finite, those under
+    1e-306 in size, and those within |x| * 10**(1-precision) of an integer.
+
+    A superset of the cells that :func:`_json_numbers` changes.  A cell that
+    ``%g`` writes as an integer or ``-0`` is within half a unit of its last
+    digit, at most |x| * 10**(1-precision) / 2, of an integer.  So is every
+    cell from 10**(precision-1) / 2 up in size, and with it every exponent
+    from ``precision`` up, 308 and more included.  An exponent of -308 or
+    less (a subnormal, which may lose digits) needs a cell under 1e-306.
+    """
+    np = _numpy()
+    size = np.abs(block)
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN, which compares False
+        clean = np.abs(block - np.rint(block)) > size * 10.0 ** (1 - precision)
+    return (~clean | (size < 1e-306)).nonzero()[0].tolist()
+
+
 def _rounded(x: object, number: Callable[[object], str]) -> object:
     if isinstance(x, float):
         return float(number(x))
@@ -594,31 +648,53 @@ def json_text(
     columns of scalar cells): one object per row keyed by ``keys``, or one
     array per row without keys.  The bytes are those of
     ``json.dumps(..., indent=2)`` of the rounded document with the table in
-    it.  The table comes from one ``%s`` row template at that depth; a
-    float's token is taken from its ``%.{precision}g`` string as
-    :func:`_json_numbers` says, any other cell is dumped by ``json``.
+    it.  Each block of rows comes from one ``%`` row template at that depth,
+    built from the block's cells as in :func:`text_table`: a column's block
+    that holds one value is a literal, its token.  Up to 15 digits a float
+    block in which :func:`_flagged` names no cell is a ``%.{precision}g``
+    field, since each cell's string is its token.  Any other float block is
+    a ``%s`` field of the strings, the flagged cells' (every cell's past 15
+    digits) replaced by their tokens from :func:`_json_numbers`; any other
+    cell is dumped by ``json``.  Every block is built before the text is
+    returned, so a cell that raises leaves no partial table.
     """
-    number = _number_spec(precision).__mod__
+    spec = _number_spec(precision)
+    number = spec.__mod__
     numbers = _json_numbers(precision)
     text = json.dumps(_rounded({**doc, "rows": _ROWS_MARK}, number), indent=2, allow_nan=False)
 
-    def floats(block: np.ndarray) -> list[str]:
-        return numbers(map(number, block.tolist()))
+    def token(x: float) -> str:
+        return numbers((number(x),))[0]
 
-    def scalars(block: Sequence[object]) -> list[str]:
-        return [numbers((number(x),))[0] if isinstance(x, float) else json.dumps(x) for x in block]
+    def floats(block: np.ndarray) -> Field:
+        if _constant(block):
+            return _literal(token(block[0]))
+        values = block.tolist()
+        flagged = range(len(values)) if precision > 15 else _flagged(block, precision)
+        if not flagged:
+            return spec, values
+        strings = list(map(number, values))
+        for i, s in zip(flagged, numbers([strings[i] for i in flagged])):
+            strings[i] = s
+        return "%s", strings
+
+    def scalars(block: Sequence[object]) -> Field:
+        if _constant(block):
+            return _literal(json.dumps(block[0]))
+        return "%s", [token(x) if isinstance(x, float) else json.dumps(x) for x in block]
 
     if keys is None:
         opening, closing = "[", "]"
         names = [""] * len(rows)
     else:
         opening, closing = "{", "}"
-        names = [json.dumps(key).replace("%", "%%") + ": " for key in keys]
+        names = [json.dumps(key) + ": " for key in keys]
     # one row at the depth json.dumps(indent=2) gives the items of a top-level key
-    fields = ",\n".join(f"      {name}%s" for name in names)
-    template = f"    {opening}\n{fields}\n    {closing}"
-    cells = [floats if _is_array(column) else scalars for column in rows]
-    table = ",\n".join(_row_blocks(template, rows, cells, ",\n"))
+    prefixes = [f",\n      {name}" for name in names]
+    if prefixes:
+        prefixes[0] = f"    {opening}\n      {names[0]}"
+    fields = [floats if _is_array(column) else scalars for column in rows]
+    table = ",\n".join(_row_blocks(rows, fields, prefixes, f"\n    {closing}", ",\n"))
     head, _, tail = text.rpartition(json.dumps(_ROWS_MARK))
     return "".join([head, "[\n", table, "\n  ]", tail, "\n"] if table else [head, "[]", tail, "\n"])
 

@@ -100,6 +100,13 @@ _DEATH_TEMPERATURE_SCALE_LO = -6.813257472014464e-17
 QE_CROSSING_G = -0.878753087946204
 CE_CROSSING_G = -0.6571969044257224
 
+# k_B T/|J| = 2/ln((1 - 3g)/(1 + g)) at each crossing's exact correlator, correctly
+# rounded from 50 digits, and the rest below it, so that each crossing T takes one rounding
+_QE_CROSSING_SCALE = 0.5880827911830968
+_QE_CROSSING_SCALE_LO = -9.379750469474742e-18
+_CE_CROSSING_SCALE = 0.9260560603107421
+_CE_CROSSING_SCALE_LO = 1.8743652499565143e-17
+
 _G_TOL = 1e-9  # float fuzz allowed on direct correlator inputs before we refuse
 _XLOG_CUTOFF = 1e-30  # below this, x*log2(x) is 0 to double precision anyway
 _EXP_ARG_MAX = 700.0  # exp() overflows near 709; beyond this use the T=0 limit
@@ -389,23 +396,36 @@ def entanglement_death_temperature(params: DimerParameters) -> float:
     """
     if params.j_over_kb > 0.0:
         raise DomainError("ferromagnetic dimers are separable at every temperature")
-    t = _scaled_abs(DEATH_TEMPERATURE_SCALE, _DEATH_TEMPERATURE_SCALE_LO, params.j_over_kb)
+    t = _scaled_abs(_DEATH_TEMPERATURE, params.j_over_kb)
     if t == math.inf:
         raise DomainError(f"death temperature overflows a double at J/k_B = {params.j_over_kb!r}")
     return t
 
 
-def _scaled_abs(hi: float, lo: float, j: float) -> float:
-    """(hi + lo) |j|, correctly rounded, for a scale frozen as a hi/lo pair.
+def _exact_sum(hi: float, lo: float) -> tuple[int, int]:
+    """hi + lo, a scale frozen as a hi/lo pair, as an exact integer ratio."""
+    (a, b), (c, d) = hi.as_integer_ratio(), lo.as_integer_ratio()
+    return a * d + b * c, b * d
+
+
+def _scaled_abs(scale: tuple[int, int], j: float) -> float:
+    """``scale`` |j|, correctly rounded, for a scale held as :func:`_exact_sum`
+    gives it.
 
     Formed as one exact integer quotient, which Python rounds correctly
     (subnormals included); inf past the largest double, as a float product.
     """
-    (a, b), (c, d), (n, m) = hi.as_integer_ratio(), lo.as_integer_ratio(), abs(j).as_integer_ratio()
+    (a, b), (n, m) = scale, abs(j).as_integer_ratio()
     try:
-        return (a * d + b * c) * n / (b * d * m)
+        return a * n / (b * m)
     except OverflowError:
         return math.inf
+
+
+# the landmark scales frozen above, each as one exact ratio for _scaled_abs
+_DEATH_TEMPERATURE = _exact_sum(DEATH_TEMPERATURE_SCALE, _DEATH_TEMPERATURE_SCALE_LO)
+_QE_CROSSING_TEMPERATURE = _exact_sum(_QE_CROSSING_SCALE, _QE_CROSSING_SCALE_LO)
+_CE_CROSSING_TEMPERATURE = _exact_sum(_CE_CROSSING_SCALE, _CE_CROSSING_SCALE_LO)
 
 
 def powder_g(gx: float, gy: float, gz: float) -> float:

@@ -29,6 +29,7 @@ from .dimer_core import (
     DimerParameters,
     FloatOrArray,
     _clip,
+    _exact_sum,
     _map,
     _numpy,
     _scaled_abs,
@@ -84,11 +85,31 @@ CM_PEAK_FERRO = 0.16632055381487849
 _CM_PEAK_X_ANTIFERRO = -4.0 / (1.0 + 3.0 * CM_PEAK_G_ANTIFERRO)
 _CM_PEAK_X_FERRO = 4.0 / (1.0 + 3.0 * CM_PEAK_G_FERRO)
 
+# k_B T*/|J| = |1 + 3g*|/2 at each peak, correctly rounded from 50 digits, and the rest
+# below it, so that the peak temperature takes one rounding
+_CM_PEAK_T_ANTIFERRO = 0.7029904241430893
+_CM_PEAK_T_ANTIFERRO_LO = 4.636677627107606e-17
+_CM_PEAK_T_FERRO = 0.9259574610084681
+_CM_PEAK_T_FERRO_LO = -5.139621267485613e-17
+_CM_PEAK_TEMPERATURE_ANTIFERRO = _exact_sum(_CM_PEAK_T_ANTIFERRO, _CM_PEAK_T_ANTIFERRO_LO)
+_CM_PEAK_TEMPERATURE_FERRO = _exact_sum(_CM_PEAK_T_FERRO, _CM_PEAK_T_FERRO_LO)
+
+# -f''(x*) of the log curve f that _schottky_x solves, 2/x*^2 + 6e/(1 + 3e)^2 antiferro and
+# 2/x*^2 + 6e/(3 + e)^2 ferro with e = e^-x*: near the peak f = ln(c*/c) - f''(x*)(x - x*)^2/2
+_CM_PEAK_CURVATURE_ANTIFERRO = 2.0 / _CM_PEAK_X_ANTIFERRO**2 + 6.0 / (
+    math.exp(0.5 * _CM_PEAK_X_ANTIFERRO) + 3.0 * math.exp(-0.5 * _CM_PEAK_X_ANTIFERRO)
+) ** 2
+_CM_PEAK_CURVATURE_FERRO = 2.0 / _CM_PEAK_X_FERRO**2 + 6.0 / (
+    3.0 * math.exp(0.5 * _CM_PEAK_X_FERRO) + math.exp(-0.5 * _CM_PEAK_X_FERRO)
+) ** 2
+_NEAR_PEAK = 0.99  # above this share of the peak height the quadratic root is the start
+
 # c_m/R < 3 x^2 e^-x on both branches, below the smallest positive double
 # from x = 800 on: every cold root of a positive c_m/R lies below this
 _CM_COLD_X_MAX = 800.0
 
 _X_RTOL = 1e-9  # past a Newton step this small the next one is below rounding
+_F_NOISE = 2.0**-50  # f's rounding, 4 ulp of the size of its terms
 _LN3 = 1.0986122886681098  # ln 3, correctly rounded
 _HOT_START = 4.0 / math.sqrt(3.0)  # the hot root 4 sqrt(c/3) is this times sqrt(c)
 
@@ -99,6 +120,7 @@ _HOT_START = 4.0 / math.sqrt(3.0)  # the hot root 4 sqrt(c/3) is this times sqrt
 CHI_PEAK_W = 0.603545739535836
 CHI_PEAK_TEMPERATURE_SCALE = 1.2472360162167386
 _CHI_PEAK_TEMPERATURE_SCALE_LO = -6.327997720723675e-17
+_CHI_PEAK_TEMPERATURE = _exact_sum(CHI_PEAK_TEMPERATURE_SCALE, _CHI_PEAK_TEMPERATURE_SCALE_LO)
 
 # measured values may overshoot the physical domain by this much (absolute
 # in G) before they are declared inconsistent with the dimer model
@@ -335,7 +357,13 @@ def _schottky_x(cm: float, antiferro: bool, hot: bool) -> float:
     maximum at x*: increasing on the hot flank (0, x*), decreasing on the
     cold one.  Each evaluation narrows the bracket; a step that leaves it, or
     that is not under half the step before, is replaced by bisection.  The
-    cold bracket (x*, inf) is cut at :data:`_CM_COLD_X_MAX`.
+    cold bracket (x*, inf) is cut at :data:`_CM_COLD_X_MAX`.  Above
+    :data:`_NEAR_PEAK` of the peak c*, where f is nearly quadratic and
+    Newton would only halve the distance to the root each step, the start
+    is the root of that quadratic; and the iteration stops once |f| is
+    within its own rounding.  That takes at most 4 evaluations from 0.99 of
+    the peak to within an ulp of it (it took up to 36); farther out every
+    iterate is as it was.
     """
     x_peak = _CM_PEAK_X_ANTIFERRO if antiferro else _CM_PEAK_X_FERRO
     root_cm = math.sqrt(cm)  # ln(x^2/cm) as 2 ln(x/sqrt(cm)): no x^2 or cm/3 underflows
@@ -344,6 +372,16 @@ def _schottky_x(cm: float, antiferro: bool, hot: bool) -> float:
     else:
         lo, hi = x_peak, _CM_COLD_X_MAX
         x = (_LN3 if antiferro else -_LN3) - math.log(cm)
+    noise = 0.0  # below which |f| is rounding; farther out the step test stops first
+    cm_peak = CM_PEAK_ANTIFERRO if antiferro else CM_PEAK_FERRO
+    if cm > _NEAR_PEAK * cm_peak:  # start at the root of f's quadratic about the peak
+        depth = math.log(cm_peak / cm)  # f(x*)
+        if depth <= 0.0:  # the peak, to rounding
+            return x_peak
+        curvature = _CM_PEAK_CURVATURE_ANTIFERRO if antiferro else _CM_PEAK_CURVATURE_FERRO
+        offset = math.sqrt(2.0 * depth / curvature)
+        x = x_peak - offset if hot else x_peak + offset
+        noise = _F_NOISE * (abs(2.0 * math.log(x_peak / root_cm)) + x_peak + 3.0)
     if not lo < x < hi:
         x = 0.5 * (lo + hi)
     step_before = hi - lo
@@ -363,6 +401,8 @@ def _schottky_x(cm: float, antiferro: bool, hot: bool) -> float:
         if abs(step) <= _X_RTOL * x:
             return x - step
         if not lo < x - step < hi or abs(step + step) > abs(step_before):
+            if abs(f) <= noise:  # f is rounding, and so is the step: x is a root
+                return x
             step = x - 0.5 * (lo + hi)
             if not lo < x - step < hi:  # the bracket is two adjacent doubles
                 return x - step
@@ -373,11 +413,12 @@ def schottky_maximum(params: DimerParameters) -> tuple[float, float]:
     """Temperature and height of the Schottky peak, ``(t_peak, cm_peak)``.
 
     At the stationary point a = 2J/(k_B T) equals 4/(1+3g*), which collapses
-    to t_peak = (J/k_B)(1+3g*)/2 — positive on both branches.
+    to t_peak = (J/k_B)(1+3g*)/2 — positive on both branches, and correctly
+    rounded: |1 + 3g*|/2 is frozen as a hi/lo pair.
     """
-    g_peak, cm_peak = _schottky_peak(params)
-    t_peak = params.j_over_kb / 2.0 * (1.0 + 3.0 * g_peak)  # halved first: no overflow
-    return t_peak, cm_peak
+    if params.antiferro:
+        return _scaled_abs(_CM_PEAK_TEMPERATURE_ANTIFERRO, params.j_over_kb), CM_PEAK_ANTIFERRO
+    return _scaled_abs(_CM_PEAK_TEMPERATURE_FERRO, params.j_over_kb), CM_PEAK_FERRO
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +492,7 @@ def susceptibility_maximum(params: DimerParameters) -> tuple[float, float]:
         raise DomainError("only an antiferro dimer has a susceptibility maximum")
     g_factor = _require_g(params, "susceptibility maximum")
     j_abs = abs(params.j_over_kb)
-    t_max = _scaled_abs(CHI_PEAK_TEMPERATURE_SCALE, _CHI_PEAK_TEMPERATURE_SCALE_LO, j_abs)
+    t_max = _scaled_abs(_CHI_PEAK_TEMPERATURE, j_abs)
     height = CODATA.curie_prefactor * g_factor**2 * CHI_PEAK_W
     three_j = 3.0 * j_abs
     if three_j == math.inf:  # |J| above ~6e307: divided first there, and only there

@@ -6,6 +6,8 @@ routes (Gibbs state of the actual 4x4 Hamiltonian, von Neumann entropies,
 partial transpose by index shuffling) that don't presume any of them.
 """
 
+import functools
+
 import mpmath as mp
 import numpy as np
 import scipy.linalg
@@ -132,6 +134,28 @@ def entanglement_crossing(measure):
     return mp.findroot(
         lambda g: f(g) - entanglement(g), (mp.mpf("-0.95"), mp.mpf("-0.4")), solver="anderson"
     )
+
+
+@functools.cache
+def crossing_temperature_scale(measure):
+    """k_B T/|J| = 2/ln((1 - 3g)/(1 + g)) at the correlator of
+    :func:`entanglement_crossing`, as a 50-digit mpf."""
+    g = entanglement_crossing(measure)
+    return 2 / mp.log((1 - 3 * g) / (1 + g))
+
+
+@functools.cache
+def schottky_peak_temperature_scale(antiferro):
+    """k_B T*/|J| = |1 + 3g*|/2 at the Schottky peak of one branch, as a
+    50-digit mpf: g* is the root of (1 + 3g) ln((1 + g)/(1 - 3g)) = 4 on
+    (-0.95, -0.6) antiferro and on (0.2, 0.33) ferro."""
+    bracket = ("-0.95", "-0.6") if antiferro else ("0.2", "0.33")
+    g = mp.findroot(
+        lambda g: (1 + 3 * g) * mp.log((1 + g) / (1 - 3 * g)) - 4,
+        tuple(map(mp.mpf, bracket)),
+        solver="anderson",
+    )
+    return abs(1 + 3 * g) / 2
 
 
 # --- matrix routes -----------------------------------------------------------

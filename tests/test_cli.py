@@ -226,6 +226,26 @@ class TestLandmarks:
         assert len(unit) == (6 if j.startswith("-") else 1)
         assert reduced([f"--J-over-kB={j}"]) == unit
 
+    @pytest.mark.parametrize("j", ["-2.56", "-204", "-216", "-5e-324", "35.4", "1e308"])
+    def test_landmark_temperatures_print_correctly_rounded(self, j, capsys):
+        # at 17 digits each T_K line reads back as the double nearest its
+        # 50-digit value (|J| times a universal k_B T/|J|)
+        import oracles
+        from dimer_discord import cli
+
+        with mock.patch.dict(os.environ, {"DIMER_DISCORD_PRECISION": "17"}):
+            assert cli.main(["landmarks", f"--J-over-kB={j}", "--g-factor", "2"]) == 0
+        got = dict(line.split(" = ") for line in capsys.readouterr().out.strip().split("\n"))
+        antiferro = j.startswith("-")
+        scales = {"schottky_peak_T_K": oracles.schottky_peak_temperature_scale(antiferro)}
+        if antiferro:
+            scales["entanglement_death_T_K"] = 2 / oracles.mp.log(3)
+            scales["QE_crossing_T_K"] = oracles.crossing_temperature_scale("discord")
+            scales["CE_crossing_T_K"] = oracles.crossing_temperature_scale("classical")
+            scales["chi_peak_T_K"] = 2 / (1 + oracles.mp.lambertw(3 / oracles.mp.e))
+        for key, scale in scales.items():
+            assert float(got[key]) == float(abs(oracles.mp.mpf(float(j))) * scale), key
+
     def test_susceptibility_peak_where_three_j_overflows(self, capsys):
         from dimer_discord import cli
 

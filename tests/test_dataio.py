@@ -556,6 +556,14 @@ def as_rows(columns):
     return [list(row) for row in zip(*lists)]
 
 
+def _constant_blocks(columns):
+    n = dataio._BLOCK_ROWS
+    return [
+        [dataio._constant(column[start:start + n]) for start in range(0, len(column), n)]
+        for column in columns
+    ]
+
+
 KEYS = ["T_K", 'a"b', "%s", "Q"]
 # where 15 and 16 digits part: 16 digits need not survive the double
 # (0.587851162064913 prints 0.5878511620649129), and an exponent of 15 is
@@ -640,6 +648,91 @@ class TestTableWriter:
         assert text_table(columns, 6, header=KEYS[:3]) == expected
         table = [dict(zip(KEYS, row)) for row in as_rows(columns)]
         assert json_text({}, 6, rows=columns, keys=KEYS[:3]) == reference_json({"rows": table}, 6)
+
+    def test_blocks_holding_one_value(self):
+        # a column's block that holds one value is written as one literal:
+        # +0.0 and -0.0 blocks stay apart (a block of both is not constant),
+        # and a constant string holding % is written as it is
+        b = dataio._BLOCK_ROWS
+        n = 2 * b + 5
+        mixed_zeros = np.zeros(b)
+        mixed_zeros[::3] = -0.0
+        columns = [
+            np.concatenate([np.zeros(b), mixed_zeros, np.full(5, -0.0)]),
+            np.concatenate([np.full(b, 1.5), np.linspace(0.1, 0.9, b), np.full(5, 1e16)]),
+            ["100%s %d"] * b + [f"r{i}" for i in range(b)] + ["%"] * 5,
+            [None] * b + [0.25] * (b + 5),
+        ]
+        assert _constant_blocks(columns) == [
+            [True, False, True], [True, False, True], [True, False, True], [False, False, False],
+        ]
+        self._check_both_writers(columns, [1, 6, 15, 17])
+        assert len(text_table(columns, 6).splitlines()) == n
+
+    def test_cells_near_an_integer(self):
+        # N(1 +- k 10**-p) rounds to an integer (json needs ".0") or to the
+        # digit next to it, each between clean cells that a %g field takes
+        # as they are; at k = 20 no cell is flagged
+        for precision in range(1, 16):
+            for ks in ((0.2, 0.49, 0.5, 0.51, 1.0, 3.0), (20.0,)):
+                near = [
+                    n * (1.0 + sign * k * 10.0**-precision)
+                    for n in (1.0, 7.0, 12345.0, 0.5, -3.0)
+                    for k in ks
+                    for sign in (-1.0, 1.0)
+                ]
+                column = np.empty(2 * len(near))
+                column[0::2] = np.linspace(0.1234, 0.4321, len(near))
+                column[1::2] = near
+                self._check_both_writers([column], [precision])
+
+    def test_cells_either_side_of_the_flag_sizes(self):
+        # the sizes past which a %g string may not be json's token: an
+        # exponent from the precision up, 1e308 and up, and subnormals, of
+        # which these lose digits at 15 or fewer
+        subnormals = [9.0249027546426e-310, 3.4567890123456789e-320, 5e-324]
+        for precision in range(1, 18):
+            edges = [10.0 ** (precision - 1) / 2, 10.0**precision, 1e-306, 1e307]
+            cells = [*subnormals, *(-x for x in subnormals), 2.2250738585072014e-308]
+            for edge in edges:
+                for x in (edge, -edge):
+                    below, above = math.nextafter(x, 0.0), math.nextafter(x, 2.0 * x)
+                    cells += [below, x, above, x * (1 - 1e-9), x * (1 + 1e-9)]
+            column = np.concatenate([np.linspace(0.123, 0.321, 30), np.array(cells)])
+            self._check_both_writers([column, column[::-1].copy()], [precision])
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            np.array([0.25, 0.3, math.nan, 0.35]),
+            np.array([0.25, math.inf, 0.3]),
+            np.array([0.25, 0.3, -math.inf]),
+            np.full(4, math.inf),
+            np.full(4, -math.inf),
+            np.full(4, math.nan),
+        ],
+        ids=["nan", "inf", "-inf", "constant-inf", "constant--inf", "constant-nan"],
+    )
+    @pytest.mark.parametrize("precision", [6, 17])
+    def test_json_refuses_non_finite_cells_in_clean_blocks(self, column, precision):
+        with pytest.raises(ValueError):
+            reference_json({"rows": [[x] for x in column.tolist()]}, precision)
+        with pytest.raises(ValueError):
+            json_text({}, precision, rows=[column, np.linspace(0.1, 0.2, column.size)])
+        # CSV writes them as %g does
+        assert text_table([column], precision) == reference_text_rows(as_rows([column]), precision)
+
+    @staticmethod
+    def _check_both_writers(columns, precisions):
+        rows = as_rows(columns)
+        keys = KEYS[: len(columns)]
+        for precision in precisions:
+            expected = reference_text_rows([keys, *rows], precision)
+            assert text_table(columns, precision, header=keys) == expected
+            expected = reference_json({"rows": [dict(zip(keys, row)) for row in rows]}, precision)
+            assert json_text({}, precision, rows=columns, keys=keys) == expected
+            expected = reference_json({"rows": rows}, precision)
+            assert json_text({}, precision, rows=columns) == expected
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("as_array", [True, False])

@@ -325,11 +325,34 @@ class TestDeathTemperature:
             lambda: 2 / (1 + oracles.mp.lambertw(3 / oracles.mp.e))
             - thermo.CHI_PEAK_TEMPERATURE_SCALE,
         ),
+        # the crossing and Schottky-peak scales, each a hi/lo pair
+        (dimer_core._QE_CROSSING_SCALE, lambda: oracles.crossing_temperature_scale("discord")),
+        (
+            dimer_core._QE_CROSSING_SCALE_LO,
+            lambda: oracles.crossing_temperature_scale("discord") - dimer_core._QE_CROSSING_SCALE,
+        ),
+        (dimer_core._CE_CROSSING_SCALE, lambda: oracles.crossing_temperature_scale("classical")),
+        (
+            dimer_core._CE_CROSSING_SCALE_LO,
+            lambda: oracles.crossing_temperature_scale("classical") - dimer_core._CE_CROSSING_SCALE,
+        ),
+        (thermo._CM_PEAK_T_ANTIFERRO, lambda: oracles.schottky_peak_temperature_scale(True)),
+        (
+            thermo._CM_PEAK_T_ANTIFERRO_LO,
+            lambda: oracles.schottky_peak_temperature_scale(True) - thermo._CM_PEAK_T_ANTIFERRO,
+        ),
+        (thermo._CM_PEAK_T_FERRO, lambda: oracles.schottky_peak_temperature_scale(False)),
+        (
+            thermo._CM_PEAK_T_FERRO_LO,
+            lambda: oracles.schottky_peak_temperature_scale(False) - thermo._CM_PEAK_T_FERRO,
+        ),
     ],
     ids=[
         "QE_CROSSING_G", "CE_CROSSING_G", "CHI_PEAK_W", "DEATH_TEMPERATURE_SCALE",
         "CHI_PEAK_TEMPERATURE_SCALE", "DEATH_TEMPERATURE_SCALE_LO",
-        "CHI_PEAK_TEMPERATURE_SCALE_LO",
+        "CHI_PEAK_TEMPERATURE_SCALE_LO", "QE_CROSSING_SCALE", "QE_CROSSING_SCALE_LO",
+        "CE_CROSSING_SCALE", "CE_CROSSING_SCALE_LO", "CM_PEAK_T_ANTIFERRO",
+        "CM_PEAK_T_ANTIFERRO_LO", "CM_PEAK_T_FERRO", "CM_PEAK_T_FERRO_LO",
     ],
 )
 def test_frozen_landmark_constant_is_correctly_rounded(frozen, exact):
@@ -351,6 +374,17 @@ def test_landmark_temperatures_are_correctly_rounded(j):
     t_chi = thermo.susceptibility_maximum(DimerParameters(-j, 2.0))[0]
     assert t_death == float(2 * oracles.mp.mpf(j) / oracles.mp.log(3))
     assert t_chi == float(2 * oracles.mp.mpf(j) / (1 + oracles.mp.lambertw(3 / oracles.mp.e)))
+    # the crossings, as landmarks forms them, and the Schottky peak on both branches
+    for scale, measure in (
+        (dimer_core._QE_CROSSING_TEMPERATURE, "discord"),
+        (dimer_core._CE_CROSSING_TEMPERATURE, "classical"),
+    ):
+        exact = oracles.mp.mpf(j) * oracles.crossing_temperature_scale(measure)
+        assert dimer_core._scaled_abs(scale, -j) == float(exact)
+    for antiferro in (True, False):
+        t_peak = thermo.schottky_maximum(DimerParameters(-j if antiferro else j))[0]
+        exact = oracles.mp.mpf(j) * oracles.schottky_peak_temperature_scale(antiferro)
+        assert t_peak == float(exact)
 
 
 def test_landmark_temperature_past_the_largest_double():

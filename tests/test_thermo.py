@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -274,6 +275,25 @@ class TestSpecificHeatNewton:
         e = math.exp(-2.0 / t)
         s = 2.0 - 2.0 / t + (6.0 * e / (1.0 + 3.0 * e) if antiferro else 2.0 * e / (3.0 + e)) * 2.0 / t
         assert abs(2.0 / x - t) <= (1e-14 + 2e-15 / abs(s)) * t
+
+    @pytest.mark.parametrize("antiferro, side", FLANKS, ids=FLANK_IDS)
+    def test_few_evaluations_up_to_the_peak(self, antiferro, side, monkeypatch):
+        # near the peak f is quadratic in x - x* and Newton only halves the
+        # distance each step: from the quadratic's root, stopped where f is
+        # rounding, no height 10**-k below the peak takes more than 10
+        calls = []
+
+        def exp(x):
+            calls.append(x)
+            return math.exp(x)
+
+        monkeypatch.setattr(thermo, "math", types.SimpleNamespace(**{**vars(math), "exp": exp}))
+        _, peak = _unit_and_peak(antiferro)
+        for k in range(1, 16):
+            for cm in (peak * (1.0 - 10.0**-k), peak * (1.0 - 1.9 * 10.0**-k)):
+                calls.clear()
+                thermo._schottky_x(cm, antiferro, side == "hot")
+                assert len(calls) <= 10, (k, cm, len(calls))
 
     def test_cold_end_of_copper_nitrate(self):
         # J/k_B = -204 K (the Cu(NO3)2 2.5 D2O-scale coupling of the
