@@ -535,11 +535,12 @@ def text_table(
     ``header`` line, or ``key = value`` lines with ``sep=" = "``.
 
     Each block of lines (:data:`_BLOCK_ROWS` of them) comes from one ``%`` row
-    template, built from the block's cells.  A column's block that holds one
-    value (see :func:`_constant`) is a literal: that cell's text.  Otherwise a
-    float array's block is a ``%.{precision}g`` field filled with its values,
-    a column of strings a ``%s`` field with them as they are, and any other
-    sequence a ``%s`` field with its cells formatted by :func:`cell_formatter`.
+    template, built from the block's cells, one field per column.  A column's
+    block that holds one value (see :func:`_constant`: equal floats of one
+    sign, or one string) is a literal, that cell's text.  Any other block of a
+    float array is a ``%.{precision}g`` field filled with its values, and any
+    other block of a sequence, strings or mixed cells alike, is a ``%s``
+    field of its cells as :func:`cell_formatter` writes them.
     """
     number = _number_spec(precision)
     cell = cell_formatter(precision)
@@ -547,16 +548,10 @@ def text_table(
     def floats(block: np.ndarray) -> Field:
         return _literal(number % block[0]) if _constant(block) else (number, block.tolist())
 
-    def strings(block: Sequence[str]) -> Field:
-        return _literal(block[0]) if _constant(block) else ("%s", block)
+    def cells(block: Sequence[object]) -> Field:
+        return _literal(block[0]) if _constant(block) else ("%s", map(cell, block))
 
-    def others(block: Sequence[object]) -> Field:
-        return "%s", map(cell, block)
-
-    fields = [
-        floats if _is_array(column) else strings if {*map(type, column)} <= {str} else others
-        for column in columns
-    ]
+    fields = [floats if _is_array(column) else cells for column in columns]
     prefixes = ["", *[sep] * (len(columns) - 1)]
     head = "" if header is None else sep.join(header) + "\n"
     return "".join([head, *_row_blocks(columns, fields, prefixes, "\n", "")])
@@ -572,41 +567,18 @@ def _json_floats(strings: Iterable[str]) -> list[str]:
     return tokens
 
 
-def _json_numbers(precision: int) -> Callable[[Iterable[str]], list[str]]:
-    """json's tokens for the ``%.{precision}g`` strings of floats.
-
-    Up to 15 digits (DBL_DIG) a normal double keeps the digits of its
-    string, so the string is its token where the two layouts agree.  They
-    differ only on an integer or ``-0``, which needs ``.0``, and on an
-    exponent from ``precision`` to 15, which ``repr`` writes out in full;
-    those, and exponents of 308 and more in size (subnormals, which may lose
-    digits, and roundings past the largest double), go through
-    :func:`_json_floats`.  Past 15 digits every string does.
-    """
-    if precision > 15:
-        return _json_floats
-
-    def other(s: str) -> str:
-        if "e" in s:
-            exponent = int(s.partition("e")[2])
-            if -308 < exponent < 308 and not precision <= exponent < 16:
-                return s
-        elif s[-1].isdigit():  # a negative integer, or -0
-            return s + ".0"
-        return _json_floats((s,))[0]
-
-    return lambda strings: [
-        s if "." in s and "e" not in s else s + ".0" if s.isdigit() else other(s)
-        for s in strings
-    ]
-
-
 def _flagged(block: np.ndarray, precision: int) -> list[int]:
     """The cells of a float block whose ``%.{precision}g`` string may not be
-    json's token, for a precision up to 15: the non-finite, those under
-    1e-306 in size, and those within |x| * 10**(1-precision) of an integer.
+    json's token (the ``repr`` of :func:`_json_floats`), for a precision up
+    to 15: the non-finite, those under 1e-306 in size, and those within
+    |x| * 10**(1-precision) of an integer.
 
-    A superset of the cells that :func:`_json_numbers` changes.  A cell that
+    Up to 15 digits (DBL_DIG) a normal double keeps the digits of its
+    string, so the two differ only where ``repr`` adds ``.0`` to an integer
+    or ``-0`` or writes an exponent from ``precision`` to 15 out in full, and
+    where an exponent of 308 or more in size changes the digits (a subnormal
+    losing some, or a rounding past the largest double).  The flagged cells
+    are a superset of these.  A cell that
     ``%g`` writes as an integer or ``-0`` is within half a unit of its last
     digit, at most |x| * 10**(1-precision) / 2, of an integer.  So is every
     cell from 10**(precision-1) / 2 up in size, and with it every exponent
@@ -650,21 +622,22 @@ def json_text(
     ``json.dumps(..., indent=2)`` of the rounded document with the table in
     it.  Each block of rows comes from one ``%`` row template at that depth,
     built from the block's cells as in :func:`text_table`: a column's block
-    that holds one value is a literal, its token.  Up to 15 digits a float
-    block in which :func:`_flagged` names no cell is a ``%.{precision}g``
-    field, since each cell's string is its token.  Any other float block is
-    a ``%s`` field of the strings, the flagged cells' (every cell's past 15
-    digits) replaced by their tokens from :func:`_json_numbers`; any other
-    cell is dumped by ``json``.  Every block is built before the text is
-    returned, so a cell that raises leaves no partial table.
+    that holds one value is a literal, its token.  A float's token is the
+    ``repr`` of the float its ``%.{precision}g`` string stands for
+    (:func:`_json_floats`).  Up to 15 digits a float block in which
+    :func:`_flagged` names no cell is a ``%.{precision}g`` field, since each
+    cell's string is its token; any other float block is a ``%s`` field of
+    the strings, the flagged cells' (every cell's past 15 digits) replaced
+    by their tokens.  Any other cell is dumped by ``json``.  Every block is
+    built before the text is returned, so a cell that raises leaves no
+    partial table.
     """
     spec = _number_spec(precision)
     number = spec.__mod__
-    numbers = _json_numbers(precision)
     text = json.dumps(_rounded({**doc, "rows": _ROWS_MARK}, number), indent=2, allow_nan=False)
 
     def token(x: float) -> str:
-        return numbers((number(x),))[0]
+        return _json_floats((number(x),))[0]
 
     def floats(block: np.ndarray) -> Field:
         if _constant(block):
@@ -674,7 +647,7 @@ def json_text(
         if not flagged:
             return spec, values
         strings = list(map(number, values))
-        for i, s in zip(flagged, numbers([strings[i] for i in flagged])):
+        for i, s in zip(flagged, _json_floats([strings[i] for i in flagged])):
             strings[i] = s
         return "%s", strings
 

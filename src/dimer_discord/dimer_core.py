@@ -134,6 +134,17 @@ def _validated_make(cls, fields):
     return cls(*fields)
 
 
+def _real(name: str, x: object) -> float:
+    """A validating record's field ``x`` as a float: any real number, numpy
+    scalars included; anything else raises a DomainError that names it."""
+    if type(x) not in (float, int):
+        import numbers  # only a field that is neither a float nor an int loads it
+
+        if not isinstance(x, numbers.Real):
+            raise DomainError(f"{name} must be a real number, got {x!r}")
+    return float(x)
+
+
 class _DimerParameters(NamedTuple):
     j_over_kb: float
     g_factor: float | tuple[float, float, float] | None = None
@@ -150,25 +161,28 @@ class DimerParameters(_DimerParameters):
     g_factor : float, 3-tuple or None
         Scalar g factor, or the principal values ``(gx, gy, gz)`` to be
         powder-averaged, or None when no magnetometric work is planned.
+
+    Each number may be any real number, numpy scalars included, and is
+    stored as a float.
     """
 
     __slots__ = ()
     _make = classmethod(_validated_make)
 
     def __new__(cls, j_over_kb: float, g_factor=None):
-        j = j_over_kb
-        if not isinstance(j, (int, float)) or not math.isfinite(j) or j == 0.0:
+        j = _real("j_over_kb", j_over_kb)
+        if not math.isfinite(j) or j == 0.0:
             raise DomainError(f"j_over_kb must be finite and nonzero, got {j!r}")
         if isinstance(g_factor, (list, tuple)):
             if len(g_factor) != 3:
                 raise DomainError("g tensor needs exactly three principal values")
-            g_factor = tuple(float(c) for c in g_factor)
+            g_factor = tuple(_real("g tensor component", c) for c in g_factor)
             powder_g(*g_factor)  # raises DomainError on a component that is not positive
         elif g_factor is not None:
-            g = float(g_factor)
-            if not math.isfinite(g) or g <= 0.0:
+            g_factor = _real("g_factor", g_factor)
+            if not math.isfinite(g_factor) or g_factor <= 0.0:
                 raise DomainError(f"g factor must be positive, got {g_factor!r}")
-        return super().__new__(cls, j_over_kb, g_factor)
+        return super().__new__(cls, j, g_factor)
 
     @property
     def antiferro(self) -> bool:
@@ -449,31 +463,28 @@ def bleaney_bowers(
 
 
 def _unit_susceptibility(j: FloatOrArray, t: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
-    """The g = 1 curve ``K = 2 N_A mu_B^2 / (k_B T (3 + e^a))`` and the capped
+    """The g = 1 curve ``K = 2 N_A mu_B^2 / (k_B T (3 + e))`` and the capped
     factor ``e`` of :func:`_boltzmann`, which the fit's dK/dJ reuses.
 
     The cap would hold K up where a > _EXP_ARG_MAX; there 3 e^-a is below
     half an ulp of 1, and K = 2 N_A mu_B^2 e^-a / (k_B T), taken through
-    its logarithm so that no factor underflows early.
+    its logarithm so that no factor underflows early (a NaN ``a`` gives a
+    NaN there).  Only this fix-up tells a float from an array, which takes
+    it in its cold cells: a 0-d ``t`` gives a 0-d array when cold.
     """
-    if _is_array(t) or _is_array(j):
-        a, e = _boltzmann(j, t)
-        k = 2.0 * CODATA.curie_prefactor / (t * (3.0 + e))
-        cold = a > _EXP_ARG_MAX
-        if cold.any():
-            np = _numpy()
-            k, cold = np.array(k), np.asarray(cold)  # a 0-d result is a numpy scalar
-            t_cold, a_cold = (np.broadcast_to(x, k.shape)[cold].tolist() for x in (t, a))
-            k[cold] = list(map(_frozen_unit_susceptibility, t_cold, a_cold))
+    a, e = _boltzmann(j, t)
+    k = 2.0 * CODATA.curie_prefactor / (t * (3.0 + e))
+    if type(a) is float:  # _boltzmann's float path
+        if not a <= _EXP_ARG_MAX:
+            k = _frozen_unit_susceptibility(t, a)
         return k, e
-    a = float(-2.0 * j / t)
-    if abs(a) <= _EXP_ARG_MAX:
-        e = math.exp(a)
-    elif a < 0.0:
-        e = math.exp(-_EXP_ARG_MAX)
-    else:
-        return _frozen_unit_susceptibility(t, a), math.exp(_EXP_ARG_MAX)
-    return 2.0 * CODATA.curie_prefactor / (t * (3.0 + e)), e
+    cold = ~(a <= _EXP_ARG_MAX)
+    if cold.any():
+        np = _numpy()
+        k, cold = np.array(k), np.asarray(cold)  # a 0-d result is a numpy scalar
+        t_cold, a_cold = (np.broadcast_to(x, k.shape)[cold].tolist() for x in (t, a))
+        k[cold] = list(map(_frozen_unit_susceptibility, t_cold, a_cold))
+    return k, e
 
 
 def _frozen_unit_susceptibility(t: float, a: float) -> float:

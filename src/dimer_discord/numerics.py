@@ -20,7 +20,9 @@ import sys
 import warnings
 from typing import Callable, NamedTuple, Sequence
 
-from .dimer_core import DimerParameters, FloatOrArray, _numpy, _unit_susceptibility, _validated_make
+from .dimer_core import (
+    DimerParameters, FloatOrArray, _numpy, _real, _unit_susceptibility, _validated_make,
+)
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -66,12 +68,14 @@ class _ValueWithUncertainty(NamedTuple):
 
 
 class ValueWithUncertainty(_ValueWithUncertainty):
-    """A scalar with a one-sigma spread (sigma = 0 means exact)."""
+    """A scalar with a one-sigma spread (sigma = 0 means exact); each may be
+    any real number, numpy scalars included, and is stored as a float."""
 
     __slots__ = ()
     _make = classmethod(_validated_make)
 
     def __new__(cls, value: float, sigma: float = 0.0):
+        value, sigma = _real("value", value), _real("sigma", sigma)
         if not math.isfinite(value):
             raise DomainError(f"value must be finite, got {value!r}")
         if not math.isfinite(sigma) or sigma < 0.0:
@@ -85,12 +89,15 @@ class _TailModel(NamedTuple):
 
 
 class TailModel(_TailModel):
-    """High-temperature continuation ``c(T) = a / T**2`` above ``t_start``."""
+    """High-temperature continuation ``c(T) = a / T**2`` above ``t_start``;
+    each may be any real number, numpy scalars included, and is stored as a
+    float."""
 
     __slots__ = ()
     _make = classmethod(_validated_make)
 
     def __new__(cls, a: float, t_start: float):
+        a, t_start = _real("tail coefficient a", a), _real("tail start t_start", t_start)
         if not math.isfinite(a) or a < 0.0:
             raise DomainError(f"tail coefficient must be >= 0, got {a!r}")
         if not math.isfinite(t_start) or t_start <= 0.0:

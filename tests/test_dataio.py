@@ -285,6 +285,16 @@ class TestResultRecord:
             channel="neutron",
         )
 
+    def test_float32_correlator_takes_a_double_secant(self):
+        # the record stores floats, so the sigma_Q secant ends are doubles
+        g32 = ValueWithUncertainty(np.float32(-0.54), np.float32(0.09))
+        g = ValueWithUncertainty(float(np.float32(-0.54)), float(np.float32(0.09)))
+        assert g32 == g and [type(x) for x in g32] == [float, float]
+        rec = result_from_correlator(4.0, g32, "neutron")
+        assert rec == result_from_correlator(4.0, g, "neutron")
+        up, down = discord(g.value + g.sigma), discord(g.value - g.sigma)
+        assert rec.discord.sigma == 0.5 * abs(up - down)
+
 
 class TestResultTable:
     def columns(self, n=3):
@@ -668,6 +678,48 @@ class TestTableWriter:
         ]
         self._check_both_writers(columns, [1, 6, 15, 17])
         assert len(text_table(columns, 6).splitlines()) == n
+
+    def test_list_columns_are_one_field(self):
+        # any list column is one field in each block's template: a literal
+        # where the block holds one string, and otherwise its cells as the
+        # cell formatter writes them, strings as they are
+        b = dataio._BLOCK_ROWS
+        n = 2 * b + 5
+        mixed = [0.25, True, 3, -0.0, 1e16, False, -7, 5e-324, 1e6, None]
+        columns = [
+            # as landmarks gives its values: a string first, then numbers and flags
+            ["antiferro", *(mixed[i % len(mixed)] for i in range(n - 1))],
+            [None] * n,
+            ["100% %s"] * b + [f"r{i}%" for i in range(b)] + ["neutron", "%d", "", "x", "y"],
+        ]
+        assert _constant_blocks(columns) == [[False] * 3, [False] * 3, [True, False, False]]
+        self._check_both_writers(columns, [1, 6, 15, 17])
+        for precision in (1, 6, 17):
+            expected = reference_text_rows(as_rows(columns), precision, sep=" = ")
+            assert text_table(columns, precision, sep=" = ") == expected
+        assert len(text_table(columns, 6).splitlines()) == n
+
+    @pytest.mark.parametrize("precision", range(1, 16))
+    def test_unflagged_cells_print_their_token(self, precision):
+        # the one claim a %.{p}g field rests on: each cell that _flagged
+        # leaves out has a %g string that is json's token, the repr of the
+        # float it stands for.  Random 64-bit patterns (every exponent, NaNs
+        # and infinities), subnormals, zeros of both signs, and cells
+        # N(1 +- k 10**-p) near an integer N of every size up to 1e17
+        rng = np.random.default_rng(15_000 + precision)
+        patterns = np.frombuffer(rng.bytes(8 * 20_000), dtype=np.float64)
+        mantissas = np.frombuffer(rng.bytes(8 * 2_000), dtype=np.uint64) & np.uint64(2**52 - 1)
+        subnormals = mantissas.view(np.float64) * rng.choice([-1.0, 1.0], 2_000)
+        integers = np.rint(10.0 ** rng.uniform(0.0, 17.0, 20_000)) * rng.choice([-1.0, 1.0], 20_000)
+        k = np.concatenate([rng.uniform(0.0, 30.0, 10_000), np.tile([0.5, 1.0, 2.0, 10.0], 2_500)])
+        near = integers * (1.0 + rng.choice([-1.0, 1.0], 20_000) * k * 10.0**-precision)
+        column = np.concatenate([patterns, subnormals, [0.0, -0.0], integers, near])
+        flagged = set(dataio._flagged(column, precision))
+        spec = f"%.{precision}g"
+        kept = [x for i, x in enumerate(column.tolist()) if i not in flagged]
+        # at one digit every cell is flagged: each lies within |x| of an integer
+        assert len(kept) > 9_000 if precision > 1 else kept == []
+        assert [x for x in kept if spec % x != repr(float(spec % x))] == []
 
     def test_cells_near_an_integer(self):
         # N(1 +- k 10**-p) rounds to an integer (json needs ".0") or to the

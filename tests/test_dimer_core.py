@@ -89,6 +89,38 @@ class TestParameters:
             AFM._replace(j_over_kb=0.0)
         assert AFM._replace(g_factor=[2.0, 2.0, 2.4]).g_factor == (2.0, 2.0, 2.4)
 
+    @pytest.mark.parametrize(
+        "j, g_factor",
+        [
+            (np.float32(-2.59), np.float64(2.1)),
+            (np.int64(-2), np.float32(2.1)),
+            (-2, 2),
+            (np.float64(35.4), (np.float32(2.0), np.int64(2), 2.4)),
+        ],
+    )
+    def test_numbers_are_stored_as_floats(self, j, g_factor):
+        # any real number is a float here, numpy scalars included
+        p = DimerParameters(j, g_factor)
+        assert type(p.j_over_kb) is float and p.j_over_kb == float(j)
+        given = g_factor if isinstance(g_factor, tuple) else (g_factor,)
+        stored = p.g_factor if isinstance(p.g_factor, tuple) else (p.g_factor,)
+        assert [type(x) for x in stored] == [float] * len(given)
+        assert stored == tuple(map(float, given))
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            (("-2.0",), "j_over_kb"),
+            ((None,), "j_over_kb"),
+            ((1j,), "j_over_kb"),
+            ((-2.0, "2.1"), "g_factor"),
+            ((-2.0, ("2.0", 2.0, 2.1)), "g tensor component"),
+        ],
+    )
+    def test_rejects_a_field_that_is_not_a_number(self, fields, name):
+        with pytest.raises(DomainError, match=f"^{name} must be a real number, got "):
+            DimerParameters(*fields)
+
 
 class TestValidateCorrelator:
     def test_interior_passthrough(self):
@@ -499,10 +531,38 @@ class TestColumns:
     @settings(max_examples=200, deadline=None)
     @given(j=COUPLINGS, g_factor=st.floats(1.5, 2.5), tau=st.lists(REDUCED_T, **COLUMNS))
     @example(j=-1.0, g_factor=2.11, tau=[1e-4, 2.0 / 700.0, 2.0 / 700.000001, 1.0])
+    # cells either side of a = 700, and ferro cells where a < -700 caps e at e^-700
+    @example(j=-204.0, g_factor=2.13, tau=[2.0 / 699.999999, 2.0 / 700.000001, 1e-4])
+    @example(j=35.4, g_factor=2.13, tau=[1e-4, 2.0 / 700.000001, 2.0 / 699.999999, 1.0])
     def test_bleaney_bowers(self, j, g_factor, tau):
+        # one formula for floats and arrays: t or j an array, or both
         t = np.array(tau) * abs(j)
-        column = bleaney_bowers(j, g_factor, t)
-        assert_same_bits(column, [bleaney_bowers(j, g_factor, x) for x in t.tolist()])
+        floats = [bleaney_bowers(j, g_factor, x) for x in t.tolist()]
+        assert_same_bits(bleaney_bowers(j, g_factor, t), floats)
+        assert_same_bits(bleaney_bowers(np.full(t.shape, j), g_factor, t), floats)
+        for x, expected in zip(t.tolist(), floats):
+            assert_same_bits(bleaney_bowers(np.array([j, j]), g_factor, x), [expected] * 2)
+        params = DimerParameters(j, g_factor)
+        assert_same_bits([thermo.susceptibility(params, x) for x in t.tolist()], floats)
+
+    @pytest.mark.parametrize("j", [-1.0, -204.0, 35.4])
+    @pytest.mark.parametrize("tau", [1e-4, 2.0 / 700.000001, 2.0 / 699.999999, 1.0])
+    def test_bleaney_bowers_of_a_0d_temperature(self, j, tau):
+        # a 0-d t takes the array path: the kernel gives a numpy scalar where
+        # warm and a 0-d array where a > 700 takes the cold form, and the
+        # curve a numpy scalar, each of the float's bits
+        t = tau * abs(j)
+        k, _ = dimer_core._unit_susceptibility(j, np.array(t))
+        assert type(k) is (np.ndarray if -2.0 * j / t > 700.0 else np.float64)
+        got = bleaney_bowers(j, 2.11, np.array(t))
+        assert type(got) is np.float64
+        assert_same_bits([got], [bleaney_bowers(j, 2.11, t)])
+
+    def test_bleaney_bowers_of_a_nan_coupling_is_nan(self):
+        assert math.isnan(bleaney_bowers(math.nan, 2.11, 3.0))
+        assert np.isnan(bleaney_bowers(np.array([math.nan, -1.0]), 2.11, 3.0)).tolist() == [
+            True, False,
+        ]
 
     @settings(max_examples=200, deadline=None)
     @given(g=st.lists(CORRELATORS, **COLUMNS))

@@ -360,6 +360,31 @@ class TestPropagate:
         with pytest.raises(DomainError, match="tail start must be positive"):
             TailModel(6.6, 4.0)._replace(t_start=0.0)
 
+    def test_records_store_numbers_as_floats(self):
+        # any real number is a float here, numpy scalars included
+        f32 = np.float32
+        for record, expected in (
+            (ValueWithUncertainty(f32(-0.54), f32(0.09)), (float(f32(-0.54)), float(f32(0.09)))),
+            (ValueWithUncertainty(np.int64(2)), (2.0, 0.0)),
+            (TailModel(f32(6.6), np.int64(4)), (float(f32(6.6)), 4.0)),
+            (TailModel(1, 4), (1.0, 4.0)),
+        ):
+            assert [type(x) for x in record] == [float, float] and record == expected
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: ValueWithUncertainty("-0.54"), "value"),
+            (lambda: ValueWithUncertainty(-0.54, "0.09"), "sigma"),
+            (lambda: ValueWithUncertainty(None), "value"),
+            (lambda: TailModel("6.6", 4.0), "tail coefficient a"),
+            (lambda: TailModel(6.6, 4j), "tail start t_start"),
+        ],
+    )
+    def test_records_reject_a_field_that_is_not_a_number(self, make, name):
+        with pytest.raises(DomainError, match=f"^{name} must be a real number, got "):
+            make()
+
 
 class TestFit:
     def _chi(self, params, t):
