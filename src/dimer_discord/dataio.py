@@ -19,7 +19,6 @@ per-R series.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -557,13 +556,16 @@ def text_table(
     return "".join([head, *_row_blocks(columns, fields, prefixes, "\n", "")])
 
 
+_NOT_JSON = "Out of range float values are not JSON compliant"  # as json.dumps words it
+
+
 def _json_floats(strings: Iterable[str]) -> list[str]:
     """json's tokens for the floats that number strings stand for: their
     ``repr``.  A NaN or infinity raises ValueError, as
     ``json.dumps(allow_nan=False)`` does."""
     tokens = list(map(repr, map(float, strings)))
     if {"nan", "inf", "-inf"}.intersection(tokens):
-        raise ValueError("Out of range float values are not JSON compliant")
+        raise ValueError(_NOT_JSON)
     return tokens
 
 
@@ -624,14 +626,18 @@ def json_text(
     built from the block's cells as in :func:`text_table`: a column's block
     that holds one value is a literal, its token.  A float's token is the
     ``repr`` of the float its ``%.{precision}g`` string stands for
-    (:func:`_json_floats`).  Up to 15 digits a float block in which
-    :func:`_flagged` names no cell is a ``%.{precision}g`` field, since each
-    cell's string is its token; any other float block is a ``%s`` field of
-    the strings, the flagged cells' (every cell's past 15 digits) replaced
-    by their tokens.  Any other cell is dumped by ``json``.  Every block is
+    (:func:`_json_floats`).  At 17 digits that float is the cell itself, so
+    a float block is a ``%r`` field.  At 16 it is a ``%s`` field of every
+    cell's token.  Up to 15 a float block in which :func:`_flagged` names no
+    cell is a ``%.{precision}g`` field, since each cell's string is its
+    token; any other float block is a ``%s`` field of the strings, the
+    flagged ones replaced by their tokens, each distinct string converted
+    once.  Any other cell is dumped by ``json``.  Every block is
     built before the text is returned, so a cell that raises leaves no
     partial table.
     """
+    import json  # only a JSON command loads it
+
     spec = _number_spec(precision)
     number = spec.__mod__
     text = json.dumps(_rounded({**doc, "rows": _ROWS_MARK}, number), indent=2, allow_nan=False)
@@ -643,11 +649,20 @@ def json_text(
         if _constant(block):
             return _literal(token(block[0]))
         values = block.tolist()
-        flagged = range(len(values)) if precision > 15 else _flagged(block, precision)
+        if precision == 17:  # %.17g round-trips every double: the token is its repr
+            if not _numpy().isfinite(block).all():
+                raise ValueError(_NOT_JSON)
+            return "%r", values
+        if precision == 16:  # every cell flagged, and nearly every string distinct
+            return "%s", _json_floats(map(number, values))
+        flagged = _flagged(block, precision)
         if not flagged:
             return spec, values
         strings = list(map(number, values))
-        for i, s in zip(flagged, _json_floats([strings[i] for i in flagged])):
+        picked = [strings[i] for i in flagged]
+        tokens = dict.fromkeys(picked)  # a block's flagged strings repeat: convert each once
+        tokens = dict(zip(tokens, _json_floats(tokens)))
+        for i, s in zip(flagged, map(tokens.__getitem__, picked)):
             strings[i] = s
         return "%s", strings
 

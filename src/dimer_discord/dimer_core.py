@@ -161,6 +161,8 @@ class DimerParameters(_DimerParameters):
     g_factor : float, 3-tuple or None
         Scalar g factor, or the principal values ``(gx, gy, gz)`` to be
         powder-averaged, or None when no magnetometric work is planned.
+        Every use of g takes g², so g² (for a tensor, the sum of the
+        squares) must not overflow a double.
 
     Each number may be any real number, numpy scalars included, and is
     stored as a float.
@@ -177,11 +179,17 @@ class DimerParameters(_DimerParameters):
             if len(g_factor) != 3:
                 raise DomainError("g tensor needs exactly three principal values")
             g_factor = tuple(_real("g tensor component", c) for c in g_factor)
-            powder_g(*g_factor)  # raises DomainError on a component that is not positive
+            g = powder_g(*g_factor)  # raises DomainError on a component that is not positive
+            if g == math.inf:  # else its square, about the mean square, is finite too
+                raise DomainError(
+                    f"g tensor {g_factor!r} is too large: the sum of its squares overflows"
+                )
         elif g_factor is not None:
             g_factor = _real("g_factor", g_factor)
             if not math.isfinite(g_factor) or g_factor <= 0.0:
                 raise DomainError(f"g factor must be positive, got {g_factor!r}")
+            if g_factor * g_factor == math.inf:
+                raise DomainError(f"g factor {g_factor!r} is too large: its square overflows")
         return super().__new__(cls, j, g_factor)
 
     @property

@@ -59,6 +59,25 @@ class TestExitCodes:
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["landmarks", "--J-over-kB=-2", "--g-factor=1e200"],
+             "error: g factor 1e+200 is too large: its square overflows"),
+            (["from-chi", "--input", "{chi}", "--J-over-kB=-2", "--g-factor=1e200"],
+             "error: g factor 1e+200 is too large: its square overflows"),
+            (["landmarks", "--J-over-kB=-2", "--g-tensor", "1e200", "1", "1"],
+             "error: g tensor (1e+200, 1.0, 1.0) is too large: the sum of its squares overflows"),
+        ],
+    )
+    def test_g_whose_square_overflows_is_one_error_line(self, argv, text, tmp_path):
+        chi = tmp_path / "chi.csv"
+        chi.write_text("T_K,chi_emu_per_mol\n4.0,0.063\n")
+        r = run(*(a.format(chi=chi) for a in argv))
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr.splitlines()[-1] == text
+        assert "Traceback" not in r.stderr
+
     def test_conflicting_parameter_sources(self):
         r = run("landmarks", "--preset", "copper-nitrate-magnetometric",
                 "--J-over-kB", "-2.59")

@@ -1,5 +1,5 @@
-"""Cold start: no command imports scipy, and scalar commands import no numpy,
-``dataclasses`` or ``inspect``.
+"""Cold start: no command imports scipy, scalar commands import no numpy,
+``dataclasses`` or ``inspect``, and only a JSON command imports ``json``.
 
 Each case runs a fresh interpreter that lists ``sys.modules`` as it exits:
 every module the process imported.  The modules a bare interpreter imports
@@ -118,3 +118,18 @@ def test_fit_loads_no_scipy(tmp_path):
     out, _, modules = _run(_command("fit-csv", tmp_path), tmp_path)
     assert out == _golden("fit-csv")[0]
     assert _package(modules, "scipy") == []
+
+
+@pytest.mark.parametrize(
+    "case, loads_json",
+    [
+        ("landmarks-antiferro-g", False),
+        ("chi-csv", False),
+        ("chi-monomer-json", True),
+        ("neutron-point-json", True),
+    ],
+)
+def test_only_a_json_command_loads_json(case, loads_json, interpreter_modules, tmp_path):
+    out, err, modules = _run(_command(case, tmp_path), tmp_path)
+    assert (out, err) == _golden(case)
+    assert ("json" in modules - interpreter_modules) is loads_json

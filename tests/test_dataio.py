@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dimer_discord import dataio, dimer_core
+from dimer_discord import cli, dataio, dimer_core
 from dimer_discord.dataio import (
     PRESETS,
     MaterialPreset,
@@ -753,6 +753,26 @@ class TestTableWriter:
             column = np.concatenate([np.linspace(0.123, 0.321, 30), np.array(cells)])
             self._check_both_writers([column, column[::-1].copy()], [precision])
 
+    @pytest.mark.parametrize("precision", [6, 15, 16, 17])
+    def test_theory_tables_and_a_figure_match_the_dumped_document(self, precision):
+        # an antiferro table flags most of its cells (-1, 0 and near-integers, few distinct
+        # strings), a ferro one few; each float block takes its own path at 15, 16 and 17
+        grid = np.geomspace(0.02, 6.0, 2 * dataio._BLOCK_ROWS + 7)
+        keys = ["T_K", "G", "sigma_G", "Q", "sigma_Q", "C", "I", "E"]
+        for j in (-1.0, 1.0):
+            table = results_from_correlators(
+                grid, correlator_from_temperature(DimerParameters(j), grid), "theory"
+            )
+            meta = {"channel": "theory", "preset": None,
+                    "units": {"T_K": "kelvin", "G": "dimensionless", "correlations": "bit"}}
+            rows = [dict(zip(keys, row)) for row in as_rows(table[:-1])]
+            expected = reference_json({"meta": meta, "rows": rows}, precision).encode()
+            assert write_results(table, "json", precision=precision) == expected
+        title, names, columns = cli._figure_data(1, 2 * dataio._BLOCK_ROWS + 7)
+        doc = {"figure": 1, "title": title, "columns": names}
+        expected = reference_json({**doc, "rows": as_rows(columns)}, precision)
+        assert json_text(doc, precision, rows=columns) == expected
+
     @pytest.mark.parametrize(
         "column",
         [
@@ -765,7 +785,7 @@ class TestTableWriter:
         ],
         ids=["nan", "inf", "-inf", "constant-inf", "constant--inf", "constant-nan"],
     )
-    @pytest.mark.parametrize("precision", [6, 17])
+    @pytest.mark.parametrize("precision", [6, 16, 17])
     def test_json_refuses_non_finite_cells_in_clean_blocks(self, column, precision):
         with pytest.raises(ValueError):
             reference_json({"rows": [[x] for x in column.tolist()]}, precision)

@@ -71,6 +71,29 @@ class TestParameters:
         with pytest.raises(DomainError):
             DimerParameters(-1.0, (2.0, 0.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "g_factor, text",
+        [
+            (1e200, "g factor 1e+200 is too large: its square overflows"),
+            (1.35e154, "g factor 1.35e+154 is too large: its square overflows"),
+            ((1e200, 1.0, 1.0),
+             "g tensor (1e+200, 1.0, 1.0) is too large: the sum of its squares overflows"),
+            ((1e154, 1e154, 1e154),
+             "g tensor (1e+154, 1e+154, 1e+154) is too large: the sum of its squares overflows"),
+        ],
+    )
+    def test_rejects_a_g_whose_square_overflows(self, g_factor, text):
+        # every use of g takes its square (the Curie constant), so it must be a double
+        with pytest.raises(DomainError) as info:
+            DimerParameters(-1.0, g_factor)
+        assert str(info.value) == text
+
+    def test_keeps_the_largest_g_whose_square_is_finite(self):
+        g = math.sqrt(sys.float_info.max)
+        assert DimerParameters(-1.0, g).g_factor == g
+        assert math.isfinite(DimerParameters(-1.0, (g, 1.0, 1.0)).scalar_g ** 2)
+        assert math.isfinite(thermo.susceptibility_maximum(DimerParameters(-1.0, g))[1])
+
     def test_frozen(self):
         with pytest.raises(Exception):
             AFM.j_over_kb = 2.0

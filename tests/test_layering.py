@@ -5,7 +5,9 @@ placed inside a function.  No module imports scipy, at the top or inside a
 function: the package runs on numpy alone, and no module imports
 ``dataclasses``.  numpy itself is imported at one
 place, inside ``dimer_core._numpy``, so that it loads with the first array
-and a scalar call never pays for it.  The CLI builds its
+and a scalar call never pays for it; ``json`` likewise only inside
+``dataio.json_text``, the one JSON dump, so that CSV and ``key = value``
+commands never load it.  The CLI builds its
 output as column tables only, never through the one-point result record,
 and takes no uncertainty secant of its own.
 The landmark crossings and the susceptibility maximum are frozen constants,
@@ -49,11 +51,27 @@ def _imports(node: ast.AST, package: str) -> bool:
     )
 
 
+# the one JSON dump imports json itself, so that a command without JSON output never loads it
+JSON_IMPORTER = ("dataio", "json_text")
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_function_imports_a_package_module_or_json(module):
     for node in ast.walk(_tree(module)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            assert not _package_imports(node), f"{module}.{node.name} imports inside its body"
+            allowed = {"json"} if (module, node.name) == JSON_IMPORTER else set()
+            imported = _package_imports(node)
+            assert imported <= allowed, f"{module}.{node.name} imports inside its body"
+
+
+def test_json_is_imported_only_inside_the_one_dump():
+    sites = [
+        (m, n.name) for m in MODULES for n in ast.walk(_tree(m))
+        if isinstance(n, ast.FunctionDef) and "json" in _package_imports(n)
+    ]
+    assert sites == [JSON_IMPORTER]
+    top = [n for n in _tree("dataio").body if not isinstance(n, ast.FunctionDef)]
+    assert "json" not in _package_imports(ast.Module(top, []))
 
 
 @pytest.mark.parametrize(
