@@ -86,9 +86,7 @@ def _add_parameter_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_parameters(
-    args: argparse.Namespace, *, need_coupling: bool = True, need_g: bool = False
-) -> DimerParameters:
+def _resolve_parameters(args: argparse.Namespace, *, g_only: bool = False) -> DimerParameters:
     preset = dataio.preset(args.preset) if args.preset else None
     j_flag = getattr(args, "j_over_kb", None)
     j2_flag = getattr(args, "j2_over_kb", None)
@@ -100,19 +98,16 @@ def _resolve_parameters(
         j = 0.5 * j2_flag
     elif preset is not None:
         j = preset.j_over_kb
-    elif need_coupling:
+    elif not g_only:
         raise _UsageError(
             "a coupling is required: --preset, --J-over-kB, or --2J-over-kB"
         )
     else:
         j = -1.0  # placeholder; commands that allow this never read the coupling
-    if args.g_tensor is not None:
-        g = tuple(args.g_tensor)
-    elif args.g_factor is not None:
-        g = args.g_factor
-    else:
-        g = preset.g_factor if preset is not None else None
-    if need_g and g is None:
+    g = tuple(args.g_tensor) if args.g_tensor is not None else args.g_factor
+    if g is None and preset is not None:
+        g = preset.g_factor
+    if g_only and g is None:
         raise _UsageError(
             "a g factor is required: --g-factor, --g-tensor, or a preset that has one"
         )
@@ -209,6 +204,9 @@ def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
     ]
     if params.antiferro and g_scalar is not None:
         t_chi, chi_max = thermo.susceptibility_maximum(params)
+        if chi_max == math.inf:  # |J| below ~2e-309 at g = 2: empty, as from-neutron's T_K
+            _note(f"chi_peak_emu_per_mol overflows a double at J/k_B = {j!r} K; it is left empty")
+            chi_max = None
         lines += [
             ("chi_peak_kT_over_absJ", thermo.susceptibility_maximum(unit)[0]),
             ("chi_peak_T_K", t_chi),
@@ -265,8 +263,7 @@ def _cmd_from_neutron(args: argparse.Namespace, precision: int) -> int:
 
 
 def _cmd_from_chi(args: argparse.Namespace, precision: int) -> int:
-    # the inversion reads only the g factor; the coupling may stay unset
-    params = _resolve_parameters(args, need_coupling=False, need_g=True)
+    params = _resolve_parameters(args, g_only=True)  # the inversion reads only g
     series = load_series(args.input, "susceptibility", normalization=f"per_{args.per}")
     return _emit_series(series, "magnetometric", args, precision, params.scalar_g)
 
@@ -308,7 +305,7 @@ def _cmd_from_cm(args: argparse.Namespace, precision: int) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace, precision: int) -> int:
-    init = _resolve_parameters(args, need_g=True)
+    init = _resolve_parameters(args)  # the fit solves for g, so none is needed
     series = load_series(args.input, "susceptibility", normalization=f"per_{args.per}")
     if len(series) < 3:
         raise _UsageError(f"fitting needs at least 3 points, file has {len(series)}")
@@ -408,6 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     fmt_kwargs = dict(choices=["csv", "json"], default="csv", help="output format")
+    per_kwargs = dict(choices=["dimer", "monomer"], default="dimer",
+                      help="normalization of the input file (default dimer)")
 
     p = sub.add_parser("theory", help="sweep the exact correlation curves over T")
     _add_parameter_flags(p)
@@ -439,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_parameter_flags(p)
     p.add_argument("--input", required=True, metavar="FILE",
                    help="susceptibility CSV (T_K,chi_emu_per_mol[,sigma_chi])")
-    p.add_argument("--per", choices=["dimer", "monomer"], default="dimer",
-                   help="normalization of the input file (default dimer)")
+    p.add_argument("--per", **per_kwargs)
     p.add_argument("--format", **fmt_kwargs)
     p.set_defaults(func=_cmd_from_chi)
 
@@ -460,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="integrate route: temperature the tail takes over")
     p.add_argument("--u0-over-R", dest="u0_over_r", type=float, metavar="K",
                    help="integrate route: ground state energy u(0)/R, else estimated")
-    p.add_argument("--per", choices=["dimer", "monomer"], default="dimer",
-                   help="normalization of the input file (default dimer)")
+    p.add_argument("--per", **per_kwargs)
     p.add_argument("--format", **fmt_kwargs)
     p.set_defaults(func=_cmd_from_cm)
 
@@ -469,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_parameter_flags(p)
     p.add_argument("--input", required=True, metavar="FILE",
                    help="susceptibility CSV (T_K,chi_emu_per_mol[,sigma_chi])")
-    p.add_argument("--per", choices=["dimer", "monomer"], default="dimer",
-                   help="normalization of the input file (default dimer)")
+    p.add_argument("--per", **per_kwargs)
     p.add_argument("--format", **fmt_kwargs)
     p.set_defaults(func=_cmd_fit)
 

@@ -24,7 +24,7 @@ All information measures are reported in bits per dimer:
 * total (mutual) information
   ``I = [ (1-3G) log2(1-3G) + 3 (1+G) log2(1+G) ] / 4``,
 * classical correlation
-  ``C = [ (1+|G|) log2(1+|G|) + (1-|G|) log2(1-|G|) ] / 2``,
+  ``C = [ (1+G) log2(1+G) + (1-G) log2(1-G) ] / 2``, even in G,
 * quantum discord ``Q = I - C``,
 * concurrence ``max(0, -(1+3G)/2)`` and the entanglement of formation it
   generates through the binary-entropy formula.
@@ -162,7 +162,8 @@ class DimerParameters(_DimerParameters):
         Scalar g factor, or the principal values ``(gx, gy, gz)`` to be
         powder-averaged, or None when no magnetometric work is planned.
         Every use of g takes g², so g² (for a tensor, the sum of the
-        squares) must not overflow a double.
+        squares) must not overflow a double, nor g² (for a tensor, the
+        powder average's) underflow to a subnormal one.
 
     Each number may be any real number, numpy scalars included, and is
     stored as a float.
@@ -185,11 +186,14 @@ class DimerParameters(_DimerParameters):
                     f"g tensor {g_factor!r} is too large: the sum of its squares overflows"
                 )
         elif g_factor is not None:
-            g_factor = _real("g_factor", g_factor)
-            if not math.isfinite(g_factor) or g_factor <= 0.0:
-                raise DomainError(f"g factor must be positive, got {g_factor!r}")
-            if g_factor * g_factor == math.inf:
-                raise DomainError(f"g factor {g_factor!r} is too large: its square overflows")
+            g = g_factor = _real("g_factor", g_factor)
+            if not math.isfinite(g) or g <= 0.0:
+                raise DomainError(f"g factor must be positive, got {g!r}")
+            if g * g == math.inf:
+                raise DomainError(f"g factor {g!r} is too large: its square overflows")
+        if g_factor is not None and g * g < sys.float_info.min:  # subnormal: chi would lose digits
+            name = "g tensor" if type(g_factor) is tuple else "g factor"
+            raise DomainError(f"{name} {g_factor!r} is too small: its square underflows")
         return super().__new__(cls, j, g_factor)
 
     @property
@@ -201,9 +205,7 @@ class DimerParameters(_DimerParameters):
         """The g factor a powder measurement sees: a tensor triple is
         powder-averaged; None when no g factor is set."""
         gf = self.g_factor
-        if gf is None:
-            return None
-        return powder_g(*gf) if isinstance(gf, tuple) else float(gf)
+        return powder_g(*gf) if isinstance(gf, tuple) else gf
 
 
 class CorrelationSet(NamedTuple):
@@ -250,14 +252,15 @@ def _clip(x: FloatOrArray, lo: float, hi: float) -> FloatOrArray:
 
 
 def _boltzmann(j: FloatOrArray, t: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
-    """``a = -2J/(k_B T)`` and ``e^a`` with its exponent capped at +-_EXP_ARG_MAX,
-    so that e stays finite even where a is infinite (T below ~|J|/1e308 K)."""
+    """``a = -2J/(k_B T)`` and ``e^a``, its exponent clipped to +-_EXP_ARG_MAX as :func:`_clip`
+    does, so that e stays finite even where a is infinite (T below ~|J|/1e308 K)."""
     if _is_array(t) or _is_array(j):
         with _numpy().errstate(over="ignore"):
             a = -2.0 * j / t
         return a, _map(math.exp, _clip(a, -_EXP_ARG_MAX, _EXP_ARG_MAX))
     a = float(-2.0 * j / t)
-    return a, math.exp(a if abs(a) <= _EXP_ARG_MAX else math.copysign(_EXP_ARG_MAX, a))
+    capped = _EXP_ARG_MAX if a > _EXP_ARG_MAX else a if a >= -_EXP_ARG_MAX else -_EXP_ARG_MAX
+    return a, math.exp(capped)  # clipped inline, without a call: this path is hot
 
 
 def _xlog2(x: FloatOrArray) -> FloatOrArray:
@@ -273,6 +276,13 @@ def _check_each(check: Callable[[float], object], x: np.ndarray, ok: np.ndarray)
     the first element of ``x`` where ``ok`` is false."""
     if not ok.all():
         check(float(x.ravel()[ok.ravel().argmin()]))
+
+
+def _temperature(t: float) -> float:
+    """``t`` as a float; a DomainError unless it is a positive, finite temperature."""
+    if not math.isfinite(t) or t <= 0.0:
+        raise DomainError(f"temperature must be positive, got {t!r}")
+    return float(t)
 
 
 def validate_correlator(g: FloatOrArray) -> FloatOrArray:
@@ -298,15 +308,10 @@ def validate_correlator(g: FloatOrArray) -> FloatOrArray:
 def correlator_from_temperature(params: DimerParameters, t: FloatOrArray) -> FloatOrArray:
     """Thermal spin-spin correlator G(T) of the dimer at temperature ``t`` (K)."""
     if _is_array(t):
-        np = _numpy()
-        t = np.asarray(t, dtype=float)
-        _check_each(
-            lambda v: correlator_from_temperature(params, v), t, np.isfinite(t) & (t > 0.0)
-        )
-    elif not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"temperature must be positive, got {t!r}")
+        t = _numpy().asarray(t, dtype=float)
+        _check_each(_temperature, t, (t > 0.0) & (t < math.inf))  # NaN fails both
     else:
-        t = float(t)
+        t = _temperature(t)
     j = float(params.j_over_kb)
     a, e = _boltzmann(j, t)
     # T -> 0 limit, where exp() would overflow: pure singlet (G=-1) or
@@ -345,8 +350,8 @@ def _mutual_information(g: FloatOrArray) -> FloatOrArray:
 
 
 def _classical(g: FloatOrArray) -> FloatOrArray:
-    a = abs(g)
-    return 0.5 * (_xlog2(1.0 + a) + _xlog2(1.0 - a))
+    # even in g: 1 - (-g) is 1 + g exactly, so a negative g only swaps the two terms
+    return 0.5 * (_xlog2(1.0 + g) + _xlog2(1.0 - g))
 
 
 def _concurrence(g: FloatOrArray) -> FloatOrArray:

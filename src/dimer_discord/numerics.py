@@ -358,14 +358,15 @@ def integrate_series_with_tail(
                 stacklevel=2,
             )
             v = np.where(negative, 0.0, v)
-    if tail is not None and t.size and tail.t_start < t[-1]:
-        raise DataError(
-            f"tail start {tail.t_start:g} K lies below the last sample {t[-1]:g} K"
-        )
-    data_part = 0.0
-    if t.size:
-        data_part = 0.5 * t[0] * v[0] + float(np.trapezoid(v, t))
-    return data_part + tail_part
+        _check_tail_start(tail, t[-1])
+        return 0.5 * t[0] * v[0] + float(np.trapezoid(v, t)) + tail_part
+    return tail_part
+
+
+def _check_tail_start(tail: TailModel | None, t_end: float) -> None:
+    """Refuse a tail that starts below ``t_end``, the last sample of its record."""
+    if tail is not None and tail.t_start < t_end:
+        raise DataError(f"tail start {tail.t_start:g} K lies below the last sample {t_end:g} K")
 
 
 def propagate_uncertainty(
@@ -453,8 +454,8 @@ def fit_bleaney_bowers(
         Measured points, kelvin and emu/mol of dimers.  At least three
         points spanning more than one temperature.
     init : DimerParameters
-        Starting guess; its ``g_factor`` must be set (a tensor triple is
-        powder-averaged), although only the coupling seeds the search.
+        Starting guess.  Only its coupling is read: it seeds the search and
+        fixes the sign of J.  Its ``g_factor`` may be None; g is solved for.
     sigma : array_like, optional
         One-sigma errors; residuals are weighted by ``w = 1/sigma``.
 
@@ -482,22 +483,24 @@ def fit_bleaney_bowers(
         raise DataError(f"need at least 3 points to fit two parameters, got {t.size}")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
         raise DataError("series contains non-finite entries")
-    if np.any(t <= 0.0):
+    t_min = float(t.min())
+    if t_min <= 0.0:
         raise DataError("temperatures must be positive")
+    if _FIT_J_MIN * t_min < sys.float_info.min:  # the smallest |J| searched would underflow
+        raise DataError(f"lowest temperature {t_min:g} K is too low to fit")
     if np.ptp(t) == 0.0:
         raise DataError("degenerate series: all points at the same temperature")
-    w = np.ones_like(y)
-    if sigma is not None:
-        s = np.asarray(sigma, dtype=float)
-        if s.shape != t.shape or np.any(~np.isfinite(s)) or np.any(s <= 0.0):
-            raise DataError("sigma must be positive, finite, and match the series length")
+    s = np.ones_like(y) if sigma is None else np.asarray(sigma, dtype=float)
+    if s.shape != t.shape or np.any(~np.isfinite(s)) or np.any(s <= 0.0):
+        raise DataError("sigma must be positive, finite, and match the series length")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
         w = 1.0 / s
-    if init.scalar_g is None:
-        raise DomainError("initial guess must carry a g factor")
+        wy = w * y
+        cost = float(wy @ wy)  # that of g = 0: every cost the search meets is at most this
+    if not cost < math.inf:
+        raise DataError("chi/sigma too large to fit: the sum of its squares overflows")
 
-    wy = w * y
     sign = math.copysign(1.0, init.j_over_kb)
-    t_min = float(t.min())
     x_lo, x_hi = math.log(_FIT_J_MIN * t_min), math.log(_FIT_J_MAX * t_min)
     seen = {}  # x -> (slope of the cost in x, g^2, residual norm)
 

@@ -33,6 +33,7 @@ from .dimer_core import (
     _map,
     _numpy,
     _scaled_abs,
+    _temperature,
     bleaney_bowers,
     correlator_from_temperature,
     validate_correlator,
@@ -46,7 +47,7 @@ from .errors import (
 )
 from .numerics import (
     _CLAMPED_HIGH, _CLAMPED_LOW, _INFINITE, _NAN, _OUT_OF_BAND, _REFUSED, TailModel,
-    integrate_series_with_tail,
+    _check_tail_start, integrate_series_with_tail,
 )
 
 __all__ = [
@@ -80,7 +81,7 @@ CM_PEAK_ANTIFERRO = 1.0234905543865051
 CM_PEAK_G_FERRO = 0.28397164067231203
 CM_PEAK_FERRO = 0.16632055381487849
 
-# x* = |a| = |ln(q/p)| at each peak, where a = 4/(1 + 3g*): the split between
+# x* = |a| = |ln(q/p)| at each peak, where a = -4/(1 + 3g*): the split between
 # the hot flank (0, x*) and the cold flank (x*, inf) of the c_m inversion
 _CM_PEAK_X_ANTIFERRO = -4.0 / (1.0 + 3.0 * CM_PEAK_G_ANTIFERRO)
 _CM_PEAK_X_FERRO = 4.0 / (1.0 + 3.0 * CM_PEAK_G_FERRO)
@@ -219,10 +220,7 @@ def internal_energy_from_specific_heat(
         return tail.t_start, -tail.integral()
     data_integral = integrate_series_with_tail(temperatures, values, None)  # validates too
     t_end = float(_numpy().asarray(temperatures, dtype=float)[-1])
-    if tail is not None and tail.t_start < t_end:
-        raise DataError(
-            f"tail start {tail.t_start:g} K lies below the last sample {t_end:g} K"
-        )
+    _check_tail_start(tail, t_end)
     if u0_over_r is None:
         if tail is None:
             warnings.warn(
@@ -253,17 +251,16 @@ def _schottky_peak(params: DimerParameters) -> tuple[float, float]:
 def specific_heat(params: DimerParameters, temperature: float) -> float:
     """c_m/R at a temperature: the Schottky anomaly of the level pair.
 
-    Evaluated as 3 a^2 e^a / (1 + 3 e^a)^2 with a = 2J/(k_B T), using the
-    exponential of -|a| so large couplings underflow to the correct zero
-    instead of overflowing.
+    Evaluated as 3 a^2 e^a / (3 + e^a)^2 with a = -2J/(k_B T) = ln(q/p),
+    using the exponential of -|a| so large couplings underflow to the
+    correct zero instead of overflowing.
     """
-    if not math.isfinite(temperature) or temperature <= 0.0:
-        raise DomainError(f"temperature must be positive, got {temperature!r}")
-    a = 2.0 * params.j_over_kb / temperature
+    _temperature(temperature)
+    a = -2.0 * params.j_over_kb / temperature
     e = math.exp(-abs(a))
     if e == 0.0:  # frozen out, a infinite included
         return 0.0
-    if a <= 0.0:
+    if a >= 0.0:
         return 3.0 * a * a * e / (1.0 + 3.0 * e) ** 2
     return 3.0 * a * a * e / (e + 3.0) ** 2
 
@@ -412,7 +409,7 @@ def _schottky_x(cm: float, antiferro: bool, hot: bool) -> float:
 def schottky_maximum(params: DimerParameters) -> tuple[float, float]:
     """Temperature and height of the Schottky peak, ``(t_peak, cm_peak)``.
 
-    At the stationary point a = 2J/(k_B T) equals 4/(1+3g*), which collapses
+    At the stationary point a = -2J/(k_B T) equals -4/(1+3g*), which collapses
     to t_peak = (J/k_B)(1+3g*)/2 — positive on both branches, and correctly
     rounded: |1 + 3g*|/2 is frozen as a hi/lo pair.
     """
@@ -433,8 +430,7 @@ def susceptibility(params: DimerParameters, temperature: float) -> float:
     :func:`~dimer_discord.dimer_core.bleaney_bowers`; a g tensor triple is
     powder-averaged first.
     """
-    if not math.isfinite(temperature) or temperature <= 0.0:
-        raise DomainError(f"temperature must be positive, got {temperature!r}")
+    _temperature(temperature)
     g_factor = _require_g(params, "susceptibility")
     return float(bleaney_bowers(params.j_over_kb, g_factor, temperature))
 
@@ -447,8 +443,7 @@ def correlator_from_susceptibility(
     ``chi`` in emu per mole of dimers, ``temperature`` in kelvin.  Only the
     g factor of ``params`` enters; the coupling is not assumed.
     """
-    if not math.isfinite(temperature) or temperature <= 0.0:
-        raise DomainError(f"temperature must be positive, got {temperature!r}")
+    _temperature(temperature)
     if not math.isfinite(chi) or chi < 0.0:
         raise DomainError(_NEGATIVE_CHI.format(chi))
     g = _chi_correlator(_require_g(params, "susceptibility inversion"), chi, temperature)

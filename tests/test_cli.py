@@ -78,6 +78,25 @@ class TestExitCodes:
         assert r.stderr.splitlines()[-1] == text
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["landmarks", "--J-over-kB=-2", "--g-factor=1e-200"],
+             "error: g factor 1e-200 is too small: its square underflows"),
+            (["from-chi", "--input", "{chi}", "--J-over-kB=-2", "--g-factor=1e-200"],
+             "error: g factor 1e-200 is too small: its square underflows"),
+            (["landmarks", "--J-over-kB=-2", "--g-tensor", "1e-200", "1e-200", "1e-200"],
+             "error: g tensor (1e-200, 1e-200, 1e-200) is too small: its square underflows"),
+        ],
+    )
+    def test_g_whose_square_underflows_is_one_error_line(self, argv, text, tmp_path):
+        # landmarks printed chi_peak_emu_per_mol = 0 for such a g, and exited 0
+        chi = tmp_path / "chi.csv"
+        chi.write_text("T_K,chi_emu_per_mol\n4.0,0.063\n")
+        r = run(*(a.format(chi=chi) for a in argv))
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == text + "\n"
+
     def test_conflicting_parameter_sources(self):
         r = run("landmarks", "--preset", "copper-nitrate-magnetometric",
                 "--J-over-kB", "-2.59")
@@ -273,6 +292,18 @@ class TestLandmarks:
         assert got["chi_peak_reduced"] == "0.201182"
         assert_allclose(float(got["chi_peak_emu_per_mol"]), 3.35436e-309, rtol=1e-5)
 
+    @pytest.mark.parametrize("j", ["-1e-320", "-5e-324"])
+    def test_overflowing_susceptibility_peak_is_left_empty(self, j, capsys):
+        # N_A g^2 mu_B^2 w / (3 k_B |J|) exceeds the largest double: an empty value, not "inf"
+        from dimer_discord import cli
+
+        assert cli.main(["landmarks", f"--J-over-kB={j}", "--g-factor", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert "\nchi_peak_emu_per_mol = \nchi_peak_reduced = 0.201182\n" in out
+        assert "= inf" not in out
+        assert err == (f"note: chi_peak_emu_per_mol overflows a double at J/k_B = {float(j)!r} K; "
+                       "it is left empty\n")
+
     def test_overflowing_death_temperature_is_refused(self, capsys):
         # 1.82 |J| exceeds the largest double: an error, not "inf"
         from dimer_discord import cli
@@ -440,6 +471,19 @@ class TestFit:
         assert_allclose(float(got["J_over_kB_K"]), -2.56, rtol=1e-6)
         assert_allclose(float(got["twoJ_over_kB_K"]), -5.12, rtol=1e-6)
         assert_allclose(float(got["g_factor"]), 2.11, rtol=1e-6)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_g_factor_is_optional_and_changes_nothing(self, tmp_path, capsys, fmt):
+        # the fit solves for g: the guess's g, or none, prints the same bytes
+        from dimer_discord import cli
+
+        base = ["fit", "--input", str(self.chi_file(tmp_path)), "--J-over-kB", "-2"]
+        outputs = []
+        for g in ([], ["--g-factor", "2"], ["--g-factor", "1.3"], ["--g-tensor", "1.9", "2", "2.3"]):
+            assert cli.main([*base, *g, "--format", fmt]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == "" and outputs[0].out
+        assert all(o == outputs[0] for o in outputs)
 
     def test_json_format(self, tmp_path):
         f = self.chi_file(tmp_path)

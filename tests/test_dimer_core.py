@@ -94,6 +94,32 @@ class TestParameters:
         assert math.isfinite(DimerParameters(-1.0, (g, 1.0, 1.0)).scalar_g ** 2)
         assert math.isfinite(thermo.susceptibility_maximum(DimerParameters(-1.0, g))[1])
 
+    @pytest.mark.parametrize(
+        "g_factor, text",
+        [
+            (1e-200, "g factor 1e-200 is too small: its square underflows"),
+            (1.49e-154, "g factor 1.49e-154 is too small: its square underflows"),
+            ((1e-200, 1e-200, 1e-200),
+             "g tensor (1e-200, 1e-200, 1e-200) is too small: its square underflows"),
+            ((2e-154, 1e-200, 1e-200),
+             "g tensor (2e-154, 1e-200, 1e-200) is too small: its square underflows"),
+        ],
+    )
+    def test_rejects_a_g_whose_square_underflows(self, g_factor, text):
+        # a subnormal g^2 carries fewer digits into every chi, and 0 divides the inversion
+        with pytest.raises(DomainError) as info:
+            DimerParameters(-1.0, g_factor)
+        assert str(info.value) == text
+        with pytest.raises(DomainError, match="too small: its square underflows"):
+            thermo.correlator_from_susceptibility(DimerParameters(-2.0, g_factor), 0.06, 4.0)
+
+    def test_keeps_the_smallest_g_whose_square_is_normal(self):
+        g = math.sqrt(sys.float_info.min)
+        g = g if g * g >= sys.float_info.min else math.nextafter(g, 1.0)
+        assert DimerParameters(-1.0, g).g_factor == g
+        assert DimerParameters(-1.0, (1.0, 1e-200, 1e-200)).scalar_g ** 2 >= sys.float_info.min
+        assert thermo.susceptibility(DimerParameters(-1.0, g), 1.0) > 0.0
+
     def test_frozen(self):
         with pytest.raises(Exception):
             AFM.j_over_kb = 2.0
@@ -606,6 +632,31 @@ class TestColumns:
     def test_entanglement_of_formation(self, c):
         expected = [entanglement_of_formation(x) for x in c]
         assert_same_bits(entanglement_of_formation(np.array(c)), expected)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 700.0, -700.0, 700.5, -700.5])
+    def test_boltzmann_caps_the_exponent_alike_for_a_float_and_an_array(self, a):
+        # a = -2J/T for J = -a/2 at T = 1; a NaN goes to the lower bound on both paths
+        j = -0.5 * a
+        a_float, e_float = dimer_core._boltzmann(j, 1.0)
+        a_array, e_array = dimer_core._boltzmann(j, np.array([1.0]))
+        assert_same_bits(e_array, [e_float])
+        assert_same_bits(a_array, [a_float])
+        capped = -700.0 if math.isnan(a) else min(700.0, max(-700.0, a))
+        assert e_float == math.exp(capped)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=st.lists(CORRELATORS, **COLUMNS))
+    @example(g=[G_MIN, G_MAX, -1.0 / 3.0, 1.0 / 3.0, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300])
+    def test_classical_is_the_abs_form_bit_for_bit(self, g):
+        # C is even in G: 1 - (-g) is 1 + g exactly, so the form without abs swaps two terms
+        def abs_form(x):
+            a = abs(x)
+            return 0.5 * (dimer_core._xlog2(1.0 + a) + dimer_core._xlog2(1.0 - a))
+
+        g = validate_correlator(np.array(g))
+        assert_same_bits(classical_correlation(g), abs_form(g))
+        assert_same_bits([classical_correlation(x) for x in g.tolist()],
+                         [abs_form(x) for x in g.tolist()])
 
     def test_any_shape(self):
         g = np.linspace(G_MIN, G_MAX, 12).reshape(3, 4)

@@ -176,3 +176,41 @@ def test_every_private_name_is_referenced_outside_its_definition():
         if all(top is node for top in used.get(name, []))
     ]
     assert unreferenced == []
+
+
+def _message_template(node: ast.Raise) -> str | None:
+    """The text a ``raise E(...)`` gives its first argument, each ``{...}`` field as ``{}``."""
+    if not (isinstance(node.exc, ast.Call) and node.exc.args):
+        return None
+    text = node.exc.args[0]
+    if isinstance(text, ast.Constant) and isinstance(text.value, str):
+        return text.value
+    if isinstance(text, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in text.values)
+    return None
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        "temperature must be positive, got {}",
+        "tail start {} K lies below the last sample {} K",
+    ],
+)
+def test_each_input_rule_is_raised_from_one_place(template):
+    # every entry point that reads the value calls the one check
+    sites = [
+        (m, n.lineno) for m in MODULES for n in ast.walk(_tree(m))
+        if isinstance(n, ast.Raise) and _message_template(n) == template
+    ]
+    assert len(sites) == 1, sites
+
+
+def test_resolve_parameters_takes_one_flag():
+    # a command reads a coupling, or only a g factor: one flag tells which
+    (resolve,) = (
+        f for f in _tree("cli").body
+        if isinstance(f, ast.FunctionDef) and f.name == "_resolve_parameters"
+    )
+    assert [a.arg for a in resolve.args.args] == ["args"]
+    assert len(resolve.args.kwonlyargs) == 1

@@ -1,6 +1,7 @@
 import inspect
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -517,9 +518,38 @@ class TestFit:
         with pytest.raises(DataError, match=message):
             fit_bleaney_bowers(t, chi, DimerParameters(-1.0, 2.0))
 
-    def test_needs_a_g_factor(self):
-        with pytest.raises(DomainError):
-            fit_bleaney_bowers([1.0, 2.0, 3.0], [0.1, 0.2, 0.3], DimerParameters(-1.0))
+    def test_reads_no_g_factor_of_the_guess(self):
+        # variable projection solves for g^2: no g, a scalar g and a tensor fit alike
+        t = np.linspace(2.0, 8.0, 12)
+        chi = bleaney_bowers(-10.0, 2.1, t)
+        no_g, scalar, tensor = (
+            fit_bleaney_bowers(t, chi, DimerParameters(-7.0, g), sigma=0.01 * chi)
+            for g in (None, 2.0, (1.9, 2.0, 2.3))
+        )
+        assert no_g == scalar == tensor
+        assert no_g.converged
+        assert_allclose(no_g.g_factor, 2.1, rtol=1e-12)
+
+    @pytest.mark.parametrize("t_min", [5e-324, 1e-310, 2e-302])
+    def test_temperature_too_low_to_search_is_a_data_error(self, t_min):
+        # |J| from 1e-6 T_min would underflow: log(0) raised ValueError, a subnormal T gave NaN
+        t = [t_min, 2.0, 3.0]
+        with pytest.raises(DataError, match=f"lowest temperature {t_min:g} K is too low to fit"):
+            fit_bleaney_bowers(t, [0.1, 0.2, 0.3], DimerParameters(-1.0))
+
+    @pytest.mark.parametrize(
+        "chi, sigma",
+        [([0.02, 1e308, 0.13], None), ([0.02, 0.1, 0.13], [1e-3, 1e-3, 5e-324]),
+         ([0.02, 0.1, 0.0], [1e-3, 1e-3, 5e-324])],
+        ids=["huge-chi", "subnormal-sigma", "zero-over-subnormal"],
+    )
+    def test_cost_that_overflows_is_a_data_error(self, chi, sigma):
+        # the cost of g = 0 bounds every cost the search meets; past a double it printed
+        # residual_norm = inf with converged = true, or numpy warnings and "best g^2 is nan"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            with pytest.raises(DataError, match="chi/sigma too large to fit"):
+                fit_bleaney_bowers([1.0, 2.0, 3.0], chi, DimerParameters(35.4), sigma=sigma)
 
     def test_bad_sigma_rejected(self):
         t = [1.0, 2.0, 3.0]
