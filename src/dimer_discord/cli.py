@@ -139,13 +139,7 @@ def _cmd_theory(args: argparse.Namespace, precision: int) -> int:
     t_max = args.t_max if args.t_max is not None else 6.0 * j_abs
     if not (0.0 < t_min < t_max < math.inf):
         raise _UsageError(f"need 0 < t-min < t-max < inf, got {t_min:g} and {t_max:g}")
-    if args.n_points < 2:
-        raise _UsageError(f"need at least 2 grid points, got {args.n_points}")
-    np = _numpy()
-    if args.grid == "log":
-        grid = np.geomspace(t_min, t_max, args.n_points)
-    else:
-        grid = np.linspace(t_min, t_max, args.n_points)
+    grid = _grid(t_min, t_max, args.n_points, args.grid)
     g = dimer_core.correlator_from_temperature(params, grid)
     _emit(dataio.results_from_correlators(grid, g, "theory"), args, precision)
     return 0
@@ -175,15 +169,16 @@ def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
         ]
 
         # each crossing sits at a fixed correlator, so at a fixed k_B T/|J|
-        j = params.j_over_kb
+        j, scaled = params.j_over_kb, dimer_core._scaled_abs
+        qe, ce = dimer_core._QE_CROSSING_TEMPERATURE, dimer_core._CE_CROSSING_TEMPERATURE
         at_qe = dimer_core.measures_from_correlator(dimer_core.QE_CROSSING_G)
         at_ce = dimer_core.measures_from_correlator(dimer_core.CE_CROSSING_G)
         lines += [
-            ("QE_crossing_kT_over_absJ", dimer_core._QE_CROSSING_SCALE),
-            ("QE_crossing_T_K", dimer_core._scaled_abs(dimer_core._QE_CROSSING_TEMPERATURE, j)),
+            ("QE_crossing_kT_over_absJ", scaled(qe, 1.0)),
+            ("QE_crossing_T_K", scaled(qe, j)),
             ("QE_crossing_bits", at_qe.discord),
-            ("CE_crossing_kT_over_absJ", dimer_core._CE_CROSSING_SCALE),
-            ("CE_crossing_T_K", dimer_core._scaled_abs(dimer_core._CE_CROSSING_TEMPERATURE, j)),
+            ("CE_crossing_kT_over_absJ", scaled(ce, 1.0)),
+            ("CE_crossing_T_K", scaled(ce, j)),
             ("CE_crossing_bits", at_ce.classical),
             # the discord does not pass through this crossing; report it too
             ("CE_crossing_discord_bits", at_ce.discord),
@@ -312,7 +307,8 @@ def _cmd_fit(args: argparse.Namespace, precision: int) -> int:
     t, chi = series.temperatures, series.values
     result = numerics.fit_bleaney_bowers(t, chi, init, sigma=series.sigmas)
     fitted = result.parameters
-    chi_model = dimer_core.bleaney_bowers(fitted.j_over_kb, fitted.g_factor, t)
+    with _numpy().errstate(over="ignore"):  # T (3 + e) past the largest double: chi_model is 0
+        chi_model = dimer_core.bleaney_bowers(fitted.j_over_kb, fitted.g_factor, t)
     names = ("T_K", "chi_emu_per_mol", "chi_model", "residual")
     columns = (t, chi, chi_model, chi_model - chi)
     report = {
@@ -335,17 +331,25 @@ def _cmd_fit(args: argparse.Namespace, precision: int) -> int:
     return 0
 
 
+def _grid(start: float, stop: float, n: int, spacing: str = "log") -> np.ndarray:
+    """``n`` grid points from ``start`` to ``stop``, log or linear spaced."""
+    if n < 2:
+        raise _UsageError(f"need at least 2 grid points, got {n}")
+    np = _numpy()
+    return (np.geomspace if spacing == "log" else np.linspace)(start, stop, n)
+
+
 def _figure_data(fig: int, n: int) -> tuple[str, list[str], list[np.ndarray]]:
     np = _numpy()
     if fig in (1, 2, 6):
         if fig == 6:
             params = dataio.preset("cu2l-oac-ferro").parameters
-            grid = np.geomspace(1.0, 500.0, n)
+            grid = _grid(1.0, 500.0, n)
             title = "ferro complex correlations vs temperature"
             names = ["T_K", "G"]
         else:
             params = DimerParameters(-1.0 if fig == 1 else 1.0)
-            grid = np.geomspace(0.01, 5.0, n)
+            grid = _grid(0.01, 5.0, n)
             label = "antiferro" if fig == 1 else "ferro"
             title = f"{label} dimer correlations vs reduced temperature"
             names = ["kT_over_absJ", "absG" if fig == 1 else "G"]
@@ -354,17 +358,17 @@ def _figure_data(fig: int, n: int) -> tuple[str, list[str], list[np.ndarray]]:
         columns = [grid, np.abs(g) if fig == 1 else g, m.discord, m.classical, m.entanglement]
         return title, names + ["Q", "C", "E"], columns
     if fig == 3:
-        grid = np.linspace(dimer_core.G_MIN, dimer_core.G_MAX, n)
+        grid = _grid(dimer_core.G_MIN, dimer_core.G_MAX, n, "linear")
         return "discord vs correlator", ["G", "Q"], [grid, dimer_core.discord(grid)]
     if fig == 4:
-        grid = np.linspace(dimer_core.G_MIN, dimer_core.G_MAX, n)
+        grid = _grid(dimer_core.G_MIN, dimer_core.G_MAX, n, "linear")
         return (
             "magnetic specific heat vs correlator",
             ["G", "cm_over_R"],
             [grid, thermo.specific_heat_from_correlator(grid)],
         )
     # fig == 5
-    grid = np.geomspace(1.0, 500.0, n)
+    grid = _grid(1.0, 500.0, n)
     columns = [grid]
     for name in ("copper-acetate-hydrate", "copper-acetate-anhydrous"):
         params = dataio.preset(name).parameters
@@ -377,8 +381,6 @@ def _figure_data(fig: int, n: int) -> tuple[str, list[str], list[np.ndarray]]:
 
 
 def _cmd_figure(args: argparse.Namespace, precision: int) -> int:
-    if args.n_points < 2:
-        raise _UsageError(f"need at least 2 grid points, got {args.n_points}")
     title, names, columns = _figure_data(args.id, args.n_points)
     if args.format == "json":
         doc = {"figure": args.id, "title": title, "columns": names}

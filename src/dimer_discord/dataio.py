@@ -327,14 +327,19 @@ def _remark(channel: str, t, value, sigma, raw, g, sigma_g, status: int) -> tupl
 # reading
 
 
-def _parse_float(token: str, path: str, line_no: int, column: str) -> float:
+def _parse_float(token: str, path: str, line_no: int, column: str, scale: float = 1.0) -> float:
+    """``token`` as a finite float, which stays finite when multiplied by ``scale``."""
     try:
         v = float(token)
     except ValueError:
         raise DataError(
             f"{path}:{line_no}: column {column!r} has non-numeric value {token!r}"
         ) from None
-    if not math.isfinite(v):
+    if not math.isfinite(v * scale):
+        if math.isfinite(v):
+            raise DataError(
+                f"{path}:{line_no}: column {column!r} value {token!r} overflows a double per dimer"
+            )
         raise DataError(f"{path}:{line_no}: column {column!r} is not finite")
     return v
 
@@ -398,6 +403,9 @@ def load_series(
             v_col = header.index(value_tag)
             sigma_tag = _SIGMA_TAGS[kind]
             s_col = header.index(sigma_tag) if sigma_tag in header else -1
+            # the factor the value and sigma columns are multiplied by below
+            scale = (1.0 / R_GAS if value_tag == "cm_J_per_mol_K" else 1.0) * (
+                2.0 if normalization == "per_monomer" else 1.0)
             continue
         if len(fields) != len(header):
             raise DataError(
@@ -406,10 +414,10 @@ def load_series(
         t = _parse_float(fields[t_col], name, line_no, "T_K")
         if t <= 0.0:
             raise DataError(f"{p}:{line_no}: temperature must be positive, got {t:g}")
-        v = _parse_float(fields[v_col], name, line_no, value_tag)
+        v = _parse_float(fields[v_col], name, line_no, value_tag, scale)
         s = None
         if s_col >= 0 and fields[s_col] != "":
-            s = _parse_float(fields[s_col], name, line_no, _SIGMA_TAGS[kind])
+            s = _parse_float(fields[s_col], name, line_no, _SIGMA_TAGS[kind], scale)
             if s < 0.0:
                 raise DataError(f"{p}:{line_no}: sigma must be >= 0, got {s:g}")
         rows.append((t, v, s))
@@ -428,12 +436,8 @@ def load_series(
         raise DataError(f"{p}: sigma present on some rows but not all")
     s_arr = np.array([r[2] for r in rows], dtype=float) if n_sigma else None
 
-    scale = 1.0
     if value_tag == "cm_J_per_mol_K":
-        scale /= R_GAS
         value_tag = "cm_over_R"
-    if normalization == "per_monomer":
-        scale *= 2.0
     if scale != 1.0:
         v_arr = v_arr * scale
         if s_arr is not None:

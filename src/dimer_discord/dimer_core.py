@@ -87,25 +87,12 @@ __all__ = [
 G_MIN = -1.0
 G_MAX = 1.0 / 3.0
 
-# k_B T_e / |J|: the dimensionless entanglement-death temperature, 2/ln 3,
-# correctly rounded from 50 digits (2.0 / math.log(3.0) rounds twice), and
-# the rest of 2/ln 3 below it, so that T_e itself takes one rounding.
-DEATH_TEMPERATURE_SCALE = 1.8204784532536749
-_DEATH_TEMPERATURE_SCALE_LO = -6.813257472014464e-17
-
 # Antiferro correlators where the entanglement of formation E crosses the
 # discord Q and the classical correlation C: roots of Q(g) = E(g) and
 # C(g) = E(g) on (-1, -1/3), correctly rounded from 50 digits.  Every measure
 # is a closed form of g, so each crossing sits at one universal k_B T/|J|.
 QE_CROSSING_G = -0.878753087946204
 CE_CROSSING_G = -0.6571969044257224
-
-# k_B T/|J| = 2/ln((1 - 3g)/(1 + g)) at each crossing's exact correlator, correctly
-# rounded from 50 digits, and the rest below it, so that each crossing T takes one rounding
-_QE_CROSSING_SCALE = 0.5880827911830968
-_QE_CROSSING_SCALE_LO = -9.379750469474742e-18
-_CE_CROSSING_SCALE = 0.9260560603107421
-_CE_CROSSING_SCALE_LO = 1.8743652499565143e-17
 
 _G_TOL = 1e-9  # float fuzz allowed on direct correlator inputs before we refuse
 _XLOG_CUTOFF = 1e-30  # below this, x*log2(x) is 0 to double precision anyway
@@ -429,15 +416,15 @@ def entanglement_death_temperature(params: DimerParameters) -> float:
     return t
 
 
-def _exact_sum(hi: float, lo: float) -> tuple[int, int]:
-    """hi + lo, a scale frozen as a hi/lo pair, as an exact integer ratio."""
-    (a, b), (c, d) = hi.as_integer_ratio(), lo.as_integer_ratio()
-    return a * d + b * c, b * d
+def _decimal(text: str) -> tuple[int, int]:
+    """A decimal string as an exact integer ratio: "1.25" is (125, 100)."""
+    whole, _, digits = text.partition(".")
+    return int(whole + digits), 10 ** len(digits)
 
 
 def _scaled_abs(scale: tuple[int, int], j: float) -> float:
-    """``scale`` |j|, correctly rounded, for a scale held as :func:`_exact_sum`
-    gives it.
+    """``scale`` |j|, correctly rounded, for a scale held as an integer ratio
+    (:func:`_decimal`).
 
     Formed as one exact integer quotient, which Python rounds correctly
     (subnormals included); inf past the largest double, as a float product.
@@ -449,10 +436,14 @@ def _scaled_abs(scale: tuple[int, int], j: float) -> float:
         return math.inf
 
 
-# the landmark scales frozen above, each as one exact ratio for _scaled_abs
-_DEATH_TEMPERATURE = _exact_sum(DEATH_TEMPERATURE_SCALE, _DEATH_TEMPERATURE_SCALE_LO)
-_QE_CROSSING_TEMPERATURE = _exact_sum(_QE_CROSSING_SCALE, _QE_CROSSING_SCALE_LO)
-_CE_CROSSING_TEMPERATURE = _exact_sum(_CE_CROSSING_SCALE, _CE_CROSSING_SCALE_LO)
+# Landmark scales k_B T/|J|, each held once to 40 decimal places of its 50-digit value, so
+# that scale |J| takes one rounding: 2/ln 3 where the entanglement dies, and
+# 2/ln((1 - 3g)/(1 + g)) at the Q = E and C = E crossing correlators
+_DEATH_TEMPERATURE = _decimal("1.8204784532536747872284803314722140012253")
+_QE_CROSSING_TEMPERATURE = _decimal("0.5880827911830967997269502058544505182281")
+_CE_CROSSING_TEMPERATURE = _decimal("0.9260560603107420761612514709345847630719")
+# k_B T_e/|J| as a double, correctly rounded (2.0 / math.log(3.0) rounds twice)
+DEATH_TEMPERATURE_SCALE = _scaled_abs(_DEATH_TEMPERATURE, 1.0)
 
 
 def powder_g(gx: float, gy: float, gz: float) -> float:

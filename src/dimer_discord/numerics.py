@@ -507,14 +507,15 @@ def fit_bleaney_bowers(
     def slope(x: float) -> float:
         if x not in seen:
             j = sign * math.exp(x)
-            k, e = _unit_susceptibility(j, t)
-            u = w * k
-            scale = float(u.max())  # so that no square of u underflows
-            u = u / scale
-            beta = float(u @ wy) / float(u @ u)  # g^2 * scale
-            r = beta * u - wy
-            # d(cost)/dx = J d(cost)/dJ, and w dK/dJ = scale * u * 2e / (T (3 + e))
-            dx = 2.0 * j * beta * float(r @ (u * (2.0 * e / (t * (3.0 + e)))))
+            with np.errstate(over="ignore"):  # T (3 + e) past the largest double: K, dK/dJ are 0
+                k, e = _unit_susceptibility(j, t)
+                u = w * k
+                scale = float(u.max())  # so that no square of u underflows
+                u = u / scale
+                beta = float(u @ wy) / float(u @ u)  # g^2 * scale
+                r = beta * u - wy
+                # d(cost)/dx = J d(cost)/dJ, and w dK/dJ = scale * u * 2e / (T (3 + e))
+                dx = 2.0 * j * beta * float(r @ (u * (2.0 * e / (t * (3.0 + e)))))
             seen[x] = (dx, beta / scale, math.sqrt(float(r @ r)))
         return seen[x][0]
 

@@ -29,7 +29,7 @@ from .dimer_core import (
     DimerParameters,
     FloatOrArray,
     _clip,
-    _exact_sum,
+    _decimal,
     _map,
     _numpy,
     _scaled_abs,
@@ -86,14 +86,10 @@ CM_PEAK_FERRO = 0.16632055381487849
 _CM_PEAK_X_ANTIFERRO = -4.0 / (1.0 + 3.0 * CM_PEAK_G_ANTIFERRO)
 _CM_PEAK_X_FERRO = 4.0 / (1.0 + 3.0 * CM_PEAK_G_FERRO)
 
-# k_B T*/|J| = |1 + 3g*|/2 at each peak, correctly rounded from 50 digits, and the rest
-# below it, so that the peak temperature takes one rounding
-_CM_PEAK_T_ANTIFERRO = 0.7029904241430893
-_CM_PEAK_T_ANTIFERRO_LO = 4.636677627107606e-17
-_CM_PEAK_T_FERRO = 0.9259574610084681
-_CM_PEAK_T_FERRO_LO = -5.139621267485613e-17
-_CM_PEAK_TEMPERATURE_ANTIFERRO = _exact_sum(_CM_PEAK_T_ANTIFERRO, _CM_PEAK_T_ANTIFERRO_LO)
-_CM_PEAK_TEMPERATURE_FERRO = _exact_sum(_CM_PEAK_T_FERRO, _CM_PEAK_T_FERRO_LO)
+# k_B T*/|J| = |1 + 3g*|/2 at each peak, to 40 decimal places of its 50-digit value, so
+# that the peak temperature takes one rounding
+_CM_PEAK_TEMPERATURE_ANTIFERRO = _decimal("0.7029904241430893671743521304383190836528")
+_CM_PEAK_TEMPERATURE_FERRO = _decimal("0.9259574610084680453896490147121383832487")
 
 # -f''(x*) of the log curve f that _schottky_x solves, 2/x*^2 + 6e/(1 + 3e)^2 antiferro and
 # 2/x*^2 + 6e/(3 + e)^2 ferro with e = e^-x*: near the peak f = ln(c*/c) - f''(x*)(x - x*)^2/2
@@ -115,13 +111,12 @@ _LN3 = 1.0986122886681098  # ln 3, correctly rounded
 _HOT_START = 4.0 / math.sqrt(3.0)  # the hot root 4 sqrt(c/3) is this times sqrt(c)
 
 # W(3/e), the principal Lambert W value that places the antiferro
-# susceptibility maximum, and k_B T_max / |J| = 2 / (1 + W(3/e)) there; each
-# correctly rounded from 50 digits, and the scale's rest below it, so that
-# T_max takes one rounding.
+# susceptibility maximum, correctly rounded from 50 digits; k_B T_max / |J| =
+# 2 / (1 + W(3/e)) there, to 40 decimal places so that T_max takes one
+# rounding, and that scale as a correctly rounded double.
 CHI_PEAK_W = 0.603545739535836
-CHI_PEAK_TEMPERATURE_SCALE = 1.2472360162167386
-_CHI_PEAK_TEMPERATURE_SCALE_LO = -6.327997720723675e-17
-_CHI_PEAK_TEMPERATURE = _exact_sum(CHI_PEAK_TEMPERATURE_SCALE, _CHI_PEAK_TEMPERATURE_SCALE_LO)
+_CHI_PEAK_TEMPERATURE = _decimal("1.2472360162167385666559123412689088359036")
+CHI_PEAK_TEMPERATURE_SCALE = _scaled_abs(_CHI_PEAK_TEMPERATURE, 1.0)
 
 # measured values may overshoot the physical domain by this much (absolute
 # in G) before they are declared inconsistent with the dimer model
@@ -411,7 +406,7 @@ def schottky_maximum(params: DimerParameters) -> tuple[float, float]:
 
     At the stationary point a = -2J/(k_B T) equals -4/(1+3g*), which collapses
     to t_peak = (J/k_B)(1+3g*)/2 — positive on both branches, and correctly
-    rounded: |1 + 3g*|/2 is frozen as a hi/lo pair.
+    rounded: |1 + 3g*|/2 is held to 40 decimal places.
     """
     if params.antiferro:
         return _scaled_abs(_CM_PEAK_TEMPERATURE_ANTIFERRO, params.j_over_kb), CM_PEAK_ANTIFERRO

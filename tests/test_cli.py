@@ -97,6 +97,54 @@ class TestExitCodes:
         assert (r.returncode, r.stdout) == (1, "")
         assert r.stderr == text + "\n"
 
+    @pytest.mark.parametrize(
+        "argv, precision, text",
+        [
+            (["landmarks", "--preset", "copper-nitrate-magnetometric", "--J-over-kB=-2.59"], None,
+             "give either --preset or an explicit coupling, not both"),
+            (["landmarks"], None,
+             "a coupling is required: --preset, --J-over-kB, or --2J-over-kB"),
+            (["from-chi", "--input", "{chi}", "--J-over-kB=-2.56"], None,
+             "a g factor is required: --g-factor, --g-tensor, or a preset that has one"),
+            (["from-neutron", "--G=-0.5", "--input", "{chi}"], None,
+             "give exactly one of --G or --input"),
+            (["from-neutron"], None, "give exactly one of --G or --input"),
+            (["from-cm", "--route", "invert", "--J-over-kB=-2.59", "--T", "4"], None,
+             "route invert needs --T and --cm-over-R"),
+            (["from-cm", "--route", "integrate", "--preset", "copper-nitrate-calorimetric"], None,
+             "route integrate needs --input and/or --tail-a/--tail-from"),
+            (["from-cm", "--route", "integrate", "--tail-a", "6.6",
+              "--preset", "copper-nitrate-calorimetric"], None,
+             "--tail-a and --tail-from go together"),
+            (["fit", "--input", "{chi}", "--J-over-kB=-2"], None,
+             "fitting needs at least 3 points, file has 2"),
+            (["landmarks", "--J-over-kB=-1"], "lots",
+             "DIMER_DISCORD_PRECISION must be an integer, got 'lots'"),
+            (["landmarks", "--J-over-kB=-1"], "0", "DIMER_DISCORD_PRECISION must be in [1, 17], got 0"),
+            (["theory", "--J-over-kB=-1", "--n-points", "1"], None,
+             "need at least 2 grid points, got 1"),
+            (["figure", "3", "--n-points", "-5"], None, "need at least 2 grid points, got -5"),
+            # the t-range is checked before the grid size
+            (["theory", "--J-over-kB=-1", "--t-min", "5", "--t-max", "2", "--n-points", "0"], None,
+             "need 0 < t-min < t-max < inf, got 5 and 2"),
+        ],
+        ids=[
+            "preset-and-coupling", "no-coupling", "no-g-factor", "G-and-input", "no-G-nor-input",
+            "invert-source", "integrate-source", "unpaired-tail", "fit-too-few", "precision-word",
+            "precision-range", "theory-grid-size", "figure-grid-size", "t-range",
+        ],
+    )
+    def test_usage_error_text(self, argv, precision, text, tmp_path, monkeypatch, capsys):
+        from dimer_discord import cli
+
+        chi = tmp_path / "chi.csv"
+        chi.write_text("T_K,chi_emu_per_mol\n2.0,0.1\n4.0,0.12\n")
+        monkeypatch.delenv("DIMER_DISCORD_PRECISION", raising=False)
+        if precision is not None:
+            monkeypatch.setenv("DIMER_DISCORD_PRECISION", precision)
+        assert cli.main([a.format(chi=chi) for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"usage error: {text}\n")
+
     def test_conflicting_parameter_sources(self):
         r = run("landmarks", "--preset", "copper-nitrate-magnetometric",
                 "--J-over-kB", "-2.59")

@@ -11,6 +11,7 @@ Each example runs ``cli.main`` in process twice and checks the contract of
   so on stderr, and a series whose every row is dropped ends with the last
   row's ``row N (T = X K): reason`` line;
 * on 0, stdout holds no ``nan`` or ``inf`` token;
+* no stderr line is a numpy ``RuntimeWarning``;
 * both runs give the same exit code and the same bytes.
 
 Numbers are drawn from the edge values 0, -0, 5e-324, 1e308, inf and nan
@@ -182,6 +183,7 @@ DROPPED_ROW = re.compile(r"row \d+ \(T = [^)]*\): ")
 def check_contract(argv: list[str], result: tuple[object, str, str]) -> None:
     code, out, err = result
     last = err.splitlines()[-1] if err else ""
+    assert not any(line.startswith("RuntimeWarning") for line in err.splitlines()), (argv, err)
     if isinstance(code, tuple):  # argparse's own exit
         assert code == ("SystemExit", 2), (argv, code)
         assert ": error: " in last, (argv, err)
@@ -232,8 +234,18 @@ def test_cli_contract(subcommand, input_path):
         # a cost past the largest double printed residual_norm = inf with exit 0
         (["fit", f"--input={FILE}", "--2J-over-kB=70.8", "--g-factor=2.11"],
          "chi_emu_per_mol,T_K\n0.0196107,1\n1e308,2\n0.130833,3"),
+        # T (3 + e) past the largest double printed numpy overflow warnings, then exit 0
+        (["fit", f"--input={FILE}", "--2J-over-kB=-5.12"],
+         "T_K,chi_emu_per_mol\n1,0.05\n1e308,0.001\n3,0.02\n"),
+        # a per-monomer chi doubled past the largest double printed a numpy warning
+        # and dropped its row as "susceptibility inf emu/mol"
+        (["from-chi", f"--input={FILE}", "--per=monomer", "--g-factor=2.11"],
+         "T_K,chi_emu_per_mol,sigma_chi\n3,1e308,0.001\n4,0.0126595,0.001\n"),
     ],
-    ids=["landmarks-chi-peak-overflow", "fit-subnormal-temperature", "fit-cost-overflow"],
+    ids=[
+        "landmarks-chi-peak-overflow", "fit-subnormal-temperature", "fit-cost-overflow",
+        "fit-temperature-overflow", "from-chi-monomer-overflow",
+    ],
 )
 def test_drawn_faults_stay_mended(argv, text, input_path):
     input_path.write_text(text)

@@ -193,6 +193,23 @@ class TestLoadSeries:
         with pytest.raises(DataError, match=message):
             load_series(f, "correlator", **kwargs)
 
+    @pytest.mark.parametrize(
+        "row, column",
+        [("3,1e308,0.001", "chi_emu_per_mol"), ("3,0.1,1e308", "sigma_chi")],
+        ids=["value", "sigma"],
+    )
+    def test_per_monomer_field_that_doubles_past_a_double_is_refused(self, tmp_path, row, column):
+        f = tmp_path / "x.csv"
+        f.write_text(f"T_K,chi_emu_per_mol,sigma_chi\n2,0.1,0.001\n{row}\n")
+        assert load_series(f, "susceptibility").values[1] in (1e308, 0.1)  # finite per dimer
+        with pytest.raises(
+            DataError, match=rf"x\.csv:3: column '{column}' value '1e308' overflows a double per dimer"
+        ):
+            load_series(f, "susceptibility", normalization="per_monomer")
+        f.write_text(f"T_K,chi_emu_per_mol,sigma_chi\n{row.replace('1e308', '8.9e307')}\n")
+        series = load_series(f, "susceptibility", normalization="per_monomer")
+        assert 1.78e308 in (series.values[0], series.sigmas[0])
+
     def test_no_unit_option(self):
         assert list(inspect.signature(load_series).parameters) == ["path", "kind", "normalization"]
 

@@ -396,48 +396,34 @@ class TestDeathTemperature:
             thermo.CHI_PEAK_TEMPERATURE_SCALE,
             lambda: 2 / (1 + oracles.mp.lambertw(3 / oracles.mp.e)),
         ),
-        # the rest of each scale below its double, which T_K is formed with
+        # each landmark scale k_B T/|J|, held as an exact decimal ratio
+        (dimer_core._DEATH_TEMPERATURE, lambda: 2 / oracles.mp.log(3)),
         (
-            dimer_core._DEATH_TEMPERATURE_SCALE_LO,
-            lambda: 2 / oracles.mp.log(3) - DEATH_TEMPERATURE_SCALE,
+            thermo._CHI_PEAK_TEMPERATURE,
+            lambda: 2 / (1 + oracles.mp.lambertw(3 / oracles.mp.e)),
+        ),
+        (dimer_core._QE_CROSSING_TEMPERATURE, lambda: oracles.crossing_temperature_scale("discord")),
+        (
+            dimer_core._CE_CROSSING_TEMPERATURE,
+            lambda: oracles.crossing_temperature_scale("classical"),
         ),
         (
-            thermo._CHI_PEAK_TEMPERATURE_SCALE_LO,
-            lambda: 2 / (1 + oracles.mp.lambertw(3 / oracles.mp.e))
-            - thermo.CHI_PEAK_TEMPERATURE_SCALE,
+            thermo._CM_PEAK_TEMPERATURE_ANTIFERRO,
+            lambda: oracles.schottky_peak_temperature_scale(True),
         ),
-        # the crossing and Schottky-peak scales, each a hi/lo pair
-        (dimer_core._QE_CROSSING_SCALE, lambda: oracles.crossing_temperature_scale("discord")),
-        (
-            dimer_core._QE_CROSSING_SCALE_LO,
-            lambda: oracles.crossing_temperature_scale("discord") - dimer_core._QE_CROSSING_SCALE,
-        ),
-        (dimer_core._CE_CROSSING_SCALE, lambda: oracles.crossing_temperature_scale("classical")),
-        (
-            dimer_core._CE_CROSSING_SCALE_LO,
-            lambda: oracles.crossing_temperature_scale("classical") - dimer_core._CE_CROSSING_SCALE,
-        ),
-        (thermo._CM_PEAK_T_ANTIFERRO, lambda: oracles.schottky_peak_temperature_scale(True)),
-        (
-            thermo._CM_PEAK_T_ANTIFERRO_LO,
-            lambda: oracles.schottky_peak_temperature_scale(True) - thermo._CM_PEAK_T_ANTIFERRO,
-        ),
-        (thermo._CM_PEAK_T_FERRO, lambda: oracles.schottky_peak_temperature_scale(False)),
-        (
-            thermo._CM_PEAK_T_FERRO_LO,
-            lambda: oracles.schottky_peak_temperature_scale(False) - thermo._CM_PEAK_T_FERRO,
-        ),
+        (thermo._CM_PEAK_TEMPERATURE_FERRO, lambda: oracles.schottky_peak_temperature_scale(False)),
     ],
     ids=[
         "QE_CROSSING_G", "CE_CROSSING_G", "CHI_PEAK_W", "DEATH_TEMPERATURE_SCALE",
-        "CHI_PEAK_TEMPERATURE_SCALE", "DEATH_TEMPERATURE_SCALE_LO",
-        "CHI_PEAK_TEMPERATURE_SCALE_LO", "QE_CROSSING_SCALE", "QE_CROSSING_SCALE_LO",
-        "CE_CROSSING_SCALE", "CE_CROSSING_SCALE_LO", "CM_PEAK_T_ANTIFERRO",
-        "CM_PEAK_T_ANTIFERRO_LO", "CM_PEAK_T_FERRO", "CM_PEAK_T_FERRO_LO",
+        "CHI_PEAK_TEMPERATURE_SCALE", "DEATH_TEMPERATURE", "CHI_PEAK_TEMPERATURE",
+        "QE_CROSSING_SCALE", "CE_CROSSING_SCALE", "CM_PEAK_T_ANTIFERRO", "CM_PEAK_T_FERRO",
     ],
 )
 def test_frozen_landmark_constant_is_correctly_rounded(frozen, exact):
     x = exact()  # 50 digits
+    if isinstance(frozen, tuple):  # a scale: 40 decimal places, correctly rounded at |J| = 1
+        assert abs(oracles.mp.mpf(frozen[0]) / frozen[1] - x) <= 1e-40 * x
+        frozen = dimer_core._scaled_abs(frozen, 1.0)
     assert frozen == float(x)
     assert abs(oracles.mp.mpf(frozen) - x) <= math.ulp(frozen) / 2
 

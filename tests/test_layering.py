@@ -195,6 +195,7 @@ def _message_template(node: ast.Raise) -> str | None:
     [
         "temperature must be positive, got {}",
         "tail start {} K lies below the last sample {} K",
+        "need at least 2 grid points, got {}",
     ],
 )
 def test_each_input_rule_is_raised_from_one_place(template):
