@@ -307,8 +307,7 @@ def _cmd_fit(args: argparse.Namespace, precision: int) -> int:
     t, chi = series.temperatures, series.values
     result = numerics.fit_bleaney_bowers(t, chi, init, sigma=series.sigmas)
     fitted = result.parameters
-    with _numpy().errstate(over="ignore"):  # T (3 + e) past the largest double: chi_model is 0
-        chi_model = dimer_core.bleaney_bowers(fitted.j_over_kb, fitted.g_factor, t)
+    chi_model = dimer_core.bleaney_bowers(fitted.j_over_kb, fitted.g_factor, t)
     names = ("T_K", "chi_emu_per_mol", "chi_model", "residual")
     columns = (t, chi, chi_model, chi_model - chi)
     report = {

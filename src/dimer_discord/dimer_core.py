@@ -318,14 +318,9 @@ def temperature_from_correlator(params: DimerParameters, g: float) -> float:
     """
     g = validate_correlator(g)
     j = params.j_over_kb
-    if j < 0.0 and not G_MIN < g < 0.0:
-        raise DomainError(
-            f"correlator {g!r} not reachable at finite T with antiferromagnetic coupling"
-        )
-    if j > 0.0 and not 0.0 < g < G_MAX:
-        raise DomainError(
-            f"correlator {g!r} not reachable at finite T with ferromagnetic coupling"
-        )
+    if not (G_MIN < g < 0.0 if j < 0.0 else 0.0 < g < G_MAX):
+        sign = "antiferromagnetic" if j < 0.0 else "ferromagnetic"
+        raise DomainError(f"correlator {g!r} not reachable at finite T with {sign} coupling")
     return -2.0 * (j / math.log(4.0 / (1.0 + g) - 3.0))  # divided first: no overflow
 
 
@@ -473,11 +468,15 @@ def _unit_susceptibility(j: FloatOrArray, t: FloatOrArray) -> tuple[FloatOrArray
     The cap would hold K up where a > _EXP_ARG_MAX; there 3 e^-a is below
     half an ulp of 1, and K = 2 N_A mu_B^2 e^-a / (k_B T), taken through
     its logarithm so that no factor underflows early (a NaN ``a`` gives a
-    NaN there).  Only this fix-up tells a float from an array, which takes
+    NaN there).  The fix-up tells a float from an array, which takes
     it in its cold cells: a 0-d ``t`` gives a 0-d array when cold.
     """
     a, e = _boltzmann(j, t)
-    k = 2.0 * CODATA.curie_prefactor / (t * (3.0 + e))
+    if type(a) is float and (type(t) is float or type(t) is int):  # an overflow is a quiet inf
+        k = _warm_unit_susceptibility(t, e)
+    else:  # numpy warns where T (3 + e) passes the largest double, and K is 0 there
+        with _numpy().errstate(over="ignore"):
+            k = _warm_unit_susceptibility(t, e)
     if type(a) is float:  # _boltzmann's float path
         if not a <= _EXP_ARG_MAX:
             k = _frozen_unit_susceptibility(t, a)
@@ -489,6 +488,10 @@ def _unit_susceptibility(j: FloatOrArray, t: FloatOrArray) -> tuple[FloatOrArray
         t_cold, a_cold = (np.broadcast_to(x, k.shape)[cold].tolist() for x in (t, a))
         k[cold] = list(map(_frozen_unit_susceptibility, t_cold, a_cold))
     return k, e
+
+
+def _warm_unit_susceptibility(t: FloatOrArray, e: FloatOrArray) -> FloatOrArray:
+    return 2.0 * CODATA.curie_prefactor / (t * (3.0 + e))
 
 
 def _frozen_unit_susceptibility(t: float, a: float) -> float:

@@ -1,5 +1,10 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "DimerDiscordError", "DomainError", "InconsistencyError", "NoSolutionError",
+    "BracketError", "ConvergenceError", "DataError", "PropagationWarning", "DataWarning",
+]
+
 
 class DimerDiscordError(Exception):
     """Base class for every error raised by this package."""

@@ -425,9 +425,9 @@ def susceptibility(params: DimerParameters, temperature: float) -> float:
     :func:`~dimer_discord.dimer_core.bleaney_bowers`; a g tensor triple is
     powder-averaged first.
     """
-    _temperature(temperature)
+    temperature = _temperature(temperature)  # a float, which keeps the curve off numpy
     g_factor = _require_g(params, "susceptibility")
-    return float(bleaney_bowers(params.j_over_kb, g_factor, temperature))
+    return bleaney_bowers(params.j_over_kb, g_factor, temperature)
 
 
 def correlator_from_susceptibility(

@@ -463,6 +463,17 @@ class TestFromCm:
                 "--preset", "copper-nitrate-calorimetric")
         assert "ignored" in r.stderr
 
+    def test_integrate_tail_only_ignores_u0_in_process(self, capsys):
+        from dimer_discord import cli
+
+        argv = ["from-cm", "--route", "integrate", "--tail-a", "6.6", "--tail-from", "4",
+                "--preset", "copper-nitrate-calorimetric", "--u0-over-R", "-3.885"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err.startswith(
+            "note: tail-only record: the energy anchors at u(infinity) = 0, "
+            "so --u0-over-R is ignored\n"
+        )
+
     def test_integrate_series_with_u0(self, tmp_path):
         # exact theory record dense enough for the trapezoid rule
         import numpy as np

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -534,6 +535,13 @@ class TestParseValueWithUncertainty:
     def test_beyond_the_largest_double_is_a_data_error(self, text):
         with pytest.raises(DataError, match="lies beyond the range of a double"):
             parse_value_with_uncertainty(text)
+
+
+def test_cell_formatter_writes_other_numbers_with_precision_digits():
+    # not a float, str, None, bool or int: formatted as a number
+    cell = cell_formatter(6)
+    cells = [cell(np.int64(7)), cell(Fraction(1, 3)), cell(np.float32(0.1))]
+    assert cells == ["7", "0.333333", "0.1"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -592,6 +593,21 @@ class TestColumns:
         got = bleaney_bowers(j, 2.11, np.array(t))
         assert type(got) is np.float64
         assert_same_bits([got], [bleaney_bowers(j, 2.11, t)])
+
+    def test_bleaney_bowers_past_the_largest_double_is_zero_unwarned(self):
+        # T (3 + e) overflows at T = 1e308, where K is 0: numpy, like a float, says nothing
+        t = [1.0, 3.0, 1e308]
+        floats = [*map(float.fromhex, ("0x1.a0660abf188a6p-5", "0x1.4c9ed8fa1e5f6p-6")), 0.0]
+        assert_same_bits([bleaney_bowers(-0.38, 0.59, x) for x in t], floats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            column = bleaney_bowers(-0.38, 0.59, np.array(t))
+            scalars = [bleaney_bowers(-0.38, 0.59, np.float64(x)) for x in t]
+            swept = bleaney_bowers(np.array([-0.38, 0.59]), 0.59, 1e308)
+        assert_same_bits(column, floats)
+        assert_same_bits(scalars, floats)
+        assert [type(x) for x in scalars] == [np.float64] * 3
+        assert_same_bits(swept, [0.0, 0.0])
 
     def test_bleaney_bowers_of_a_nan_coupling_is_nan(self):
         assert math.isnan(bleaney_bowers(math.nan, 2.11, 3.0))

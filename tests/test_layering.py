@@ -13,9 +13,12 @@ and takes no uncertainty secant of its own.
 The landmark crossings and the susceptibility maximum are frozen constants,
 so neither the CLI nor ``thermo`` calls a solver for them.  No module-level
 private name is left behind without a reference outside its own definition.
+The package's public names are the ``__all__`` of each library module, which
+``__init__`` star-imports: it names none of them itself.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -196,6 +199,7 @@ def _message_template(node: ast.Raise) -> str | None:
         "temperature must be positive, got {}",
         "tail start {} K lies below the last sample {} K",
         "need at least 2 grid points, got {}",
+        "correlator {} not reachable at finite T with {} coupling",
     ],
 )
 def test_each_input_rule_is_raised_from_one_place(template):
@@ -215,3 +219,68 @@ def test_resolve_parameters_takes_one_flag():
     )
     assert [a.arg for a in resolve.args.args] == ["args"]
     assert len(resolve.args.kwonlyargs) == 1
+
+
+# every module but the launcher, the CLI and the package itself: their __all__ is the API
+LIBRARY = [m for m in MODULES if m not in ("__init__", "__main__", "cli")]
+
+# the package's names when __init__ still listed them by hand: none may go
+FORMER_PACKAGE_NAMES = """
+    BracketError CODATA ConvergenceError CorrelationSet DataError DataWarning DimerDiscordError
+    DimerParameters DomainError FitResult InconsistencyError MaterialPreset MeasurementSeries
+    NoSolutionError PRESETS PropagationWarning ResultRecord TailModel ValueWithUncertainty
+    classical_correlation cli concurrence correlation_set correlator_from_internal_energy
+    correlator_from_specific_heat correlator_from_susceptibility correlator_from_temperature
+    dataio dimer_core discord entanglement_death_temperature entanglement_of_formation errors
+    find_crossing find_root fit_bleaney_bowers integrate_series_with_tail internal_energy
+    internal_energy_from_specific_heat lambert_w load_series maximize_scalar
+    measures_from_correlator mutual_information numerics parse_value_with_uncertainty powder_g
+    preset propagate_uncertainty result_from_correlator schottky_maximum specific_heat
+    specific_heat_from_correlator susceptibility susceptibility_maximum
+    temperature_from_correlator thermo write_results
+""".split()
+
+
+def _public(module: str) -> dict[str, object]:
+    mod = importlib.import_module(f"dimer_discord.{module}")
+    return {name: getattr(mod, name) for name in mod.__all__}
+
+
+def test_package_exports_each_module_name_as_the_module_object():
+    import dimer_discord
+
+    for module in LIBRARY:
+        for name, value in _public(module).items():
+            assert name in dimer_discord.__all__, f"{module}.{name}"
+            assert getattr(dimer_discord, name) is value, f"{module}.{name}"
+
+
+def test_no_former_package_name_is_dropped():
+    import dimer_discord
+
+    assert len(FORMER_PACKAGE_NAMES) == 58
+    assert set(FORMER_PACKAGE_NAMES) <= set(dimer_discord.__all__)
+
+
+def test_no_two_modules_bind_one_public_name_to_different_objects():
+    bound = {}
+    for module in LIBRARY:
+        for name, value in _public(module).items():
+            assert bound.setdefault(name, value) is value, f"{module}.{name}"
+
+
+def test_init_names_no_public_name_of_its_own():
+    # only `from . import ...` and one `from .<module> import *` per library module, so that
+    # a hand list of names cannot come back; assignments bind dunder names only
+    star = []
+    for node in _tree("__init__").body:
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 1
+            if node.module is not None:
+                assert [a.name for a in node.names] == ["*"], node.module
+                star.append(node.module)
+        elif isinstance(node, ast.Assign):
+            assert all(isinstance(t, ast.Name) and t.id.startswith("__") for t in node.targets)
+        else:
+            assert isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    assert sorted(star) == LIBRARY

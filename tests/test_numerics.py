@@ -61,6 +61,10 @@ class TestLambertW:
         ws = [lambert_w(float(x)) for x in xs]
         assert all(b > a for a, b in zip(ws, ws[1:]))
 
+    def test_rounding_below_branch_point_is_the_branch_point(self):
+        # within 1e-15 below -1/e the argument is clamped onto it, where W = -1
+        assert lambert_w(math.nextafter(-1.0 / math.e, -math.inf)) == -1.0
+
     def test_below_branch_point(self):
         with pytest.raises(DomainError):
             lambert_w(-0.5)

@@ -192,6 +192,20 @@ class TestSpecificHeatInversion:
                 back = correlator_from_specific_heat(p, cm, side="hot")
                 assert_allclose(back, g, atol=1e-8)
 
+    def test_peak_height_inverts_to_the_peak_itself(self):
+        # a height at the peak to rounding returns x* without a step: G within an ulp of G*
+        for j, cm, side, g, g_star in (
+            (-1.0, CM_PEAK_ANTIFERRO, "hot", -0.8019936160953928, CM_PEAK_G_ANTIFERRO),
+            (1.0, CM_PEAK_FERRO, "cold", 0.28397164067231206, CM_PEAK_G_FERRO),
+        ):
+            p = DimerParameters(j)
+            assert thermo._schottky_x(cm, p.antiferro, side == "hot") == (
+                thermo._CM_PEAK_X_ANTIFERRO if p.antiferro else thermo._CM_PEAK_X_FERRO
+            )
+            back = correlator_from_specific_heat(p, cm, side=side)
+            assert back == g
+            assert abs(back - g_star) <= math.ulp(g_star)
+
     def test_frozen_hot_side_point(self):
         g = correlator_from_specific_heat(CAL, 0.4125, side="hot")
         assert_allclose(g, -0.39707922480075277, atol=1e-10)
