@@ -59,16 +59,11 @@ R_GAS = CODATA.gas_constant  # J/(mol K), exact; converts cm_J_per_mol_K columns
 
 _CHANNELS = ("neutron", "calorimetric", "magnetometric", "theory")
 
-# value-column tags accepted per series kind; first entry is canonical
-_VALUE_TAGS = {
-    "susceptibility": ("chi_emu_per_mol",),
-    "specific_heat": ("cm_over_R", "cm_J_per_mol_K"),
-    "correlator": ("G",),
-}
-_SIGMA_TAGS = {
-    "susceptibility": "sigma_chi",
-    "specific_heat": "sigma",
-    "correlator": "sigma_G",
+# per series kind: the value-column tags accepted, the first canonical, and the sigma tag
+_TAGS = {
+    "susceptibility": (("chi_emu_per_mol",), "sigma_chi"),
+    "specific_heat": (("cm_over_R", "cm_J_per_mol_K"), "sigma"),
+    "correlator": (("G",), "sigma_G"),
 }
 
 
@@ -327,28 +322,30 @@ def _remark(channel: str, t, value, sigma, raw, g, sigma_g, status: int) -> tupl
 # reading
 
 
-def _parse_float(token: str, path: str, line_no: int, column: str, scale: float = 1.0) -> float:
-    """``token`` as a finite float, which stays finite when multiplied by ``scale``."""
+def _parse_float(
+    token: str, path: str, line_no: int, column: str, scale: float = 1.0, sigma: bool = False
+) -> float:
+    """``token`` as a float times ``scale``, the product finite; a ``sigma`` must be >= 0."""
     try:
         v = float(token)
     except ValueError:
         raise DataError(
             f"{path}:{line_no}: column {column!r} has non-numeric value {token!r}"
         ) from None
-    if not math.isfinite(v * scale):
+    product = v * scale
+    if not math.isfinite(product):
         if math.isfinite(v):
             raise DataError(
                 f"{path}:{line_no}: column {column!r} value {token!r} overflows a double per dimer"
             )
         raise DataError(f"{path}:{line_no}: column {column!r} is not finite")
-    return v
+    if sigma and v < 0.0:  # the file's value: a tiny one may scale to -0.0
+        raise DataError(f"{path}:{line_no}: sigma must be >= 0, got {v:g}")
+    return product
 
 
 def load_series(
-    path: str | Path,
-    kind: str,
-    *,
-    normalization: str = "per_dimer",
+    path: str | Path, kind: str, *, normalization: str = "per_dimer"
 ) -> MeasurementSeries:
     """Read one measured curve from a CSV file.
 
@@ -359,19 +356,20 @@ def load_series(
     kind : {"susceptibility", "specific_heat", "correlator"}
         Which curve the file holds; decides the value column looked for.
         The first accepted tag the header carries is read (``cm_over_R``
-        before ``cm_J_per_mol_K``), and the series' ``units`` name it.
+        before ``cm_J_per_mol_K``); the series' ``units`` is the kind's
+        first tag, the one its values are in.
     normalization : {"per_dimer", "per_monomer"}
         How the file is normalized.  Per-monomer values (and sigmas) are
         doubled on load; temperatures are never touched.  A correlator is
         a per-bond quantity, so ``per_monomer`` is rejected for it.
     """
-    if kind not in _VALUE_TAGS:
-        raise DataError(f"kind must be one of {tuple(_VALUE_TAGS)}, got {kind!r}")
+    if kind not in _TAGS:
+        raise DataError(f"kind must be one of {tuple(_TAGS)}, got {kind!r}")
     if normalization not in ("per_dimer", "per_monomer"):
         raise DataError(f"normalization must be per_dimer or per_monomer, got {normalization!r}")
     if normalization == "per_monomer" and kind == "correlator":
         raise DataError("a correlator has no per-monomer form; it is not extensive")
-    accepted = _VALUE_TAGS[kind]
+    accepted, sigma_tag = _TAGS[kind]
 
     p = Path(path)
     try:
@@ -379,34 +377,34 @@ def load_series(
     except OSError as exc:
         raise DataError(f"cannot read {p}: {exc}") from exc
 
+    # the header is the first line that is neither blank nor a comment; the rows follow it
+    lines = enumerate(text.split("\n"), start=1)  # read_text made every end "\n"
+    for line_no, line in lines:
+        line = line.strip()
+        if line and not line.startswith("#"):
+            break
+    else:
+        raise DataError(f"{p}: no header line found")
+    header = [f.strip() for f in line.split(",")]
+    if "T_K" not in header:
+        raise DataError(f"{p}:{line_no}: header lacks required column T_K")
+    present = [tag for tag in accepted if tag in header]
+    if not present:
+        raise DataError(f"{p}:{line_no}: header has no {kind} column; expected one of {accepted}")
+    value_tag = present[0]
+    t_col, v_col = header.index("T_K"), header.index(value_tag)
+    s_col = header.index(sigma_tag) if sigma_tag in header else -1
+    # the factor that takes a value or sigma to per dimer, per R
+    scale = (1.0 / R_GAS if value_tag == "cm_J_per_mol_K" else 1.0) * (
+        2.0 if normalization == "per_monomer" else 1.0)
+
     name = str(p)  # once per file, not once per parsed field
-    header: list[str] | None = None
     rows: list[tuple[float, float, float | None]] = []
-    t_col = v_col = s_col = -1
-    value_tag = None
-    for line_no, raw in enumerate(text.split("\n"), start=1):  # read_text made every end "\n"
-        line = raw.strip()
+    for line_no, line in lines:
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
         fields = [f.strip() for f in line.split(",")]
-        if header is None:
-            header = fields
-            if "T_K" not in header:
-                raise DataError(f"{p}:{line_no}: header lacks required column T_K")
-            t_col = header.index("T_K")
-            present = [tag for tag in accepted if tag in header]
-            if not present:
-                raise DataError(
-                    f"{p}:{line_no}: header has no {kind} column; expected one of {accepted}"
-                )
-            value_tag = present[0]
-            v_col = header.index(value_tag)
-            sigma_tag = _SIGMA_TAGS[kind]
-            s_col = header.index(sigma_tag) if sigma_tag in header else -1
-            # the factor the value and sigma columns are multiplied by below
-            scale = (1.0 / R_GAS if value_tag == "cm_J_per_mol_K" else 1.0) * (
-                2.0 if normalization == "per_monomer" else 1.0)
-            continue
         if len(fields) != len(header):
             raise DataError(
                 f"{p}:{line_no}: row has {len(fields)} fields, header has {len(header)}"
@@ -417,39 +415,21 @@ def load_series(
         v = _parse_float(fields[v_col], name, line_no, value_tag, scale)
         s = None
         if s_col >= 0 and fields[s_col] != "":
-            s = _parse_float(fields[s_col], name, line_no, _SIGMA_TAGS[kind], scale)
-            if s < 0.0:
-                raise DataError(f"{p}:{line_no}: sigma must be >= 0, got {s:g}")
+            s = _parse_float(fields[s_col], name, line_no, sigma_tag, scale, sigma=True)
         rows.append((t, v, s))
-    if header is None:
-        raise DataError(f"{p}: no header line found")
 
     rows.sort(key=lambda r: r[0])
     np = _numpy()
     t_arr = np.array([r[0] for r in rows], dtype=float)
-    v_arr = np.array([r[1] for r in rows], dtype=float)
     if t_arr.size > 1 and np.any(np.diff(t_arr) == 0.0):
         dup = float(t_arr[np.flatnonzero(np.diff(t_arr) == 0.0)[0]])
         raise DataError(f"{p}: duplicate temperature {dup:g} K")
     n_sigma = sum(1 for r in rows if r[2] is not None)
     if n_sigma and n_sigma != len(rows):
         raise DataError(f"{p}: sigma present on some rows but not all")
-    s_arr = np.array([r[2] for r in rows], dtype=float) if n_sigma else None
-
-    if value_tag == "cm_J_per_mol_K":
-        value_tag = "cm_over_R"
-    if scale != 1.0:
-        v_arr = v_arr * scale
-        if s_arr is not None:
-            s_arr = s_arr * scale
-
-    return MeasurementSeries(
-        kind=kind,
-        temperatures=t_arr,
-        values=v_arr,
-        sigmas=s_arr,
-        units=value_tag,
-    )
+    values = np.array([r[1] for r in rows], dtype=float)
+    sigmas = np.array([r[2] for r in rows], dtype=float) if n_sigma else None
+    return MeasurementSeries(kind, t_arr, values, sigmas, units=accepted[0])
 
 
 # ---------------------------------------------------------------------------

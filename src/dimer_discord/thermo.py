@@ -183,8 +183,8 @@ def internal_energy(params: DimerParameters, temperature: float) -> float:
 def correlator_from_internal_energy(params: DimerParameters, u_over_r: float) -> float:
     """Invert u/R = -(3/2)(J/k_B) G for a measured energy."""
     if not math.isfinite(u_over_r):
-        raise DomainError(f"internal energy must be finite, got {u_over_r!r}")
-    g = -2.0 * u_over_r / (3.0 * params.j_over_kb)
+        raise DomainError(f"internal energy must be finite, got {float(u_over_r)!r}")
+    g = -2.0 * float(u_over_r) / (3.0 * params.j_over_kb)  # a numpy scalar as a float
     return clamp_measured_correlator(g, f"internal energy {u_over_r:g} K")
 
 
@@ -250,7 +250,7 @@ def specific_heat(params: DimerParameters, temperature: float) -> float:
     using the exponential of -|a| so large couplings underflow to the
     correct zero instead of overflowing.
     """
-    _temperature(temperature)
+    temperature = _temperature(temperature)
     a = -2.0 * params.j_over_kb / temperature
     e = math.exp(-abs(a))
     if e == 0.0:  # frozen out, a infinite included
@@ -311,7 +311,7 @@ def correlator_from_specific_heat(
     if side not in ("hot", "cold"):
         raise DomainError(f"side must be 'hot' or 'cold', got {side!r}")
     if not math.isfinite(cm_over_r) or cm_over_r < 0.0:
-        raise DomainError(f"c_m/R must be non-negative, got {cm_over_r!r}")
+        raise DomainError(f"c_m/R must be non-negative, got {float(cm_over_r)!r}")
     if cm_over_r == 0.0:
         # the curve's exact zeros: infinite temperature on the hot flank,
         # the ground state on the cold one
@@ -354,8 +354,7 @@ def _schottky_x(cm: float, antiferro: bool, hot: bool) -> float:
     Newton would only halve the distance to the root each step, the start
     is the root of that quadratic; and the iteration stops once |f| is
     within its own rounding.  That takes at most 4 evaluations from 0.99 of
-    the peak to within an ulp of it (it took up to 36); farther out every
-    iterate is as it was.
+    the peak to within an ulp of it.
     """
     x_peak = _CM_PEAK_X_ANTIFERRO if antiferro else _CM_PEAK_X_FERRO
     root_cm = math.sqrt(cm)  # ln(x^2/cm) as 2 ln(x/sqrt(cm)): no x^2 or cm/3 underflows
@@ -438,9 +437,10 @@ def correlator_from_susceptibility(
     ``chi`` in emu per mole of dimers, ``temperature`` in kelvin.  Only the
     g factor of ``params`` enters; the coupling is not assumed.
     """
-    _temperature(temperature)
+    temperature = _temperature(temperature)
     if not math.isfinite(chi) or chi < 0.0:
-        raise DomainError(_NEGATIVE_CHI.format(chi))
+        raise DomainError(_NEGATIVE_CHI.format(float(chi)))
+    chi = float(chi)  # a numpy scalar computes as a float
     g = _chi_correlator(_require_g(params, "susceptibility inversion"), chi, temperature)
     if G_MIN <= g <= G_MAX:  # nothing to say: the source text is not built
         return g

@@ -25,6 +25,13 @@ def g_of_t(j, t):
     return float(-1 + 4 / (3 + mp.e ** (-2 * mp.mpf(j) / mp.mpf(t))))
 
 
+def t_of_g(j, g):
+    """The temperature at which a dimer of coupling ``j`` shows the double ``g``, as a
+    50-digit mpf: -2J/ln(q/p) with ln(q/p) = log1p(-3G) - log1p(G), no cancellation."""
+    g = mp.mpf(g)
+    return -2 * mp.mpf(j) / (mp.log1p(-3 * g) - mp.log1p(g))
+
+
 def mutual_information(g):
     g = mp.mpf(g)
     return float((_xlg(1 - 3 * g) + 3 * _xlg(1 + g)) / 4)

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,11 @@ from dimer_discord.dimer_core import (
 )
 from dimer_discord.errors import DataError, DomainError, InconsistencyError
 from dimer_discord.numerics import ValueWithUncertainty, propagate_uncertainty
+
+
+def _raises(text):
+    """A check that the block raises a DataError whose text is exactly ``text``."""
+    return pytest.raises(DataError, match=f"^{re.escape(text)}$")
 
 
 class TestLoadSeries:
@@ -75,10 +81,22 @@ class TestLoadSeries:
         assert_allclose(s.values, [3.43 / 8.31446261815324], rtol=1e-12)
         assert s.units == "cm_over_R"  # canonical tag after conversion
 
+    @pytest.mark.parametrize("normalization, factor", [("per_dimer", 1.0), ("per_monomer", 2.0)])
+    def test_joule_values_and_sigmas_take_one_product(self, tmp_path, normalization, factor):
+        # each value and sigma is the file's number times one factor, (1/R) times the doubling
+        f = tmp_path / "cm.csv"
+        f.write_text("T_K,cm_J_per_mol_K,sigma\n4.0,3.43,0.07\n2.0,1.1,0.05\n")
+        s = load_series(f, "specific_heat", normalization=normalization)
+        scale = 1.0 / dataio.R_GAS * factor
+        assert s.values.tolist() == [1.1 * scale, 3.43 * scale]
+        assert s.sigmas.tolist() == [0.05 * scale, 0.07 * scale]
+        assert s.temperatures.tolist() == [2.0, 4.0]
+        assert s.units == "cm_over_R"
+
     def test_correlator_rejects_per_monomer(self, tmp_path):
         f = tmp_path / "g.csv"
         f.write_text("T_K,G\n4.0,-0.54\n")
-        with pytest.raises(DataError):
+        with _raises("a correlator has no per-monomer form; it is not extensive"):
             load_series(f, "correlator", normalization="per_monomer")
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
@@ -97,50 +115,126 @@ class TestLoadSeries:
     def test_missing_header_column(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("temp,G\n4.0,-0.5\n")
-        with pytest.raises(DataError, match="T_K"):
+        with _raises(f"{f}:1: header lacks required column T_K"):
             load_series(f, "correlator")
 
     def test_wrong_value_column_for_kind(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("T_K,G\n4.0,-0.5\n")
-        with pytest.raises(DataError):
+        with _raises(
+            f"{f}:1: header has no susceptibility column; expected one of ('chi_emu_per_mol',)"
+        ):
             load_series(f, "susceptibility")
+        f.write_text("T_K,chi_emu_per_mol\n4.0,0.1\n")
+        with _raises(
+            f"{f}:1: header has no specific_heat column; "
+            "expected one of ('cm_over_R', 'cm_J_per_mol_K')"
+        ):
+            load_series(f, "specific_heat")
 
     def test_malformed_row_reports_line_number(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("T_K,G\n4.0,-0.5\n5.0,oops\n")
-        with pytest.raises(DataError, match=r"bad\.csv:3"):
+        with _raises(f"{f}:3: column 'G' has non-numeric value 'oops'"):
             load_series(f, "correlator")
 
     def test_short_row_reports_line_number(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("T_K,G\n4.0\n")
-        with pytest.raises(DataError, match=r"bad\.csv:2"):
+        with _raises(f"{f}:2: row has 1 fields, header has 2"):
             load_series(f, "correlator")
 
     def test_nonpositive_temperature_rejected(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("T_K,G\n0.0,-0.5\n")
-        with pytest.raises(DataError):
+        with _raises(f"{f}:2: temperature must be positive, got 0"):
+            load_series(f, "correlator")
+        f.write_text("T_K,G\n4.0,-0.5\n-2.5e-3,-0.5\n")
+        with _raises(f"{f}:3: temperature must be positive, got -0.0025"):
             load_series(f, "correlator")
 
     def test_duplicate_temperature_rejected(self, tmp_path):
         f = tmp_path / "bad.csv"
-        f.write_text("T_K,G\n4.0,-0.5\n4.0,-0.5\n")
-        with pytest.raises(DataError):
+        f.write_text("T_K,G\n4.0,-0.5\n2.5,-0.6\n4.0,-0.5\n")
+        with _raises(f"{f}: duplicate temperature 4 K"):
             load_series(f, "correlator")
 
     def test_partial_sigma_column_rejected(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("T_K,G,sigma_G\n4.0,-0.5,0.1\n5.0,-0.4,\n")
-        with pytest.raises(DataError):
+        with _raises(f"{f}: sigma present on some rows but not all"):
             load_series(f, "correlator")
 
     def test_negative_sigma_rejected(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("T_K,G,sigma_G\n4.0,-0.5,-0.1\n")
-        with pytest.raises(DataError):
+        with _raises(f"{f}:2: sigma must be >= 0, got -0.1"):
             load_series(f, "correlator")
+
+    @pytest.mark.parametrize(
+        "kind, text, normalization, message",
+        [
+            # the file's sigma is named, not the doubled one
+            ("susceptibility", "T_K,chi_emu_per_mol,sigma_chi\n4.0,0.063,-0.1\n", "per_monomer",
+             "sigma must be >= 0, got -0.1"),
+            # a subnormal sigma is refused although its product with 1/R rounds to -0.0
+            ("specific_heat", "T_K,cm_J_per_mol_K,sigma\n4.0,3.4,-1e-323\n", "per_dimer",
+             "sigma must be >= 0, got -9.88131e-324"),
+        ],
+        ids=["per-monomer", "joule-subnormal"],
+    )
+    def test_negative_sigma_names_the_files_value(
+        self, tmp_path, kind, text, normalization, message
+    ):
+        f = tmp_path / "bad.csv"
+        f.write_text(text)
+        with _raises(f"{f}:2: {message}"):
+            load_series(f, kind, normalization=normalization)
+        # a negative zero is no negative sigma
+        f.write_text(text.replace("-0.1", "-0").replace("-1e-323", "-0.0"))
+        assert math.copysign(1.0, load_series(f, kind, normalization=normalization).sigmas[0]) < 0
+
+    def test_header_after_comments_and_blank_lines_names_its_lines(self, tmp_path):
+        f = tmp_path / "late.csv"
+        f.write_text("# run 7\n\n   \n# T in kelvin\ntemp,G\n4.0,-0.5\n")
+        with _raises(f"{f}:5: header lacks required column T_K"):
+            load_series(f, "correlator")
+        f.write_text("# run 7\n\n# T in kelvin\nT_K,G\n4.0,-0.5\n\n# note\n5.0,-0.4,1\n")
+        with _raises(f"{f}:8: row has 3 fields, header has 2"):
+            load_series(f, "correlator")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,oops,-1", "row has 3 fields, header has 2"),
+            ("x,oops", "column 'T_K' has non-numeric value 'x'"),
+            ("0,oops", "temperature must be positive, got 0"),
+            ("inf,oops", "column 'T_K' is not finite"),
+            ("4,nan", "column 'G' is not finite"),
+        ],
+        ids=["width-first", "t-parse", "t-sign", "t-finite", "value-after-t"],
+    )
+    def test_the_earlier_check_of_a_row_wins(self, tmp_path, row, message):
+        f = tmp_path / "bad.csv"
+        f.write_text(f"T_K,G\n{row}\n")
+        with _raises(f"{f}:2: {message}"):
+            load_series(f, "correlator")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("4,oops,-1", "column 'chi_emu_per_mol' has non-numeric value 'oops'"),
+            ("4,1e308,-1", "column 'chi_emu_per_mol' value '1e308' overflows a double per dimer"),
+            ("4,0.1,-1e308", "column 'sigma_chi' value '-1e308' overflows a double per dimer"),
+            ("4,0.1,-inf", "column 'sigma_chi' is not finite"),
+        ],
+        ids=["value-parse", "value-overflow", "sigma-overflow", "sigma-finite"],
+    )
+    def test_value_checks_precede_the_sigma_sign(self, tmp_path, row, message):
+        f = tmp_path / "bad.csv"
+        f.write_text(f"T_K,chi_emu_per_mol,sigma_chi\n{row}\n")
+        with _raises(f"{f}:2: {message}"):
+            load_series(f, "susceptibility", normalization="per_monomer")
 
     def test_header_only_file_is_an_empty_series(self, tmp_path):
         f = tmp_path / "empty.csv"
@@ -217,7 +311,10 @@ class TestLoadSeries:
     def test_unknown_kind(self, tmp_path):
         f = tmp_path / "x.csv"
         f.write_text("T_K,G\n4.0,-0.5\n")
-        with pytest.raises(DataError):
+        with _raises(
+            "kind must be one of ('susceptibility', 'specific_heat', 'correlator'), "
+            "got 'magnetization'"
+        ):
             load_series(f, "magnetization")
 
 

@@ -261,6 +261,31 @@ class TestTemperatureOfCorrelator:
         with pytest.raises(DomainError):
             temperature_from_correlator(AFM, 0.0)
 
+    @pytest.mark.parametrize("j", [-2.0, -204.0, -1e-250, -1e250, 35.4, 1e-250, 1e250])
+    def test_within_5e_16_of_the_oracle_on_the_whole_branch(self, j):
+        # |G| log-spaced from 1e-300 (where the hot end's 1 - 3G and 1 + G round to 1) to
+        # the far end, and the cold end approached from 1e-16 of it
+        params = DimerParameters(j)
+        end = G_MIN if j < 0.0 else G_MAX
+        gs = [*(end * np.geomspace(1e-300 / abs(end), 1.0, 600))[:-1],
+              *(end - end * np.geomspace(3e-16, 0.5, 200)), 5e-324 * np.sign(end)]
+        for g in map(float, gs):
+            t, exact = temperature_from_correlator(params, g), oracles.t_of_g(j, g)
+            if exact > sys.float_info.max:
+                assert t == math.inf, g
+            else:
+                assert abs(t - exact) <= 5e-16 * exact, g
+
+    def test_raises_only_a_domain_error(self):
+        for params in (AFM, FM):
+            for g in (0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, G_MIN, G_MAX, -2.0, 0.5,
+                      math.nan, math.inf, -math.inf):
+                try:
+                    t = temperature_from_correlator(params, g)
+                except DomainError:
+                    continue
+                assert 0.0 < t <= math.inf
+
 
 class TestMeasures:
     def test_singlet(self):
@@ -606,7 +631,7 @@ class TestColumns:
             swept = bleaney_bowers(np.array([-0.38, 0.59]), 0.59, 1e308)
         assert_same_bits(column, floats)
         assert_same_bits(scalars, floats)
-        assert [type(x) for x in scalars] == [np.float64] * 3
+        assert [type(x) for x in scalars] == [float] * 3  # a numpy scalar computes as a float
         assert_same_bits(swept, [0.0, 0.0])
 
     def test_bleaney_bowers_of_a_nan_coupling_is_nan(self):

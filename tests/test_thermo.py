@@ -322,6 +322,38 @@ class TestSpecificHeatNewton:
         assert temperature_from_correlator(params, g) > 0.0
 
 
+@pytest.mark.parametrize(
+    "fn, args, numpy_at",
+    [
+        (bleaney_bowers, (1e300, 0.59, 1e-300), (0, 1, 2)),
+        (thermo.specific_heat, (DimerParameters(-1e300), 1e-10), (1,)),
+        (thermo.correlator_from_susceptibility, (DimerParameters(-2.0, 2.1), 0.06, 1e308), (1, 2)),
+        (thermo.correlator_from_susceptibility, (DimerParameters(-2.0, 2.1), 1e308, 4.0), (1,)),
+        (thermo.correlator_from_susceptibility, (DimerParameters(-2.0, 2.1), 0.06, 4.0), (1, 2)),
+        (thermo.correlator_from_susceptibility, (DimerParameters(-2.0, 2.1), -1.0, 4.0), (1,)),
+        (correlator_from_internal_energy, (DimerParameters(-2.0), 1e308), (1,)),
+        (correlator_from_internal_energy, (DimerParameters(-2.0), -1.5), (1,)),
+        (correlator_from_internal_energy, (DimerParameters(-2.0), math.inf), (1,)),
+    ],
+    ids=["bleaney-bowers", "specific-heat", "chi-at-hot-t", "huge-chi", "chi", "negative-chi",
+         "huge-u", "u", "infinite-u"],
+)
+def test_numpy_scalars_compute_as_floats(fn, args, numpy_at):
+    # an np.float64 gives the float call's float, or its error class and text, with no
+    # numpy warning
+    def outcome(call_args):
+        try:
+            return fn(*call_args)
+        except (DomainError, InconsistencyError) as exc:
+            return type(exc), str(exc)
+
+    expected = outcome(args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome([np.float64(x) if i in numpy_at else x for i, x in enumerate(args)])
+    assert type(got) is type(expected) and got == expected
+
+
 class TestSchottky:
     def test_frozen_maxima(self):
         t, cm = schottky_maximum(AFM)
