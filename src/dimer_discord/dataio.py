@@ -28,7 +28,7 @@ from typing import NamedTuple
 from . import thermo
 from .dimer_core import (
     CODATA, G_MAX, G_MIN, DimerParameters, FloatOrArray, _G_TOL, _clip, _is_array, _numpy,
-    _validated_make, discord, measures_from_correlator,
+    _temperature, _validated_make, discord, measures_from_correlator,
 )
 from .errors import DataError, DataWarning, DomainError, InconsistencyError, PropagationWarning
 from .numerics import (
@@ -153,14 +153,14 @@ class _ResultRecord(NamedTuple):
 
 class ResultRecord(_ResultRecord):
     """One point: a correlator and everything derived from it, as
-    :func:`result_from_correlator` gives it (``t`` is None for a correlator
-    given without a temperature)."""
+    :func:`result_from_correlator` gives it (``t`` is a temperature, stored as a float, or
+    None for a correlator given without one)."""
 
     __slots__ = ()
     _make = classmethod(_validated_make)
 
-    def __new__(cls, *fields, **named):
-        record = super().__new__(cls, *fields, **named)
+    def __new__(cls, t, *fields, **named):
+        record = super().__new__(cls, t if t is None else _temperature(t), *fields, **named)
         if record.channel not in _CHANNELS:
             raise DataError(f"channel must be one of {_CHANNELS}, got {record.channel!r}")
         if abs(record.discord.value - (record.mutual_information - record.classical)) > 1e-12:
@@ -300,7 +300,7 @@ def _remark(channel: str, t, value, sigma, raw, g, sigma_g, status: int) -> tupl
     """The class and text of what the scalar functions raise or warn of for a row with these
     values and status bits: a dropped row's first cause, or a kept row's remarks in one text."""
     if status & _NAN:
-        return DomainError, thermo._NEGATIVE_CHI.format(value)
+        return DomainError, f"{thermo._CHI_NAME} must {thermo._CHI_RULE}, got {value!r}"
     # the source of the correlator, as a clamp or refusal names it
     source = thermo._CHI_SOURCE.format(value, t) if channel == "magnetometric" else "neutron point"
     if status & _REFUSED:

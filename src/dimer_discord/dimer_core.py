@@ -121,15 +121,27 @@ def _validated_make(cls, fields):
     return cls(*fields)
 
 
-def _real(name: str, x: object) -> float:
-    """A validating record's field ``x`` as a float: any real number, numpy
-    scalars included; anything else raises a DomainError that names it."""
-    if type(x) not in (float, int):
-        import numbers  # only a field that is neither a float nor an int loads it
+_MAX = sys.float_info.max
+_POSITIVE = 5e-324  # the lo of "be positive": x >= it is x > 0
 
-        if not isinstance(x, numbers.Real):
-            raise DomainError(f"{name} must be a real number, got {x!r}")
-    return float(x)
+
+def _real(name: str, x: object, rule: str | None = None, lo=-_MAX, hi=_MAX) -> float:
+    """A public scalar input ``x`` as a float: any real number, numpy scalars included;
+    anything else, or a number past the largest double, raises a DomainError that names
+    it.  With a ``rule``, so does a value outside ``[lo, hi]``, NaN and +-inf included."""
+    if type(x) is not float:
+        if type(x) is not int:
+            import numbers  # only a value that is neither a float nor an int loads it
+
+            if not isinstance(x, numbers.Real):
+                raise DomainError(f"{name} must be a real number, got {x!r}")
+        try:
+            x = float(x)
+        except OverflowError:
+            raise DomainError(f"{name} lies beyond the range of a double") from None
+    if rule is None or lo <= x <= hi:
+        return x
+    raise DomainError(f"{name} must {rule}, got {x!r}")
 
 
 class _DimerParameters(NamedTuple):
@@ -166,16 +178,14 @@ class DimerParameters(_DimerParameters):
         if isinstance(g_factor, (list, tuple)):
             if len(g_factor) != 3:
                 raise DomainError("g tensor needs exactly three principal values")
-            g_factor = tuple(_real("g tensor component", c) for c in g_factor)
             g = powder_g(*g_factor)  # raises DomainError on a component that is not positive
+            g_factor = tuple(map(float, g_factor))  # each a real number, as powder_g read it
             if g == math.inf:  # else its square, about the mean square, is finite too
                 raise DomainError(
                     f"g tensor {g_factor!r} is too large: the sum of its squares overflows"
                 )
         elif g_factor is not None:
-            g = g_factor = _real("g_factor", g_factor)
-            if not math.isfinite(g) or g <= 0.0:
-                raise DomainError(f"g factor must be positive, got {g!r}")
+            g = g_factor = _real("g factor", g_factor, "be positive", _POSITIVE)
             if g * g == math.inf:
                 raise DomainError(f"g factor {g!r} is too large: its square overflows")
         if g_factor is not None and g * g < sys.float_info.min:  # subnormal: chi would lose digits
@@ -245,7 +255,7 @@ def _boltzmann(j: FloatOrArray, t: FloatOrArray) -> tuple[FloatOrArray, FloatOrA
         with _numpy().errstate(over="ignore"):
             a = -2.0 * j / t
         return a, _map(math.exp, _clip(a, -_EXP_ARG_MAX, _EXP_ARG_MAX))
-    a = float(-2.0 * j / t)
+    a = -2.0 * j / t
     capped = _EXP_ARG_MAX if a > _EXP_ARG_MAX else a if a >= -_EXP_ARG_MAX else -_EXP_ARG_MAX
     return a, math.exp(capped)  # clipped inline, without a call: this path is hot
 
@@ -267,9 +277,7 @@ def _check_each(check: Callable[[float], object], x: np.ndarray, ok: np.ndarray)
 
 def _temperature(t: float) -> float:
     """``t`` as a float; a DomainError unless it is a positive, finite temperature."""
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"temperature must be positive, got {float(t)!r}")
-    return float(t)
+    return _real("temperature", t, "be positive", _POSITIVE)
 
 
 def validate_correlator(g: FloatOrArray) -> FloatOrArray:
@@ -284,9 +292,7 @@ def validate_correlator(g: FloatOrArray) -> FloatOrArray:
         g = _numpy().asarray(g, dtype=float)
         _check_each(validate_correlator, g, (g >= G_MIN - _G_TOL) & (g <= G_MAX + _G_TOL))
         return g.clip(G_MIN, G_MAX)
-    g = float(g)
-    if not math.isfinite(g):
-        raise DomainError(f"correlator must be finite, got {g!r}")
+    g = _real("correlator", g, "be finite")
     if g < G_MIN - _G_TOL or g > G_MAX + _G_TOL:
         raise DomainError(f"correlator {g!r} lies outside the physical range [-1, 1/3]")
     return min(max(g, G_MIN), G_MAX)
@@ -299,7 +305,7 @@ def correlator_from_temperature(params: DimerParameters, t: FloatOrArray) -> Flo
         _check_each(_temperature, t, (t > 0.0) & (t < math.inf))  # NaN fails both
     else:
         t = _temperature(t)
-    j = float(params.j_over_kb)
+    j = params.j_over_kb
     a, e = _boltzmann(j, t)
     # T -> 0 limit, where exp() would overflow: pure singlet (G=-1) or
     # thermal triplet (G=1/3)
@@ -394,9 +400,7 @@ def entanglement_of_formation(c_tilde: FloatOrArray) -> FloatOrArray:
         _check_each(entanglement_of_formation, c, (c >= -_G_TOL) & (c <= 1.0 + _G_TOL))
         c = c.clip(0.0, 1.0)
     else:
-        c = float(c_tilde)
-        if not math.isfinite(c) or c < -_G_TOL or c > 1.0 + _G_TOL:
-            raise DomainError(f"concurrence must lie in [0, 1], got {c!r}")
+        c = _real("concurrence", c_tilde, "lie in [0, 1]", -_G_TOL, 1.0 + _G_TOL)
         c = min(max(c, 0.0), 1.0)
     return _entanglement(c)
 
@@ -447,9 +451,7 @@ DEATH_TEMPERATURE_SCALE = _scaled_abs(_DEATH_TEMPERATURE, 1.0)
 
 def powder_g(gx: float, gy: float, gz: float) -> float:
     """Root-mean-square g factor seen by a powder-averaged measurement."""
-    for v in (gx, gy, gz):
-        if not math.isfinite(v) or v <= 0.0:
-            raise DomainError(f"g tensor components must be positive, got {v!r}")
+    gx, gy, gz = (_real("g tensor components", v, "be positive", _POSITIVE) for v in (gx, gy, gz))
     return math.sqrt((gx * gx + gy * gy + gz * gz) / 3.0)
 
 
@@ -460,9 +462,10 @@ def bleaney_bowers(
 
     ``chi = N_A g^2 mu_B^2 (1 + G) / (2 k_B T)``, evaluated as ``g^2`` times
     the g = 1 curve of :func:`_unit_susceptibility`, so that no 1 + G
-    cancels when cold.  Floats (a numpy scalar is one) or numpy arrays; J = 0 gives G = 0.
+    cancels when cold.  Real numbers or numpy arrays; J = 0 gives G = 0.
     """
-    j_over_kb, g_factor, t = (x if _is_array(x) else float(x) for x in (j_over_kb, g_factor, t))
+    j_over_kb, g_factor, t = (x if _is_array(x) else _real(name, x) for name, x in (
+        ("j_over_kb", j_over_kb), ("g factor", g_factor), ("temperature", t)))
     return g_factor * g_factor * _unit_susceptibility(j_over_kb, t)[0]
 
 
@@ -477,7 +480,7 @@ def _unit_susceptibility(j: FloatOrArray, t: FloatOrArray) -> tuple[FloatOrArray
     it in its cold cells: a 0-d ``t`` gives a 0-d array when cold.
     """
     a, e = _boltzmann(j, t)
-    if type(a) is float and (type(t) is float or type(t) is int):  # an overflow is a quiet inf
+    if type(a) is float and type(t) is float:  # an overflow is a quiet inf
         k = _warm_unit_susceptibility(t, e)
     else:  # numpy warns where T (3 + e) passes the largest double, and K is 0 there
         with _numpy().errstate(over="ignore"):

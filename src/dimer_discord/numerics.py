@@ -21,7 +21,7 @@ import warnings
 from typing import Callable, NamedTuple, Sequence
 
 from .dimer_core import (
-    DimerParameters, FloatOrArray, _numpy, _real, _unit_susceptibility, _validated_make,
+    _POSITIVE, DimerParameters, FloatOrArray, _numpy, _real, _unit_susceptibility, _validated_make,
 )
 from .errors import (
     BracketError,
@@ -75,11 +75,8 @@ class ValueWithUncertainty(_ValueWithUncertainty):
     _make = classmethod(_validated_make)
 
     def __new__(cls, value: float, sigma: float = 0.0):
-        value, sigma = _real("value", value), _real("sigma", sigma)
-        if not math.isfinite(value):
-            raise DomainError(f"value must be finite, got {value!r}")
-        if not math.isfinite(sigma) or sigma < 0.0:
-            raise DomainError(f"sigma must be finite and >= 0, got {sigma!r}")
+        value = _real("value", value, "be finite")
+        sigma = _real("sigma", sigma, "be finite and >= 0", 0.0)
         return super().__new__(cls, value, sigma)
 
 
@@ -97,11 +94,8 @@ class TailModel(_TailModel):
     _make = classmethod(_validated_make)
 
     def __new__(cls, a: float, t_start: float):
-        a, t_start = _real("tail coefficient a", a), _real("tail start t_start", t_start)
-        if not math.isfinite(a) or a < 0.0:
-            raise DomainError(f"tail coefficient must be >= 0, got {a!r}")
-        if not math.isfinite(t_start) or t_start <= 0.0:
-            raise DomainError(f"tail start must be positive, got {t_start!r}")
+        a = _real("tail coefficient", a, "be >= 0", 0.0)
+        t_start = _real("tail start", t_start, "be positive", _POSITIVE)
         return super().__new__(cls, a, t_start)
 
     def integral(self) -> float:
@@ -140,10 +134,8 @@ def lambert_w(x: float) -> float:
     ConvergenceError
         If the residual target is not met within 50 steps.
     """
-    x = float(x)
+    x = _real("lambert_w argument", x, "be finite")
     branch_point = -1.0 / math.e
-    if not math.isfinite(x):
-        raise DomainError(f"lambert_w argument must be finite, got {x!r}")
     if x < branch_point:
         if x < branch_point - 1e-15:
             raise DomainError(f"lambert_w({x!r}) undefined: argument below -1/e")
@@ -199,12 +191,10 @@ def find_root(
     ConvergenceError
         If the solver does not meet ``tol`` within ``max_iter`` iterations.
     """
-    lo = float(lo)
-    hi = float(hi)
+    lo, hi = _real("lo", lo), _real("hi", hi)
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise DomainError(f"invalid bracket [{lo!r}, {hi!r}]")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    tol = _real("tol", tol, "be positive and finite", _POSITIVE)
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
 
@@ -279,7 +269,7 @@ def find_crossing(
     def diff(x: float) -> float:
         return f(x) - g(x)
 
-    lo, hi = float(lo), float(hi)
+    lo, hi = _real("lo", lo), _real("hi", hi)
     endpoints = {lo: diff(lo), hi: diff(hi)}
     if endpoints[lo] == 0.0 and endpoints[hi] == 0.0:
         raise BracketError("curves coincide at both bracket endpoints; no isolated crossing")
@@ -296,8 +286,7 @@ def maximize_scalar(
     within 200 steps or :class:`ConvergenceError`; returns
     ``(x_max, f(x_max))`` at the final midpoint.
     """
-    lo = float(lo)
-    hi = float(hi)
+    lo, hi = _real("lo", lo), _real("hi", hi)
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise DomainError(f"invalid interval [{lo!r}, {hi!r}]")
     span = hi - lo
@@ -359,7 +348,7 @@ def integrate_series_with_tail(
             )
             v = np.where(negative, 0.0, v)
         _check_tail_start(tail, t[-1])
-        return 0.5 * t[0] * v[0] + float(np.trapezoid(v, t)) + tail_part
+        return float(0.5 * t[0] * v[0] + np.trapezoid(v, t)) + tail_part
     return tail_part
 
 

@@ -32,6 +32,7 @@ from .dimer_core import (
     _decimal,
     _map,
     _numpy,
+    _real,
     _scaled_abs,
     _temperature,
     bleaney_bowers,
@@ -129,6 +130,7 @@ _CM_PEAK_TOL = 1e-6
 
 def clamp_measured_correlator(g: float, source: str = "measured value") -> float:
     """Pull a measured correlator back into [-1, 1/3], within tolerance."""
+    g = _real("correlator", g)
     if G_MIN <= g <= G_MAX:
         return g
     clamped, status = _clamp_column(g)
@@ -182,9 +184,8 @@ def internal_energy(params: DimerParameters, temperature: float) -> float:
 
 def correlator_from_internal_energy(params: DimerParameters, u_over_r: float) -> float:
     """Invert u/R = -(3/2)(J/k_B) G for a measured energy."""
-    if not math.isfinite(u_over_r):
-        raise DomainError(f"internal energy must be finite, got {float(u_over_r)!r}")
-    g = -2.0 * float(u_over_r) / (3.0 * params.j_over_kb)  # a numpy scalar as a float
+    u_over_r = _real("internal energy", u_over_r, "be finite")
+    g = -2.0 * u_over_r / (3.0 * params.j_over_kb)
     return clamp_measured_correlator(g, f"internal energy {u_over_r:g} K")
 
 
@@ -226,9 +227,7 @@ def internal_energy_from_specific_heat(
             )
         u0 = -(data_integral + (tail.integral() if tail is not None else 0.0))
     else:
-        if not math.isfinite(u0_over_r):
-            raise DomainError(f"u0_over_r must be finite, got {u0_over_r!r}")
-        u0 = float(u0_over_r)
+        u0 = _real("u0_over_r", u0_over_r, "be finite")
     return t_end, u0 + data_integral
 
 
@@ -310,8 +309,7 @@ def correlator_from_specific_heat(
     """
     if side not in ("hot", "cold"):
         raise DomainError(f"side must be 'hot' or 'cold', got {side!r}")
-    if not math.isfinite(cm_over_r) or cm_over_r < 0.0:
-        raise DomainError(f"c_m/R must be non-negative, got {float(cm_over_r)!r}")
+    cm_over_r = _real("c_m/R", cm_over_r, "be non-negative", 0.0)
     if cm_over_r == 0.0:
         # the curve's exact zeros: infinite temperature on the hot flank,
         # the ground state on the cold one
@@ -438,16 +436,14 @@ def correlator_from_susceptibility(
     g factor of ``params`` enters; the coupling is not assumed.
     """
     temperature = _temperature(temperature)
-    if not math.isfinite(chi) or chi < 0.0:
-        raise DomainError(_NEGATIVE_CHI.format(float(chi)))
-    chi = float(chi)  # a numpy scalar computes as a float
+    chi = _real(_CHI_NAME, chi, _CHI_RULE, 0.0)
     g = _chi_correlator(_require_g(params, "susceptibility inversion"), chi, temperature)
     if G_MIN <= g <= G_MAX:  # nothing to say: the source text is not built
         return g
     return clamp_measured_correlator(g, _CHI_SOURCE.format(chi, temperature))
 
 
-_NEGATIVE_CHI = "susceptibility must be non-negative, got {!r}"  # a chi the inversion refuses
+_CHI_NAME, _CHI_RULE = "susceptibility", "be non-negative"  # a column's remark words it too
 _CHI_SOURCE = "susceptibility {:g} emu/mol at {:g} K"  # as the clamp names it
 
 

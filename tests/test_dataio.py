@@ -368,6 +368,22 @@ class TestResultRecord:
         with pytest.raises(InconsistencyError):
             rec._replace(classical=rec.classical + 1e-6)
 
+    def test_t_is_read_as_a_temperature(self):
+        # a t that is not None is a positive float, on _replace too; the writer prints it
+        g = ValueWithUncertainty(-0.5)
+        for t, text in (
+            ("4", "temperature must be a real number, got '4'"),
+            (-1.0, "temperature must be positive, got -1.0"),
+            (math.nan, "temperature must be positive, got nan"),
+        ):
+            with pytest.raises(DomainError) as info:
+                result_from_correlator(t, g, "neutron")
+            assert str(info.value) == text
+        rec = result_from_correlator(np.float64(4.0), g, "neutron")
+        assert type(rec.t) is float and rec == result_from_correlator(4.0, g, "neutron")
+        with pytest.raises(DomainError, match="^temperature must be positive, got -1.0$"):
+            rec._replace(t=-1.0)
+
     def test_sigma_propagation(self):
         rec = result_from_correlator(4.0, ValueWithUncertainty(-0.54, 0.09), "neutron")
         assert_allclose(rec.discord.value, 0.301676054618512, rtol=1e-12)

@@ -163,8 +163,8 @@ class TestParameters:
             (("-2.0",), "j_over_kb"),
             ((None,), "j_over_kb"),
             ((1j,), "j_over_kb"),
-            ((-2.0, "2.1"), "g_factor"),
-            ((-2.0, ("2.0", 2.0, 2.1)), "g tensor component"),
+            ((-2.0, "2.1"), "g factor"),
+            ((-2.0, ("2.0", 2.0, 2.1)), "g tensor components"),
         ],
     )
     def test_rejects_a_field_that_is_not_a_number(self, fields, name):
@@ -724,6 +724,10 @@ COLUMN_FORMS = [
 ]
 # and one function that takes floats only
 DISPATCHED = [*COLUMN_FORMS, (lambda g: temperature_from_correlator(FM, g), 0.2)]
+# the name each one's error gives its input
+INPUT_NAME = dict(
+    zip(DISPATCHED, [*["correlator"] * 5, "concurrence", "temperature", "correlator"])
+)
 
 
 class TestDispatch:
@@ -747,8 +751,10 @@ class TestDispatch:
 
     @pytest.mark.parametrize("f, x", DISPATCHED)
     def test_a_list_is_refused(self, f, x):
-        with pytest.raises(TypeError):
+        # a list is not a real number: the one DomainError of every scalar input
+        with pytest.raises(DomainError) as info:
             f([x, x])
+        assert str(info.value) == f"{INPUT_NAME[f, x]} must be a real number, got {[x, x]!r}"
 
     def test_first_array_loads_numpy_in_a_fresh_process(self):
         script = (

@@ -14,7 +14,10 @@ The landmark crossings and the susceptibility maximum are frozen constants,
 so neither the CLI nor ``thermo`` calls a solver for them.  No module-level
 private name is left behind without a reference outside its own definition.
 The package's public names are the ``__all__`` of each library module, which
-``__init__`` star-imports: it names none of them itself.
+``__init__`` star-imports: it names none of them itself.  Each input rule is
+raised from one place, a ``dimer_core._real`` call counting as a raise of its
+rule, and no public function of ``dimer_core``, ``thermo`` or ``numerics``
+converts one of its own parameters with ``float()``: ``_real`` reads them.
 """
 
 import ast
@@ -193,6 +196,49 @@ def _message_template(node: ast.Raise) -> str | None:
     return None
 
 
+def _module_strings(tree: ast.Module) -> dict[str, str]:
+    """Each top-level name bound to a string constant (``A, B = "a", "b"`` too), and its text."""
+    strings = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs = zip(target.elts, value.elts)
+            else:
+                pairs = [(target, value)]
+            strings.update(
+                (n.id, v.value) for n, v in pairs if isinstance(n, ast.Name)
+                and isinstance(v, ast.Constant) and isinstance(v.value, str)
+            )
+    return strings
+
+
+def _rule_template(node: ast.Call, strings: dict[str, str]) -> str | None:
+    """The text ``dimer_core._real(name, x, rule, ...)`` raises for an ``x`` outside its range,
+    ``x`` as ``{}``; ``name`` and ``rule`` may be module-level string constants."""
+    if not (isinstance(node.func, ast.Name) and node.func.id == "_real" and len(node.args) > 2):
+        return None
+    name, rule = (
+        a.value if isinstance(a, ast.Constant) else strings.get(getattr(a, "id", None))
+        for a in (node.args[0], node.args[2])
+    )
+    return f"{name} must {rule}, got {{}}"
+
+
+def _rule_sites(template: str) -> list[tuple[str, int]]:
+    """Where ``template`` is raised: a ``raise`` of that text or a ``_real`` call with its rule."""
+    sites = []
+    for m in MODULES:
+        tree = _tree(m)
+        strings = _module_strings(tree)
+        sites += [
+            (m, n.lineno) for n in ast.walk(tree)
+            if isinstance(n, ast.Raise) and _message_template(n) == template
+            or isinstance(n, ast.Call) and _rule_template(n, strings) == template
+        ]
+    return sites
+
+
 @pytest.mark.parametrize(
     "template",
     [
@@ -200,15 +246,56 @@ def _message_template(node: ast.Raise) -> str | None:
         "tail start {} K lies below the last sample {} K",
         "need at least 2 grid points, got {}",
         "correlator {} not reachable at finite T with {} coupling",
+        # the range rules of dimer_core._real
+        "correlator must be finite, got {}",
+        "concurrence must lie in [0, 1], got {}",
+        "g factor must be positive, got {}",
+        "g tensor components must be positive, got {}",
+        "internal energy must be finite, got {}",
+        "u0_over_r must be finite, got {}",
+        "c_m/R must be non-negative, got {}",
+        "susceptibility must be non-negative, got {}",
+        "value must be finite, got {}",
+        "sigma must be finite and >= 0, got {}",
+        "tail coefficient must be >= 0, got {}",
+        "tail start must be positive, got {}",
+        "lambert_w argument must be finite, got {}",
+        "tol must be positive and finite, got {}",
     ],
 )
 def test_each_input_rule_is_raised_from_one_place(template):
     # every entry point that reads the value calls the one check
-    sites = [
-        (m, n.lineno) for m in MODULES for n in ast.walk(_tree(m))
-        if isinstance(n, ast.Raise) and _message_template(n) == template
-    ]
+    sites = _rule_sites(template)
     assert len(sites) == 1, sites
+
+
+# the modules whose public scalar inputs dimer_core._real reads
+SCALAR_READERS = ("dimer_core", "thermo", "numerics")
+
+
+def _public_functions(tree: ast.Module):
+    """Each public top-level function, and the ``__new__`` of each public class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and f.name == "__new__":
+                    yield f"{node.name}.__new__", f
+
+
+def test_no_public_function_converts_its_own_parameter_with_float():
+    # a scalar argument is read by _real, which names it when it is not a real number
+    found = []
+    for module in SCALAR_READERS:
+        for name, f in _public_functions(_tree(module)):
+            params = {a.arg for a in f.args.args + f.args.kwonlyargs}
+            found += [
+                f"{module}.{name}({n.args[0].id})" for n in ast.walk(f)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "float"
+                and n.args and isinstance(n.args[0], ast.Name) and n.args[0].id in params
+            ]
+    assert found == []
 
 
 def test_resolve_parameters_takes_one_flag():

@@ -382,8 +382,8 @@ class TestPropagate:
             (lambda: ValueWithUncertainty("-0.54"), "value"),
             (lambda: ValueWithUncertainty(-0.54, "0.09"), "sigma"),
             (lambda: ValueWithUncertainty(None), "value"),
-            (lambda: TailModel("6.6", 4.0), "tail coefficient a"),
-            (lambda: TailModel(6.6, 4j), "tail start t_start"),
+            (lambda: TailModel("6.6", 4.0), "tail coefficient"),
+            (lambda: TailModel(6.6, 4j), "tail start"),
         ],
     )
     def test_records_reject_a_field_that_is_not_a_number(self, make, name):

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from test_dimer_core import assert_same_bits
 
 import oracles
-from dimer_discord import thermo
+from dimer_discord import dataio, dimer_core, numerics, thermo
 from dimer_discord.dimer_core import (
     G_MAX,
     G_MIN,
@@ -322,36 +322,129 @@ class TestSpecificHeatNewton:
         assert temperature_from_correlator(params, g) > 0.0
 
 
-@pytest.mark.parametrize(
-    "fn, args, numpy_at",
-    [
-        (bleaney_bowers, (1e300, 0.59, 1e-300), (0, 1, 2)),
-        (thermo.specific_heat, (DimerParameters(-1e300), 1e-10), (1,)),
-        (thermo.correlator_from_susceptibility, (DimerParameters(-2.0, 2.1), 0.06, 1e308), (1, 2)),
-        (thermo.correlator_from_susceptibility, (DimerParameters(-2.0, 2.1), 1e308, 4.0), (1,)),
-        (thermo.correlator_from_susceptibility, (DimerParameters(-2.0, 2.1), 0.06, 4.0), (1, 2)),
-        (thermo.correlator_from_susceptibility, (DimerParameters(-2.0, 2.1), -1.0, 4.0), (1,)),
-        (correlator_from_internal_energy, (DimerParameters(-2.0), 1e308), (1,)),
-        (correlator_from_internal_energy, (DimerParameters(-2.0), -1.5), (1,)),
-        (correlator_from_internal_energy, (DimerParameters(-2.0), math.inf), (1,)),
-    ],
-    ids=["bleaney-bowers", "specific-heat", "chi-at-hot-t", "huge-chi", "chi", "negative-chi",
-         "huge-u", "u", "infinite-u"],
-)
-def test_numpy_scalars_compute_as_floats(fn, args, numpy_at):
-    # an np.float64 gives the float call's float, or its error class and text, with no
-    # numpy warning
-    def outcome(call_args):
-        try:
-            return fn(*call_args)
-        except (DomainError, InconsistencyError) as exc:
-            return type(exc), str(exc)
+def _root(lo, hi, tol):
+    return numerics.find_root(lambda x: x - 0.3, lo, hi, tol=tol)
 
-    expected = outcome(args)
+
+def _crossing(lo, hi):
+    return numerics.find_crossing(lambda x: x, lambda x: 0.3, lo, hi)
+
+
+def _maximum(lo, hi):
+    return maximize_scalar(lambda x: -abs(x - 0.3), lo, hi)
+
+
+def _u_from_cm(u0):
+    return internal_energy_from_specific_heat([1.0, 2.0], [0.1, 0.2], u0_over_r=u0)
+
+
+def _record(t):
+    return dataio.result_from_correlator(t, numerics.ValueWithUncertainty(-0.5, 0.01), "neutron")
+
+
+_CORRELATOR = {0: "correlator"}
+_T = {1: "temperature"}
+_G21 = DimerParameters(-2.0, 2.1)
+# Every public scalar entry, with arguments and, at each scalar position probed, the name its
+# errors give that input.  The first nine cases were the numpy-scalar probe's.
+SCALAR_ENTRIES = [
+    ("bleaney-bowers", bleaney_bowers, (1e300, 0.59, 1e-300),
+     {0: "j_over_kb", 1: "g factor", 2: "temperature"}),
+    ("specific-heat", thermo.specific_heat, (DimerParameters(-1e300), 1e-10), _T),
+    ("chi-at-hot-t", correlator_from_susceptibility, (_G21, 0.06, 1e308),
+     {1: "susceptibility", 2: "temperature"}),
+    ("huge-chi", correlator_from_susceptibility, (_G21, 1e308, 4.0), {1: "susceptibility"}),
+    ("chi", correlator_from_susceptibility, (_G21, 0.06, 4.0),
+     {1: "susceptibility", 2: "temperature"}),
+    ("negative-chi", correlator_from_susceptibility, (_G21, -1.0, 4.0), {1: "susceptibility"}),
+    ("huge-u", correlator_from_internal_energy, (_G21, 1e308), {1: "internal energy"}),
+    ("u", correlator_from_internal_energy, (_G21, -1.5), {1: "internal energy"}),
+    ("infinite-u", correlator_from_internal_energy, (_G21, math.inf), {1: "internal energy"}),
+    ("parameters", DimerParameters, (-2.0, 2.1), {0: "j_over_kb", 1: "g factor"}),
+    ("g-tensor", lambda gx: DimerParameters(-2.0, (gx, 2.0, 2.2)), (2.1,),
+     {0: "g tensor components"}),
+    ("validate", dimer_core.validate_correlator, (-0.5,), _CORRELATOR),
+    ("g-of-t", correlator_from_temperature, (MAG, 3.0), _T),
+    ("t-of-g", temperature_from_correlator, (MAG, -0.5), {1: "correlator"}),
+    ("i", dimer_core.mutual_information, (-0.5,), _CORRELATOR),
+    ("c", dimer_core.classical_correlation, (-0.5,), _CORRELATOR),
+    ("q", dimer_core.discord, (-0.5,), _CORRELATOR),
+    ("concurrence", dimer_core.concurrence, (-0.5, True), _CORRELATOR),
+    ("e", dimer_core.entanglement_of_formation, (0.5,), {0: "concurrence"}),
+    ("powder-g", powder_g, (2.0, 2.1, 2.2), dict.fromkeys(range(3), "g tensor components")),
+    ("ppt", dimer_core.ppt_eigenvalues, (-0.5,), _CORRELATOR),
+    ("measures", dimer_core.measures_from_correlator, (-0.5,), _CORRELATOR),
+    ("correlation-set", dimer_core.correlation_set, (MAG, 3.0), _T),
+    ("clamp", clamp_measured_correlator, (-0.5,), _CORRELATOR),
+    ("internal-energy", internal_energy, (MAG, 3.0), _T),
+    ("u-of-cm", _u_from_cm, (-3.0,), {0: "u0_over_r"}),
+    ("cm-of-g", specific_heat_from_correlator, (-0.5,), _CORRELATOR),
+    ("g-of-cm", correlator_from_specific_heat, (MAG, 0.5), {1: "c_m/R"}),
+    ("susceptibility", susceptibility, (MAG, 3.0), _T),
+    ("value", numerics.ValueWithUncertainty, (-0.54, 0.09), {0: "value", 1: "sigma"}),
+    ("tail", TailModel, (6.6, 4.0), {0: "tail coefficient", 1: "tail start"}),
+    ("lambert-w", numerics.lambert_w, (1.0,), {0: "lambert_w argument"}),
+    ("root", _root, (0.0, 1.0, 1e-12), {0: "lo", 1: "hi", 2: "tol"}),
+    ("crossing", _crossing, (0.0, 1.0), {0: "lo", 1: "hi"}),
+    ("maximum", _maximum, (0.0, 1.0), {0: "lo", 1: "hi"}),
+    ("record", _record, (4.0,), {0: "temperature"}),
+]
+# the fuzz's edge values as floats, and ints, each with the float it reads as
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
+INTS = [0, 1, -1, 3, 10**308]
+# inputs that are no real number but mean something else there: a list is a g tensor, and None
+# is no g factor, no temperature or no ground state energy
+OTHER_MEANING = {(DimerParameters, 1, list), (DimerParameters, 1, type(None)),
+                 (_record, 0, type(None)), (_u_from_cm, 0, type(None))}
+
+
+def _result(x):
+    """A result, its floats as their exact text and every number tagged with its type."""
+    if isinstance(x, np.ndarray):  # an array result, such as the PPT spectrum
+        x = x.tolist()
+    if isinstance(x, (tuple, list)):
+        return type(x).__name__, [_result(v) for v in x]
+    if isinstance(x, (float, int)):
+        return type(x).__name__, float(x).hex()
+    return x
+
+
+def _outcome(fn, args):
+    try:
+        return _result(fn(*args))
+    except Exception as exc:  # warnings are errors here too
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fn, args, names", [e[1:] for e in SCALAR_ENTRIES],
+                         ids=[e[0] for e in SCALAR_ENTRIES])
+def test_numpy_scalars_compute_as_floats(fn, args, names):
+    # every scalar input is read one way (dimer_core._real): an int or an np.float64 gives the
+    # float call's float, or its error class and text, with no warning; anything else that is
+    # not a real number, or an int past the largest double, the one DomainError naming it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = outcome([np.float64(x) if i in numpy_at else x for i, x in enumerate(args)])
-    assert type(got) is type(expected) and got == expected
+        expected = _outcome(fn, args)
+        numpy_args = [np.float64(x) if i in names else x for i, x in enumerate(args)]
+        assert _outcome(fn, numpy_args) == expected
+        for i, name in names.items():
+            def at(x):
+                return [x if j == i else a for j, a in enumerate(args)]
+
+            for x in [args[i], *EDGE_FLOATS]:
+                got = _outcome(fn, at(x))
+                assert "float64" not in repr(got) and "'int'" not in repr(got), (x, got)
+                assert _outcome(fn, at(np.float64(x))) == got, x
+            for n in INTS:
+                assert _outcome(fn, at(n)) == _outcome(fn, at(float(n))), n
+            for bad in (repr(args[i]), [args[i]], None, 1j):
+                if (fn, i, type(bad)) not in OTHER_MEANING:
+                    text = f"{name} must be a real number, got {bad!r}"
+                    assert _outcome(fn, at(bad)) == (DomainError, text)
+            for huge in (10**400, -(10**400)):
+                assert _outcome(fn, at(huge)) == (
+                    DomainError, f"{name} lies beyond the range of a double"
+                )
 
 
 class TestSchottky:
