@@ -147,42 +147,35 @@ def _cmd_theory(args: argparse.Namespace, precision: int) -> int:
 
 def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
     params = _resolve_parameters(args)
+    j, scaled = params.j_over_kb, dimer_core._scaled_abs
     lines: list[tuple[str, object]] = [
         ("branch", "antiferro" if params.antiferro else "ferro"),
-        ("J_over_kB_K", params.j_over_kb),
+        ("J_over_kB_K", j),
     ]
     g_scalar = params.scalar_g
     if g_scalar is not None:
         lines.append(("g_factor", g_scalar))
-    # each k_B T/|J| line is universal: read at |J| = 1, not divided by a rounded T
-    unit = DimerParameters(math.copysign(1.0, params.j_over_kb), g_scalar)
+
+    def landmark(name: str, scale: tuple[int, int], t: float, *more: tuple[str, object]) -> None:
+        # each k_B T/|J| line is universal: its exact scale at |J| = 1, not divided by a rounded T
+        lines.extend([(f"{name}_kT_over_absJ", scaled(scale, 1.0)), (f"{name}_T_K", t), *more])
 
     if params.antiferro:
         t_death = dimer_core.entanglement_death_temperature(params)
         # the correlator is exactly -1/3 where the concurrence dies
         at_death = dimer_core.measures_from_correlator(-1.0 / 3.0)
-        lines += [
-            ("entanglement_death_kT_over_absJ", dimer_core.DEATH_TEMPERATURE_SCALE),
-            ("entanglement_death_T_K", t_death),
-            ("mutual_information_at_death_bits", at_death.mutual_information),
-            ("discord_at_death_bits", at_death.discord),
-        ]
+        landmark("entanglement_death", dimer_core._DEATH_TEMPERATURE, t_death,
+                 ("mutual_information_at_death_bits", at_death.mutual_information),
+                 ("discord_at_death_bits", at_death.discord))
 
         # each crossing sits at a fixed correlator, so at a fixed k_B T/|J|
-        j, scaled = params.j_over_kb, dimer_core._scaled_abs
         qe, ce = dimer_core._QE_CROSSING_TEMPERATURE, dimer_core._CE_CROSSING_TEMPERATURE
         at_qe = dimer_core.measures_from_correlator(dimer_core.QE_CROSSING_G)
         at_ce = dimer_core.measures_from_correlator(dimer_core.CE_CROSSING_G)
-        lines += [
-            ("QE_crossing_kT_over_absJ", scaled(qe, 1.0)),
-            ("QE_crossing_T_K", scaled(qe, j)),
-            ("QE_crossing_bits", at_qe.discord),
-            ("CE_crossing_kT_over_absJ", scaled(ce, 1.0)),
-            ("CE_crossing_T_K", scaled(ce, j)),
-            ("CE_crossing_bits", at_ce.classical),
-            # the discord does not pass through this crossing; report it too
-            ("CE_crossing_discord_bits", at_ce.discord),
-        ]
+        landmark("QE_crossing", qe, scaled(qe, j), ("QE_crossing_bits", at_qe.discord))
+        landmark("CE_crossing", ce, scaled(ce, j), ("CE_crossing_bits", at_ce.classical),
+                 # the discord does not pass through this crossing; report it too
+                 ("CE_crossing_discord_bits", at_ce.discord))
     else:
         at_zero = dimer_core.measures_from_correlator(dimer_core.G_MAX)
         lines += [
@@ -192,23 +185,17 @@ def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
         ]
 
     t_peak, cm_peak = thermo.schottky_maximum(params)
-    lines += [
-        ("schottky_peak_kT_over_absJ", thermo.schottky_maximum(unit)[0]),
-        ("schottky_peak_T_K", t_peak),
-        ("schottky_peak_cm_over_R", cm_peak),
-    ]
+    cm_scale = (thermo._CM_PEAK_TEMPERATURE_ANTIFERRO if params.antiferro
+                else thermo._CM_PEAK_TEMPERATURE_FERRO)
+    landmark("schottky_peak", cm_scale, t_peak, ("schottky_peak_cm_over_R", cm_peak))
     if params.antiferro and g_scalar is not None:
         t_chi, chi_max = thermo.susceptibility_maximum(params)
         if chi_max == math.inf:  # |J| below ~2e-309 at g = 2: empty, as from-neutron's T_K
             _note(f"chi_peak_emu_per_mol overflows a double at J/k_B = {j!r} K; it is left empty")
             chi_max = None
-        lines += [
-            ("chi_peak_kT_over_absJ", thermo.susceptibility_maximum(unit)[0]),
-            ("chi_peak_T_K", t_chi),
-            ("chi_peak_emu_per_mol", chi_max),
-            # chi_max |J| / (N_A g^2 mu_B^2 / k_B)
-            ("chi_peak_reduced", thermo.CHI_PEAK_W / 3.0),
-        ]
+        landmark("chi_peak", thermo._CHI_PEAK_TEMPERATURE, t_chi, ("chi_peak_emu_per_mol", chi_max),
+                 # chi_max |J| / (N_A g^2 mu_B^2 / k_B)
+                 ("chi_peak_reduced", thermo.CHI_PEAK_W / 3.0))
 
     sys.stdout.write(dataio.text_table(list(zip(*lines)), precision, sep=" = "))
     return 0

@@ -28,7 +28,7 @@ from typing import NamedTuple
 from . import thermo
 from .dimer_core import (
     CODATA, G_MAX, G_MIN, DimerParameters, FloatOrArray, _G_TOL, _clip, _is_array, _numpy,
-    _temperature, _validated_make, discord, measures_from_correlator,
+    _temperature, _temperatures, _validated_make, discord, measures_from_correlator,
 )
 from .errors import DataError, DataWarning, DomainError, InconsistencyError, PropagationWarning
 from .numerics import (
@@ -193,6 +193,12 @@ class ResultTable(NamedTuple):
 def _check_table(table: ResultTable) -> None:
     if len({len(column) for column in table}) > 1:
         raise DataError("result columns differ in length")
+    if _is_array(table.t):  # t first, as ResultRecord reads it
+        _temperatures(table.t)
+    else:
+        for t in table.t:
+            if t is not None:
+                _temperature(t)
     for channel in dict.fromkeys(table.channel):
         if channel not in _CHANNELS:
             raise DataError(f"channel must be one of {_CHANNELS}, got {channel!r}")

@@ -160,9 +160,8 @@ class DimerParameters(_DimerParameters):
     g_factor : float, 3-tuple or None
         Scalar g factor, or the principal values ``(gx, gy, gz)`` to be
         powder-averaged, or None when no magnetometric work is planned.
-        Every use of g takes g², so g² (for a tensor, the sum of the
-        squares) must not overflow a double, nor g² (for a tensor, the
-        powder average's) underflow to a subnormal one.
+        Every use of g takes g², so g² must neither overflow a double nor
+        underflow to a subnormal one; a tensor is refused where :func:`powder_g` refuses it.
 
     Each number may be any real number, numpy scalars included, and is
     stored as a float.
@@ -178,19 +177,14 @@ class DimerParameters(_DimerParameters):
         if isinstance(g_factor, (list, tuple)):
             if len(g_factor) != 3:
                 raise DomainError("g tensor needs exactly three principal values")
-            g = powder_g(*g_factor)  # raises DomainError on a component that is not positive
+            powder_g(*g_factor)  # raises DomainError on a tensor it refuses
             g_factor = tuple(map(float, g_factor))  # each a real number, as powder_g read it
-            if g == math.inf:  # else its square, about the mean square, is finite too
-                raise DomainError(
-                    f"g tensor {g_factor!r} is too large: the sum of its squares overflows"
-                )
         elif g_factor is not None:
             g = g_factor = _real("g factor", g_factor, "be positive", _POSITIVE)
             if g * g == math.inf:
                 raise DomainError(f"g factor {g!r} is too large: its square overflows")
-        if g_factor is not None and g * g < sys.float_info.min:  # subnormal: chi would lose digits
-            name = "g tensor" if type(g_factor) is tuple else "g factor"
-            raise DomainError(f"{name} {g_factor!r} is too small: its square underflows")
+            if g * g < sys.float_info.min:  # subnormal: chi would lose digits
+                raise DomainError(f"g factor {g!r} is too small: its square underflows")
         return super().__new__(cls, j, g_factor)
 
     @property
@@ -280,6 +274,15 @@ def _temperature(t: float) -> float:
     return _real("temperature", t, "be positive", _POSITIVE)
 
 
+def _temperatures(t: FloatOrArray) -> FloatOrArray:
+    """:func:`_temperature` of a float, or of each element of an array, kept as a float array."""
+    if not _is_array(t):
+        return _temperature(t)
+    t = _numpy().asarray(t, dtype=float)
+    _check_each(_temperature, t, (t > 0.0) & (t < math.inf))  # NaN fails both
+    return t
+
+
 def validate_correlator(g: FloatOrArray) -> FloatOrArray:
     """Check that ``g`` is a physical correlator, absorbing float fuzz.
 
@@ -300,11 +303,7 @@ def validate_correlator(g: FloatOrArray) -> FloatOrArray:
 
 def correlator_from_temperature(params: DimerParameters, t: FloatOrArray) -> FloatOrArray:
     """Thermal spin-spin correlator G(T) of the dimer at temperature ``t`` (K)."""
-    if _is_array(t):
-        t = _numpy().asarray(t, dtype=float)
-        _check_each(_temperature, t, (t > 0.0) & (t < math.inf))  # NaN fails both
-    else:
-        t = _temperature(t)
+    t = _temperatures(t)
     j = params.j_over_kb
     a, e = _boltzmann(j, t)
     # T -> 0 limit, where exp() would overflow: pure singlet (G=-1) or
@@ -450,23 +449,30 @@ DEATH_TEMPERATURE_SCALE = _scaled_abs(_DEATH_TEMPERATURE, 1.0)
 
 
 def powder_g(gx: float, gy: float, gz: float) -> float:
-    """Root-mean-square g factor seen by a powder-averaged measurement."""
+    """Root-mean-square g factor seen by a powder-averaged measurement: each component positive,
+    the sum of their squares finite, and the square of the result not subnormal."""
     gx, gy, gz = (_real("g tensor components", v, "be positive", _POSITIVE) for v in (gx, gy, gz))
-    return math.sqrt((gx * gx + gy * gy + gz * gz) / 3.0)
+    g = math.sqrt((gx * gx + gy * gy + gz * gz) / 3.0)
+    if g == math.inf:  # else its square, about the mean square, is finite too
+        raise DomainError(f"g tensor {(gx, gy, gz)} is too large: the sum of its squares overflows")
+    if g * g < sys.float_info.min:  # subnormal: chi would lose digits
+        raise DomainError(f"g tensor {(gx, gy, gz)} is too small: its square underflows")
+    return g
 
 
 def bleaney_bowers(
     j_over_kb: float | np.ndarray, g_factor: float | np.ndarray, t: float | np.ndarray
 ) -> float | np.ndarray:
-    """Bleaney-Bowers susceptibility in emu per mole of dimers (CGS), unvalidated.
+    """Bleaney-Bowers susceptibility in emu per mole of dimers (CGS).
 
     ``chi = N_A g^2 mu_B^2 (1 + G) / (2 k_B T)``, evaluated as ``g^2`` times
     the g = 1 curve of :func:`_unit_susceptibility`, so that no 1 + G
-    cancels when cold.  Real numbers or numpy arrays; J = 0 gives G = 0.
+    cancels when cold.  Real numbers or numpy arrays; J = 0 gives G = 0, and ``t``
+    must be positive and finite, an array's error naming its first bad element.
     """
-    j_over_kb, g_factor, t = (x if _is_array(x) else _real(name, x) for name, x in (
-        ("j_over_kb", j_over_kb), ("g factor", g_factor), ("temperature", t)))
-    return g_factor * g_factor * _unit_susceptibility(j_over_kb, t)[0]
+    j_over_kb, g_factor = (x if _is_array(x) else _real(name, x) for name, x in (
+        ("j_over_kb", j_over_kb), ("g factor", g_factor)))
+    return g_factor * g_factor * _unit_susceptibility(j_over_kb, _temperatures(t))[0]
 
 
 def _unit_susceptibility(j: FloatOrArray, t: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:

@@ -464,6 +464,27 @@ class TestResultTable:
         with pytest.raises(DataError):
             write_results(ResultTable(**cols))
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    def test_temperature_refused_as_a_record_refuses_it(self, fmt, bad):
+        # T_K printed -1 and nan, and JSON raised a bare ValueError for the nan
+        with pytest.raises(DomainError) as info:
+            result_from_correlator(bad, ValueWithUncertainty(-0.5), "theory")
+        text = str(info.value)
+        assert text == f"temperature must be positive, got {bad!r}"
+        for t in (np.array([1.0, bad, -2.0]), [None, bad, -2.0]):
+            cols = self.columns()
+            cols["t"], cols["channel"] = t, ["theory", "muon", "theory"]  # t is read first
+            with pytest.raises(DomainError) as info:
+                write_results(ResultTable(**cols), fmt)
+            assert str(info.value) == text
+
+    def test_a_row_without_temperature_is_written_empty(self):
+        cols = self.columns()
+        cols["t"] = [None, 2.0, 3.0]
+        assert write_results(ResultTable(**cols)).split(b"\n")[1].startswith(b",")
+        assert json.loads(write_results(ResultTable(**cols), "json"))["rows"][0]["T_K"] is None
+
     def test_columns_equal_the_records_field_by_field(self):
         # result_from_correlator at each point is the reference
         t = np.geomspace(0.5, 3000.0, 300)

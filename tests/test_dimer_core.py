@@ -114,6 +114,22 @@ class TestParameters:
         with pytest.raises(DomainError, match="too small: its square underflows"):
             thermo.correlator_from_susceptibility(DimerParameters(-2.0, g_factor), 0.06, 4.0)
 
+    @pytest.mark.parametrize(
+        "tensor, text",
+        [
+            ((1e308, 2.0, 2.0),
+             "g tensor (1e+308, 2.0, 2.0) is too large: the sum of its squares overflows"),
+            ((1e-200, 1e-200, 1e-200),
+             "g tensor (1e-200, 1e-200, 1e-200) is too small: its square underflows"),
+        ],
+    )
+    def test_powder_g_refuses_the_tensors_the_parameters_refuse(self, tensor, text):
+        # powder_g answered inf and 0.0 for these, with no error
+        for make in (lambda: dimer_core.powder_g(*tensor), lambda: DimerParameters(-1.0, tensor)):
+            with pytest.raises(DomainError) as info:
+                make()
+            assert str(info.value) == text
+
     def test_keeps_the_smallest_g_whose_square_is_normal(self):
         g = math.sqrt(sys.float_info.min)
         g = g if g * g >= sys.float_info.min else math.nextafter(g, 1.0)
@@ -633,6 +649,18 @@ class TestColumns:
         assert_same_bits(scalars, floats)
         assert [type(x) for x in scalars] == [float] * 3  # a numpy scalar computes as a float
         assert_same_bits(swept, [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "j, t", [(-2.0, 0.0), (1e300, -5e-324), (-2.0, -1.0), (-2.0, math.nan), (-2.0, math.inf)]
+    )
+    def test_bleaney_bowers_reads_t_by_the_temperature_rule(self, j, t):
+        # it raised ZeroDivisionError or ValueError, or answered a negative chi; an array
+        # gave numpy warnings first.  A float, an array whose bad element is not its first
+        # and a 0-d array each raise correlator_from_temperature's error.
+        for x in (t, np.array([1.0, t, 0.0]), np.array(t)):
+            with pytest.raises(DomainError) as info:
+                bleaney_bowers(j, 2.1, x)
+            assert str(info.value) == f"temperature must be positive, got {t!r}"
 
     def test_bleaney_bowers_of_a_nan_coupling_is_nan(self):
         assert math.isnan(bleaney_bowers(math.nan, 2.11, 3.0))

@@ -149,6 +149,18 @@ def test_landmarks_come_from_frozen_constants_not_solvers(module, solvers):
     assert not _names(module) & solvers
 
 
+def test_landmarks_reads_each_scale_without_unit_parameters():
+    # each k_B T/|J| line is its exact scale at |J| = 1; each maximum is taken once, at the
+    # command's own parameters
+    f = next(n for n in _tree("cli").body if getattr(n, "name", None) == "_cmd_landmarks")
+    called = [
+        getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+        for n in ast.walk(f) if isinstance(n, ast.Call)
+    ]
+    assert "DimerParameters" not in called
+    assert called.count("schottky_maximum") == called.count("susceptibility_maximum") == 1
+
+
 def _module_level_private_names(tree: ast.Module):
     """``(name, node)`` for each private name a top-level statement defines."""
     for node in tree.body:
