@@ -238,9 +238,10 @@ def result_from_correlator(
 def results_from_correlators(t: Column, g: Column, channel: str) -> ResultTable:
     """Expand exact correlators (no error bars) at temperatures ``t`` into a
     table of float arrays: :func:`result_from_correlator` for a whole column
-    at once."""
+    at once.  A ``t`` that holds None (a row without a temperature) is kept as it is."""
     np = _numpy()
-    g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
+    g = np.asarray(g, dtype=float)
+    t = t if not _is_array(t) and None in t else np.asarray(t, dtype=float)
     m = measures_from_correlator(g)
     zeros = np.zeros_like(g)
     return ResultTable(

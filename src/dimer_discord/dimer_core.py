@@ -336,13 +336,11 @@ def temperature_from_correlator(params: DimerParameters, g: float) -> float:
 # closed forms of an already validated correlator; public functions validate once
 
 
-def _mutual_information(g: FloatOrArray) -> FloatOrArray:
-    return 0.25 * (_xlog2(1.0 - 3.0 * g) + 3.0 * _xlog2(1.0 + g))
-
-
-def _classical(g: FloatOrArray) -> FloatOrArray:
-    # even in g: 1 - (-g) is 1 + g exactly, so a negative g only swaps the two terms
-    return 0.5 * (_xlog2(1.0 + g) + _xlog2(1.0 - g))
+def _information(g: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
+    """``(I, C)``: both take the term at 1 + G, and it is taken once."""
+    p = _xlog2(1.0 + g)
+    # C is even in g: 1 - (-g) is 1 + g exactly, so a negative g only swaps its two terms
+    return 0.25 * (_xlog2(1.0 - 3.0 * g) + 3.0 * p), 0.5 * (p + _xlog2(1.0 - g))
 
 
 def _concurrence(g: FloatOrArray) -> FloatOrArray:
@@ -353,18 +351,18 @@ def _concurrence(g: FloatOrArray) -> FloatOrArray:
 
 def mutual_information(g: FloatOrArray) -> FloatOrArray:
     """Total correlation I(G) in bits between the two spins."""
-    return _mutual_information(validate_correlator(g))
+    return _information(validate_correlator(g))[0]
 
 
 def classical_correlation(g: FloatOrArray) -> FloatOrArray:
     """Classical part C(G) of the total correlation, in bits."""
-    return _classical(validate_correlator(g))
+    return _information(validate_correlator(g))[1]
 
 
 def discord(g: FloatOrArray) -> FloatOrArray:
     """Quantum discord Q(G) = I(G) - C(G) in bits."""
-    g = validate_correlator(g)
-    return _mutual_information(g) - _classical(g)
+    i, c = _information(validate_correlator(g))
+    return i - c
 
 
 def concurrence(g: FloatOrArray, antiferro: bool) -> FloatOrArray:
@@ -482,19 +480,15 @@ def _unit_susceptibility(j: FloatOrArray, t: FloatOrArray) -> tuple[FloatOrArray
     The cap would hold K up where a > _EXP_ARG_MAX; there 3 e^-a is below
     half an ulp of 1, and K = 2 N_A mu_B^2 e^-a / (k_B T), taken through
     its logarithm so that no factor underflows early (a NaN ``a`` gives a
-    NaN there).  The fix-up tells a float from an array, which takes
-    it in its cold cells: a 0-d ``t`` gives a 0-d array when cold.
+    NaN there).  A float takes one of the two; an array takes the cold one
+    in its cold cells, and a 0-d ``t`` gives a 0-d array when cold.
     """
     a, e = _boltzmann(j, t)
-    if type(a) is float and type(t) is float:  # an overflow is a quiet inf
+    if type(a) is float:  # _boltzmann's float path, so t is a float: an overflow is a quiet inf
+        warm = a <= _EXP_ARG_MAX  # False for a NaN a
+        return _warm_unit_susceptibility(t, e) if warm else _frozen_unit_susceptibility(t, a), e
+    with _numpy().errstate(over="ignore"):  # numpy warns where T (3 + e) overflows; K is 0 there
         k = _warm_unit_susceptibility(t, e)
-    else:  # numpy warns where T (3 + e) passes the largest double, and K is 0 there
-        with _numpy().errstate(over="ignore"):
-            k = _warm_unit_susceptibility(t, e)
-    if type(a) is float:  # _boltzmann's float path
-        if not a <= _EXP_ARG_MAX:
-            k = _frozen_unit_susceptibility(t, a)
-        return k, e
     cold = ~(a <= _EXP_ARG_MAX)
     if cold.any():
         np = _numpy()
@@ -534,8 +528,7 @@ def measures_from_correlator(g: FloatOrArray) -> CorrelationSet:
     an array of correlators each measure is an array of the same shape.
     """
     g = validate_correlator(g)
-    i = _mutual_information(g)
-    c = _classical(g)
+    i, c = _information(g)
     ct = _concurrence(g)
     return CorrelationSet(
         mutual_information=i,

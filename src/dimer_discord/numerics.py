@@ -329,14 +329,9 @@ def integrate_series_with_tail(
     an empty series with a tail gives the pure tail integral.
     """
     tail_part = tail.integral() if tail is not None else 0.0
-    np = _numpy()
-    t = np.asarray(temperatures, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.ndim != 1 or v.shape != t.shape:
-        raise DataError("temperatures and values must be 1-d arrays of equal length")
+    t, v = _curve(temperatures, values, "values")
     if t.size:
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise DataError("series contains non-finite entries")
+        np = _numpy()
         if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
             raise DataError("temperatures must be positive and strictly increasing")
         negative = v < 0.0
@@ -350,6 +345,32 @@ def integrate_series_with_tail(
         _check_tail_start(tail, t[-1])
         return float(0.5 * t[0] * v[0] + np.trapezoid(v, t)) + tail_part
     return tail_part
+
+
+def _reals(name: str, cells: Sequence[float] | np.ndarray) -> np.ndarray:
+    """A series column as a float array; a DataError naming it unless each cell is a real
+    number, a bool included, as :func:`~dimer_discord.dimer_core._real` reads a scalar."""
+    import numbers  # loaded with numpy
+
+    x = _numpy().asarray(cells)
+    if x.dtype.kind == "O" and all(isinstance(cell, numbers.Real) for cell in x.flat):
+        x = x.astype(float)  # numbers numpy holds as objects, such as a Fraction
+    if x.dtype.kind not in "biuf":  # bool, signed and unsigned integers, floats
+        raise DataError(f"{name} must hold real numbers only")
+    return x.astype(float, copy=False)
+
+
+def _curve(
+    temperatures: Sequence[float] | np.ndarray, values: Sequence[float] | np.ndarray, name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """A sampled curve as two float arrays, its values column called ``name``: each cell
+    a real number, both 1-d and of one length, and every cell finite."""
+    t, v = _reals("temperatures", temperatures), _reals(name, values)
+    if t.ndim != 1 or v.shape != t.shape:
+        raise DataError(f"temperatures and {name} must be 1-d arrays of equal length")
+    if not (_numpy().isfinite(t).all() and _numpy().isfinite(v).all()):
+        raise DataError("series contains non-finite entries")
+    return t, v
 
 
 def _check_tail_start(tail: TailModel | None, t_end: float) -> None:
@@ -463,15 +484,10 @@ def fit_bleaney_bowers(
         If the best g^2 is not positive (no positive susceptibility curve
         fits the data).
     """
-    np = _numpy()
-    t = np.asarray(temperatures, dtype=float)
-    y = np.asarray(chi, dtype=float)
-    if t.ndim != 1 or y.shape != t.shape:
-        raise DataError("temperatures and chi must be 1-d arrays of equal length")
+    t, y = _curve(temperatures, chi, "chi")
     if t.size < 3:
         raise DataError(f"need at least 3 points to fit two parameters, got {t.size}")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-        raise DataError("series contains non-finite entries")
+    np = _numpy()
     t_min = float(t.min())
     if t_min <= 0.0:
         raise DataError("temperatures must be positive")
@@ -479,7 +495,7 @@ def fit_bleaney_bowers(
         raise DataError(f"lowest temperature {t_min:g} K is too low to fit")
     if np.ptp(t) == 0.0:
         raise DataError("degenerate series: all points at the same temperature")
-    s = np.ones_like(y) if sigma is None else np.asarray(sigma, dtype=float)
+    s = np.ones_like(y) if sigma is None else _reals("sigma", sigma)
     if s.shape != t.shape or np.any(~np.isfinite(s)) or np.any(s <= 0.0):
         raise DataError("sigma must be positive, finite, and match the series length")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of

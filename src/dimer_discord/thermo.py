@@ -215,7 +215,7 @@ def internal_energy_from_specific_heat(
             raise DataError("empty record and no tail: nothing to integrate")
         return tail.t_start, -tail.integral()
     data_integral = integrate_series_with_tail(temperatures, values, None)  # validates too
-    t_end = float(_numpy().asarray(temperatures, dtype=float)[-1])
+    t_end = float(temperatures[-1])  # a real number, in the last cell of a 1-d series
     _check_tail_start(tail, t_end)
     if u0_over_r is None:
         if tail is None:
@@ -233,13 +233,6 @@ def internal_energy_from_specific_heat(
 
 # ---------------------------------------------------------------------------
 # magnetic specific heat (Schottky channel)
-
-
-def _schottky_peak(params: DimerParameters) -> tuple[float, float]:
-    """``(g_peak, cm_peak)`` of the coupling's branch."""
-    if params.antiferro:
-        return CM_PEAK_G_ANTIFERRO, CM_PEAK_ANTIFERRO
-    return CM_PEAK_G_FERRO, CM_PEAK_FERRO
 
 
 def specific_heat(params: DimerParameters, temperature: float) -> float:
@@ -267,11 +260,7 @@ def specific_heat_from_correlator(g: FloatOrArray) -> FloatOrArray:
     route) never come with a temperature attached.  Takes a float or an
     array, like the measures in :mod:`~dimer_discord.dimer_core`.
     """
-    return _specific_heat(validate_correlator(g))
-
-
-def _specific_heat(g: FloatOrArray) -> FloatOrArray:
-    # c_m/R of an already validated correlator
+    g = validate_correlator(g)
     p = 1.0 + g
     q = 1.0 - 3.0 * g
     # at the ground states G = -1 and 1/3 a factor p or q is 0, and so is
@@ -316,7 +305,7 @@ def correlator_from_specific_heat(
         if side == "hot":
             return 0.0
         return G_MIN if params.antiferro else G_MAX
-    g_peak, cm_peak = _schottky_peak(params)
+    cm_peak = CM_PEAK_ANTIFERRO if params.antiferro else CM_PEAK_FERRO
     if cm_over_r > cm_peak:
         if cm_over_r > cm_peak + _CM_PEAK_TOL:
             raise NoSolutionError(
@@ -329,7 +318,7 @@ def correlator_from_specific_heat(
             DataWarning,
             stacklevel=2,
         )
-        return g_peak
+        return CM_PEAK_G_ANTIFERRO if params.antiferro else CM_PEAK_G_FERRO
     x = _schottky_x(cm_over_r, params.antiferro, side == "hot")
     if params.antiferro and side == "cold":
         e = math.exp(-x)

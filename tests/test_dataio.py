@@ -485,6 +485,19 @@ class TestResultTable:
         assert write_results(ResultTable(**cols)).split(b"\n")[1].startswith(b",")
         assert json.loads(write_results(ResultTable(**cols), "json"))["rows"][0]["T_K"] is None
 
+    def test_a_built_row_without_temperature_is_written_empty(self):
+        # the builder turned None into NaN, and the writer refused the row
+        table = results_from_correlators([None, 2.0], [-0.5, -0.5], "theory")
+        assert table.t == [None, 2.0]
+        rows = write_results(table).decode().splitlines()
+        assert rows[1] == "," + rows[2].partition(",")[2]
+        assert rows[2].startswith("2,-0.5,")
+        doc = json.loads(write_results(table, "json"))
+        assert [row.pop("T_K") for row in doc["rows"]] == [None, 2.0]
+        assert doc["rows"][0] == doc["rows"][1]
+        # without a None, a sequence still becomes a float array
+        assert isinstance(results_from_correlators((1.0, 2.0), [-0.5, -0.5], "theory").t, np.ndarray)
+
     def test_columns_equal_the_records_field_by_field(self):
         # result_from_correlator at each point is the reference
         t = np.geomspace(0.5, 3000.0, 300)

@@ -552,6 +552,18 @@ class TestBundles:
         assert m.concurrence == concurrence(-0.54, antiferro=True)
         assert m.entanglement == entanglement_of_formation(m.concurrence)
 
+    @pytest.mark.parametrize("g", [-0.54, np.array([-0.54, -1e-300, 0.0, 1.0 / 3.0])])
+    def test_the_term_at_one_plus_g_is_taken_once(self, g, monkeypatch):
+        # I and C share x log2 x at 1 + G: Q takes three terms, the bundle five (two for E)
+        terms = []
+        xlog2 = dimer_core._xlog2
+        monkeypatch.setattr(dimer_core, "_xlog2", lambda x: terms.append(x) or xlog2(x))
+        discord(g)
+        assert len(terms) == 3
+        terms.clear()
+        measures_from_correlator(g)
+        assert len(terms) == 5
+
     def test_correlation_set_composes(self):
         m = correlation_set(AFM, 0.5880)
         # frozen: Q and E just below the point where they cross

@@ -273,6 +273,10 @@ def _rule_sites(template: str) -> list[tuple[str, int]]:
         "tail start must be positive, got {}",
         "lambert_w argument must be finite, got {}",
         "tol must be positive and finite, got {}",
+        # the series rules of numerics._curve and numerics._reals
+        "series contains non-finite entries",
+        "temperatures and {} must be 1-d arrays of equal length",
+        "{} must hold real numbers only",
     ],
 )
 def test_each_input_rule_is_raised_from_one_place(template):

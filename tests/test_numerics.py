@@ -2,6 +2,7 @@ import inspect
 import io
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -522,6 +523,18 @@ class TestFit:
         with pytest.raises(DataError, match=message):
             fit_bleaney_bowers(t, chi, DimerParameters(-1.0, 2.0))
 
+    def test_non_finite_before_too_few_points(self):
+        # a series with both faults is named for its non-finite cell, as the integral names it
+        with pytest.raises(DataError, match="series contains non-finite entries"):
+            fit_bleaney_bowers([1.0, 2.0], [0.1, math.nan], DimerParameters(-1.0))
+
+    def test_complex_chi_is_not_read_by_its_real_part(self):
+        # the exact curve plus 1j once fitted J = -4 and g = 2.1, with only a ComplexWarning
+        t = np.linspace(1.0, 50.0, 50)
+        chi = bleaney_bowers(-4.0, 2.1, t)
+        with pytest.raises(DataError, match="^chi must hold real numbers only$"):
+            fit_bleaney_bowers(t, chi + 1j, DimerParameters(-4.0))
+
     def test_reads_no_g_factor_of_the_guess(self):
         # variable projection solves for g^2: no g, a scalar g and a tensor fit alike
         t = np.linspace(2.0, 8.0, 12)
@@ -559,3 +572,51 @@ class TestFit:
         t = [1.0, 2.0, 3.0]
         with pytest.raises(DataError):
             fit_bleaney_bowers(t, [0.1, 0.2, 0.3], DimerParameters(-1.0, 2.0), sigma=[1.0, 0.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# series cells: each a real number, as dimer_core._real reads a scalar
+
+CELLS = [1.0, 2.0, 3.0]
+SERIES_ENTRIES = {
+    # each reads CELLS and one column given, and names that column
+    "integral-temperatures": (lambda x: integrate_series_with_tail(x, CELLS), "temperatures"),
+    "integral-values": (lambda x: integrate_series_with_tail(CELLS, x), "values"),
+    "energy-values": (lambda x: thermo.internal_energy_from_specific_heat(CELLS, x), "values"),
+    "fit-chi": (lambda x: fit_bleaney_bowers(CELLS, x, DimerParameters(-4.0)), "chi"),
+    "fit-sigma": (
+        lambda x: fit_bleaney_bowers(CELLS, CELLS, DimerParameters(-4.0), sigma=x), "sigma"
+    ),
+}
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+@pytest.mark.parametrize(
+    "cell", ["a", "2.0", None, 2.0 + 1j], ids=["string", "numeric-string", "none", "complex"]
+)
+@pytest.mark.parametrize("entry", SERIES_ENTRIES)
+def test_a_cell_that_is_not_a_real_number_is_refused(entry, cell, as_array):
+    # a string raised a bare ValueError, a complex list a TypeError, None read as NaN, and a
+    # complex array was read by its real part
+    call, name = SERIES_ENTRIES[entry]
+    column = [1.0, cell, 3.0]
+    with pytest.raises(DataError) as info:
+        call(np.array(column) if as_array else column)
+    assert str(info.value) == f"{name} must hold real numbers only"
+
+
+def test_cells_are_read_before_any_other_check_of_the_series():
+    # a short, non-finite column is still named for its string
+    with pytest.raises(DataError, match="^values must hold real numbers only$"):
+        integrate_series_with_tail([1.0, 2.0, 3.0], [math.nan, "a"])
+
+
+def test_every_real_number_is_a_cell():
+    # bools, ints, Fractions and numpy scalars read as the floats they equal
+    for t, v in (
+        ([Fraction(1, 2), 1, np.float32(2.0)], [True, False, Fraction(1, 2)]),
+        (np.array([Fraction(1, 2), 1, 2], dtype=object), np.array([True, False, True])),
+        (np.array([1, 2, 4], dtype=np.uint8), np.array([3, 0, 1], dtype=np.int64)),
+    ):
+        floats = [float(x) for x in t], [float(x) for x in v]
+        assert integrate_series_with_tail(t, v) == integrate_series_with_tail(*floats)
