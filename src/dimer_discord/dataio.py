@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 from . import thermo
 from .dimer_core import (
-    CODATA, G_MAX, G_MIN, DimerParameters, FloatOrArray, _G_TOL, _clip, _is_array, _numpy,
-    _temperature, _temperatures, _validated_make, discord, measures_from_correlator,
+    CODATA, G_MAX, G_MIN, DimerParameters, FloatOrArray, _G_TOL, _check_each, _clip, _is_array,
+    _numpy, _temperature, _temperatures, _validated_make, discord, measures_from_correlator,
 )
 from .errors import DataError, DataWarning, DomainError, InconsistencyError, PropagationWarning
 from .numerics import (
@@ -240,8 +240,8 @@ def results_from_correlators(t: Column, g: Column, channel: str) -> ResultTable:
     table of float arrays: :func:`result_from_correlator` for a whole column
     at once.  A ``t`` that holds None (a row without a temperature) is kept as it is."""
     np = _numpy()
-    g = np.asarray(g, dtype=float)
-    t = t if not _is_array(t) and None in t else np.asarray(t, dtype=float)
+    g = _check_each("correlator", np.asarray(g))
+    t = t if not _is_array(t) and None in t else _temperatures(np.asarray(t))
     m = measures_from_correlator(g)
     zeros = np.zeros_like(g)
     return ResultTable(

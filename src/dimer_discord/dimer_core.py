@@ -37,14 +37,13 @@ The module also holds what both the thermodynamic channels and the
 susceptibility fit build on: the CODATA constants, powder averaging of a g
 tensor, and the Bleaney-Bowers susceptibility curve.
 
-Each closed form is written once and takes a float or a numpy array (a
-whole column of temperatures or correlators).  Only the transcendental
-functions dispatch: a float goes straight to :mod:`math`, and an array has
-the same :mod:`math` function mapped over its elements, so every element of
-an array result equals the float result bit for bit.  numpy's own ``exp``
-and ``log`` are not used there, because they differ from libm in the last
-bit on a share of inputs.  numpy itself is imported with the first array
-(:func:`_numpy`), so scalar callers never pay for its start-up.
+Each closed form is written once and takes a float or a numpy array (a whole column
+of temperatures or correlators).  Only the primitives dispatch on the two: a float goes
+to :mod:`math`, and an array has the same function mapped over its elements, so each
+element of an array result equals the float result bit for bit (numpy's ``exp`` and
+``log`` differ from libm in the last bit on a share of inputs).  A public input is read
+by :func:`_real`, or by its array twin :func:`_check_each` cell by cell.  numpy loads
+with the first array (:func:`_numpy`), so scalar callers never pay for its start-up.
 """
 
 from __future__ import annotations
@@ -262,11 +261,16 @@ def _xlog2(x: FloatOrArray) -> FloatOrArray:
     return x * _map(math.log2, x)
 
 
-def _check_each(check: Callable[[float], object], x: np.ndarray, ok: np.ndarray) -> None:
-    """Array form of a scalar validator: ``check`` raises its own error for
-    the first element of ``x`` where ``ok`` is false."""
-    if not ok.all():
+def _check_each(name: str, x: np.ndarray, check=None, lo=-_MAX, hi=_MAX) -> np.ndarray:
+    """The array twin of :func:`_real`: an array input ``x`` as a float array, each cell that
+    numpy holds as other than a bool, an int or a float read by ``_real(name, cell)``.  A
+    ``check`` raises its own error for the first cell outside ``[lo, hi]``, NaN included."""
+    if x.dtype.kind not in "biuf":  # bool, signed and unsigned integers, floats
+        x = _numpy().array([_real(name, cell) for cell in x.ravel().tolist()]).reshape(x.shape)
+    x = _numpy().asarray(x, dtype=float)
+    if check is not None and not (ok := (x >= lo) & (x <= hi)).all():
         check(float(x.ravel()[ok.ravel().argmin()]))
+    return x
 
 
 def _temperature(t: float) -> float:
@@ -278,9 +282,7 @@ def _temperatures(t: FloatOrArray) -> FloatOrArray:
     """:func:`_temperature` of a float, or of each element of an array, kept as a float array."""
     if not _is_array(t):
         return _temperature(t)
-    t = _numpy().asarray(t, dtype=float)
-    _check_each(_temperature, t, (t > 0.0) & (t < math.inf))  # NaN fails both
-    return t
+    return _check_each("temperature", t, _temperature, _POSITIVE)
 
 
 def validate_correlator(g: FloatOrArray) -> FloatOrArray:
@@ -292,8 +294,7 @@ def validate_correlator(g: FloatOrArray) -> FloatOrArray:
     error names its first bad element.
     """
     if _is_array(g):
-        g = _numpy().asarray(g, dtype=float)
-        _check_each(validate_correlator, g, (g >= G_MIN - _G_TOL) & (g <= G_MAX + _G_TOL))
+        g = _check_each("correlator", g, validate_correlator, G_MIN - _G_TOL, G_MAX + _G_TOL)
         return g.clip(G_MIN, G_MAX)
     g = _real("correlator", g, "be finite")
     if g < G_MIN - _G_TOL or g > G_MAX + _G_TOL:
@@ -374,8 +375,8 @@ def concurrence(g: FloatOrArray, antiferro: bool) -> FloatOrArray:
     """
     g = validate_correlator(g)
     if _is_array(g):
-        on_branch = g <= _G_TOL if antiferro else g >= -_G_TOL
-        _check_each(lambda v: concurrence(v, antiferro), g, on_branch)
+        branch = (-_MAX, _G_TOL) if antiferro else (-_G_TOL, _MAX)
+        _check_each("correlator", g, lambda v: concurrence(v, antiferro), *branch)
     elif antiferro and g > _G_TOL:
         raise DomainError(f"correlator {g!r} is positive; not an antiferromagnetic state")
     elif not antiferro and g < -_G_TOL:
@@ -393,8 +394,7 @@ def _entanglement(c: FloatOrArray) -> FloatOrArray:
 def entanglement_of_formation(c_tilde: FloatOrArray) -> FloatOrArray:
     """Entanglement of formation (bits) for a state of concurrence ``c_tilde``."""
     if _is_array(c_tilde):
-        c = _numpy().asarray(c_tilde, dtype=float)
-        _check_each(entanglement_of_formation, c, (c >= -_G_TOL) & (c <= 1.0 + _G_TOL))
+        c = _check_each("concurrence", c_tilde, entanglement_of_formation, -_G_TOL, 1.0 + _G_TOL)
         c = c.clip(0.0, 1.0)
     else:
         c = _real("concurrence", c_tilde, "lie in [0, 1]", -_G_TOL, 1.0 + _G_TOL)
@@ -468,7 +468,7 @@ def bleaney_bowers(
     cancels when cold.  Real numbers or numpy arrays; J = 0 gives G = 0, and ``t``
     must be positive and finite, an array's error naming its first bad element.
     """
-    j_over_kb, g_factor = (x if _is_array(x) else _real(name, x) for name, x in (
+    j_over_kb, g_factor = ((_check_each if _is_array(x) else _real)(name, x) for name, x in (
         ("j_over_kb", j_over_kb), ("g factor", g_factor)))
     return g_factor * g_factor * _unit_susceptibility(j_over_kb, _temperatures(t))[0]
 

@@ -21,7 +21,8 @@ import warnings
 from typing import Callable, NamedTuple, Sequence
 
 from .dimer_core import (
-    _POSITIVE, DimerParameters, FloatOrArray, _numpy, _real, _unit_susceptibility, _validated_make,
+    _POSITIVE, DimerParameters, FloatOrArray, _check_each, _numpy, _real, _unit_susceptibility,
+    _validated_make,
 )
 from .errors import (
     BracketError,
@@ -349,15 +350,11 @@ def integrate_series_with_tail(
 
 def _reals(name: str, cells: Sequence[float] | np.ndarray) -> np.ndarray:
     """A series column as a float array; a DataError naming it unless each cell is a real
-    number, a bool included, as :func:`~dimer_discord.dimer_core._real` reads a scalar."""
-    import numbers  # loaded with numpy
-
-    x = _numpy().asarray(cells)
-    if x.dtype.kind == "O" and all(isinstance(cell, numbers.Real) for cell in x.flat):
-        x = x.astype(float)  # numbers numpy holds as objects, such as a Fraction
-    if x.dtype.kind not in "biuf":  # bool, signed and unsigned integers, floats
-        raise DataError(f"{name} must hold real numbers only")
-    return x.astype(float, copy=False)
+    number, a bool included, as :func:`~dimer_discord.dimer_core._check_each` reads an array."""
+    try:
+        return _check_each(name, _numpy().asarray(cells))
+    except DomainError:
+        raise DataError(f"{name} must hold real numbers only") from None
 
 
 def _curve(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from operator import length_hint
 from typing import Sequence
 
 from .dimer_core import (
@@ -210,7 +211,7 @@ def internal_energy_from_specific_heat(
     anchored at the other end instead: u(infinity) = 0 exactly for the
     dimer, so ``u(t_start) = -a/t_start`` independent of any ``u0_over_r``.
     """
-    if len(temperatures) == len(values) == 0:  # no samples: numpy is not needed
+    if length_hint(temperatures, -1) == length_hint(values, -1) == 0:  # no samples, no numpy
         if tail is None:
             raise DataError("empty record and no tail: nothing to integrate")
         return tail.t_start, -tail.integral()

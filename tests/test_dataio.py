@@ -498,6 +498,46 @@ class TestResultTable:
         # without a None, a sequence still becomes a float array
         assert isinstance(results_from_correlators((1.0, 2.0), [-0.5, -0.5], "theory").t, np.ndarray)
 
+    @pytest.mark.parametrize("dtype", [None, object], ids=["own-dtype", "object"])
+    @pytest.mark.parametrize("bad", ["string", "complex", "big-int"])
+    @pytest.mark.parametrize(
+        "column, x, read",
+        [
+            ("t", 2.0, lambda t: result_from_correlator(t, ValueWithUncertainty(-0.5), "theory")),
+            ("g", -0.5, dimer_core.validate_correlator),
+        ],
+    )
+    def test_a_cell_that_is_not_a_real_number_raises_as_the_scalar_does(
+        self, column, x, read, bad, dtype
+    ):
+        # a string cell was converted to its number, where result_from_correlator refused it
+        cell = {"string": str(x), "complex": complex(x, 1.0), "big-int": 10**400}[bad]
+        cells = np.array([x, cell], dtype=dtype)
+        first = next(c for c in cells.tolist() if type(c) is not float)  # the cell it reads first
+        columns = {"t": [2.0, 3.0], "g": [-0.5, -0.5], column: cells}
+        with pytest.raises(DomainError) as expected:
+            read(first)
+        with pytest.raises(DomainError) as got:
+            results_from_correlators(columns["t"], columns["g"], "theory")
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+    @pytest.mark.parametrize(
+        "t, g",
+        [
+            (np.array([True, True]), np.array([False, False])),
+            (np.array([2, 255], dtype=np.uint8), np.array([-1, 0])),
+            (np.array([Fraction(1, 2), 3], dtype=object), [Fraction(-1, 2), Fraction(-1, 3)]),
+        ],
+        ids=["bool", "int", "fraction"],
+    )
+    def test_bool_int_and_fraction_columns_build_the_float_table(self, t, g):
+        got = results_from_correlators(t, g, "theory")
+        floats = results_from_correlators([float(x) for x in t], [float(x) for x in g], "theory")
+        assert got.channel == floats.channel
+        for a, b in zip(got[:-1], floats[:-1], strict=True):
+            assert a.dtype == b.dtype == np.float64
+            assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
+
     def test_columns_equal_the_records_field_by_field(self):
         # result_from_correlator at each point is the reference
         t = np.geomspace(0.5, 3000.0, 300)

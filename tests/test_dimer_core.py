@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -768,6 +769,27 @@ DISPATCHED = [*COLUMN_FORMS, (lambda g: temperature_from_correlator(FM, g), 0.2)
 INPUT_NAME = dict(
     zip(DISPATCHED, [*["correlator"] * 5, "concurrence", "temperature", "correlator"])
 )
+# each array input of the closed forms, and the kind of cell it takes
+ARRAY_INPUTS = {
+    "validate_correlator": (validate_correlator, "correlator"),
+    "mutual_information": (mutual_information, "correlator"),
+    "classical_correlation": (classical_correlation, "correlator"),
+    "discord": (discord, "correlator"),
+    "concurrence": (lambda g: concurrence(g, True), "correlator"),
+    "entanglement_of_formation": (entanglement_of_formation, "c"),
+    "correlator_from_temperature": (lambda t: correlator_from_temperature(AFM, t), "t"),
+    "bleaney_bowers-j": (lambda j: bleaney_bowers(j, 2.1, 4.0), "j"),
+    "bleaney_bowers-g": (lambda g: bleaney_bowers(-2.0, g, 4.0), "g"),
+    "bleaney_bowers-t": (lambda t: bleaney_bowers(-2.0, 2.1, t), "t"),
+}
+# valid cells of each kind as numpy holds them: bools, int64s, uint8s and Fraction objects
+EXACT_CELLS = {
+    "correlator": ([False, False], [-1, 0], [0, 0], [Fraction(-1, 2), Fraction(-1, 3)]),
+    "c": ([False, True], [0, 1], [1, 0], [Fraction(1, 2), Fraction(1, 3)]),
+    "t": ([True, True], [1, 7], [2, 255], [Fraction(1, 2), Fraction(7, 3)]),
+    "j": ([True, False], [-2, 3], [0, 200], [Fraction(-5, 2), Fraction(1, 3)]),
+    "g": ([True, True], [2, 3], [2, 1], [Fraction(21, 10), 2]),
+}
 
 
 class TestDispatch:
@@ -795,6 +817,40 @@ class TestDispatch:
         with pytest.raises(DomainError) as info:
             f([x, x])
         assert str(info.value) == f"{INPUT_NAME[f, x]} must be a real number, got {[x, x]!r}"
+
+    @pytest.mark.parametrize("dtype", [None, object], ids=["own-dtype", "object"])
+    @pytest.mark.parametrize("bad", ["string", "complex", "big-int"])
+    @pytest.mark.parametrize("entry", ARRAY_INPUTS)
+    def test_an_array_cell_that_is_not_a_real_number_raises_as_the_scalar_does(
+        self, entry, bad, dtype
+    ):
+        # a string cell was read as its number, a complex one by its real part with only a
+        # ComplexWarning, and an int past the largest double or a string coupling let a bare
+        # OverflowError or UFuncTypeError out
+        f, kind = ARRAY_INPUTS[entry]
+        x = float(EXACT_CELLS[kind][3][0])
+        cell = {"string": str(x), "complex": complex(x, 1.0), "big-int": 10**400}[bad]
+        column = np.array([x, cell], dtype=dtype)
+        first = next(c for c in column.tolist() if type(c) is not float)  # the cell it reads first
+        with pytest.raises(DomainError) as expected:
+            f(first)
+        with pytest.raises(DomainError) as got:
+            f(column)
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+    @pytest.mark.parametrize("entry", ARRAY_INPUTS)
+    def test_bool_int_fraction_and_float32_arrays_compute_as_their_floats(self, entry):
+        # a float32 coupling or g factor of bleaney_bowers was computed in single precision,
+        # and a Fraction g factor gave an object array
+        f, kind = ARRAY_INPUTS[entry]
+        fractions = EXACT_CELLS[kind][3]
+        for dtype, cells in zip(
+            [bool, np.int64, np.uint8, object, np.float32], [*EXACT_CELLS[kind], fractions]
+        ):
+            column = np.array(cells, dtype=dtype)
+            floats = np.array([float(c) for c in column.tolist()])
+            assert_same_bits(f(column), f(floats))
+            assert_same_bits([f(column[:1].reshape(()))], [f(floats[0])])
 
     def test_first_array_loads_numpy_in_a_fresh_process(self):
         script = (

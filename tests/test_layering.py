@@ -17,7 +17,9 @@ The package's public names are the ``__all__`` of each library module, which
 ``__init__`` star-imports: it names none of them itself.  Each input rule is
 raised from one place, a ``dimer_core._real`` call counting as a raise of its
 rule, and no public function of ``dimer_core``, ``thermo`` or ``numerics``
-converts one of its own parameters with ``float()``: ``_real`` reads them.
+converts one of its own parameters with ``float()``: ``_real`` reads them.  Nor
+does any of those modules convert an array to floats outside ``dimer_core._check_each``,
+the array twin of ``_real``.
 """
 
 import ast
@@ -312,6 +314,37 @@ def test_no_public_function_converts_its_own_parameter_with_float():
                 and n.args and isinstance(n.args[0], ast.Name) and n.args[0].id in params
             ]
     assert found == []
+
+
+def _float_conversion(node: ast.AST) -> bool:
+    """Whether ``node`` is ``asarray``/``array`` with a float dtype, or ``astype(float)``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    dtypes = [k.value for k in node.keywords if k.arg == "dtype"]
+    if node.func.attr in ("asarray", "array"):
+        dtypes += node.args[1:2]
+    elif node.func.attr == "astype":
+        dtypes += node.args[:1]
+    else:
+        return False
+    return any(isinstance(d, ast.Name) and d.id == "float" for d in dtypes)
+
+
+def test_the_array_reader_is_the_only_float_conversion():
+    # an array input is read by dimer_core._check_each, as a scalar one is by _real
+    found = []
+    for module in SCALAR_READERS:
+        tree = _tree(module)
+        gate = {
+            id(n) for f in tree.body if getattr(f, "name", None) == "_check_each"
+            for n in ast.walk(f)
+        }
+        found += [
+            f"{module}:{n.lineno}" for n in ast.walk(tree)
+            if id(n) not in gate and _float_conversion(n)
+        ]
+    assert found == []
+    assert any(_float_conversion(n) for n in ast.walk(_tree("dimer_core")))  # the gate's own
 
 
 def test_resolve_parameters_takes_one_flag():

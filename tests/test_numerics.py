@@ -592,17 +592,36 @@ SERIES_ENTRIES = {
 
 @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
 @pytest.mark.parametrize(
-    "cell", ["a", "2.0", None, 2.0 + 1j], ids=["string", "numeric-string", "none", "complex"]
+    "cell",
+    ["a", "2.0", None, 2.0 + 1j, 10**400],
+    ids=["string", "numeric-string", "none", "complex", "big-int"],
 )
 @pytest.mark.parametrize("entry", SERIES_ENTRIES)
 def test_a_cell_that_is_not_a_real_number_is_refused(entry, cell, as_array):
-    # a string raised a bare ValueError, a complex list a TypeError, None read as NaN, and a
-    # complex array was read by its real part
+    # a string raised a bare ValueError, a complex list a TypeError, None read as NaN, a
+    # complex array was read by its real part, and an int past the largest double raised a
+    # bare OverflowError
     call, name = SERIES_ENTRIES[entry]
     column = [1.0, cell, 3.0]
     with pytest.raises(DataError) as info:
         call(np.array(column) if as_array else column)
     assert str(info.value) == f"{name} must hold real numbers only"
+
+
+@pytest.mark.parametrize(
+    "series", [(1.0, 2.0), (np.array(1.0), np.array(2.0)), ((), 2.0)],
+    ids=["floats", "0-d-arrays", "empty-and-float"],
+)
+@pytest.mark.parametrize(
+    "entry", [integrate_series_with_tail, thermo.internal_energy_from_specific_heat],
+    ids=["integral", "energy"],
+)
+def test_a_scalar_is_no_series(entry, series):
+    # the energy took len() of its inputs first and let a bare TypeError out
+    with pytest.raises(
+        DataError, match="^temperatures and values must be 1-d arrays of equal length$"
+    ):
+        entry(*series)
 
 
 def test_cells_are_read_before_any_other_check_of_the_series():
