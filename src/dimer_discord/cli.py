@@ -235,12 +235,7 @@ def _cmd_from_neutron(args: argparse.Namespace, precision: int) -> int:
     t = args.temperature
     if t is None:
         _note("no temperature given (--T); T_K is left empty")
-    table, remarks = dataio._measured_results(t, g.value, g.sigma, "neutron")
-    for _, kind, text in remarks:
-        if issubclass(kind, DimerDiscordError):
-            raise kind(text)
-        _show_warning(text, kind)
-    _emit(table, args, precision)
+    _emit(dataio._point_result(t, g.value, g.sigma, "neutron"), args, precision)
     return 0
 
 
@@ -282,7 +277,7 @@ def _cmd_from_cm(args: argparse.Namespace, precision: int) -> int:
                 "so --u0-over-R is ignored"
             )
         _note(f"u({cell(t)} K)/R = {cell(u)} K")
-    _emit(dataio._measured_results(t, g, 0.0, "calorimetric")[0], args, precision)
+    _emit(dataio._point_result(t, g, 0.0, "calorimetric"), args, precision)
     return 0
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import NamedTuple
@@ -28,13 +29,12 @@ from typing import NamedTuple
 from . import thermo
 from .dimer_core import (
     CODATA, G_MAX, G_MIN, DimerParameters, FloatOrArray, _G_TOL, _check_each, _clip, _is_array,
-    _numpy, _temperature, _temperatures, _validated_make, discord, measures_from_correlator,
+    _numpy, _real, _temperature, _temperatures, discord, measures_from_correlator,
 )
 from .errors import DataError, DataWarning, DomainError, InconsistencyError, PropagationWarning
 from .numerics import (
     _CLAMPED, _DROPPED, _ENDPOINT_CLAMPED, _NAN, _OF_Q, _ONE_SIDED, _OUT_OF_BAND, _REFUSED,
     _UNDEFINED, _UNDEFINED_TEXT, ValueWithUncertainty, _one_sided_text, _secant_column,
-    propagate_uncertainty,
 )
 
 __all__ = [
@@ -141,7 +141,11 @@ def preset(name: str) -> MaterialPreset:
         raise DataError(f"unknown preset {name!r}; available: {known}") from None
 
 
-class _ResultRecord(NamedTuple):
+class ResultRecord(NamedTuple):
+    """One point: a correlator and everything derived from it, as
+    :func:`result_from_correlator` gives it (``t`` is a temperature, stored as a float, or
+    None for a correlator given without one)."""
+
     t: float | None
     correlator: ValueWithUncertainty
     discord: ValueWithUncertainty
@@ -151,25 +155,6 @@ class _ResultRecord(NamedTuple):
     channel: str
 
 
-class ResultRecord(_ResultRecord):
-    """One point: a correlator and everything derived from it, as
-    :func:`result_from_correlator` gives it (``t`` is a temperature, stored as a float, or
-    None for a correlator given without one)."""
-
-    __slots__ = ()
-    _make = classmethod(_validated_make)
-
-    def __new__(cls, t, *fields, **named):
-        record = super().__new__(cls, t if t is None else _temperature(t), *fields, **named)
-        if record.channel not in _CHANNELS:
-            raise DataError(f"channel must be one of {_CHANNELS}, got {record.channel!r}")
-        if abs(record.discord.value - (record.mutual_information - record.classical)) > 1e-12:
-            raise InconsistencyError(
-                "discord does not equal mutual information minus classical correlation"
-            )
-        return record
-
-
 # a table column: a float array, or any sequence of cells
 Column = "np.ndarray | Sequence[object]"
 
@@ -177,7 +162,8 @@ Column = "np.ndarray | Sequence[object]"
 class ResultTable(NamedTuple):
     """Output rows held as columns, in the order of the CSV header: float
     arrays, or sequences whose ``t`` may hold None (no temperature).
-    :func:`write_results` checks every row as :class:`ResultRecord` does."""
+    :func:`write_results` checks every row: a positive temperature or None,
+    real numbers in the float columns, a known channel, and Q = I - C."""
 
     t: Column
     correlator: Column
@@ -190,19 +176,30 @@ class ResultTable(NamedTuple):
     channel: Sequence[str]
 
 
+def _check_channels(channels: Iterable[str]) -> None:
+    for channel in dict.fromkeys(channels):
+        if channel not in _CHANNELS:
+            raise DataError(f"channel must be one of {_CHANNELS}, got {channel!r}")
+
+
 def _check_table(table: ResultTable) -> None:
+    if not isinstance(table, ResultTable):
+        raise DataError(f"write_results takes a ResultTable, got {type(table).__name__}")
     if len({len(column) for column in table}) > 1:
         raise DataError("result columns differ in length")
-    if _is_array(table.t):  # t first, as ResultRecord reads it
+    if _is_array(table.t):  # t first, as result_from_correlator reads it
         _temperatures(table.t)
     else:
         for t in table.t:
             if t is not None:
                 _temperature(t)
-    for channel in dict.fromkeys(table.channel):
-        if channel not in _CHANNELS:
-            raise DataError(f"channel must be one of {_CHANNELS}, got {channel!r}")
-    q, i, c = table.discord, table.mutual_information, table.classical
+    # each float column read as an input is: an array through _check_each, a cell through _real
+    floats = {
+        name: _check_each(name, column) if _is_array(column) else [_real(name, x) for x in column]
+        for name, column in zip(table._fields[1:-1], table[1:-1])
+    }
+    _check_channels(table.channel)
+    q, i, c = floats["discord"], floats["mutual_information"], floats["classical"]
     if any(map(_is_array, (q, i, c))):
         q, i, c = (_numpy().asarray(x, dtype=float) for x in (q, i, c))
         inconsistent = (abs(q - (i - c)) > 1e-12).any()
@@ -214,34 +211,39 @@ def _check_table(table: ResultTable) -> None:
         )
 
 
-def result_from_correlator(
-    t: float | None, g: ValueWithUncertainty, channel: str
-) -> ResultRecord:
-    """Expand a correlator (with its error bar) into a full record.
-
-    The discord sigma is propagated by the symmetric secant rule; the other
-    measures are reported at the central value only.
-    """
-    m = measures_from_correlator(g.value)
-    q = propagate_uncertainty(lambda v: m.discord if v == g.value else discord(v), g)
+def result_from_correlator(t: float | None, g: ValueWithUncertainty, channel: str) -> ResultRecord:
+    """Expand a measured correlator (with its error bar) into a full record, as
+    ``from-neutron --G`` does: a correlator past [-1, 1/3] by at most 0.01 is clamped with a
+    :class:`DataWarning` (further out, :class:`InconsistencyError`), and sigma_Q is the
+    secant of sigma_G, taken one-sided with a warning where an end leaves the band."""
+    table = _point_result(t, g.value, g.sigma, channel)
+    t, g, sigma_g, q, sigma_q, c, i, e, channel = next(zip(*table))  # its one row
     return ResultRecord(
-        t=t,
-        correlator=g,
-        discord=q,
-        classical=m.classical,
-        mutual_information=m.mutual_information,
-        entanglement=m.entanglement,
-        channel=channel,
+        t, ValueWithUncertainty(g, sigma_g), ValueWithUncertainty(q, sigma_q), c, i, e, channel
     )
 
 
+def _point_result(t: float | None, value: float, sigma: float, channel: str) -> ResultTable:
+    """The one-row table of a measured correlator ``value`` with its ``sigma``, from
+    :func:`_measured_results`: a point it would drop raises its remark, and a kept point
+    that it flags warns it."""
+    t = t if t is None else _temperature(t)
+    _check_channels((channel,))
+    table, remarks = _measured_results(t, value, sigma, channel)
+    for _, kind, text in remarks:  # one at most
+        if not issubclass(kind, Warning):
+            raise kind(text)
+        warnings.warn(text, kind, stacklevel=3)
+    return table
+
+
 def results_from_correlators(t: Column, g: Column, channel: str) -> ResultTable:
-    """Expand exact correlators (no error bars) at temperatures ``t`` into a
-    table of float arrays: :func:`result_from_correlator` for a whole column
-    at once.  A ``t`` that holds None (a row without a temperature) is kept as it is."""
+    """Expand exact correlators (no error bars, none clamped) at temperatures ``t`` into a
+    table of float arrays, a whole column at once (a 0-d one is one row).  A ``t`` that
+    holds None (a row without a temperature) is kept as it is."""
     np = _numpy()
-    g = _check_each("correlator", np.asarray(g))
-    t = t if not _is_array(t) and None in t else _temperatures(np.asarray(t))
+    g = _check_each("correlator", np.atleast_1d(g))
+    t = t if isinstance(t, Sequence) and None in t else _temperatures(np.atleast_1d(t))
     m = measures_from_correlator(g)
     zeros = np.zeros_like(g)
     return ResultTable(
@@ -295,9 +297,8 @@ def _measured_results(
         flagged = status.nonzero()[0].tolist()
         rows = [column[flagged].tolist() for column in rows]
         columns = [column[(status & _DROPPED) == 0] for column in columns]
-    else:
-        flagged = [0] if status else []
-        rows = [(column,) for column in rows]
+    else:  # an unflagged point builds no row
+        flagged, rows = ([0], [(column,) for column in rows]) if status else ([], ())
         columns = [(column,) for column in columns]
     remarks = [(i, *_remark(channel, *row)) for i, *row in zip(flagged, *rows)]
     return ResultTable(*columns, channel=[channel] * len(columns[1])), remarks
@@ -309,7 +310,8 @@ def _remark(channel: str, t, value, sigma, raw, g, sigma_g, status: int) -> tupl
     if status & _NAN:
         return DomainError, f"{thermo._CHI_NAME} must {thermo._CHI_RULE}, got {value!r}"
     # the source of the correlator, as a clamp or refusal names it
-    source = thermo._CHI_SOURCE.format(value, t) if channel == "magnetometric" else "neutron point"
+    source = (thermo._CHI_SOURCE.format(value, t) if channel == "magnetometric"
+              else f"{channel} point")
     if status & _REFUSED:
         return InconsistencyError, thermo._correlator_text(source, raw, status)
     for bits, x, s in ((status, value, sigma), (status // _OF_Q, g, sigma_g)):

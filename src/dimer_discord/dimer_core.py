@@ -324,7 +324,7 @@ def temperature_from_correlator(params: DimerParameters, g: float) -> float:
     q = 1 - 3G, p = 1 + G, is within 5e-16 relative of its exact value at the double ``g``
     on the whole branch, |G| down to 5e-324 included; a T past the largest double is inf.
     """
-    g = validate_correlator(g)
+    g = validate_correlator(_real("correlator", g))  # a float: an array is refused
     j = params.j_over_kb
     if not (G_MIN < g < 0.0 if j < 0.0 else 0.0 < g < G_MAX):
         sign = "antiferromagnetic" if j < 0.0 else "ferromagnetic"
@@ -514,7 +514,7 @@ def ppt_eigenvalues(g: float) -> np.ndarray:
     exactly when the state is entangled (G < -1/3), which is also exactly
     when the concurrence is positive.
     """
-    g = validate_correlator(g)
+    g = validate_correlator(_real("correlator", g))  # a float: an array is refused
     lam = _numpy().array([0.25 * (1.0 + 3.0 * g)] + [0.25 * (1.0 - g)] * 3)
     lam.sort()
     return lam

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +109,18 @@ def test_scalar_command_loads_no_dataclasses_or_inspect(case, interpreter_module
     assert {"dataclasses", "inspect"} & (modules - interpreter_modules) == set()
 
 
+def test_a_float_record_loads_no_numpy(tmp_path):
+    # a clamped point walks the whole measured path: the clamp, both secants and the warning
+    code = (
+        "import dimer_discord as d\n"
+        "r = d.result_from_correlator(4.0, d.ValueWithUncertainty(-1.005, 0.01), 'neutron')\n"
+        "print(r.correlator.value)\n"
+    )
+    out, err, modules = _run(code, tmp_path)
+    assert out == "-1.0\n" and "DataWarning: neutron point implies correlator -1.005" in err
+    assert _package(modules, "numpy") == []
+
+
 def test_theory_still_loads_numpy_and_prints_its_golden_bytes(tmp_path):
     out, err, modules = _run(_command("theory-csv", tmp_path), tmp_path)
     assert (out, err) == _golden("theory-csv")
@@ -133,3 +146,30 @@ def test_only_a_json_command_loads_json(case, loads_json, interpreter_modules, t
     out, err, modules = _run(_command(case, tmp_path), tmp_path)
     assert (out, err) == _golden(case)
     assert ("json" in modules - interpreter_modules) is loads_json
+
+
+# every CPython 3.10+ that pyenv holds, one of which is the 3.10 floor of requires-python
+PYENV_VERSIONS = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+INTERPRETERS = sorted(
+    PYENV_VERSIONS.glob("3.1[0-9].*/bin/python3"),
+    key=lambda p: tuple(map(int, p.parts[-3].split(".")[:2])),
+)
+
+
+@pytest.mark.parametrize(
+    "python",
+    INTERPRETERS or [pytest.param(None, marks=pytest.mark.skip(
+        reason=f"no CPython 3.1x interpreter under {PYENV_VERSIONS}: nothing to compare"))],
+    ids=[p.parts[-3] for p in INTERPRETERS] or ["none"],
+)
+def test_scalar_cases_print_their_goldens_under_each_interpreter(python, tmp_path):
+    # these commands need only the standard library, so any 3.10+ interpreter, numpy or not,
+    # must print their golden bytes; the cases run one at a time
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("PYTHON") and k != "DIMER_DISCORD_PRECISION"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    for case in SCALAR_CASES:
+        proc = subprocess.run([str(python), "-m", "dimer_discord", *_argv(case, tmp_path)],
+                              capture_output=True, env=env, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, *(text.encode("utf-8") for text in _golden(case))), case

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,9 @@ from dimer_discord.dimer_core import (
     measures_from_correlator,
     mutual_information,
 )
-from dimer_discord.errors import DataError, DomainError, InconsistencyError
+from dimer_discord.errors import (
+    DataError, DataWarning, DimerDiscordError, DomainError, InconsistencyError, PropagationWarning,
+)
 from dimer_discord.numerics import ValueWithUncertainty, propagate_uncertainty
 
 
@@ -343,19 +346,6 @@ class TestPresets:
 
 
 class TestResultRecord:
-    def test_internal_consistency_enforced(self):
-        m = measures_from_correlator(-0.54)
-        with pytest.raises(InconsistencyError):
-            ResultRecord(
-                t=4.0,
-                correlator=ValueWithUncertainty(-0.54),
-                discord=ValueWithUncertainty(m.discord + 1e-6),
-                classical=m.classical,
-                mutual_information=m.mutual_information,
-                entanglement=m.entanglement,
-                channel="neutron",
-            )
-
     def test_unknown_channel_rejected(self):
         with pytest.raises(DataError):
             result_from_correlator(4.0, ValueWithUncertainty(-0.54), "muon")
@@ -363,13 +353,9 @@ class TestResultRecord:
     def test_replace_validates_again(self):
         rec = result_from_correlator(None, ValueWithUncertainty(-0.54), "neutron")
         assert rec._replace(channel="theory").channel == "theory"
-        with pytest.raises(DataError, match="channel must be one of"):
-            rec._replace(channel="muon")
-        with pytest.raises(InconsistencyError):
-            rec._replace(classical=rec.classical + 1e-6)
 
     def test_t_is_read_as_a_temperature(self):
-        # a t that is not None is a positive float, on _replace too; the writer prints it
+        # a t that is not None is a positive float; the writer prints it
         g = ValueWithUncertainty(-0.5)
         for t, text in (
             ("4", "temperature must be a real number, got '4'"),
@@ -381,8 +367,6 @@ class TestResultRecord:
             assert str(info.value) == text
         rec = result_from_correlator(np.float64(4.0), g, "neutron")
         assert type(rec.t) is float and rec == result_from_correlator(4.0, g, "neutron")
-        with pytest.raises(DomainError, match="^temperature must be positive, got -1.0$"):
-            rec._replace(t=-1.0)
 
     def test_sigma_propagation(self):
         rec = result_from_correlator(4.0, ValueWithUncertainty(-0.54, 0.09), "neutron")
@@ -425,6 +409,49 @@ class TestResultRecord:
         assert rec == result_from_correlator(4.0, g, "neutron")
         up, down = discord(g.value + g.sigma), discord(g.value - g.sigma)
         assert rec.discord.sigma == 0.5 * abs(up - down)
+
+
+def record_table(*records):
+    """The table of ``records``, one row each: list columns, as the README builds one."""
+    return ResultTable(*zip(*(
+        (r.t, *r.correlator, *r.discord, r.classical, r.mutual_information, r.entanglement,
+         r.channel)
+        for r in records
+    )))
+
+
+# one --G point of each kind the measured path tells apart, with the class it raises or warns
+POINT_KINDS = {
+    "in-band": ("-0.54(9)", None),
+    "clamped-low": ("-1.005(10)", DataWarning),
+    "clamped-high": ("0.336(2)", DataWarning),
+    "one-sided-sigma": ("-0.995(10)", PropagationWarning),
+    "undefined-sigma": ("-0.3(11)", DomainError),
+    "out-of-band": ("-1.5(1)", InconsistencyError),
+}
+
+
+@pytest.mark.parametrize("point, kind", POINT_KINDS.values(), ids=list(POINT_KINDS))
+def test_a_record_is_the_row_from_neutron_prints(point, kind, monkeypatch, capsys):
+    # the library clamps, warns and raises as the CLI does: one path for a point
+    g = parse_value_with_uncertainty(point)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = result_from_correlator(4.0, g, "neutron")
+        except DimerDiscordError as exc:
+            got = exc
+    monkeypatch.setenv("DIMER_DISCORD_PRECISION", "17")
+    code = cli.main(["from-neutron", f"--G={point}", "--T", "4"])
+    out, err = capsys.readouterr()
+    if isinstance(got, Exception):
+        assert type(got) is kind and not caught
+        assert (code, out, err) == (1, "", f"error: {got}\n")
+        return
+    assert [w.category for w in caught] == ([kind] if kind else [])
+    assert err == "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    assert code == 0 and out == write_results(record_table(got), precision=17).decode()
+    assert type(got.t) is float and got.t == 4.0
 
 
 class TestResultTable:
@@ -497,6 +524,44 @@ class TestResultTable:
         assert doc["rows"][0] == doc["rows"][1]
         # without a None, a sequence still becomes a float array
         assert isinstance(results_from_correlators((1.0, 2.0), [-0.5, -0.5], "theory").t, np.ndarray)
+
+    def test_only_a_table_is_written(self):
+        # a record leaked a bare TypeError: object of type 'float' has no len()
+        rec = result_from_correlator(4.0, ValueWithUncertainty(-0.5), "theory")
+        for x, name in ((rec, "ResultRecord"), (tuple(record_table(rec)), "tuple"), ({}, "dict")):
+            for fmt in ("csv", "json"):
+                with pytest.raises(DataError) as info:
+                    write_results(x, fmt)
+                assert str(info.value) == f"write_results takes a ResultTable, got {name}"
+        assert write_results(record_table(rec)).startswith(b"T_K,G,")
+
+    @pytest.mark.parametrize("form", ["list", "array", "object-array"])
+    @pytest.mark.parametrize("column", ResultTable._fields[1:-1])
+    def test_a_float_column_is_read_as_an_input(self, column, form):
+        # a string cell was printed as it is, or let a bare TypeError or ValueError out
+        cols = self.columns(2)
+        cells = [cols[column][0], "abc"]
+        cols[column] = {
+            "list": cells,
+            "array": np.array(["0.5", "abc"]),  # a string dtype: its first cell is read first
+            "object-array": np.array(cells, dtype=object),
+        }[form]
+        bad = "0.5" if form == "array" else "abc"
+        for fmt in ("csv", "json"):
+            with pytest.raises(DomainError) as info:
+                write_results(ResultTable(**cols), fmt)
+            assert str(info.value) == f"{column} must be a real number, got {bad!r}"
+
+    def test_a_0d_column_is_one_row(self):
+        # a 0-d t and g raised TypeError: len() of unsized object
+        one = results_from_correlators([2.0], [-0.5], "theory")
+        for t in (np.array(2.0), 2.0):
+            for g in (np.array(-0.5), -0.5):
+                table = results_from_correlators(t, g, "theory")
+                assert [c.tolist() if isinstance(c, np.ndarray) else c for c in table] == [
+                    c.tolist() if isinstance(c, np.ndarray) else c for c in one
+                ]
+        assert write_results(table) == write_results(one)
 
     @pytest.mark.parametrize("dtype", [None, object], ids=["own-dtype", "object"])
     @pytest.mark.parametrize("bad", ["string", "complex", "big-int"])

@@ -447,6 +447,23 @@ def test_numpy_scalars_compute_as_floats(fn, args, names):
                 )
 
 
+# the entries that take a numpy array as well as a float, each at every position it probes
+ARRAY_ENTRIES = {"bleaney-bowers", "validate", "g-of-t", "i", "c", "q", "concurrence", "e",
+                 "measures", "correlation-set", "internal-energy", "cm-of-g"}
+
+
+@pytest.mark.parametrize("fn, args, names",
+                         [e[1:] for e in SCALAR_ENTRIES if e[0] not in ARRAY_ENTRIES],
+                         ids=[e[0] for e in SCALAR_ENTRIES if e[0] not in ARRAY_ENTRIES])
+def test_float_only_entries_refuse_an_array(fn, args, names):
+    # temperature_from_correlator raised a bare ValueError for two cells, and ppt_eigenvalues
+    # returned a 4x1 array for one
+    for i, name in names.items():
+        for bad in (np.array([args[i]]), np.array([args[i], args[i]])):
+            got = _outcome(fn, [bad if j == i else a for j, a in enumerate(args)])
+            assert got == (DomainError, f"{name} must be a real number, got {bad!r}")
+
+
 class TestSchottky:
     def test_frozen_maxima(self):
         t, cm = schottky_maximum(AFM)
