@@ -182,22 +182,19 @@ def _check_channels(channels: Iterable[str]) -> None:
             raise DataError(f"channel must be one of {_CHANNELS}, got {channel!r}")
 
 
-def _check_table(table: ResultTable) -> None:
+def _check_table(table: ResultTable) -> ResultTable:
+    """The table as it is written: each number column read as an input is, an array by
+    :func:`_check_each` and a cell by :func:`_real`; ``t`` first, as
+    :func:`result_from_correlator` reads it, by the temperature rule with None kept."""
     if not isinstance(table, ResultTable):
         raise DataError(f"write_results takes a ResultTable, got {type(table).__name__}")
     if len({len(column) for column in table}) > 1:
         raise DataError("result columns differ in length")
-    if _is_array(table.t):  # t first, as result_from_correlator reads it
-        _temperatures(table.t)
-    else:
-        for t in table.t:
-            if t is not None:
-                _temperature(t)
-    # each float column read as an input is: an array through _check_each, a cell through _real
-    floats = {
-        name: _check_each(name, column) if _is_array(column) else [_real(name, x) for x in column]
-        for name, column in zip(table._fields[1:-1], table[1:-1])
-    }
+    floats = {"t": _temperatures(table.t) if _is_array(table.t)
+              else [t if t is None else _temperature(t) for t in table.t]}
+    for name, column in zip(table._fields[1:-1], table[1:-1]):
+        floats[name] = (_check_each(name, column) if _is_array(column)
+                        else [_real(name, x) for x in column])
     _check_channels(table.channel)
     q, i, c = floats["discord"], floats["mutual_information"], floats["classical"]
     if any(map(_is_array, (q, i, c))):
@@ -209,6 +206,7 @@ def _check_table(table: ResultTable) -> None:
         raise InconsistencyError(
             "discord does not equal mutual information minus classical correlation"
         )
+    return table._replace(**floats)
 
 
 def result_from_correlator(t: float | None, g: ValueWithUncertainty, channel: str) -> ResultRecord:
@@ -300,18 +298,20 @@ def _measured_results(
     else:  # an unflagged point builds no row
         flagged, rows = ([0], [(column,) for column in rows]) if status else ([], ())
         columns = [(column,) for column in columns]
-    remarks = [(i, *_remark(channel, *row)) for i, *row in zip(flagged, *rows)]
+    remarks = [(i, *_remark(channel, g_factor is not None, *r)) for i, *r in zip(flagged, *rows)]
     return ResultTable(*columns, channel=[channel] * len(columns[1])), remarks
 
 
-def _remark(channel: str, t, value, sigma, raw, g, sigma_g, status: int) -> tuple[type, str]:
+def _remark(
+    channel: str, chi: bool, t, value, sigma, raw, g, sigma_g, status: int
+) -> tuple[type, str]:
     """The class and text of what the scalar functions raise or warn of for a row with these
-    values and status bits: a dropped row's first cause, or a kept row's remarks in one text."""
+    values (a susceptibility if ``chi``, else a correlator) and status bits: a dropped row's
+    first cause, or a kept row's remarks in one text."""
     if status & _NAN:
         return DomainError, f"{thermo._CHI_NAME} must {thermo._CHI_RULE}, got {value!r}"
     # the source of the correlator, as a clamp or refusal names it
-    source = (thermo._CHI_SOURCE.format(value, t) if channel == "magnetometric"
-              else f"{channel} point")
+    source = thermo._CHI_SOURCE.format(value, t) if chi else f"{channel} point"
     if status & _REFUSED:
         return InconsistencyError, thermo._correlator_text(source, raw, status)
     for bits, x, s in ((status, value, sigma), (status // _OF_Q, g, sigma_g)):
@@ -689,7 +689,7 @@ def _results_text(
     """The text of :func:`write_results`, which the CLI writes as it is."""
     if fmt not in ("csv", "json"):
         raise DataError(f"format must be csv or json, got {fmt!r}")
-    _check_table(table)
+    table = _check_table(table)
     if fmt == "csv":
         return text_table(table, precision, header=_RESULT_COLUMNS)
 

@@ -21,8 +21,8 @@ import warnings
 from typing import Callable, NamedTuple, Sequence
 
 from .dimer_core import (
-    _POSITIVE, DimerParameters, FloatOrArray, _check_each, _numpy, _real, _unit_susceptibility,
-    _validated_make,
+    _POSITIVE, DimerParameters, FloatOrArray, _check_each, _is_array, _numpy, _real,
+    _unit_susceptibility, _validated_make,
 )
 from .errors import (
     BracketError,
@@ -416,6 +416,8 @@ def _secant_column(
     a ``_REFUSED`` bit where undefined and a ``_CLAMPED`` one where clamped,
     and ``center = f(x)``; no endpoint counts where ``sigma`` is 0."""
     spread = sigma > 0.0
+    if not (spread.any() if _is_array(spread) else spread):  # no endpoint: f is not taken
+        return abs(center) * 0.0, 0 * spread  # 0, or NaN where center is, as the secant is
     upper, upper_status = f(x + sigma)
     lower, lower_status = f(x - sigma)
     up = spread & ((upper_status & _REFUSED) == 0)

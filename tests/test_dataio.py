@@ -350,7 +350,7 @@ class TestResultRecord:
         with pytest.raises(DataError):
             result_from_correlator(4.0, ValueWithUncertainty(-0.54), "muon")
 
-    def test_replace_validates_again(self):
+    def test_replace_changes_a_field(self):
         rec = result_from_correlator(None, ValueWithUncertainty(-0.54), "neutron")
         assert rec._replace(channel="theory").channel == "theory"
 
@@ -400,6 +400,22 @@ class TestResultRecord:
             channel="neutron",
         )
 
+    def test_no_sigma_takes_no_secant(self, monkeypatch):
+        # with no sigma the secant ends are the centre: the discord is not taken again there
+        calls = []
+        validate = dimer_core.validate_correlator
+        monkeypatch.setattr(
+            dimer_core, "validate_correlator", lambda g: calls.append(g) or validate(g)
+        )
+        rec = result_from_correlator(4.0, ValueWithUncertainty(-0.54), "neutron")
+        assert len(calls) == 1
+        g = np.array([-0.54, -1.005, 0.2])
+        table, remarks = dataio._measured_results(np.ones(3), g, np.zeros(3), "neutron")
+        assert len(calls) == 2 and table.sigma_discord.tolist() == [0.0] * 3
+        assert rec.discord == ValueWithUncertainty(discord(-0.54), 0.0)
+        assert table.discord.tolist() == discord(np.clip(g, -1.0, 1.0 / 3)).tolist()
+        assert [(i, kind) for i, kind, _ in remarks] == [(1, DataWarning)]
+
     def test_float32_correlator_takes_a_double_secant(self):
         # the record stores floats, so the sigma_Q secant ends are doubles
         g32 = ValueWithUncertainty(np.float32(-0.54), np.float32(0.09))
@@ -431,16 +447,22 @@ POINT_KINDS = {
 }
 
 
-@pytest.mark.parametrize("point, kind", POINT_KINDS.values(), ids=list(POINT_KINDS))
-def test_a_record_is_the_row_from_neutron_prints(point, kind, monkeypatch, capsys):
-    # the library clamps, warns and raises as the CLI does: one path for a point
-    g = parse_value_with_uncertainty(point)
+def point_outcome(t, point, channel):
+    """The record of the ``--G`` text ``point``, or what it raises, and the
+    ``(class, text)`` of each warning it gives."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            got = result_from_correlator(4.0, g, "neutron")
+            got = result_from_correlator(t, parse_value_with_uncertainty(point), channel)
         except DimerDiscordError as exc:
             got = exc
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("point, kind", POINT_KINDS.values(), ids=list(POINT_KINDS))
+def test_a_record_is_the_row_from_neutron_prints(point, kind, monkeypatch, capsys):
+    # the library clamps, warns and raises as the CLI does: one path for a point
+    got, caught = point_outcome(4.0, point, "neutron")
     monkeypatch.setenv("DIMER_DISCORD_PRECISION", "17")
     code = cli.main(["from-neutron", f"--G={point}", "--T", "4"])
     out, err = capsys.readouterr()
@@ -448,10 +470,31 @@ def test_a_record_is_the_row_from_neutron_prints(point, kind, monkeypatch, capsy
         assert type(got) is kind and not caught
         assert (code, out, err) == (1, "", f"error: {got}\n")
         return
-    assert [w.category for w in caught] == ([kind] if kind else [])
-    assert err == "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    assert [category for category, _ in caught] == ([kind] if kind else [])
+    assert err == "".join(f"{category.__name__}: {text}\n" for category, text in caught)
     assert code == 0 and out == write_results(record_table(got), precision=17).decode()
     assert type(got.t) is float and got.t == 4.0
+
+
+@pytest.mark.parametrize("t", [None, 4.0])
+@pytest.mark.parametrize("channel", ["magnetometric", "calorimetric", "theory"])
+def test_a_point_is_named_by_its_channel(channel, t):
+    # a magnetometric point was named a susceptibility, and without t raised a bare TypeError
+    def named(text):
+        return text.replace("neutron point", f"{channel} point")
+
+    for point, _ in POINT_KINDS.values():
+        neutron, neutron_caught = point_outcome(4.0, point, "neutron")
+        got, caught = point_outcome(t, point, channel)
+        assert caught == [(category, named(text)) for category, text in neutron_caught]
+        if isinstance(neutron, Exception):
+            assert type(got) is type(neutron) and str(got) == named(str(neutron))
+        else:
+            assert got == neutron._replace(t=t, channel=channel)
+    assert point_outcome(t, "-1.005(10)", channel)[1] == [(DataWarning, (
+        f"{channel} point implies correlator -1.005; clamped to -1; "
+        "lower endpoint outside the function domain; sigma_Q taken one-sided"
+    ))]
 
 
 class TestResultTable:
@@ -551,6 +594,28 @@ class TestResultTable:
             with pytest.raises(DomainError) as info:
                 write_results(ResultTable(**cols), fmt)
             assert str(info.value) == f"{column} must be a real number, got {bad!r}"
+
+    @pytest.mark.parametrize("form", ["list", "object-array"])
+    @pytest.mark.parametrize("column", ResultTable._fields[:-1])
+    def test_a_fraction_column_is_written_as_its_floats(self, column, form):
+        # a Fraction object array let numpy's signbit TypeError out, and a Fraction cell of a
+        # list made json.dumps raise TypeError: the writer printed the cells it had not read
+        cols = self.columns(2)
+        floats = ResultTable(**cols)
+        cells = [Fraction(x) for x in cols[column]]
+        cols[column] = cells if form == "list" else np.array(cells, dtype=object)
+        for fmt in ("csv", "json"):
+            assert write_results(ResultTable(**cols), fmt) == write_results(floats, fmt)
+
+    def test_a_number_cell_is_written_as_its_float(self):
+        # a float32 cell made json.dumps raise TypeError, and a bool was written as true
+        cols = self.columns(2)
+        floats = ResultTable(**{**cols, "t": [2.0, 3.0], "sigma_correlator": [0.25, 1.0],
+                                "sigma_discord": [0.5, 0.0]})
+        cols.update(t=[2, np.float32(3.0)], sigma_correlator=[np.float32(0.25), True],
+                    sigma_discord=np.array([0.5, False], dtype=object))
+        for fmt in ("csv", "json"):
+            assert write_results(ResultTable(**cols), fmt) == write_results(floats, fmt)
 
     def test_a_0d_column_is_one_row(self):
         # a 0-d t and g raised TypeError: len() of unsized object
