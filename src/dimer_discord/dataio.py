@@ -23,6 +23,8 @@ import math
 import re
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -188,6 +190,10 @@ def _check_table(table: ResultTable) -> ResultTable:
     :func:`result_from_correlator` reads it, by the temperature rule with None kept."""
     if not isinstance(table, ResultTable):
         raise DataError(f"write_results takes a ResultTable, got {type(table).__name__}")
+    for name, column in zip(table._fields, table):
+        if getattr(column, "ndim", 1) != 1 or not hasattr(column, "__len__"):
+            got = f"shape {column.shape}" if hasattr(column, "shape") else type(column).__name__
+            raise DataError(f"result column {name!r} must be a sequence or a 1-d array, got {got}")
     if len({len(column) for column in table}) > 1:
         raise DataError("result columns differ in length")
     floats = {"t": _temperatures(table.t) if _is_array(table.t)
@@ -353,6 +359,33 @@ def _parse_float(
     return product
 
 
+def _float_columns(
+    rows: list[str], width: int, t_col: int, v_col: int, s_col: int, scale: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The T and value columns of ``rows`` (stripped lines) and the sigmas given, each read
+    whole, per dimer; None where a row's width, a cell's ``float()`` or a rule fails.  Pass
+    ``rows`` as a temporary: each list is freed before the next is built."""
+    np = _numpy()
+    if not set(map(str.count, rows, repeat(","))) <= {width - 1}:
+        return None
+    fields = ",".join(rows)
+    del rows
+    fields = fields.split(",") if fields else []  # row after row, each field's padding kept
+    t, v = fields[t_col::width], fields[v_col::width]
+    s = list(filter(None, fields[s_col::width])) if s_col >= 0 else []  # a blank sigma is none
+    del fields
+    try:
+        t, v, s = (np.fromiter(map(float, cells), float, len(cells)) for cells in (t, v, s))
+    except ValueError:
+        return None
+    with np.errstate(over="ignore"):  # a product past the largest double is inf, refused
+        v, s_per_dimer = v * scale, s * scale
+    if (((t > 0.0) & (t < math.inf)).all() and np.isfinite(v).all()
+            and ((s >= 0.0) & (s_per_dimer < math.inf)).all()):  # the file's sigma >= 0
+        return t, v, s_per_dimer
+    return None
+
+
 def load_series(
     path: str | Path, kind: str, *, normalization: str = "per_dimer"
 ) -> MeasurementSeries:
@@ -407,38 +440,40 @@ def load_series(
     scale = (1.0 / R_GAS if value_tag == "cm_J_per_mol_K" else 1.0) * (
         2.0 if normalization == "per_monomer" else 1.0)
 
-    name = str(p)  # once per file, not once per parsed field
-    rows: list[tuple[float, float, float | None]] = []
-    for line_no, line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != len(header):
-            raise DataError(
-                f"{p}:{line_no}: row has {len(fields)} fields, header has {len(header)}"
-            )
-        t = _parse_float(fields[t_col], name, line_no, "T_K")
-        if t <= 0.0:
-            raise DataError(f"{p}:{line_no}: temperature must be positive, got {t:g}")
-        v = _parse_float(fields[v_col], name, line_no, value_tag, scale)
-        s = None
-        if s_col >= 0 and fields[s_col] != "":
-            s = _parse_float(fields[s_col], name, line_no, sigma_tag, scale, sigma=True)
-        rows.append((t, v, s))
-
-    rows.sort(key=lambda r: r[0])
-    np = _numpy()
-    t_arr = np.array([r[0] for r in rows], dtype=float)
-    if t_arr.size > 1 and np.any(np.diff(t_arr) == 0.0):
-        dup = float(t_arr[np.flatnonzero(np.diff(t_arr) == 0.0)[0]])
-        raise DataError(f"{p}: duplicate temperature {dup:g} K")
-    n_sigma = sum(1 for r in rows if r[2] is not None)
-    if n_sigma and n_sigma != len(rows):
+    width = len(header)
+    columns = _float_columns(
+        [line for line in map(str.strip, map(itemgetter(1), lines)) if line and line[0] != "#"],
+        width, t_col, v_col, s_col, scale,
+    )
+    if columns is None:  # read the rows one by one: the first fault raises
+        name, rows = str(p), []  # the name once per file, not once per parsed field
+        for line_no, line in enumerate(text.split("\n")[line_no:], line_no + 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            if len(fields) != width:
+                raise DataError(f"{p}:{line_no}: row has {len(fields)} fields, header has {width}")
+            t = _parse_float(fields[t_col], name, line_no, "T_K")
+            if t <= 0.0:
+                raise DataError(f"{p}:{line_no}: temperature must be positive, got {t:g}")
+            _parse_float(fields[v_col], name, line_no, value_tag, scale)
+            if s_col >= 0 and fields[s_col] != "":
+                _parse_float(fields[s_col], name, line_no, sigma_tag, scale, sigma=True)
+            rows.append(",".join(fields))
+        # no fault: a column failed on padding that str.strip() takes and float() refuses
+        # (\x1c-\x1f), or on a sigma of spaces
+        columns = _float_columns(rows, width, t_col, v_col, s_col, scale)
+    t, values, sigmas = columns
+    order = t.argsort(kind="stable")
+    t = t[order]
+    same = _numpy().flatnonzero(t[1:] == t[:-1])
+    if same.size:
+        raise DataError(f"{p}: duplicate temperature {float(t[same[0]]):g} K")
+    if sigmas.size and sigmas.size != t.size:
         raise DataError(f"{p}: sigma present on some rows but not all")
-    values = np.array([r[1] for r in rows], dtype=float)
-    sigmas = np.array([r[2] for r in rows], dtype=float) if n_sigma else None
-    return MeasurementSeries(kind, t_arr, values, sigmas, units=accepted[0])
+    sigmas = sigmas[order] if sigmas.size else None
+    return MeasurementSeries(kind, t, values[order], sigmas, units=accepted[0])
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,37 @@ class TestLoadSeries:
         with _raises(f"{f}:2: {message}"):
             load_series(f, "correlator")
 
+    def test_a_row_fault_wins_over_an_earlier_duplicate_temperature(self, tmp_path):
+        # a file's faults are looked for only once every row has been read
+        f = tmp_path / "bad.csv"
+        f.write_text("T_K,G\n4.0,-0.5\n4.0,-0.4\n2.0,-0.6\n5.0,oops\n")
+        with _raises(f"{f}:5: column 'G' has non-numeric value 'oops'"):
+            load_series(f, "correlator")
+
+    def test_an_overflow_wins_over_a_partial_sigma_column(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_text("T_K,chi_emu_per_mol,sigma_chi\n2,0.1,\n3,1e308,0.001\n")
+        with _raises(f"{f}:3: column 'chi_emu_per_mol' value '1e308' overflows a double per dimer"):
+            load_series(f, "susceptibility", normalization="per_monomer")
+
+    @pytest.mark.parametrize("pad", ["\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u3000", "\t"])
+    def test_a_field_padded_as_str_strip_strips_loads(self, tmp_path, pad):
+        # float() takes none of \x1c-\x1f around a number, which str.strip() removes
+        f = tmp_path / "padded.csv"
+        f.write_text(
+            f"T_K,G,sigma_G\n{pad}4.0{pad},-0.5{pad},{pad}0.1\n2.0,{pad}-0.6,0.2{pad}\n",
+            encoding="utf-8",
+        )
+        s = load_series(f, "correlator")
+        assert (s.temperatures.tolist(), s.values.tolist(), s.sigmas.tolist()) == (
+            [2.0, 4.0], [-0.6, -0.5], [0.2, 0.1])
+
+    def test_a_sigma_column_blank_on_every_row_is_none(self, tmp_path):
+        f = tmp_path / "blank.csv"
+        f.write_text("T_K,sigma_G,G\n4.0,,-0.5\n2.0, ,-0.6\n3.0,\x1c,-0.55\n", encoding="utf-8")
+        s = load_series(f, "correlator")
+        assert s.sigmas is None and s.values.tolist() == [-0.6, -0.55, -0.5]
+
     @pytest.mark.parametrize(
         "row, message",
         [
@@ -616,6 +647,20 @@ class TestResultTable:
                     sigma_discord=np.array([0.5, False], dtype=object))
         for fmt in ("csv", "json"):
             assert write_results(ResultTable(**cols), fmt) == write_results(floats, fmt)
+
+    def test_a_column_of_another_shape_is_refused_by_name(self):
+        # a table of 2-d columns raised a bare TypeError from the writer, a 0-d column one
+        # from len()
+        table = results_from_correlators(np.full((2, 2), 2.0), np.full((2, 2), -0.5), "theory")
+        with _raises("result column 't' must be a sequence or a 1-d array, got shape (2, 2)"):
+            write_results(table)
+        cols = self.columns(1)
+        for name, column, got in [
+            ("correlator", np.array(-0.5), "shape ()"), ("t", 2.0, "float"),
+            ("channel", None, "NoneType"),
+        ]:
+            with _raises(f"result column {name!r} must be a sequence or a 1-d array, got {got}"):
+                write_results(ResultTable(**{**cols, name: column}))
 
     def test_a_0d_column_is_one_row(self):
         # a 0-d t and g raised TypeError: len() of unsized object
