@@ -235,7 +235,7 @@ def _cmd_from_neutron(args: argparse.Namespace, precision: int) -> int:
     t = args.temperature
     if t is None:
         _note("no temperature given (--T); T_K is left empty")
-    _emit(dataio._point_result(t, g.value, g.sigma, "neutron"), args, precision)
+    _emit(ResultTable(*zip(dataio._point_result(t, g.value, g.sigma, "neutron"))), args, precision)
     return 0
 
 
@@ -277,7 +277,7 @@ def _cmd_from_cm(args: argparse.Namespace, precision: int) -> int:
                 "so --u0-over-R is ignored"
             )
         _note(f"u({cell(t)} K)/R = {cell(u)} K")
-    _emit(dataio._point_result(t, g, 0.0, "calorimetric"), args, precision)
+    _emit(ResultTable(*zip(dataio._point_result(t, g, 0.0, "calorimetric"))), args, precision)
     return 0
 
 

@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 from . import thermo
 from .dimer_core import (
-    CODATA, G_MAX, G_MIN, DimerParameters, FloatOrArray, _G_TOL, _check_each, _clip, _is_array,
-    _numpy, _real, _temperature, _temperatures, discord, measures_from_correlator,
+    CODATA, G_MAX, G_MIN, DimerParameters, FloatOrArray, _G_TOL, _check_each, _clip, _information,
+    _is_array, _numpy, _real, _temperature, _temperatures, measures_from_correlator,
 )
 from .errors import DataError, DataWarning, DomainError, InconsistencyError, PropagationWarning
 from .numerics import (
@@ -178,9 +178,13 @@ class ResultTable(NamedTuple):
     channel: Sequence[str]
 
 
-def _check_channels(channels: Iterable[str]) -> None:
-    for channel in dict.fromkeys(channels):
-        if channel not in _CHANNELS:
+def _check_channels(channels: Iterable[object]) -> None:
+    try:
+        channels = dict.fromkeys(channels)  # each distinct cell once
+    except TypeError:  # an unhashable cell is no channel: read every cell
+        pass
+    for channel in channels:
+        if not (isinstance(channel, str) and channel in _CHANNELS):
             raise DataError(f"channel must be one of {_CHANNELS}, got {channel!r}")
 
 
@@ -220,63 +224,57 @@ def result_from_correlator(t: float | None, g: ValueWithUncertainty, channel: st
     ``from-neutron --G`` does: a correlator past [-1, 1/3] by at most 0.01 is clamped with a
     :class:`DataWarning` (further out, :class:`InconsistencyError`), and sigma_Q is the
     secant of sigma_G, taken one-sided with a warning where an end leaves the band."""
-    table = _point_result(t, g.value, g.sigma, channel)
-    t, g, sigma_g, q, sigma_q, c, i, e, channel = next(zip(*table))  # its one row
+    if not isinstance(g, ValueWithUncertainty):
+        raise DomainError(f"result_from_correlator takes a ValueWithUncertainty, got {g!r}")
+    t, g, sigma_g, q, sigma_q, c, i, e, channel = _point_result(t, g.value, g.sigma, channel)
     return ResultRecord(
         t, ValueWithUncertainty(g, sigma_g), ValueWithUncertainty(q, sigma_q), c, i, e, channel
     )
 
 
-def _point_result(t: float | None, value: float, sigma: float, channel: str) -> ResultTable:
-    """The one-row table of a measured correlator ``value`` with its ``sigma``, from
-    :func:`_measured_results`: a point it would drop raises its remark, and a kept point
-    that it flags warns it."""
+def _point_result(t: float | None, value: float, sigma: float, channel: str) -> tuple:
+    """The one row, in the order of :class:`ResultTable`, of a measured correlator ``value``
+    with its ``sigma``, from :func:`_measured_results`: a point it would drop raises its
+    remark, and a kept point that it flags warns it."""
     t = t if t is None else _temperature(t)
     _check_channels((channel,))
-    table, remarks = _measured_results(t, value, sigma, channel)
+    row, remarks = _measured_results(t, value, sigma, channel)
     for _, kind, text in remarks:  # one at most
         if not issubclass(kind, Warning):
             raise kind(text)
         warnings.warn(text, kind, stacklevel=3)
-    return table
+    return row
 
 
 def results_from_correlators(t: Column, g: Column, channel: str) -> ResultTable:
     """Expand exact correlators (no error bars, none clamped) at temperatures ``t`` into a
     table of float arrays, a whole column at once (a 0-d one is one row).  A ``t`` that
     holds None (a row without a temperature) is kept as it is."""
+    _check_channels((channel,))
     np = _numpy()
     g = _check_each("correlator", np.atleast_1d(g))
     t = t if isinstance(t, Sequence) and None in t else _temperatures(np.atleast_1d(t))
     m = measures_from_correlator(g)
     zeros = np.zeros_like(g)
-    return ResultTable(
-        t=t,
-        correlator=g,
-        sigma_correlator=zeros,
-        discord=m.discord,
-        sigma_discord=zeros,
-        classical=m.classical,
-        mutual_information=m.mutual_information,
-        entanglement=m.entanglement,
-        channel=[channel] * len(g),
-    )
+    return ResultTable(t, g, zeros, m.discord, zeros, m.classical, m.mutual_information,
+                       m.entanglement, [channel] * len(g))
 
 
 def _discord_column(g: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
-    # the discord where validate_correlator takes g, refused where it raises
+    # the discord where validate_correlator takes g (clipped into the band: not read again)
     refused = (g < G_MIN - _G_TOL) | (g > G_MAX + _G_TOL)
-    return discord(_clip(g, G_MIN, G_MAX)), _OUT_OF_BAND * refused
+    i, c = _information(_clip(g, G_MIN, G_MAX))
+    return i - c, _OUT_OF_BAND * refused
 
 
 def _measured_results(
     t: Column | float | None, measured: FloatOrArray, sigma: FloatOrArray, channel: str,
     g_factor: float | None = None,
-) -> tuple[ResultTable, list[tuple[int, type, str]]]:
-    """Measured values and their sigmas, columns or one float point, in one
-    pass to the table of the rows kept (a dropped row is left out of a column
-    table, not of a point's) and a remark ``(index, class, text)`` per flagged
-    row: what the scalar functions raise or warn of, from :func:`_remark`.
+) -> tuple[ResultTable | tuple, list[tuple[int, type, str]]]:
+    """Measured values and their sigmas, columns or one float point, in one pass to the
+    table of the rows kept (a dropped row is left out), or a point's one row as a flat tuple
+    in the table's order, and a remark ``(index, class, text)`` per flagged row: what the
+    scalar functions raise or warn of, from :func:`_remark`.
 
     The values are correlators with sigma_G, or with a ``g_factor`` a chi
     column, inverted as ``correlator_from_susceptibility`` does, and sigma_G
@@ -299,13 +297,13 @@ def _measured_results(
     rows = (t, measured, sigma, raw, g, sigma_g, status)
     if _is_array(g):
         flagged = status.nonzero()[0].tolist()
-        rows = [column[flagged].tolist() for column in rows]
+        rows = zip(flagged, *[column[flagged].tolist() for column in rows])
         columns = [column[(status & _DROPPED) == 0] for column in columns]
-    else:  # an unflagged point builds no row
-        flagged, rows = ([0], [(column,) for column in rows]) if status else ([], ())
-        columns = [(column,) for column in columns]
-    remarks = [(i, *_remark(channel, g_factor is not None, *r)) for i, *r in zip(flagged, *rows)]
-    return ResultTable(*columns, channel=[channel] * len(columns[1])), remarks
+        result = ResultTable(*columns, [channel] * len(columns[1]))
+    else:  # an unflagged point builds no remark
+        rows = [(0, *rows)] if status else ()
+        result = (*columns, channel)
+    return result, [(i, *_remark(channel, g_factor is not None, *r)) for i, *r in rows]
 
 
 def _remark(
@@ -772,6 +770,8 @@ def parse_value_with_uncertainty(text: str) -> ValueWithUncertainty:
     its decimal string in one correctly rounded step; one that lies beyond
     the largest double raises :class:`DataError`.
     """
+    if not isinstance(text, str):
+        raise DataError(f"value(uncertainty) must be given as text, got {text!r}")
     s = text.strip().replace("−", "-")  # tolerate a typographic minus
     m = _VWU_RE.match(s)
     if m is None:

@@ -184,7 +184,7 @@ class DimerParameters(_DimerParameters):
                 raise DomainError(f"g factor {g!r} is too large: its square overflows")
             if g * g < sys.float_info.min:  # subnormal: chi would lose digits
                 raise DomainError(f"g factor {g!r} is too small: its square underflows")
-        return super().__new__(cls, j, g_factor)
+        return tuple.__new__(cls, (j, g_factor))
 
     @property
     def antiferro(self) -> bool:
@@ -238,19 +238,20 @@ def _clip(x: FloatOrArray, lo: float, hi: float) -> FloatOrArray:
     """``x`` clipped to ``[lo, hi]``, a NaN sent to ``lo``."""
     if _is_array(x):
         return _numpy().fmin(hi, _numpy().fmax(lo, x))
-    return min(hi, max(lo, x))
+    x = x if x > lo else lo  # min(hi, max(lo, x)), without the builtins' slow calls
+    return x if x < hi else hi
 
 
 def _boltzmann(j: FloatOrArray, t: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
     """``a = -2J/(k_B T)`` and ``e^a``, its exponent clipped to +-_EXP_ARG_MAX as :func:`_clip`
     does, so that e stays finite even where a is infinite (T below ~|J|/1e308 K)."""
-    if _is_array(t) or _is_array(j):
-        with _numpy().errstate(over="ignore"):
-            a = -2.0 * j / t
-        return a, _map(math.exp, _clip(a, -_EXP_ARG_MAX, _EXP_ARG_MAX))
-    a = -2.0 * j / t
-    capped = _EXP_ARG_MAX if a > _EXP_ARG_MAX else a if a >= -_EXP_ARG_MAX else -_EXP_ARG_MAX
-    return a, math.exp(capped)  # clipped inline, without a call: this path is hot
+    if type(t) is float and type(j) is float:  # told apart without a call: this path is hot
+        a = -2.0 * j / t
+        capped = _EXP_ARG_MAX if a > _EXP_ARG_MAX else a if a >= -_EXP_ARG_MAX else -_EXP_ARG_MAX
+        return a, math.exp(capped)  # clipped inline, without a call
+    with _numpy().errstate(over="ignore"):
+        a = -2.0 * j / t
+    return a, _map(math.exp, _clip(a, -_EXP_ARG_MAX, _EXP_ARG_MAX))
 
 
 def _xlog2(x: FloatOrArray) -> FloatOrArray:
@@ -280,9 +281,9 @@ def _temperature(t: float) -> float:
 
 def _temperatures(t: FloatOrArray) -> FloatOrArray:
     """:func:`_temperature` of a float, or of each element of an array, kept as a float array."""
-    if not _is_array(t):
-        return _temperature(t)
-    return _check_each("temperature", t, _temperature, _POSITIVE)
+    if type(t) is not float and _is_array(t):
+        return _check_each("temperature", t, _temperature, _POSITIVE)
+    return _temperature(t)
 
 
 def validate_correlator(g: FloatOrArray) -> FloatOrArray:
@@ -293,13 +294,15 @@ def validate_correlator(g: FloatOrArray) -> FloatOrArray:
     :class:`DomainError`.  An array is checked element by element and the
     error names its first bad element.
     """
-    if _is_array(g):
-        g = _check_each("correlator", g, validate_correlator, G_MIN - _G_TOL, G_MAX + _G_TOL)
-        return g.clip(G_MIN, G_MAX)
-    g = _real("correlator", g, "be finite")
-    if g < G_MIN - _G_TOL or g > G_MAX + _G_TOL:
+    if type(g) is not float:
+        if _is_array(g):
+            g = _check_each("correlator", g, validate_correlator, G_MIN - _G_TOL, G_MAX + _G_TOL)
+            return g.clip(G_MIN, G_MAX)
+        g = _real("correlator", g)
+    if not G_MIN - _G_TOL <= g <= G_MAX + _G_TOL:
+        _real("correlator", g, "be finite")  # a NaN or an infinity raises as one
         raise DomainError(f"correlator {g!r} lies outside the physical range [-1, 1/3]")
-    return min(max(g, G_MIN), G_MAX)
+    return G_MIN if g < G_MIN else G_MAX if g > G_MAX else g
 
 
 def correlator_from_temperature(params: DimerParameters, t: FloatOrArray) -> FloatOrArray:
@@ -530,13 +533,8 @@ def measures_from_correlator(g: FloatOrArray) -> CorrelationSet:
     g = validate_correlator(g)
     i, c = _information(g)
     ct = _concurrence(g)
-    return CorrelationSet(
-        mutual_information=i,
-        classical=c,
-        discord=i - c,
-        concurrence=ct,
-        entanglement=_entanglement(ct),
-    )
+    # a NamedTuple's own construction, without the frame of its generated __new__
+    return tuple.__new__(CorrelationSet, (i, c, i - c, ct, _entanglement(ct)))
 
 
 def correlation_set(params: DimerParameters, t: FloatOrArray) -> CorrelationSet:

@@ -78,7 +78,7 @@ class ValueWithUncertainty(_ValueWithUncertainty):
     def __new__(cls, value: float, sigma: float = 0.0):
         value = _real("value", value, "be finite")
         sigma = _real("sigma", sigma, "be finite and >= 0", 0.0)
-        return super().__new__(cls, value, sigma)
+        return tuple.__new__(cls, (value, sigma))
 
 
 class _TailModel(NamedTuple):
@@ -97,7 +97,7 @@ class TailModel(_TailModel):
     def __new__(cls, a: float, t_start: float):
         a = _real("tail coefficient", a, "be >= 0", 0.0)
         t_start = _real("tail start", t_start, "be positive", _POSITIVE)
-        return super().__new__(cls, a, t_start)
+        return tuple.__new__(cls, (a, t_start))
 
     def integral(self) -> float:
         """Exact integral of the tail over [t_start, infinity)."""
@@ -385,6 +385,8 @@ def propagate_uncertainty(
     outside the domain of ``f`` the difference is taken one-sided instead
     and a :class:`PropagationWarning` is emitted.
     """
+    if not isinstance(x, ValueWithUncertainty):  # a plain (value, sigma) tuple included
+        raise DomainError(f"propagate_uncertainty takes a ValueWithUncertainty, got {x!r}")
     center = f(x.value)
     if x.sigma == 0.0:
         return ValueWithUncertainty(center, 0.0)

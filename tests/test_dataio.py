@@ -381,6 +381,24 @@ class TestResultRecord:
         with pytest.raises(DataError):
             result_from_correlator(4.0, ValueWithUncertainty(-0.54), "muon")
 
+    def test_an_unhashable_channel_is_refused_by_name(self):
+        # it was hashed first, and leaked a bare TypeError
+        with _raises(f"channel must be one of {dataio._CHANNELS}, got ['neutron']"):
+            result_from_correlator(4.0, ValueWithUncertainty(-0.54), ["neutron"])
+
+    @pytest.mark.parametrize("g", [-0.4, (-0.4, 0.01), None])
+    def test_a_correlator_that_is_not_a_value_with_uncertainty_is_refused(self, g):
+        # a float or a plain tuple leaked AttributeError: 'float' object has no attribute 'value'
+        text = f"result_from_correlator takes a ValueWithUncertainty, got {g!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            result_from_correlator(4.0, g, "neutron")
+
+    def test_a_warning_names_the_callers_line(self):
+        with pytest.warns(DataWarning) as caught:
+            line = inspect.currentframe().f_lineno + 1
+            result_from_correlator(4.0, ValueWithUncertainty(-1.005, 0.001), "neutron")
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
+
     def test_replace_changes_a_field(self):
         rec = result_from_correlator(None, ValueWithUncertainty(-0.54), "neutron")
         assert rec._replace(channel="theory").channel == "theory"
@@ -410,15 +428,17 @@ class TestResultRecord:
         assert rec.discord.sigma == 0.0
 
     def test_sigma_row_reuses_the_central_discord(self, monkeypatch):
+        # closed-form evaluations, counted where either module takes them
         calls = []
-        validate = dimer_core.validate_correlator
-        monkeypatch.setattr(
-            dimer_core, "validate_correlator", lambda g: calls.append(g) or validate(g)
-        )
+        information = dimer_core._information
+        for module in (dimer_core, dataio):
+            monkeypatch.setattr(
+                module, "_information", lambda g: calls.append(g) or information(g)
+            )
         g = ValueWithUncertainty(-0.54, 0.09)
         rec = result_from_correlator(4.0, g, "neutron")
         # the measures, then the discord at the two secant ends; the centre
-        # was a fourth call when the secant recomputed it
+        # was a fourth evaluation when the secant recomputed it
         assert len(calls) == 3
         up, down = discord(g.value + g.sigma), discord(g.value - g.sigma)
         assert rec == ResultRecord(
@@ -528,6 +548,59 @@ def test_a_point_is_named_by_its_channel(channel, t):
     ))]
 
 
+# A float point runs the column body on floats, as its own row: each kind of point the
+# measured path tells apart, drawn from a seed, must give what the same point gives as a
+# one-element column, in bits, in the class of what it warns or raises, and in its text.
+THIRD = 1.0 / 3.0
+MEASURED_KINDS = {  # (g, sigma) from a generator, and the class of the point's one remark
+    "unflagged": (lambda u: (u(-0.99, 0.32), u(0.0, 0.01)), None),
+    "sigma-zero": (lambda u: (u(-1.0, THIRD), 0.0), None),
+    "clamped-low": (lambda u: (u(-1.0099, -1.0), u(0.0, 0.1)), DataWarning),
+    "clamped-high": (lambda u: (u(THIRD, THIRD + 0.0099), u(0.0, 0.1)), DataWarning),
+    "one-sided-lower": (lambda u: (u(-0.999, -0.99), u(0.02, 0.5)), PropagationWarning),
+    "one-sided-upper": (lambda u: (u(0.32, 0.333), u(0.02, 0.5)), PropagationWarning),
+    "undefined": (lambda u: (u(-0.4, -0.2), u(1.5, 3.0)), DomainError),
+    "out-of-band-low": (lambda u: (u(-3.0, -1.0101), u(0.0, 0.1)), InconsistencyError),
+    "out-of-band-high": (lambda u: (u(0.3434, 2.0), u(0.0, 0.1)), InconsistencyError),
+}
+
+
+def _bits(cells):
+    return np.array(cells, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_float_point_is_its_one_element_column(seed):
+    rng = np.random.default_rng(seed)
+    for name, (draw, kind) in MEASURED_KINDS.items():
+        for _ in range(25):
+            g, sigma = draw(rng.uniform)
+            t = None if rng.uniform() < 0.25 else rng.uniform(0.1, 300.0)
+            row, remarks = dataio._measured_results(t, g, sigma, "neutron")
+            table, column_remarks = dataio._measured_results(
+                np.array([1.0 if t is None else t]), np.array([g]), np.array([sigma]), "neutron"
+            )
+            assert remarks == column_remarks, (name, g, sigma)
+            assert [k for _, k, _ in remarks] == ([kind] if kind else []), (name, g, sigma)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    got = result_from_correlator(t, ValueWithUncertainty(g, sigma), "neutron")
+                except DimerDiscordError as exc:
+                    got = exc
+            if kind is not None and not issubclass(kind, Warning):  # dropped: raised as said
+                assert len(table.t) == 0 and not caught
+                assert (type(got), str(got)) == (kind, remarks[0][2])
+                continue
+            assert [(w.category, str(w.message)) for w in caught] == [r[1:] for r in remarks]
+            column_row = [column[0] for column in table]
+            assert row[0] == t and column_row[0] == (1.0 if t is None else t)
+            assert _bits(row[1:8]) == _bits(column_row[1:8]) and row[8] == column_row[8]
+            record = (got.t, *got.correlator, *got.discord, got.classical,
+                      got.mutual_information, got.entanglement, got.channel)
+            assert record[0] == t and _bits(record[1:8]) == _bits(row[1:8])
+
+
 class TestResultTable:
     def columns(self, n=3):
         g = np.linspace(-0.9, 0.3, n)
@@ -558,6 +631,17 @@ class TestResultTable:
         cols["channel"] = ["theory", "muon", "theory"]
         with pytest.raises(DataError, match="'muon'"):
             write_results(ResultTable(**cols))
+
+    def test_an_unhashable_channel_cell_is_refused_by_name(self):
+        cols = self.columns()
+        cols["channel"] = ["theory", ["theory"], "muon"]
+        with _raises(f"channel must be one of {dataio._CHANNELS}, got ['theory']"):
+            write_results(ResultTable(**cols))
+
+    def test_an_exact_table_refuses_an_unknown_channel(self):
+        # the point path refused it, and the column path returned a table
+        with _raises(f"channel must be one of {dataio._CHANNELS}, got 'muon'"):
+            results_from_correlators([1.0], [-0.4], "muon")
 
     def test_ragged_columns_rejected(self):
         cols = self.columns()
@@ -835,6 +919,11 @@ class TestWriteResults:
 
 
 class TestParseValueWithUncertainty:
+    @pytest.mark.parametrize("text", [None, -0.54, b"-0.54(9)"])
+    def test_a_value_that_is_not_text_is_refused_by_name(self, text):
+        with _raises(f"value(uncertainty) must be given as text, got {text!r}"):
+            parse_value_with_uncertainty(text)
+
     def test_parenthesis_form(self):
         v = parse_value_with_uncertainty("-0.54(9)")
         assert v.value == -0.54

@@ -1,6 +1,7 @@
 import inspect
 import io
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -312,6 +313,12 @@ class TestIntegrate:
 
 
 class TestPropagate:
+    @pytest.mark.parametrize("x", [-0.4, (-0.4, 0.01)])
+    def test_a_plain_number_or_tuple_is_refused_by_name(self, x):
+        text = f"propagate_uncertainty takes a ValueWithUncertainty, got {x!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            propagate_uncertainty(math.sqrt, x)
+
     def test_linear_is_exact(self):
         out = propagate_uncertainty(lambda x: 3.0 * x - 1.0, ValueWithUncertainty(2.0, 0.5))
         assert_allclose(out.value, 5.0, rtol=1e-14)
