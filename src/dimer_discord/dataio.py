@@ -24,14 +24,13 @@ import re
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from . import thermo
 from .dimer_core import (
     CODATA, G_MAX, G_MIN, DimerParameters, FloatOrArray, _G_TOL, _check_each, _clip, _information,
-    _is_array, _numpy, _real, _temperature, _temperatures, measures_from_correlator,
+    _is_array, _measures, _numpy, _real, _temperature, _temperatures, measures_from_correlator,
 )
 from .errors import DataError, DataWarning, DomainError, InconsistencyError, PropagationWarning
 from .numerics import (
@@ -290,7 +289,7 @@ def _measured_results(
             lambda x: thermo._clamp_column(thermo._chi_column(g_factor, x, t)), g, measured, sigma
         )
         status |= flags
-    m = measures_from_correlator(g)
+    m = _measures(g)  # g is clamped into [-1, 1/3]
     sigma_q, flags = _secant_column(_discord_column, m.discord, g, sigma_g)
     status |= flags * _OF_Q
     columns = (t, g, sigma_g, m.discord, sigma_q, m.classical, m.mutual_information, m.entanglement)
@@ -298,7 +297,8 @@ def _measured_results(
     if _is_array(g):
         flagged = status.nonzero()[0].tolist()
         rows = zip(flagged, *[column[flagged].tolist() for column in rows])
-        columns = [column[(status & _DROPPED) == 0] for column in columns]
+        kept = (status & _DROPPED) == 0
+        columns = [column[kept] for column in columns]
         result = ResultTable(*columns, [channel] * len(columns[1]))
     else:  # an unflagged point builds no remark
         rows = [(0, *rows)] if status else ()
@@ -358,24 +358,22 @@ def _parse_float(
 
 
 def _float_columns(
-    rows: list[str], width: int, t_col: int, v_col: int, s_col: int, scale: float
+    rows: list[str], width: int, usecols: tuple[int, ...], scale: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The T and value columns of ``rows`` (stripped lines) and the sigmas given, each read
-    whole, per dimer; None where a row's width, a cell's ``float()`` or a rule fails.  Pass
-    ``rows`` as a temporary: each list is freed before the next is built."""
+    """The T and value columns of ``rows`` (stripped lines), and the sigma column if
+    ``usecols`` names a third, each read whole by numpy's reader, per dimer; None where a
+    row's width, a cell that numpy refuses (a blank one among them) or a rule fails."""
     np = _numpy()
-    if not set(map(str.count, rows, repeat(","))) <= {width - 1}:
+    if not rows:  # numpy warns of a file without rows
+        return np.empty(0), np.empty(0), np.empty(0)
+    if not set(map(str.count, rows, repeat(","))) <= {width - 1}:  # numpy reads usecols only
         return None
-    fields = ",".join(rows)
-    del rows
-    fields = fields.split(",") if fields else []  # row after row, each field's padding kept
-    t, v = fields[t_col::width], fields[v_col::width]
-    s = list(filter(None, fields[s_col::width])) if s_col >= 0 else []  # a blank sigma is none
-    del fields
-    try:
-        t, v, s = (np.fromiter(map(float, cells), float, len(cells)) for cells in (t, v, s))
+    try:  # comments=None: a "#" inside a row is a fault, not the start of a comment
+        t, v, *s = np.loadtxt(rows, float, delimiter=",", comments=None, usecols=usecols,
+                              ndmin=2, unpack=True)
     except ValueError:
         return None
+    s = s[0] if s else np.empty(0)
     with np.errstate(over="ignore"):  # a product past the largest double is inf, refused
         v, s_per_dimer = v * scale, s * scale
     if (((t > 0.0) & (t < math.inf)).all() and np.isfinite(v).all()
@@ -418,8 +416,8 @@ def load_series(
         raise DataError(f"cannot read {p}: {exc}") from exc
 
     # the header is the first line that is neither blank nor a comment; the rows follow it
-    lines = enumerate(text.split("\n"), start=1)  # read_text made every end "\n"
-    for line_no, line in lines:
+    lines = text.split("\n")  # read_text made every end "\n"
+    for line_no, line in enumerate(lines, 1):
         line = line.strip()
         if line and not line.startswith("#"):
             break
@@ -438,30 +436,27 @@ def load_series(
     scale = (1.0 / R_GAS if value_tag == "cm_J_per_mol_K" else 1.0) * (
         2.0 if normalization == "per_monomer" else 1.0)
 
-    width = len(header)
+    width, lines = len(header), lines[line_no:]
     columns = _float_columns(
-        [line for line in map(str.strip, map(itemgetter(1), lines)) if line and line[0] != "#"],
-        width, t_col, v_col, s_col, scale,
+        [line for line in map(str.strip, lines) if line and line[0] != "#"], width,
+        (t_col, v_col, s_col) if s_col >= 0 else (t_col, v_col), scale,
     )
-    if columns is None:  # read the rows one by one: the first fault raises
-        name, rows = str(p), []  # the name once per file, not once per parsed field
-        for line_no, line in enumerate(text.split("\n")[line_no:], line_no + 1):
+    if columns is None:  # read the rows one by one: the first fault raises, or they all load
+        name, t, values, sigmas = str(p), [], [], []  # the name once per file, not per field
+        for line_no, line in enumerate(lines, line_no + 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             fields = [f.strip() for f in line.split(",")]
             if len(fields) != width:
                 raise DataError(f"{p}:{line_no}: row has {len(fields)} fields, header has {width}")
-            t = _parse_float(fields[t_col], name, line_no, "T_K")
-            if t <= 0.0:
-                raise DataError(f"{p}:{line_no}: temperature must be positive, got {t:g}")
-            _parse_float(fields[v_col], name, line_no, value_tag, scale)
-            if s_col >= 0 and fields[s_col] != "":
-                _parse_float(fields[s_col], name, line_no, sigma_tag, scale, sigma=True)
-            rows.append(",".join(fields))
-        # no fault: a column failed on padding that str.strip() takes and float() refuses
-        # (\x1c-\x1f), or on a sigma of spaces
-        columns = _float_columns(rows, width, t_col, v_col, s_col, scale)
+            t.append(_parse_float(fields[t_col], name, line_no, "T_K"))
+            if t[-1] <= 0.0:
+                raise DataError(f"{p}:{line_no}: temperature must be positive, got {t[-1]:g}")
+            values.append(_parse_float(fields[v_col], name, line_no, value_tag, scale))
+            if s_col >= 0 and fields[s_col] != "":  # a blank sigma is none
+                sigmas.append(_parse_float(fields[s_col], name, line_no, sigma_tag, scale, True))
+        columns = [_numpy().array(column, float) for column in (t, values, sigmas)]
     t, values, sigmas = columns
     order = t.argsort(kind="stable")
     t = t[order]

@@ -398,11 +398,9 @@ def entanglement_of_formation(c_tilde: FloatOrArray) -> FloatOrArray:
     """Entanglement of formation (bits) for a state of concurrence ``c_tilde``."""
     if _is_array(c_tilde):
         c = _check_each("concurrence", c_tilde, entanglement_of_formation, -_G_TOL, 1.0 + _G_TOL)
-        c = c.clip(0.0, 1.0)
     else:
         c = _real("concurrence", c_tilde, "lie in [0, 1]", -_G_TOL, 1.0 + _G_TOL)
-        c = min(max(c, 0.0), 1.0)
-    return _entanglement(c)
+    return _entanglement(_clip(c, 0.0, 1.0))
 
 
 def entanglement_death_temperature(params: DimerParameters) -> float:
@@ -530,7 +528,11 @@ def measures_from_correlator(g: FloatOrArray) -> CorrelationSet:
     formula returns zero on the whole ferromagnetic range by itself).  For
     an array of correlators each measure is an array of the same shape.
     """
-    g = validate_correlator(g)
+    return _measures(validate_correlator(g))
+
+
+def _measures(g: FloatOrArray) -> CorrelationSet:
+    # the measures of a correlator already in [-1, 1/3]
     i, c = _information(g)
     ct = _concurrence(g)
     # a NamedTuple's own construction, without the frame of its generated __new__
@@ -539,4 +541,4 @@ def measures_from_correlator(g: FloatOrArray) -> CorrelationSet:
 
 def correlation_set(params: DimerParameters, t: FloatOrArray) -> CorrelationSet:
     """All five correlation measures of the dimer at temperature ``t`` (K)."""
-    return measures_from_correlator(correlator_from_temperature(params, t))
+    return _measures(correlator_from_temperature(params, t))  # G(T) is in [-1, 1/3]

@@ -21,7 +21,7 @@ import warnings
 from typing import Callable, NamedTuple, Sequence
 
 from .dimer_core import (
-    _POSITIVE, DimerParameters, FloatOrArray, _check_each, _is_array, _numpy, _real,
+    _POSITIVE, DimerParameters, FloatOrArray, _check_each, _clip, _is_array, _numpy, _real,
     _unit_susceptibility, _validated_make,
 )
 from .errors import (
@@ -526,12 +526,12 @@ def fit_bleaney_bowers(
         return seen[x][0]
 
     # walk downhill in x until the slope changes sign (or is zero where it starts)
-    x = min(max(math.log(abs(init.j_over_kb)), x_lo), x_hi)
+    x = _clip(math.log(abs(init.j_over_kb)), x_lo, x_hi)
     edge = x_hi if slope(x) < 0.0 else x_lo
     step = math.copysign(0.5, edge - x)
     converged = slope(x) == 0.0
     while not converged and x != edge:
-        x_next = min(max(x + step, x_lo), x_hi)
+        x_next = _clip(x + step, x_lo, x_hi)
         if math.copysign(1.0, slope(x_next)) != math.copysign(1.0, slope(x)):
             x = find_root(slope, min(x, x_next), max(x, x_next), tol=_ROOT_RTOL)
             converged = True

@@ -10,9 +10,11 @@ The files cover the three kinds, both normalizations and the ``cm_J_per_mol_K`` 
 plant, one or two to a file so that the first must win: rows of the wrong width,
 non-numeric cells, ``nan`` and ``inf``, values whose product per dimer overflows,
 T <= 0, a negative sigma (a subnormal one that scales to -0.0 included), duplicate
-temperatures, a sigma blank on some rows or on all, and fields padded with spaces, tabs,
+temperatures, a sigma blank on some rows or on all, fields padded with spaces, tabs,
 the separators ``\\x1c``-``\\x1f`` (which ``float()`` refuses but ``str.strip()`` removes)
-and Unicode spaces.
+and Unicode spaces, numbers that ``float()`` reads and numpy's reader refuses (``1_0``,
+``2_5e-1``, ``١``), and a cell followed by `` # note`` inside a row, which numpy's reader
+would take for a comment if it were told that ``#`` starts one.
 
 Run as a script, ``PYTHONPATH=src python tests/test_load_series_differential.py N``
 compares N files (seeds 0 to N-1) and prints the count of each outcome.
@@ -134,8 +136,11 @@ NON_FINITE = ["nan", "inf", "-inf", "NaN", "Infinity", "-nan", "1e999", "-1e400"
 HUGE = ["1e308", "-1.5e308", "1.7976931348623157e308", "9e307"]
 NON_POSITIVE = ["0", "-0", "-0.0", "-2.5", "-1e-300", "0e5"]
 NEGATIVE_SIGMA = ["-0.01", "-1e-323", "-5e-324", "-3", "-0"]
+NUMPY_REFUSES = ["1_0", "2_5e-1", "\u0661"]  # float() reads 10.0, 0.25 and 1.0 (an Arabic-Indic 1)
+INLINE_COMMENT = " # note"
 FAULTS = ["width", "word", "non-finite", "huge", "t<=0", "sigma<0", "duplicate",
-          "blank-sigma", "all-blank-sigma", "pad-separator", "comment"]
+          "blank-sigma", "all-blank-sigma", "pad-separator", "comment", "numpy-refuses",
+          "inline-comment"]
 
 
 def _number(rng, lo, hi):
@@ -218,6 +223,10 @@ def generate(seed):
                 ["", "\x1f", " \x1e"])
         elif fault == "comment":
             cells["_comment"] = True
+        elif fault == "numpy-refuses":
+            cells[column] = rng.choice(NUMPY_REFUSES)
+        elif fault == "inline-comment":
+            cells[column] += INLINE_COMMENT
     if rng.random() < 0.3:
         for cells in rows:
             for tag in header:
@@ -292,14 +301,17 @@ def test_the_files_plant_every_fault(tmp_path):
         path = tmp_path / "f.csv"
         path.write_text(text, encoding="utf-8", newline="")
         result = outcome(row_reader, path, kind, normalization)
+        seen.update(token for token in NUMPY_REFUSES if token in text)
+        seen[INLINE_COMMENT] += re.search(r"\S" + INLINE_COMMENT, text) is not None
         if result[0] == "ok":
             seen["loads"] += 1
             seen["loads padded with \\x1c-\\x1f"] += any(c in text for c in "\x1c\x1d\x1e\x1f")
             seen["loads a blank sigma column"] += result[3] and TAGS[kind][1] in header
+            seen["loads a number numpy refuses"] += any(token in text for token in NUMPY_REFUSES)
         else:
             seen.update(what for what in REFUSALS if what in result[2])
     for what in ["loads", "loads padded with \\x1c-\\x1f", "loads a blank sigma column",
-                 *REFUSALS]:
+                 "loads a number numpy refuses", *NUMPY_REFUSES, INLINE_COMMENT, *REFUSALS]:
         assert seen[what], what
 
 
