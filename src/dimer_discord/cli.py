@@ -12,6 +12,10 @@ shown, in the order it is raised, as one ``Category: text`` line.  The
 environment variable ``DIMER_DISCORD_PRECISION`` overrides the printed
 number of significant digits (default 6).
 
+``theory`` and ``figure`` compute a grid of up to ``_FLOAT_GRID_MAX`` (5,000)
+points one point at a time in floats, and load no numpy; a larger grid is
+computed as arrays.  Both print the same bytes for the same grid.
+
 A measured series (``from-chi``, ``from-neutron --input``) is computed in one
 column pass, and each row it flags prints one stderr line, in row order.  A
 dropped row gives its reason, and no other line starts with ``row ``::
@@ -34,11 +38,12 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Callable, Sequence
 
 from . import dataio, dimer_core, numerics, thermo
 from .dataio import PRESETS, ResultTable, load_series, parse_value_with_uncertainty
-from .dimer_core import DimerParameters, _numpy
-from .errors import DimerDiscordError
+from .dimer_core import DimerParameters, FloatOrArray, _numpy
+from .errors import DimerDiscordError, DomainError
 from .numerics import TailModel
 
 __all__ = ["main", "build_parser"]
@@ -140,8 +145,11 @@ def _cmd_theory(args: argparse.Namespace, precision: int) -> int:
     if not (0.0 < t_min < t_max < math.inf):
         raise _UsageError(f"need 0 < t-min < t-max < inf, got {t_min:g} and {t_max:g}")
     grid = _grid(t_min, t_max, args.n_points, args.grid)
-    g = dimer_core.correlator_from_temperature(params, grid)
-    _emit(dataio.results_from_correlators(grid, g, "theory"), args, precision)
+
+    def rows(t: FloatOrArray) -> ResultTable | tuple:
+        return dataio._exact_results(t, dimer_core.correlator_from_temperature(params, t), "theory")
+
+    _emit(ResultTable(*_columns(rows, grid)), args, precision)
     return 0
 
 
@@ -312,16 +320,47 @@ def _cmd_fit(args: argparse.Namespace, precision: int) -> int:
     return 0
 
 
-def _grid(start: float, stop: float, n: int, spacing: str = "log") -> np.ndarray:
-    """``n`` grid points from ``start`` to ``stop``, log or linear spaced."""
+# Grids of up to this many points are lists, which theory and figure compute point by point
+# in floats without loading numpy; larger grids are arrays.  Measured as whole processes, the
+# float path breaks even at 5,500-6,000 points for a JSON theory sweep (its costliest per
+# point), ~12,000 for a CSV one and above 16,000 for the figures; the 400-point defaults sit
+# far below the cut, 2e4-point figures and 1e5-point sweeps far above it.
+_FLOAT_GRID_MAX = 5000
+
+
+def _grid(start: float, stop: float, n: int, spacing: str = "log") -> list[float] | np.ndarray:
+    """``n`` grid points from ``start`` to ``stop``, log or linear spaced: a list of floats,
+    or above :data:`_FLOAT_GRID_MAX` points the same floats as an array.  Point i is
+    ``i*step + start`` as in ``numpy.linspace``, or on a log grid ``10.0 ** (i*step +
+    log10(start))`` through libm; the two ends are ``start`` and ``stop`` themselves."""
     if n < 2:
         raise _UsageError(f"need at least 2 grid points, got {n}")
-    np = _numpy()
-    return (np.geomspace if spacing == "log" else np.linspace)(start, stop, n)
+    if spacing == "log":
+        lo = math.log10(start)
+        step = (math.log10(stop) - lo) / (n - 1)
+        try:
+            inner = [10.0 ** (i * step + lo) for i in range(1, n - 1)]
+        except OverflowError:  # a point next to the largest double rounds past it
+            raise DomainError(
+                f"a grid point from {start:g} to {stop:g} overflows a double") from None
+    else:
+        delta = stop - start
+        step = delta / (n - 1)
+        # a step that underflows to 0 (a subnormal range) is taken as numpy takes it
+        inner = [(i * step if step else i / (n - 1) * delta) + start for i in range(1, n - 1)]
+    points = [start, *inner, stop]
+    return points if n <= _FLOAT_GRID_MAX else _numpy().fromiter(points, float, n)
 
 
-def _figure_data(fig: int, n: int) -> tuple[str, list[str], list[np.ndarray]]:
-    np = _numpy()
+def _columns(fn: Callable[[FloatOrArray], Sequence], grid: list[float] | np.ndarray) -> Sequence:
+    """The columns of ``fn`` on a grid: one call on an array, or one call per point of a list,
+    each giving a row, the rows turned into list columns."""
+    if type(grid) is not list:
+        return fn(grid)
+    return [list(column) for column in zip(*map(fn, grid))]
+
+
+def _figure_data(fig: int, n: int) -> tuple[str, list[str], Sequence]:
     if fig in (1, 2, 6):
         if fig == 6:
             params = dataio.preset("cu2l-oac-ferro").parameters
@@ -334,30 +373,33 @@ def _figure_data(fig: int, n: int) -> tuple[str, list[str], list[np.ndarray]]:
             label = "antiferro" if fig == 1 else "ferro"
             title = f"{label} dimer correlations vs reduced temperature"
             names = ["kT_over_absJ", "absG" if fig == 1 else "G"]
-        g = dimer_core.correlator_from_temperature(params, grid)
-        m = dimer_core.measures_from_correlator(g)
-        columns = [grid, np.abs(g) if fig == 1 else g, m.discord, m.classical, m.entanglement]
-        return title, names + ["Q", "C", "E"], columns
+
+        def row(t: FloatOrArray) -> tuple:
+            g = dimer_core.correlator_from_temperature(params, t)
+            m = dimer_core.measures_from_correlator(g)
+            return t, abs(g) if fig == 1 else g, m.discord, m.classical, m.entanglement
+
+        return title, names + ["Q", "C", "E"], _columns(row, grid)
     if fig == 3:
         grid = _grid(dimer_core.G_MIN, dimer_core.G_MAX, n, "linear")
-        return "discord vs correlator", ["G", "Q"], [grid, dimer_core.discord(grid)]
+        return "discord vs correlator", ["G", "Q"], _columns(
+            lambda g: (g, dimer_core.discord(g)), grid)
     if fig == 4:
         grid = _grid(dimer_core.G_MIN, dimer_core.G_MAX, n, "linear")
         return (
             "magnetic specific heat vs correlator",
             ["G", "cm_over_R"],
-            [grid, thermo.specific_heat_from_correlator(grid)],
+            _columns(lambda g: (g, thermo.specific_heat_from_correlator(g)), grid),
         )
     # fig == 5
     grid = _grid(1.0, 500.0, n)
-    columns = [grid]
-    for name in ("copper-acetate-hydrate", "copper-acetate-anhydrous"):
-        params = dataio.preset(name).parameters
-        columns.append(dimer_core.discord(dimer_core.correlator_from_temperature(params, grid)))
+    acetates = [dataio.preset(name).parameters
+                for name in ("copper-acetate-hydrate", "copper-acetate-anhydrous")]
     return (
         "copper acetate discord vs temperature",
         ["T_K", "Q_copper_acetate_hydrate", "Q_copper_acetate_anhydrous"],
-        columns,
+        _columns(lambda t: (t, *[dimer_core.discord(dimer_core.correlator_from_temperature(p, t))
+                                 for p in acetates]), grid),
     )
 
 

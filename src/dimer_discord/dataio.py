@@ -253,10 +253,17 @@ def results_from_correlators(t: Column, g: Column, channel: str) -> ResultTable:
     np = _numpy()
     g = _check_each("correlator", np.atleast_1d(g))
     t = t if isinstance(t, Sequence) and None in t else _temperatures(np.atleast_1d(t))
+    return _exact_results(t, g, channel)
+
+
+def _exact_results(t: Column | float, g: FloatOrArray, channel: str) -> ResultTable | tuple:
+    """The table of exact correlators ``g`` at temperatures ``t``, or a float point's one row
+    as a flat tuple in the table's order."""
     m = measures_from_correlator(g)
-    zeros = np.zeros_like(g)
-    return ResultTable(t, g, zeros, m.discord, zeros, m.classical, m.mutual_information,
-                       m.entanglement, [channel] * len(g))
+    array = _is_array(g)
+    zero = _numpy().zeros_like(g) if array else 0.0
+    row = (t, g, zero, m.discord, zero, m.classical, m.mutual_information, m.entanglement)
+    return ResultTable(*row, [channel] * len(g)) if array else (*row, channel)
 
 
 def _discord_column(g: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:

@@ -388,6 +388,17 @@ def concurrence(g: FloatOrArray, antiferro: bool) -> FloatOrArray:
 
 
 def _entanglement(c: FloatOrArray) -> FloatOrArray:
+    if type(c) is float:
+        return _binary_entropy(c)
+    # c is max(0, c): a cell that is not > 0 is +0, and so is its entropy, so only the
+    # entangled cells are mapped (none on the ferro branch)
+    e, entangled = _numpy().zeros_like(c), c > 0.0
+    e[entangled] = _binary_entropy(c[entangled])
+    return e[()]  # a 0-d array's scalar, as its arithmetic gives; any other array as it is
+
+
+def _binary_entropy(c: FloatOrArray) -> FloatOrArray:
+    # E of a concurrence c in [0, 1]
     p = 0.5 * (1.0 + _map(math.sqrt, 1.0 - c * c))
     # 0 - x, not -x: the same for x != 0, and +0 (a separable state) where the
     # entropy rounds to 0, at c = 0 and for c below ~1e-8

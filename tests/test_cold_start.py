@@ -1,5 +1,7 @@
 """Cold start: no command imports scipy, scalar commands import no numpy,
 ``dataclasses`` or ``inspect``, and only a JSON command imports ``json``.
+``theory`` and ``figure`` are scalar commands up to ``cli._FLOAT_GRID_MAX``
+grid points, and load numpy above it.
 
 Each case runs a fresh interpreter that lists ``sys.modules`` as it exits:
 every module the process imported.  The modules a bare interpreter imports
@@ -15,11 +17,15 @@ from pathlib import Path
 
 import pytest
 
+from dimer_discord.cli import _FLOAT_GRID_MAX
 from test_golden_stdout import GOLDEN, GOLDEN_STDERR, _argv
 
-# the commands whose physics is a handful of floats: they run on the
-# standard library alone
+# the commands whose physics is a handful of floats, theory and figure grids up to
+# cli._FLOAT_GRID_MAX points among them: they run on the standard library alone
 SCALAR_CASES = [
+    "theory-csv",
+    "theory-json",
+    *(f"figure-{fig}-{fmt}" for fig in range(1, 7) for fmt in ("csv", "json")),
     "landmarks-antiferro-g",
     "landmarks-antiferro-tensor",
     "landmarks-antiferro-no-g",
@@ -121,10 +127,22 @@ def test_a_float_record_loads_no_numpy(tmp_path):
     assert _package(modules, "numpy") == []
 
 
-def test_theory_still_loads_numpy_and_prints_its_golden_bytes(tmp_path):
-    out, err, modules = _run(_command("theory-csv", tmp_path), tmp_path)
-    assert (out, err) == _golden("theory-csv")
-    assert "numpy" in modules
+@pytest.mark.parametrize(
+    "command",
+    [["theory", "--preset", "copper-nitrate-calorimetric"], ["figure", "1"], ["figure", "3"]],
+    ids=" ".join,
+)
+def test_a_grid_loads_numpy_only_above_the_cut(command, tmp_path):
+    # up to the cut the points are computed one by one in floats; one point more is an array
+    loaded = []
+    for n in (_FLOAT_GRID_MAX, _FLOAT_GRID_MAX + 1):
+        argv = ["dimer-discord", *command, "--n-points", str(n)]
+        code = (f"import runpy\nsys.argv = {argv!r}\n"
+                "runpy.run_module('dimer_discord', run_name='__main__')\n")
+        out, err, modules = _run(code, tmp_path)
+        assert (out.count("\n"), err) == (n + 1 + (command[0] == "figure"), "")
+        loaded.append("numpy" in modules)
+    assert loaded == [False, True]
 
 
 def test_fit_loads_no_scipy(tmp_path):
