@@ -12,7 +12,7 @@ shown, in the order it is raised, as one ``Category: text`` line.  The
 environment variable ``DIMER_DISCORD_PRECISION`` overrides the printed
 number of significant digits (default 6).
 
-``theory`` and ``figure`` compute a grid of up to ``_FLOAT_GRID_MAX`` (5,000)
+``theory`` and ``figure`` compute a grid of up to ``_FLOAT_GRID_MAX`` (8,000)
 points one point at a time in floats, and load no numpy; a larger grid is
 computed as arrays.  Both print the same bytes for the same grid.
 
@@ -322,10 +322,10 @@ def _cmd_fit(args: argparse.Namespace, precision: int) -> int:
 
 # Grids of up to this many points are lists, which theory and figure compute point by point
 # in floats without loading numpy; larger grids are arrays.  Measured as whole processes, the
-# float path breaks even at 5,500-6,000 points for a JSON theory sweep (its costliest per
-# point), ~12,000 for a CSV one and above 16,000 for the figures; the 400-point defaults sit
+# float path breaks even at 8,500-9,000 points for a JSON theory sweep (its costliest per
+# point), ~17,000 for a CSV one and above 14,000 for the figures; the 400-point defaults sit
 # far below the cut, 2e4-point figures and 1e5-point sweeps far above it.
-_FLOAT_GRID_MAX = 5000
+_FLOAT_GRID_MAX = 8000
 
 
 def _grid(start: float, stop: float, n: int, spacing: str = "log") -> list[float] | np.ndarray:
@@ -532,7 +532,3 @@ def main(argv: list[str] | None = None) -> int:
     except DimerDiscordError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -528,21 +528,29 @@ def _constant(block: Column) -> bool:
     return isinstance(block[0], str) and block.count(block[0]) == len(block)
 
 
+def _floats(block: Column) -> Sequence[float] | None:
+    """A float block's cells: an array's as floats, or a sequence whose every cell is exactly
+    a ``float`` (``%r`` writes a numpy float as its constructor); None for any other block."""
+    if _is_array(block):
+        return block.tolist()
+    return block if {*map(type, block)} == {float} else None
+
+
 def _row_blocks(
-    columns: Sequence[Column], fields: Sequence[Callable[[Column], Field]],
+    columns: Sequence[Column], field: Callable[[Column], Field],
     prefixes: Sequence[str], end: str, sep: str,
 ) -> Iterator[str]:
     """Each block of rows of ``columns``, the rows joined by ``sep``.  A block's rows come
     from one ``%`` row template, built for the block: ``prefixes[k]`` then the field that
-    ``fields[k]`` gives the block of column k, for each k, then ``end``.  A field is a
-    literal (a block that holds one value) or a ``%`` field with the values that fill it;
-    a block of literals only is its one row repeated.  Rows stop with the shortest column."""
+    ``field`` gives the block of column k, for each k, then ``end``.  A field is a literal
+    (a block that holds one value) or a ``%`` field with the values that fill it; a block
+    of literals only is its one row repeated.  Rows stop with the shortest column."""
     n = min(map(len, columns), default=0)
     prefixes = [prefix.replace("%", "%%") for prefix in prefixes]
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         template, values = [], []
-        for prefix, field, column in zip(prefixes, fields, columns):
+        for prefix, column in zip(prefixes, columns):
             spec, cells = field(column[start:stop])
             template += prefix, spec
             if cells is not None:
@@ -562,26 +570,25 @@ def text_table(
     ``header`` line, or ``key = value`` lines with ``sep=" = "``.
 
     Each block of lines (:data:`_BLOCK_ROWS` of them) comes from one ``%`` row
-    template, built from the block's cells, one field per column.  A column's
-    block that holds one value (see :func:`_constant`: equal floats of one
-    sign, or one string) is a literal, that cell's text.  Any other block of a
-    float array is a ``%.{precision}g`` field filled with its values, and any
-    other block of a sequence, strings or mixed cells alike, is a ``%s``
-    field of its cells as :func:`cell_formatter` writes them.
+    template, built from the block's cells, one field per column, picked by its
+    cells and not by their container.  A block that holds one value (see
+    :func:`_constant`) is a literal, that cell's text.  Any other block of
+    floats (:func:`_floats`: an array's, or a list's) is a ``%.{precision}g``
+    field filled with its values, and any other block, strings or mixed cells
+    alike, is a ``%s`` field of its cells as :func:`cell_formatter` writes them.
     """
     number = _number_spec(precision)
     cell = cell_formatter(precision)
 
-    def floats(block: np.ndarray) -> Field:
-        return _literal(number % block[0]) if _constant(block) else (number, block.tolist())
+    def field(block: Column) -> Field:
+        if _constant(block):
+            return _literal(cell(block[0]))
+        values = _floats(block)
+        return ("%s", map(cell, block)) if values is None else (number, values)
 
-    def cells(block: Sequence[object]) -> Field:
-        return _literal(block[0]) if _constant(block) else ("%s", map(cell, block))
-
-    fields = [floats if _is_array(column) else cells for column in columns]
     prefixes = ["", *[sep] * (len(columns) - 1)]
     head = "" if header is None else sep.join(header) + "\n"
-    return "".join([head, *_row_blocks(columns, fields, prefixes, "\n", "")])
+    return "".join([head, *_row_blocks(columns, field, prefixes, "\n", "")])
 
 
 _NOT_JSON = "Out of range float values are not JSON compliant"  # as json.dumps words it
@@ -654,15 +661,16 @@ def json_text(
     built from the block's cells as in :func:`text_table`: a column's block
     that holds one value is a literal, its token.  A float's token is the
     ``repr`` of the float its ``%.{precision}g`` string stands for
-    (:func:`_json_floats`).  At 17 digits that float is the cell itself, so
-    a float block is a ``%r`` field.  At 16 it is a ``%s`` field of every
-    cell's token.  Up to 15 a float block in which :func:`_flagged` names no
-    cell is a ``%.{precision}g`` field, since each cell's string is its
-    token; any other float block is a ``%s`` field of the strings, the
-    flagged ones replaced by their tokens, each distinct string converted
-    once.  Any other cell is dumped by ``json``.  Every block is
-    built before the text is returned, so a cell that raises leaves no
-    partial table.
+    (:func:`_json_floats`); any other cell's is the one ``json`` dumps.  A
+    block of floats (:func:`_floats`) takes one field: at 17 digits that float
+    is the cell itself, so once every cell is finite the field is ``%r``; at
+    16, and for a list up to 16, it is a ``%s`` field of the tokens, made in
+    one call.  Up to 15 an array block in which :func:`_flagged` names no
+    cell is a ``%.{precision}g`` field, since each cell's string is its token;
+    any other is a ``%s`` field of the strings, the flagged ones replaced by
+    their tokens, each distinct string converted once.  Any other block is a
+    ``%s`` field of its cells' tokens.  Every block is built before the text
+    is returned, so a cell that raises leaves no partial table.
     """
     import json  # only a JSON command loads it
 
@@ -670,18 +678,20 @@ def json_text(
     number = spec.__mod__
     text = json.dumps(_rounded({**doc, "rows": _ROWS_MARK}, number), indent=2, allow_nan=False)
 
-    def token(x: float) -> str:
-        return _json_floats((number(x),))[0]
+    def token(x: object) -> str:
+        return _json_floats((number(x),))[0] if isinstance(x, float) else json.dumps(x)
 
-    def floats(block: np.ndarray) -> Field:
+    def field(block: Column) -> Field:
         if _constant(block):
             return _literal(token(block[0]))
-        values = block.tolist()
+        values = _floats(block)
+        if values is None:
+            return "%s", map(token, block)
         if precision == 17:  # %.17g round-trips every double: the token is its repr
-            if not _numpy().isfinite(block).all():
+            if not all(map(math.isfinite, values)):
                 raise ValueError(_NOT_JSON)
             return "%r", values
-        if precision == 16:  # every cell flagged, and nearly every string distinct
+        if precision == 16 or not _is_array(block):  # at 16 every cell is flagged
             return "%s", _json_floats(map(number, values))
         flagged = _flagged(block, precision)
         if not flagged:
@@ -694,11 +704,6 @@ def json_text(
             strings[i] = s
         return "%s", strings
 
-    def scalars(block: Sequence[object]) -> Field:
-        if _constant(block):
-            return _literal(json.dumps(block[0]))
-        return "%s", [token(x) if isinstance(x, float) else json.dumps(x) for x in block]
-
     if keys is None:
         opening, closing = "[", "]"
         names = [""] * len(rows)
@@ -709,8 +714,7 @@ def json_text(
     prefixes = [f",\n      {name}" for name in names]
     if prefixes:
         prefixes[0] = f"    {opening}\n      {names[0]}"
-    fields = [floats if _is_array(column) else scalars for column in rows]
-    table = ",\n".join(_row_blocks(rows, fields, prefixes, f"\n    {closing}", ",\n"))
+    table = ",\n".join(_row_blocks(rows, field, prefixes, f"\n    {closing}", ",\n"))
     head, _, tail = text.rpartition(json.dumps(_ROWS_MARK))
     return "".join([head, "[\n", table, "\n  ]", tail, "\n"] if table else [head, "[]", tail, "\n"])
 

@@ -151,7 +151,7 @@ def lambert_w(x: float) -> float:
         w = math.log1p(x)
 
     target = 1e-12 * abs(x)
-    for _ in range(50):
+    for _ in range(51):  # the start and the iterate of each of 50 steps
         ew = math.exp(w)
         f = w * ew - x
         if abs(f) <= target:
@@ -159,8 +159,6 @@ def lambert_w(x: float) -> float:
         wp1 = w + 1.0
         # Halley: f' = e^w (w+1), f'' = e^w (w+2)
         w -= f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-    if abs(w * math.exp(w) - x) <= target:
-        return w
     raise ConvergenceError(f"lambert_w({x!r}) did not reach tolerance in 50 steps")
 
 

@@ -1159,9 +1159,9 @@ class TestTableWriter:
         assert len(text_table(columns, 6).splitlines()) == n
 
     def test_list_columns_are_one_field(self):
-        # any list column is one field in each block's template: a literal
-        # where the block holds one string, and otherwise its cells as the
-        # cell formatter writes them, strings as they are
+        # a list column of mixed cells is one field in each block's template:
+        # a literal where the block holds one string, and otherwise its cells
+        # as the cell formatter writes them, strings as they are
         b = dataio._BLOCK_ROWS
         n = 2 * b + 5
         mixed = [0.25, True, 3, -0.0, 1e16, False, -7, 5e-324, 1e6, None]
@@ -1177,6 +1177,35 @@ class TestTableWriter:
             expected = reference_text_rows(as_rows(columns), precision, sep=" = ")
             assert text_table(columns, precision, sep=" = ") == expected
         assert len(text_table(columns, 6).splitlines()) == n
+
+    @pytest.mark.parametrize("precision", range(1, 18))
+    def test_a_float_list_prints_as_the_same_cells_in_an_array(self, precision):
+        # a float block takes one field whatever holds it: a list column and the
+        # same cells as an array print the same bytes, blocks of one value
+        # included (a literal in an array, a field in a list), beside a column
+        # of None and floats and a list of numpy floats
+        b = dataio._BLOCK_ROWS
+        n = 2 * b + 5
+        edges = [-0.0, 0.0, 5e-324, -5e-324, 1e-306, -1e-306, 2.2250738585072014e-308,
+                 1.0, -7.0, 12345.0, 1e15, 123456789012345.0, 1234567890123456.0, 1e16,
+                 12345678901234567.0, 1e17, -1e17, 0.587851162064913, 2.0 / 3.0]
+        cycled = [edges[i % len(edges)] for i in range(n)]
+        constant = [-0.0] * b + [1e16] * b + cycled[:5]
+        mixed = [None if i % 3 == 0 else cycled[i] * 0.5 for i in range(n)]
+        numpy_floats = list(np.array(cycled[::-1]))
+        lists = [cycled, constant, mixed, numpy_floats]
+        arrays = [np.array(cycled), np.array(constant), mixed, numpy_floats]
+        assert _constant_blocks(lists) == [[False] * 3] * 4
+        assert _constant_blocks(arrays) == [[False] * 3, [True, True, False], *[[False] * 3] * 2]
+        writers = [
+            lambda columns: text_table(columns, precision, header=KEYS),
+            lambda columns: text_table(columns, precision, sep=" = "),
+            lambda columns: json_text({}, precision, rows=columns, keys=KEYS),
+            lambda columns: json_text({}, precision, rows=columns),
+        ]
+        for write in writers:
+            assert write(arrays) == write(lists)
+        self._check_both_writers(lists, [precision])
 
     @pytest.mark.parametrize("precision", range(1, 16))
     def test_unflagged_cells_print_their_token(self, precision):
@@ -1285,21 +1314,35 @@ class TestTableWriter:
             expected = reference_json({"rows": rows}, precision)
             assert json_text({}, precision, rows=columns) == expected
 
+    @pytest.mark.parametrize("precision", range(1, 18))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("as_array", [True, False])
-    def test_json_refuses_non_finite_cells(self, bad, as_array):
+    def test_json_refuses_non_finite_cells(self, bad, as_array, precision):
         column = [1.0, bad]
         with pytest.raises(ValueError):
-            reference_json({"rows": [[x] for x in column]}, 6)
+            reference_json({"rows": [[x] for x in column]}, precision)
         with pytest.raises(ValueError):
-            json_text({}, 6, rows=[np.array(column) if as_array else column])
+            json_text({}, precision, rows=[np.array(column) if as_array else column])
 
-    def test_json_refuses_a_float_rounded_past_the_largest(self):
-        # the largest double is finite, but rounds to 2e+308 at one digit
-        column = np.array([1.7976931348623157e308])
-        with pytest.raises(ValueError):
-            json_text({}, 1, rows=[column])
-        assert "1.7976931348623157e+308" in json_text({}, 17, rows=[column])
+    @pytest.mark.parametrize("as_array", [True, False])
+    def test_json_refuses_a_float_rounded_past_the_largest(self, as_array):
+        # the largest double is finite, but its string rounds past it at some
+        # precisions: 2e+308 at one digit, 1.79769313486232e+308 at 15; at 17
+        # it is its own token
+        column = [0.5, 1.7976931348623157e308]
+        rows = [np.array(column) if as_array else column]
+        refused = []
+        for precision in range(1, 18):
+            try:
+                expected = reference_json({"rows": [[x] for x in column]}, precision)
+            except ValueError:
+                refused.append(precision)
+                with pytest.raises(ValueError):
+                    json_text({}, precision, rows=rows)
+            else:
+                assert json_text({}, precision, rows=rows) == expected
+        assert refused == [1, 2, 3, 4, 5, 10, 11, 15, 16]
+        assert "1.7976931348623157e+308" in json_text({}, 17, rows=rows)
 
     def test_bad_precision_rejected(self):
         for precision in (0, 18):

@@ -32,7 +32,7 @@ THEORY = {
     "ferro-linear": ["--preset", "cu2l-oac-ferro", "--t-min", "1", "--t-max", "300",
                      "--grid", "linear"],
 }
-PRECISIONS = ["6", "15", "16", "17"]
+PRECISIONS = [str(p) for p in range(1, 18)]
 
 
 def _both_paths(monkeypatch, argv, env=None):

@@ -224,6 +224,12 @@ class TestMaximize:
         with pytest.raises(DomainError):
             maximize_scalar(math.sin, 1.0, 1.0)
 
+    def test_a_bracket_of_two_adjacent_doubles_does_not_shrink(self):
+        # both golden points round onto the ends of a one-ulp bracket, and with the
+        # maximum at its top end the search steps back and forth between them
+        with pytest.raises(ConvergenceError):
+            maximize_scalar(lambda x: x, 1e10, math.nextafter(1e10, math.inf))
+
 
 @pytest.mark.parametrize(
     "solver, parameters",

@@ -309,6 +309,18 @@ class TestSpecificHeatNewton:
                 thermo._schottky_x(cm, antiferro, side == "hot")
                 assert len(calls) <= 10, (k, cm, len(calls))
 
+    @pytest.mark.parametrize("antiferro, side", FLANKS, ids=FLANK_IDS)
+    def test_ends_without_its_stopping_tests(self, antiferro, side, monkeypatch):
+        # with neither the step test nor the rounding test able to stop it, the search
+        # still ends, once its bracket is two adjacent doubles, and on the same root
+        _, peak = _unit_and_peak(antiferro)
+        heights = [1e-300, 1e-3 * peak, 0.3 * peak, 0.999 * peak]
+        roots = [thermo._schottky_x(cm, antiferro, side == "hot") for cm in heights]
+        monkeypatch.setattr(thermo, "_X_RTOL", 0.0)
+        monkeypatch.setattr(thermo, "_F_NOISE", 0.0)
+        for cm, x in zip(heights, roots):
+            assert thermo._schottky_x(cm, antiferro, side == "hot") == pytest.approx(x, rel=1e-13)
+
     def test_cold_end_of_copper_nitrate(self):
         # J/k_B = -204 K (the Cu(NO3)2 2.5 D2O-scale coupling of the
         # landmarks), cold flank: T -> c_m/R -> G -> T
