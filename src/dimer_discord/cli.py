@@ -12,9 +12,9 @@ shown, in the order it is raised, as one ``Category: text`` line.  The
 environment variable ``DIMER_DISCORD_PRECISION`` overrides the printed
 number of significant digits (default 6).
 
-``theory`` and ``figure`` compute a grid of up to ``_FLOAT_GRID_MAX`` (8,000)
-points one point at a time in floats, and load no numpy; a larger grid is
-computed as arrays.  Both print the same bytes for the same grid.
+``theory`` and ``figure`` compute a grid of up to ``_FLOAT_GRID_MAX`` (8,000, below
+where whole processes break even) points one point at a time in floats, and load no
+numpy; a larger grid is computed as arrays.  Both print the same bytes for one grid.
 
 A measured series (``from-chi``, ``from-neutron --input``) is computed in one
 column pass, and each row it flags prints one stderr line, in row order.  A
@@ -322,9 +322,9 @@ def _cmd_fit(args: argparse.Namespace, precision: int) -> int:
 
 # Grids of up to this many points are lists, which theory and figure compute point by point
 # in floats without loading numpy; larger grids are arrays.  Measured as whole processes, the
-# float path breaks even at 8,500-9,000 points for a JSON theory sweep (its costliest per
-# point), ~17,000 for a CSV one and above 14,000 for the figures; the 400-point defaults sit
-# far below the cut, 2e4-point figures and 1e5-point sweeps far above it.
+# float path breaks even at ~9,500 points for a ferro JSON theory sweep (its costliest per
+# point; ~11,000 antiferro), ~21,000 for a CSV one and ~15,000 for a JSON figure; the 400-point
+# defaults sit far below the cut, 2e4-point figures and 1e5-point sweeps far above it.
 _FLOAT_GRID_MAX = 8000
 
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 from . import thermo
 from .dimer_core import (
     CODATA, G_MAX, G_MIN, DimerParameters, FloatOrArray, _G_TOL, _check_each, _clip, _information,
-    _is_array, _measures, _numpy, _real, _temperature, _temperatures, measures_from_correlator,
+    _is_array, _measures, _numpy, _real, _temperature, _temperatures, validate_correlator,
 )
 from .errors import DataError, DataWarning, DomainError, InconsistencyError, PropagationWarning
 from .numerics import (
@@ -248,18 +248,19 @@ def _point_result(t: float | None, value: float, sigma: float, channel: str) -> 
 def results_from_correlators(t: Column, g: Column, channel: str) -> ResultTable:
     """Expand exact correlators (no error bars, none clamped) at temperatures ``t`` into a
     table of float arrays, a whole column at once (a 0-d one is one row).  A ``t`` that
-    holds None (a row without a temperature) is kept as it is."""
+    holds None (a row without a temperature) is kept as it is.  ``g`` is read as it is
+    given, its band after ``t``, and the measures are those of ``g`` clipped into it."""
     _check_channels((channel,))
     np = _numpy()
     g = _check_each("correlator", np.atleast_1d(g))
     t = t if isinstance(t, Sequence) and None in t else _temperatures(np.atleast_1d(t))
-    return _exact_results(t, g, channel)
+    return _exact_results(t, validate_correlator(g), channel)._replace(correlator=g)
 
 
 def _exact_results(t: Column | float, g: FloatOrArray, channel: str) -> ResultTable | tuple:
-    """The table of exact correlators ``g`` at temperatures ``t``, or a float point's one row
-    as a flat tuple in the table's order."""
-    m = measures_from_correlator(g)
+    """The table of exact correlators ``g`` already in [-1, 1/3] at temperatures ``t``, or a
+    float point's one row as a flat tuple in the table's order; nothing is read again."""
+    m = _measures(g)
     array = _is_array(g)
     zero = _numpy().zeros_like(g) if array else 0.0
     row = (t, g, zero, m.discord, zero, m.classical, m.mutual_information, m.entanglement)
@@ -722,13 +723,9 @@ def json_text(
 _RESULT_COLUMNS = ("T_K", "G", "sigma_G", "Q", "sigma_Q", "C", "I", "E", "channel")
 
 
-def _results_text(
-    table: ResultTable, fmt: str, preset_name: str | None, precision: int
-) -> str:
-    """The text of :func:`write_results`, which the CLI writes as it is."""
-    if fmt not in ("csv", "json"):
-        raise DataError(f"format must be csv or json, got {fmt!r}")
-    table = _check_table(table)
+def _results_text(table: ResultTable, fmt: str, preset_name: str | None, precision: int) -> str:
+    """A table's CSV, or else JSON, text, its cells not read: the CLI writes its own tables
+    through it, and :func:`write_results` a table it is handed once it is checked."""
     if fmt == "csv":
         return text_table(table, precision, header=_RESULT_COLUMNS)
 
@@ -752,9 +749,12 @@ def write_results(
 
     Column order is fixed; floats carry ``precision`` significant digits
     (default 6), so identical inputs give identical bytes.  A row without
-    a temperature has an empty ``T_K`` field (``null`` in JSON).
+    a temperature has an empty ``T_K`` field (``null`` in JSON).  The format is
+    checked, then every row (:func:`_check_table`), and the rows are written as read.
     """
-    return _results_text(table, fmt, preset_name, precision).encode("utf-8")
+    if fmt not in ("csv", "json"):
+        raise DataError(f"format must be csv or json, got {fmt!r}")
+    return _results_text(_check_table(table), fmt, preset_name, precision).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

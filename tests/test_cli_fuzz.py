@@ -12,7 +12,9 @@ Each example runs ``cli.main`` in process twice and checks the contract of
   row's ``row N (T = X K): reason`` line;
 * on 0, stdout holds no ``nan`` or ``inf`` token;
 * no stderr line is a numpy ``RuntimeWarning``;
-* both runs give the same exit code and the same bytes.
+* both runs give the same exit code and the same bytes;
+* every result table it writes, unchecked, passes the check that ``write_results``
+  makes of a table it is handed, and comes back from it cell for cell.
 
 Numbers are drawn from the edge values 0, -0, 5e-324, 1e308, inf and nan
 (with their negatives) and from ordinary ones.  Files hold 0-6 rows: rows of
@@ -33,8 +35,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimer_discord import cli
+from dimer_discord import cli, dataio
 from dimer_discord.dataio import PRESETS
+from test_golden_stdout import checked_results_text
 
 EDGES = ["0", "-0", "5e-324", "-5e-324", "1e308", "-1e308", "inf", "-inf", "nan", "-nan"]
 
@@ -161,12 +164,14 @@ def invocations(draw, subcommand: str) -> list[str]:
 
 
 def _invoke(argv: list[str], precision: str | None) -> tuple[object, str, str]:
-    """``cli.main(argv)`` under the precision variable: (exit, stdout, stderr)."""
+    """``cli.main(argv)`` under the precision variable: (exit, stdout, stderr), every result
+    table it writes checked by ``checked_results_text``."""
     env = {k: v for k, v in os.environ.items() if k != "DIMER_DISCORD_PRECISION"}
     if precision is not None:
         env["DIMER_DISCORD_PRECISION"] = precision
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, env, clear=True):
+    with mock.patch.dict(os.environ, env, clear=True), \
+            mock.patch.object(dataio, "_results_text", checked_results_text):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)

@@ -39,6 +39,7 @@ from dimer_discord.errors import (
     DataError, DataWarning, DimerDiscordError, DomainError, InconsistencyError, PropagationWarning,
 )
 from dimer_discord.numerics import ValueWithUncertainty, propagate_uncertainty
+from test_golden_stdout import assert_same_text
 
 
 def _raises(text):
@@ -1204,7 +1205,7 @@ class TestTableWriter:
             lambda columns: json_text({}, precision, rows=columns),
         ]
         for write in writers:
-            assert write(arrays) == write(lists)
+            assert_same_text(write(arrays), write(lists))
         self._check_both_writers(lists, [precision])
 
     @pytest.mark.parametrize("precision", range(1, 16))
@@ -1308,11 +1309,11 @@ class TestTableWriter:
         keys = KEYS[: len(columns)]
         for precision in precisions:
             expected = reference_text_rows([keys, *rows], precision)
-            assert text_table(columns, precision, header=keys) == expected
+            assert_same_text(text_table(columns, precision, header=keys), expected)
             expected = reference_json({"rows": [dict(zip(keys, row)) for row in rows]}, precision)
-            assert json_text({}, precision, rows=columns, keys=keys) == expected
+            assert_same_text(json_text({}, precision, rows=columns, keys=keys), expected)
             expected = reference_json({"rows": rows}, precision)
-            assert json_text({}, precision, rows=columns) == expected
+            assert_same_text(json_text({}, precision, rows=columns), expected)
 
     @pytest.mark.parametrize("precision", range(1, 18))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

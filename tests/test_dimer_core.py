@@ -336,6 +336,19 @@ class TestMeasures:
             assert_allclose(mutual_information(g), oracles.mutual_information(g), atol=1e-14)
             assert_allclose(classical_correlation(g), oracles.classical(g), atol=1e-14)
 
+    def test_the_measure_oracles_keep_their_value_at_twice_their_digits(self, monkeypatch):
+        # the oracles themselves, not the package: near zero their terms cancel to order
+        # G**2 (c**2 for EoF), so 50 fixed digits gave 4.8e-52 for a discord of 1.4e-92
+        xs = np.geomspace(1e-300, 0.3, 61).tolist()
+        signed = [sign * x for sign in (-1.0, 1.0) for x in xs]
+        measures = [(oracles.mutual_information, signed), (oracles.classical, signed),
+                    (oracles.discord, signed), (oracles.eof, xs)]
+        values = [list(map(f, points)) for f, points in measures]
+        digits = oracles.digits
+        monkeypatch.setattr(oracles, "digits", lambda x: 2 * digits(x))
+        assert [list(map(f, points)) for f, points in measures] == values
+        assert min(map(min, values)) >= 0.0
+
     def test_additivity_identity(self):
         for g in G_GRID:
             g = float(g)

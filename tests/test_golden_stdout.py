@@ -24,6 +24,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dimer_discord
-from dimer_discord import cli, thermo
+from dimer_discord import cli, dataio, thermo
 from dimer_discord.dataio import results_from_correlators, write_results
 from dimer_discord.dimer_core import CODATA, DimerParameters, discord
 from dimer_discord.errors import DimerDiscordError
@@ -199,10 +200,12 @@ def _run(case: str, workdir: Path) -> tuple[int, str, str]:
 
 
 def _shown(fn, *args, env=None) -> tuple[object, str, str]:
-    """``fn(*args)``, its stdout and its stderr, every warning shown in order."""
+    """``fn(*args)``, its stdout and its stderr, every warning shown in order, and every
+    result table the CLI writes checked by :func:`checked_results_text`."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         stack.enter_context(_environment(env or {}))
+        stack.enter_context(mock.patch.object(dataio, "_results_text", checked_results_text))
         stack.enter_context(warnings.catch_warnings())
         warnings.simplefilter("always")
         warnings.showwarning = _show_warning
@@ -210,6 +213,39 @@ def _shown(fn, *args, env=None) -> tuple[object, str, str]:
         stack.enter_context(contextlib.redirect_stderr(err))
         result = fn(*args)
     return result, out.getvalue(), err.getvalue()
+
+
+_CHECK_TABLE, _RESULTS_TEXT = dataio._check_table, dataio._results_text
+
+
+def _cells(table) -> list[list[tuple[type, object]]]:
+    """Each column's cells by type and value, a float by its bits (its hex)."""
+    return [[(type(x), x.hex() if type(x) is float else x)
+             for x in (column.tolist() if isinstance(column, np.ndarray) else column)]
+            for column in table]
+
+
+def checked_results_text(table, *args) -> str:
+    """``dataio._results_text`` of a table the CLI built, which it writes unchecked: the
+    table must pass the check ``write_results`` makes of a table it is handed, and come
+    back from it cell for cell, the same floats, None cells and channels.  A failure is an
+    AssertionError, which the CLI does not turn into an exit code as it does a refusal."""
+    try:
+        checked = _CHECK_TABLE(table)
+    except DimerDiscordError as exc:
+        raise AssertionError(f"write_results refuses a table the CLI built: {exc}") from None
+    if _cells(checked) != _cells(table):
+        raise AssertionError("write_results' check changed a cell of a table the CLI built")
+    return _RESULTS_TEXT(table, *args)
+
+
+def assert_same_text(got: str, expected: str) -> None:
+    """``got == expected``; a mismatch names its first differing line and the two lines,
+    where pytest's own diff of two large texts runs for minutes."""
+    if got != expected:
+        a, b = got.split("\n"), expected.split("\n")
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        raise AssertionError(f"texts differ first at line {i + 1}: {a[i:i + 1]} != {b[i:i + 1]}")
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +269,22 @@ def test_stdout_matches_golden(case, golden, tmp_path):
 def test_stderr_matches_golden(case, golden_stderr, tmp_path):
     _, _, err = _run(case, tmp_path)
     assert err == golden_stderr[case]
+
+
+RESULT_COMMANDS = ("theory", "from-neutron", "from-chi", "from-cm")  # each writes a ResultTable
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][0] in RESULT_COMMANDS))
+def test_the_cli_reads_no_result_table_it_built_again(case, golden, tmp_path, monkeypatch):
+    # its builders read every input, so the CLI writes their tables unchecked; a table
+    # handed to write_results is checked once
+    calls = []
+    monkeypatch.setattr(dataio, "_check_table", lambda t: calls.append(1) or _CHECK_TABLE(t))
+    code, out, _ = _run(case, tmp_path)
+    assert (code, calls) == (0, [])
+    assert_same_text(out, golden[case])
+    write_results(results_from_correlators([2.0], [-0.5], "theory"))
+    assert calls == [1]
 
 
 @pytest.mark.parametrize(

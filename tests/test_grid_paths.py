@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from dimer_discord import cli
-from test_golden_stdout import _shown
+from test_golden_stdout import _shown, assert_same_text
 
 FLOAT_PATH, ARRAY_PATH = 10**9, 0  # cuts that send every grid down one path
 
@@ -50,7 +50,8 @@ def test_theory_prints_the_same_bytes_down_each_path(grid, fmt, precision, monke
     argv = ["theory", *THEORY[grid], "--n-points", "300", "--format", fmt]
     floats, arrays = _both_paths(monkeypatch, argv, {"DIMER_DISCORD_PRECISION": precision})
     assert floats[0] == 0 and floats[1].count("\n") >= 300
-    assert floats == arrays
+    assert floats[0::2] == arrays[0::2]
+    assert_same_text(floats[1], arrays[1])
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)
@@ -60,7 +61,8 @@ def test_figure_prints_the_same_bytes_down_each_path(fig, fmt, precision, monkey
     argv = ["figure", str(fig), "--n-points", "300", "--format", fmt]
     floats, arrays = _both_paths(monkeypatch, argv, {"DIMER_DISCORD_PRECISION": precision})
     assert floats[0] == 0 and floats[1].count("\n") >= 300
-    assert floats == arrays
+    assert floats[0::2] == arrays[0::2]
+    assert_same_text(floats[1], arrays[1])
 
 
 def test_figure_data_is_lists_below_the_cut_and_arrays_above(monkeypatch):
