@@ -163,6 +163,29 @@ CASES = {
         for fig in range(1, 7)
         for fmt in ("csv", "json")
     },
+    # the Schottky channel of both couplings to the last bit: each flank far from the peak
+    # and above 0.99 of it (the quadratic start), and a cold flank at c_m/R = 1e-200
+    **{
+        f"cm-invert-{branch}-{flank}-p17": [
+            "from-cm", "--route", "invert", "--T", t, "--cm-over-R", cm, "--preset", preset,
+            "--format", fmt,
+        ]
+        for branch, preset, heights in (
+            ("antiferro", "copper-nitrate-calorimetric", (
+                ("hot-far", "4", "0.4125", "csv"), ("hot-near", "2", "1.02", "json"),
+                ("cold-far", "1", "0.2", "json"), ("cold-near", "1.5", "1.02", "csv"),
+                ("cold-tiny", "0.01", "1e-200", "csv"),
+            )),
+            ("ferro", "cu2l-oac-ferro", (
+                ("hot-far", "100", "0.05", "json"), ("hot-near", "40", "0.166", "csv"),
+                ("cold-far", "10", "0.05", "csv"), ("cold-near", "30", "0.166", "json"),
+                ("cold-tiny", "0.1", "1e-200", "json"),
+            )),
+        )
+        for flank, t, cm, fmt in heights
+    },
+    "landmarks-antiferro-p17": ["landmarks", "--preset", "copper-nitrate-magnetometric"],
+    "landmarks-ferro-p17": ["landmarks", "--preset", "cu2l-oac-ferro"],
 }
 
 CASE_ENV = {case: {"DIMER_DISCORD_PRECISION": "17"} for case in CASES if case.endswith("-p17")}
