@@ -193,9 +193,8 @@ def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
         ]
 
     t_peak, cm_peak = thermo.schottky_maximum(params)
-    cm_scale = (thermo._CM_PEAK_TEMPERATURE_ANTIFERRO if params.antiferro
-                else thermo._CM_PEAK_TEMPERATURE_FERRO)
-    landmark("schottky_peak", cm_scale, t_peak, ("schottky_peak_cm_over_R", cm_peak))
+    landmark("schottky_peak", thermo._SCHOTTKY[params.antiferro].t_peak, t_peak,
+             ("schottky_peak_cm_over_R", cm_peak))
     if params.antiferro and g_scalar is not None:
         t_chi, chi_max = thermo.susceptibility_maximum(params)
         if chi_max == math.inf:  # |J| below ~2e-309 at g = 2: empty, as from-neutron's T_K

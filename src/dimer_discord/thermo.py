@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from operator import length_hint
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dimer_core import (
     CODATA,
@@ -83,24 +83,41 @@ CM_PEAK_ANTIFERRO = 1.0234905543865051
 CM_PEAK_G_FERRO = 0.28397164067231203
 CM_PEAK_FERRO = 0.16632055381487849
 
-# x* = |a| = |ln(q/p)| at each peak, where a = -4/(1 + 3g*): the split between
-# the hot flank (0, x*) and the cold flank (x*, inf) of the c_m inversion
-_CM_PEAK_X_ANTIFERRO = -4.0 / (1.0 + 3.0 * CM_PEAK_G_ANTIFERRO)
-_CM_PEAK_X_FERRO = 4.0 / (1.0 + 3.0 * CM_PEAK_G_FERRO)
 
-# k_B T*/|J| = |1 + 3g*|/2 at each peak, to 40 decimal places of its 50-digit value, so
-# that the peak temperature takes one rounding
-_CM_PEAK_TEMPERATURE_ANTIFERRO = _decimal("0.7029904241430893671743521304383190836528")
-_CM_PEAK_TEMPERATURE_FERRO = _decimal("0.9259574610084680453896490147121383832487")
+class _SchottkyCurve(NamedTuple):
+    """The Schottky curve of one coupling sign.  For either sign of J the pair is one
+    two-level system: a ground level of degeneracy d under one of degeneracy m, md = 3,
+    x = |2J/k_B T| apart.  With e = e^-x its curve and correlator are
 
-# -f''(x*) of the log curve f that _schottky_x solves, 2/x*^2 + 6e/(1 + 3e)^2 antiferro and
-# 2/x*^2 + 6e/(3 + e)^2 ferro with e = e^-x*: near the peak f = ln(c*/c) - f''(x*)(x - x*)^2/2
-_CM_PEAK_CURVATURE_ANTIFERRO = 2.0 / _CM_PEAK_X_ANTIFERRO**2 + 6.0 / (
-    math.exp(0.5 * _CM_PEAK_X_ANTIFERRO) + 3.0 * math.exp(-0.5 * _CM_PEAK_X_ANTIFERRO)
-) ** 2
-_CM_PEAK_CURVATURE_FERRO = 2.0 / _CM_PEAK_X_FERRO**2 + 6.0 / (
-    3.0 * math.exp(0.5 * _CM_PEAK_X_FERRO) + math.exp(-0.5 * _CM_PEAK_X_FERRO)
-) ** 2
+        c_m/R = 3 x^2 e / (d + m e)^2,    G = +-(e - 1) / (m (e - 1) + 4),
+
+    G of the ground state's sign: (m, d) = (3, 1) antiferro (a singlet ground state,
+    G = -1) and (1, 3) ferro (a triplet one, G = 1/3)."""
+
+    m: float
+    d: float
+    ln_ratio: float  # ln(m/d): c_m/R -> (m/d) x^2 e on the cold flank
+    ground: float  # G at T = 0
+    g_peak: float  # G* at the peak, and c_m/R there
+    c_peak: float
+    x_peak: float  # x* = 4/|1 + 3g*|, between the hot flank (0, x*) and the cold (x*, inf)
+    t_peak: tuple[int, int]  # k_B T*/|J| = |1 + 3g*|/2 to 40 decimals: T* takes one rounding
+    curvature: float  # -f''(x*) of _schottky_x's log curve f: f = ln(c*/c) - f''(x*)(x - x*)^2/2
+
+
+def _schottky_curve(m: float, d: float, g0: float, g: float, c: float, t: str) -> _SchottkyCurve:
+    x = 4.0 / abs(1.0 + 3.0 * g)
+    curvature = 2.0 / x**2 + 2.0 * m * d / (d * math.exp(0.5 * x) + m * math.exp(-0.5 * x)) ** 2
+    return _SchottkyCurve(m, d, math.log(m / d), g0, g, c, x, _decimal(t), curvature)
+
+
+_SCHOTTKY = {  # keyed by DimerParameters.antiferro; T* from 50 digits
+    True: _schottky_curve(3.0, 1.0, G_MIN, CM_PEAK_G_ANTIFERRO, CM_PEAK_ANTIFERRO,
+                          "0.7029904241430893671743521304383190836528"),
+    False: _schottky_curve(1.0, 3.0, G_MAX, CM_PEAK_G_FERRO, CM_PEAK_FERRO,
+                           "0.9259574610084680453896490147121383832487"),
+}
+
 _NEAR_PEAK = 0.99  # above this share of the peak height the quadratic root is the start
 
 # c_m/R < 3 x^2 e^-x on both branches, below the smallest positive double
@@ -109,7 +126,6 @@ _CM_COLD_X_MAX = 800.0
 
 _X_RTOL = 1e-9  # past a Newton step this small the next one is below rounding
 _F_NOISE = 2.0**-50  # f's rounding, 4 ulp of the size of its terms
-_LN3 = 1.0986122886681098  # ln 3, correctly rounded
 _HOT_START = 4.0 / math.sqrt(3.0)  # the hot root 4 sqrt(c/3) is this times sqrt(c)
 
 # W(3/e), the principal Lambert W value that places the antiferro
@@ -239,8 +255,8 @@ def internal_energy_from_specific_heat(
 def specific_heat(params: DimerParameters, temperature: float) -> float:
     """c_m/R at a temperature: the Schottky anomaly of the level pair.
 
-    Evaluated as 3 a^2 e^a / (3 + e^a)^2 with a = -2J/(k_B T) = ln(q/p),
-    using the exponential of -|a| so large couplings underflow to the
+    Evaluated as 3 a^2 e / (d + m e)^2 with a = -2J/(k_B T) = ln(q/p) and
+    e = e^-|a| (:class:`_SchottkyCurve`), so large couplings underflow to the
     correct zero instead of overflowing.
     """
     temperature = _temperature(temperature)
@@ -248,9 +264,8 @@ def specific_heat(params: DimerParameters, temperature: float) -> float:
     e = math.exp(-abs(a))
     if e == 0.0:  # frozen out, a infinite included
         return 0.0
-    if a >= 0.0:
-        return 3.0 * a * a * e / (1.0 + 3.0 * e) ** 2
-    return 3.0 * a * a * e / (e + 3.0) ** 2
+    curve = _SCHOTTKY[a > 0.0]  # a > 0 on an antiferro dimer
+    return 3.0 * a * a * e / (curve.d + curve.m * e) ** 2
 
 
 def specific_heat_from_correlator(g: FloatOrArray) -> FloatOrArray:
@@ -282,14 +297,13 @@ def correlator_from_specific_heat(
     height above the branch maximum by more than a small tolerance has no
     solution; within the tolerance it is read as the peak itself.
 
-    Method: a bracketed Newton iteration in x = |a|, a = -2J/(k_B T) =
-    ln(q/p), on the log form of the curve,
-    ln(c_m/R) = ln 3 + 2 ln x - x - 2 ln(1 + 3e^-x) (antiferro; 3 + e^-x
-    ferro), from its asymptotic root (4 sqrt(c/3) hot, ln(3/c) or ln(1/(3c))
-    cold) and held inside the side's bracket, (0, x*) hot and (x*, inf)
-    cold, by bisection.  G then follows as expm1(-x)/(3e^-x + 1) on the
-    antiferro hot flank, as -1 + 4e^-x/(3e^-x + 1) on its cold flank (so that
-    1 + G is rounded once), and as -expm1(-x)/(3 + e^-x) on a ferro dimer.
+    Both couplings run one curve in x = |2J/(k_B T)| (:class:`_SchottkyCurve`):
+    a bracketed Newton iteration in x on its log form,
+    ln(c_m/R) = ln(m/d) + 2 ln x - x - 2 ln(1 + m e^-x/d), starts from its
+    asymptotic root (4 sqrt(c/3) hot, ln(m/(dc)) cold) and is held inside the
+    side's bracket, (0, x*) hot and (x*, inf) cold, by bisection.  G is then
+    +-expm1(-x)/(m expm1(-x) + 4), but -1 + 4e^-x/(3e^-x + 1) on the antiferro
+    cold flank, which rounds 1 + G once.
 
     Accuracy, against the exact inversion of the given c_m/R: the relative
     error of G is about 2e-16 / sqrt(1 - c/c_peak), as each flank flattens
@@ -300,17 +314,13 @@ def correlator_from_specific_heat(
     if side not in ("hot", "cold"):
         raise DomainError(f"side must be 'hot' or 'cold', got {side!r}")
     cm_over_r = _real("c_m/R", cm_over_r, "be non-negative", 0.0)
-    if cm_over_r == 0.0:
-        # the curve's exact zeros: infinite temperature on the hot flank,
-        # the ground state on the cold one
-        if side == "hot":
-            return 0.0
-        return G_MIN if params.antiferro else G_MAX
-    cm_peak = CM_PEAK_ANTIFERRO if params.antiferro else CM_PEAK_FERRO
-    if cm_over_r > cm_peak:
-        if cm_over_r > cm_peak + _CM_PEAK_TOL:
+    curve, hot = _SCHOTTKY[params.antiferro], side == "hot"
+    if cm_over_r == 0.0:  # the curve's zeros: T = inf hot, the ground state cold
+        return 0.0 if hot else curve.ground
+    if cm_over_r > curve.c_peak:
+        if cm_over_r > curve.c_peak + _CM_PEAK_TOL:
             raise NoSolutionError(
-                f"c_m/R = {cm_over_r:.6g} exceeds the branch maximum {cm_peak:.6g}; "
+                f"c_m/R = {cm_over_r:.6g} exceeds the branch maximum {curve.c_peak:.6g}; "
                 "no dimer temperature reaches it"
             )
         warnings.warn(
@@ -319,19 +329,17 @@ def correlator_from_specific_heat(
             DataWarning,
             stacklevel=2,
         )
-        return CM_PEAK_G_ANTIFERRO if params.antiferro else CM_PEAK_G_FERRO
-    x = _schottky_x(cm_over_r, params.antiferro, side == "hot")
-    if params.antiferro and side == "cold":
+        return curve.g_peak
+    x = _schottky_x(cm_over_r, curve, hot)
+    if not hot and params.antiferro:
         e = math.exp(-x)
         return 4.0 * e / (3.0 * e + 1.0) - 1.0  # 1 + G = p, rounded once
     em = math.expm1(-x)
-    if params.antiferro:
-        return em / (3.0 * em + 4.0)
-    return -em / (em + 4.0)
+    return math.copysign(em / (curve.m * em + 4.0), curve.ground)
 
 
-def _schottky_x(cm: float, antiferro: bool, hot: bool) -> float:
-    """x = |a| where c_m/R = ``cm``, 0 < cm <= the branch peak, on one flank.
+def _schottky_x(cm: float, curve: _SchottkyCurve, hot: bool) -> float:
+    """x = |a| where ``curve``'s c_m/R = ``cm``, 0 < cm <= its peak, on one flank.
 
     Newton on f(x) = ln(model c_m/R at x) - ln(cm), which is concave with its
     maximum at x*: increasing on the hot flank (0, x*), decreasing on the
@@ -344,20 +352,15 @@ def _schottky_x(cm: float, antiferro: bool, hot: bool) -> float:
     within its own rounding.  That takes at most 4 evaluations from 0.99 of
     the peak to within an ulp of it.
     """
-    x_peak = _CM_PEAK_X_ANTIFERRO if antiferro else _CM_PEAK_X_FERRO
+    m, d, ln_ratio, _, _, cm_peak, x_peak, _, curvature = curve
     root_cm = math.sqrt(cm)  # ln(x^2/cm) as 2 ln(x/sqrt(cm)): no x^2 or cm/3 underflows
-    if hot:
-        lo, hi, x = 0.0, x_peak, _HOT_START * root_cm
-    else:
-        lo, hi = x_peak, _CM_COLD_X_MAX
-        x = (_LN3 if antiferro else -_LN3) - math.log(cm)
+    lo, hi = (0.0, x_peak) if hot else (x_peak, _CM_COLD_X_MAX)
+    x = _HOT_START * root_cm if hot else ln_ratio - math.log(cm)  # the asymptotic root
     noise = 0.0  # below which |f| is rounding; farther out the step test stops first
-    cm_peak = CM_PEAK_ANTIFERRO if antiferro else CM_PEAK_FERRO
     if cm > _NEAR_PEAK * cm_peak:  # start at the root of f's quadratic about the peak
         depth = math.log(cm_peak / cm)  # f(x*)
         if depth <= 0.0:  # the peak, to rounding
             return x_peak
-        curvature = _CM_PEAK_CURVATURE_ANTIFERRO if antiferro else _CM_PEAK_CURVATURE_FERRO
         offset = math.sqrt(2.0 * depth / curvature)
         x = x_peak - offset if hot else x_peak + offset
         noise = _F_NOISE * (abs(2.0 * math.log(x_peak / root_cm)) + x_peak + 3.0)
@@ -365,13 +368,9 @@ def _schottky_x(cm: float, antiferro: bool, hot: bool) -> float:
         x = 0.5 * (lo + hi)
     step_before = hi - lo
     while True:
-        e = math.exp(-x)
-        if antiferro:
-            f = 2.0 * math.log(x / root_cm) + _LN3 - x - 2.0 * math.log1p(3.0 * e)
-            slope = 2.0 / x - 1.0 + 6.0 * e / (1.0 + 3.0 * e)
-        else:
-            f = 2.0 * math.log(x / root_cm) - _LN3 - x - 2.0 * math.log1p(e / 3.0)
-            slope = 2.0 / x - 1.0 + 2.0 * e / (3.0 + e)
+        me = m * math.exp(-x)
+        f = 2.0 * math.log(x / root_cm) + ln_ratio - x - 2.0 * math.log1p(me / d)
+        slope = 2.0 / x - 1.0 + 2.0 * me / (d + me)
         if (f > 0.0) == hot:
             hi = x
         else:
@@ -395,9 +394,8 @@ def schottky_maximum(params: DimerParameters) -> tuple[float, float]:
     to t_peak = (J/k_B)(1+3g*)/2 — positive on both branches, and correctly
     rounded: |1 + 3g*|/2 is held to 40 decimal places.
     """
-    if params.antiferro:
-        return _scaled_abs(_CM_PEAK_TEMPERATURE_ANTIFERRO, params.j_over_kb), CM_PEAK_ANTIFERRO
-    return _scaled_abs(_CM_PEAK_TEMPERATURE_FERRO, params.j_over_kb), CM_PEAK_FERRO
+    curve = _SCHOTTKY[params.antiferro]
+    return _scaled_abs(curve.t_peak, params.j_over_kb), curve.c_peak
 
 
 # ---------------------------------------------------------------------------

@@ -464,10 +464,10 @@ class TestDeathTemperature:
             lambda: oracles.crossing_temperature_scale("classical"),
         ),
         (
-            thermo._CM_PEAK_TEMPERATURE_ANTIFERRO,
+            thermo._SCHOTTKY[True].t_peak,
             lambda: oracles.schottky_peak_temperature_scale(True),
         ),
-        (thermo._CM_PEAK_TEMPERATURE_FERRO, lambda: oracles.schottky_peak_temperature_scale(False)),
+        (thermo._SCHOTTKY[False].t_peak, lambda: oracles.schottky_peak_temperature_scale(False)),
     ],
     ids=[
         "QE_CROSSING_G", "CE_CROSSING_G", "CHI_PEAK_W", "DEATH_TEMPERATURE_SCALE",

@@ -199,9 +199,8 @@ class TestSpecificHeatInversion:
             (1.0, CM_PEAK_FERRO, "cold", 0.28397164067231206, CM_PEAK_G_FERRO),
         ):
             p = DimerParameters(j)
-            assert thermo._schottky_x(cm, p.antiferro, side == "hot") == (
-                thermo._CM_PEAK_X_ANTIFERRO if p.antiferro else thermo._CM_PEAK_X_FERRO
-            )
+            curve = thermo._SCHOTTKY[p.antiferro]
+            assert thermo._schottky_x(cm, curve, side == "hot") == curve.x_peak
             back = correlator_from_specific_heat(p, cm, side=side)
             assert back == g
             assert abs(back - g_star) <= math.ulp(g_star)
@@ -285,7 +284,8 @@ class TestSpecificHeatNewton:
         t = 10.0**decades
         cm = specific_heat(params, t)
         assume(cm <= peak)  # within an ulp or so of the peak it reads as the peak
-        x = thermo._schottky_x(cm, antiferro, t > schottky_maximum(params)[0])
+        hot = t > schottky_maximum(params)[0]
+        x = thermo._schottky_x(cm, thermo._SCHOTTKY[antiferro], hot)
         e = math.exp(-2.0 / t)
         s = 2.0 - 2.0 / t + (6.0 * e / (1.0 + 3.0 * e) if antiferro else 2.0 * e / (3.0 + e)) * 2.0 / t
         assert abs(2.0 / x - t) <= (1e-14 + 2e-15 / abs(s)) * t
@@ -306,7 +306,7 @@ class TestSpecificHeatNewton:
         for k in range(1, 16):
             for cm in (peak * (1.0 - 10.0**-k), peak * (1.0 - 1.9 * 10.0**-k)):
                 calls.clear()
-                thermo._schottky_x(cm, antiferro, side == "hot")
+                thermo._schottky_x(cm, thermo._SCHOTTKY[antiferro], side == "hot")
                 assert len(calls) <= 10, (k, cm, len(calls))
 
     @pytest.mark.parametrize("antiferro, side", FLANKS, ids=FLANK_IDS)
@@ -315,11 +315,12 @@ class TestSpecificHeatNewton:
         # still ends, once its bracket is two adjacent doubles, and on the same root
         _, peak = _unit_and_peak(antiferro)
         heights = [1e-300, 1e-3 * peak, 0.3 * peak, 0.999 * peak]
-        roots = [thermo._schottky_x(cm, antiferro, side == "hot") for cm in heights]
+        curve = thermo._SCHOTTKY[antiferro]
+        roots = [thermo._schottky_x(cm, curve, side == "hot") for cm in heights]
         monkeypatch.setattr(thermo, "_X_RTOL", 0.0)
         monkeypatch.setattr(thermo, "_F_NOISE", 0.0)
         for cm, x in zip(heights, roots):
-            assert thermo._schottky_x(cm, antiferro, side == "hot") == pytest.approx(x, rel=1e-13)
+            assert thermo._schottky_x(cm, curve, side == "hot") == pytest.approx(x, rel=1e-13)
 
     def test_cold_end_of_copper_nitrate(self):
         # J/k_B = -204 K (the Cu(NO3)2 2.5 D2O-scale coupling of the
