@@ -248,13 +248,14 @@ def _point_result(t: float | None, value: float, sigma: float, channel: str) -> 
 def results_from_correlators(t: Column, g: Column, channel: str) -> ResultTable:
     """Expand exact correlators (no error bars, none clamped) at temperatures ``t`` into a
     table of float arrays, a whole column at once (a 0-d one is one row).  A ``t`` that
-    holds None (a row without a temperature) is kept as it is.  ``g`` is read as it is
-    given, its band after ``t``, and the measures are those of ``g`` clipped into it."""
+    holds None (a row without a temperature) is kept as it is.  ``g`` is read, its band
+    after ``t``, as :func:`~dimer_discord.dimer_core.validate_correlator` reads it: its
+    column is the correlator measured, one within 1e-9 past an end of [-1, 1/3] that end."""
     _check_channels((channel,))
     np = _numpy()
     g = _check_each("correlator", np.atleast_1d(g))
     t = t if isinstance(t, Sequence) and None in t else _temperatures(np.atleast_1d(t))
-    return _exact_results(t, validate_correlator(g), channel)._replace(correlator=g)
+    return _exact_results(t, validate_correlator(g), channel)
 
 
 def _exact_results(t: Column | float, g: FloatOrArray, channel: str) -> ResultTable | tuple:

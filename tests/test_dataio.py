@@ -761,6 +761,19 @@ class TestResultTable:
                 ]
         assert write_results(table) == write_results(one)
 
+    def test_the_g_column_is_the_correlator_measured(self):
+        # a G within 1e-9 past an end was printed as given (0.3333333338333333 at p17),
+        # beside the measures of the end it was read as, where a record holds that end
+        t, g = [2.0, 3.0], [1.0 / 3.0 + 5e-10, -1.0 - 5e-10]
+        table = results_from_correlators(t, g, "theory")
+        assert table.correlator.tolist() == [1.0 / 3.0, -1.0]
+        ends = results_from_correlators(t, [1.0 / 3.0, -1.0], "theory")
+        assert write_results(table, precision=17) == write_results(ends, precision=17)
+        with pytest.warns(DataWarning):
+            records = [result_from_correlator(x, ValueWithUncertainty(y), "theory")
+                       for x, y in zip(t, g)]
+        assert [r.correlator.value for r in records] == table.correlator.tolist()
+
     @pytest.mark.parametrize("dtype", [None, object], ids=["own-dtype", "object"])
     @pytest.mark.parametrize("bad", ["string", "complex", "big-int"])
     @pytest.mark.parametrize(
