@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from dimer_discord.cli import _FLOAT_GRID_MAX
-from test_golden_stdout import GOLDEN, GOLDEN_STDERR, _argv
+from test_golden_stdout import CASE_ENV, GOLDEN, GOLDEN_STDERR, _argv
 
 # the commands whose physics is a handful of floats, theory and figure grids up to
 # cli._FLOAT_GRID_MAX points among them: they run on the standard library alone
@@ -26,6 +26,7 @@ SCALAR_CASES = [
     "theory-csv",
     "theory-json",
     *(f"figure-{fig}-{fmt}" for fig in range(1, 7) for fmt in ("csv", "json")),
+    "figure-3-json-p17",
     "landmarks-antiferro-g",
     "landmarks-antiferro-tensor",
     "landmarks-antiferro-no-g",
@@ -38,8 +39,9 @@ SCALAR_CASES = [
 ]
 
 
-def _run(code: str, workdir) -> tuple[str, str, set[str]]:
-    """Stdout, stderr and the modules imported by a fresh interpreter running ``code``."""
+def _run(code: str, workdir, case_env=None) -> tuple[str, str, set[str]]:
+    """Stdout, stderr and the modules imported by a fresh interpreter running ``code``, with
+    the environment of a golden case added."""
     listing = workdir / "modules.txt"
     report = (
         "import atexit, sys\n"
@@ -49,9 +51,8 @@ def _run(code: str, workdir) -> tuple[str, str, set[str]]:
         "atexit.register(_report)\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "DIMER_DISCORD_PRECISION"}
-    proc = subprocess.run(
-        [sys.executable, "-c", report + code], capture_output=True, text=True, env=env, check=True
-    )
+    proc = subprocess.run([sys.executable, "-c", report + code], capture_output=True, text=True,
+                          env={**env, **(case_env or {})}, check=True)
     return proc.stdout, proc.stderr, set(listing.read_text(encoding="utf-8").split())
 
 
@@ -99,7 +100,7 @@ def test_landmarks_loads_no_scipy(tmp_path):
 
 @pytest.mark.parametrize("case", SCALAR_CASES)
 def test_scalar_command_runs_on_the_standard_library(case, interpreter_modules, tmp_path):
-    out, err, modules = _run(_command(case, tmp_path), tmp_path)
+    out, err, modules = _run(_command(case, tmp_path), tmp_path, CASE_ENV.get(case))
     assert (out, err) == _golden(case)
     foreign = sorted(
         m for m in modules - interpreter_modules
@@ -111,7 +112,7 @@ def test_scalar_command_runs_on_the_standard_library(case, interpreter_modules, 
 @pytest.mark.parametrize("case", SCALAR_CASES)
 def test_scalar_command_loads_no_dataclasses_or_inspect(case, interpreter_modules, tmp_path):
     # the records are NamedTuples: building them needs neither module at start-up
-    _, _, modules = _run(_command(case, tmp_path), tmp_path)
+    _, _, modules = _run(_command(case, tmp_path), tmp_path, CASE_ENV.get(case))
     assert {"dataclasses", "inspect"} & (modules - interpreter_modules) == set()
 
 
@@ -166,28 +167,41 @@ def test_only_a_json_command_loads_json(case, loads_json, interpreter_modules, t
     assert ("json" in modules - interpreter_modules) is loads_json
 
 
-# every CPython 3.10+ that pyenv holds, one of which is the 3.10 floor of requires-python
+# every CPython 3.10+ that pyenv holds, one of which is the 3.10 floor of requires-python,
+# and a venv of this interpreter without pip, which holds no numpy
 PYENV_VERSIONS = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
 INTERPRETERS = sorted(
     PYENV_VERSIONS.glob("3.1[0-9].*/bin/python3"),
     key=lambda p: tuple(map(int, p.parts[-3].split(".")[:2])),
 )
+BARE_VENV = "bare-venv"
+
+
+@pytest.fixture(scope="module")
+def bare_venv(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("venv")
+    subprocess.run([sys.executable, "-m", "venv", "--without-pip", str(root)], check=True)
+    python = root / "bin" / "python"
+    found = subprocess.run([python, "-c", "import importlib.util as u; print(u.find_spec('numpy'))"],
+                           capture_output=True, text=True, check=True)
+    assert found.stdout == "None\n", "the bare venv has numpy"
+    return python
 
 
 @pytest.mark.parametrize(
-    "python",
-    INTERPRETERS or [pytest.param(None, marks=pytest.mark.skip(
-        reason=f"no CPython 3.1x interpreter under {PYENV_VERSIONS}: nothing to compare"))],
-    ids=[p.parts[-3] for p in INTERPRETERS] or ["none"],
+    "python", [*INTERPRETERS, BARE_VENV], ids=[*(p.parts[-3] for p in INTERPRETERS), BARE_VENV]
 )
-def test_scalar_cases_print_their_goldens_under_each_interpreter(python, tmp_path):
+def test_scalar_cases_print_their_goldens_under_each_interpreter(python, request, tmp_path):
     # these commands need only the standard library, so any 3.10+ interpreter, numpy or not,
     # must print their golden bytes; the cases run one at a time
+    if python == BARE_VENV:
+        python = request.getfixturevalue("bare_venv")
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("PYTHON") and k != "DIMER_DISCORD_PRECISION"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     for case in SCALAR_CASES:
         proc = subprocess.run([str(python), "-m", "dimer_discord", *_argv(case, tmp_path)],
-                              capture_output=True, env=env, check=False)
+                              capture_output=True, env={**env, **CASE_ENV.get(case, {})},
+                              check=False)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             0, *(text.encode("utf-8") for text in _golden(case))), case
