@@ -248,9 +248,9 @@ def _point_result(t: float | None, value: float, sigma: float, channel: str) -> 
 def results_from_correlators(t: Column, g: Column, channel: str) -> ResultTable:
     """Expand exact correlators (no error bars, none clamped) at temperatures ``t`` into a
     table of float arrays, a whole column at once (a 0-d one is one row).  A ``t`` that
-    holds None (a row without a temperature) is kept as it is.  ``g`` is read, its band
-    after ``t``, as :func:`~dimer_discord.dimer_core.validate_correlator` reads it: its
-    column is the correlator measured, one within 1e-9 past an end of [-1, 1/3] that end."""
+    holds None (a row without a temperature) is kept as it is.  ``g`` is read as
+    ``validate_correlator`` reads it, its band after ``t``: a G within 1e-9 past an end of
+    [-1, 1/3] is that end, in its column as in its measures."""
     _check_channels((channel,))
     np = _numpy()
     g = _check_each("correlator", np.atleast_1d(g))

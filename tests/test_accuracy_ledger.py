@@ -145,12 +145,18 @@ def ledger(row: Row) -> dict[str, list[tuple[float, float | None, float]]]:
     }
 
 
-def _worst(points: list[tuple[float, float | None, float]]) -> tuple[float | None, float | None]:
-    """The worst ulp error where a digit is right, and the worst absolute error where none
-    is (None where no point is of that kind)."""
-    ulps = [ulp for _, ulp, _ in points if ulp is not None]
-    errors = [error for _, ulp, error in points if ulp is None]
-    return max(ulps, default=None), max(errors, default=None)
+def _report(row: Row, table: dict) -> str:
+    """Per band: its points, the worst ulp error where a digit is right, and the worst
+    absolute error where none is."""
+    lines = [f"{row.function.__name__}:"]
+    for band, points in table.items():
+        ulp = max((u for _, u, _ in points if u is not None), default=None)
+        error = max((e for _, u, e in points if u is None), default=None)
+        ulp_text = "-" if ulp is None else f"{ulp:.3g} ulp"
+        error_text = "-" if error is None else f"{error:.3g}"
+        lines.append(f"  {band:32s} n = {len(points):3d}  worst {ulp_text:>12s}  "
+                     f"no digit right: {error_text}")
+    return "\n".join(lines)
 
 
 @pytest.mark.parametrize("row", LEDGER, ids=IDS)
@@ -163,25 +169,15 @@ def test_the_float_and_array_forms_agree_in_bits(row):
 @pytest.mark.parametrize("row", LEDGER, ids=IDS)
 def test_every_point_meets_its_band_bound(row):
     table = ledger(row)
+    print(_report(row, table))
     assert list(table) == list(row.bounds)
     for band, points in table.items():
         ulp_bound, absolute_bound = row.bounds[band]
-        print(row.function.__name__, band, len(points), *_worst(points))
         assert points, band
         for x, ulp, error in points:
             assert (ulp is not None and ulp <= ulp_bound) or error <= absolute_bound, (band, x)
 
 
-def _print_ledger() -> None:
-    for row in LEDGER:
-        print(f"{row.function.__name__}:")
-        for band, points in ledger(row).items():
-            ulp, error = _worst(points)
-            ulp_text = "-" if ulp is None else f"{ulp:.3g} ulp"
-            error_text = "-" if error is None else f"{error:.3g}"
-            print(f"  {band:32s} n = {len(points):3d}  worst {ulp_text:>12s}  "
-                  f"no digit right: {error_text}")
-
-
 if __name__ == "__main__":
-    _print_ledger()
+    for row in LEDGER:
+        print(_report(row, ledger(row)))
