@@ -375,7 +375,7 @@ def _figure_data(fig: int, n: int) -> tuple[str, list[str], Sequence]:
 
         def row(t: FloatOrArray) -> tuple:
             g = dimer_core.correlator_from_temperature(params, t)
-            m = dimer_core.measures_from_correlator(g)
+            m = dimer_core._measures(g)  # G(T) is in [-1, 1/3]
             return t, abs(g) if fig == 1 else g, m.discord, m.classical, m.entanglement
 
         return title, names + ["Q", "C", "E"], _columns(row, grid)

@@ -271,8 +271,7 @@ def _exact_results(t: Column | float, g: FloatOrArray, channel: str) -> ResultTa
 def _discord_column(g: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
     # the discord where validate_correlator takes g (clipped into the band: not read again)
     refused = (g < G_MIN - _G_TOL) | (g > G_MAX + _G_TOL)
-    i, c = _information(_clip(g, G_MIN, G_MAX))
-    return i - c, _OUT_OF_BAND * refused
+    return _information(_clip(g, G_MIN, G_MAX))[2], _OUT_OF_BAND * refused
 
 
 def _measured_results(
@@ -512,13 +511,8 @@ def cell_formatter(precision: int) -> Callable[[object], str]:
 
 _BLOCK_ROWS = 4096  # rows formatted at a time: only one block's cells are alive
 
-# a column block's field in its row template: a % field and the values that fill it, or a
-# literal (its % escaped) and None
-Field = "tuple[str, Iterable[object] | None]"
-
-
-def _literal(text: str) -> Field:
-    return text.replace("%", "%%"), None
+# a float block's field in its row template: a % field and the values that fill it
+Field = "tuple[str, Iterable[object]]"
 
 
 def _constant(block: Column) -> bool:
@@ -539,26 +533,34 @@ def _floats(block: Column) -> Sequence[float] | None:
 
 
 def _row_blocks(
-    columns: Sequence[Column], field: Callable[[Column], Field],
+    columns: Sequence[Column], cell: Callable[[object], str],
+    floats: Callable[[Column, Sequence[float]], Field],
     prefixes: Sequence[str], end: str, sep: str,
 ) -> Iterator[str]:
     """Each block of rows of ``columns``, the rows joined by ``sep``.  A block's rows come
-    from one ``%`` row template, built for the block: ``prefixes[k]`` then the field that
-    ``field`` gives the block of column k, for each k, then ``end``.  A field is a literal
-    (a block that holds one value) or a ``%`` field with the values that fill it; a block
-    of literals only is its one row repeated.  Rows stop with the shortest column."""
+    from one ``%`` row template, built for the block: ``prefixes[k]`` then the field of the
+    block of column k, for each k, then ``end``.  The field is picked by the block's cells,
+    not by their container, and here only: a block that holds one value (:func:`_constant`)
+    is a literal, ``cell`` of that value with its ``%`` escaped; a block of floats
+    (:func:`_floats`) is the field ``floats(block, values)`` gives; any other block is a
+    ``%s`` field of its cells as ``cell`` writes them.  A block of literals only is its one
+    row repeated.  Rows stop with the shortest column."""
     n = min(map(len, columns), default=0)
     prefixes = [prefix.replace("%", "%%") for prefix in prefixes]
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        template, values = [], []
+        template, fills = [], []
         for prefix, column in zip(prefixes, columns):
-            spec, cells = field(column[start:stop])
+            block = column[start:stop]
+            if _constant(block):
+                template += prefix, cell(block[0]).replace("%", "%%")
+                continue
+            values = _floats(block)
+            spec, cells = ("%s", map(cell, block)) if values is None else floats(block, values)
             template += prefix, spec
-            if cells is not None:
-                values.append(cells)
+            fills.append(cells)
         row = "".join(template) + end
-        yield sep.join(map(row.__mod__, zip(*values)) if values else [row % ()] * (stop - start))
+        yield sep.join(map(row.__mod__, zip(*fills)) if fills else [row % ()] * (stop - start))
 
 
 def text_table(
@@ -572,25 +574,17 @@ def text_table(
     ``header`` line, or ``key = value`` lines with ``sep=" = "``.
 
     Each block of lines (:data:`_BLOCK_ROWS` of them) comes from one ``%`` row
-    template, built from the block's cells, one field per column, picked by its
-    cells and not by their container.  A block that holds one value (see
-    :func:`_constant`) is a literal, that cell's text.  Any other block of
-    floats (:func:`_floats`: an array's, or a list's) is a ``%.{precision}g``
-    field filled with its values, and any other block, strings or mixed cells
-    alike, is a ``%s`` field of its cells as :func:`cell_formatter` writes them.
+    template whose fields :func:`_row_blocks` picks, each cell written by
+    :func:`cell_formatter`: a block of floats is a ``%.{precision}g`` field
+    filled with its values.
     """
     number = _number_spec(precision)
-    cell = cell_formatter(precision)
-
-    def field(block: Column) -> Field:
-        if _constant(block):
-            return _literal(cell(block[0]))
-        values = _floats(block)
-        return ("%s", map(cell, block)) if values is None else (number, values)
-
     prefixes = ["", *[sep] * (len(columns) - 1)]
     head = "" if header is None else sep.join(header) + "\n"
-    return "".join([head, *_row_blocks(columns, field, prefixes, "\n", "")])
+    blocks = _row_blocks(
+        columns, cell_formatter(precision), lambda _, values: (number, values), prefixes, "\n", ""
+    )
+    return "".join([head, *blocks])
 
 
 _NOT_JSON = "Out of range float values are not JSON compliant"  # as json.dumps words it
@@ -660,19 +654,17 @@ def json_text(
     array per row without keys.  The bytes are those of
     ``json.dumps(..., indent=2)`` of the rounded document with the table in
     it.  Each block of rows comes from one ``%`` row template at that depth,
-    built from the block's cells as in :func:`text_table`: a column's block
-    that holds one value is a literal, its token.  A float's token is the
-    ``repr`` of the float its ``%.{precision}g`` string stands for
-    (:func:`_json_floats`); any other cell's is the one ``json`` dumps.  A
-    block of floats (:func:`_floats`) takes one field: at 17 digits that float
-    is the cell itself, so once every cell is finite the field is ``%r``; at
+    whose fields :func:`_row_blocks` picks, each cell written as its token.  A
+    float's token is the ``repr`` of the float its ``%.{precision}g`` string
+    stands for (:func:`_json_floats`); any other cell's is the one ``json``
+    dumps.  A block of floats takes one field: at 17 digits that float is the
+    cell itself, so once every cell is finite the field is ``%r``; at
     16, and for a list up to 16, it is a ``%s`` field of the tokens, made in
     one call.  Up to 15 an array block in which :func:`_flagged` names no
     cell is a ``%.{precision}g`` field, since each cell's string is its token;
     any other is a ``%s`` field of the strings, the flagged ones replaced by
-    their tokens, each distinct string converted once.  Any other block is a
-    ``%s`` field of its cells' tokens.  Every block is built before the text
-    is returned, so a cell that raises leaves no partial table.
+    their tokens, each distinct string converted once.  Every block is built
+    before the text is returned, so a cell that raises leaves no partial table.
     """
     import json  # only a JSON command loads it
 
@@ -683,12 +675,7 @@ def json_text(
     def token(x: object) -> str:
         return _json_floats((number(x),))[0] if isinstance(x, float) else json.dumps(x)
 
-    def field(block: Column) -> Field:
-        if _constant(block):
-            return _literal(token(block[0]))
-        values = _floats(block)
-        if values is None:
-            return "%s", map(token, block)
+    def floats(block: Column, values: Sequence[float]) -> Field:
         if precision == 17:  # %.17g round-trips every double: the token is its repr
             if not all(map(math.isfinite, values)):
                 raise ValueError(_NOT_JSON)
@@ -716,7 +703,7 @@ def json_text(
     prefixes = [f",\n      {name}" for name in names]
     if prefixes:
         prefixes[0] = f"    {opening}\n      {names[0]}"
-    table = ",\n".join(_row_blocks(rows, field, prefixes, f"\n    {closing}", ",\n"))
+    table = ",\n".join(_row_blocks(rows, token, floats, prefixes, f"\n    {closing}", ",\n"))
     head, _, tail = text.rpartition(json.dumps(_ROWS_MARK))
     return "".join([head, "[\n", table, "\n  ]", tail, "\n"] if table else [head, "[]", tail, "\n"])
 

@@ -340,11 +340,13 @@ def temperature_from_correlator(params: DimerParameters, g: float) -> float:
 # closed forms of an already validated correlator; public functions validate once
 
 
-def _information(g: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
-    """``(I, C)``: both take the term at 1 + G, and it is taken once."""
+def _information(g: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray, FloatOrArray]:
+    """``(I, C, Q)``: I and C take the term at 1 + G once between them, and the discord
+    Q = I - C is formed here and nowhere else."""
     p = _xlog2(1.0 + g)
     # C is even in g: 1 - (-g) is 1 + g exactly, so a negative g only swaps its two terms
-    return 0.25 * (_xlog2(1.0 - 3.0 * g) + 3.0 * p), 0.5 * (p + _xlog2(1.0 - g))
+    i, c = 0.25 * (_xlog2(1.0 - 3.0 * g) + 3.0 * p), 0.5 * (p + _xlog2(1.0 - g))
+    return i, c, i - c
 
 
 def _concurrence(g: FloatOrArray) -> FloatOrArray:
@@ -365,8 +367,7 @@ def classical_correlation(g: FloatOrArray) -> FloatOrArray:
 
 def discord(g: FloatOrArray) -> FloatOrArray:
     """Quantum discord Q(G) = I(G) - C(G) in bits."""
-    i, c = _information(validate_correlator(g))
-    return i - c
+    return _information(validate_correlator(g))[2]
 
 
 def concurrence(g: FloatOrArray, antiferro: bool) -> FloatOrArray:
@@ -544,10 +545,10 @@ def measures_from_correlator(g: FloatOrArray) -> CorrelationSet:
 
 def _measures(g: FloatOrArray) -> CorrelationSet:
     # the measures of a correlator already in [-1, 1/3]
-    i, c = _information(g)
+    i, c, q = _information(g)
     ct = _concurrence(g)
     # a NamedTuple's own construction, without the frame of its generated __new__
-    return tuple.__new__(CorrelationSet, (i, c, i - c, ct, _entanglement(ct)))
+    return tuple.__new__(CorrelationSet, (i, c, q, ct, _entanglement(ct)))
 
 
 def correlation_set(params: DimerParameters, t: FloatOrArray) -> CorrelationSet:

@@ -21,8 +21,8 @@ import warnings
 from typing import Callable, NamedTuple, Sequence
 
 from .dimer_core import (
-    _POSITIVE, DimerParameters, FloatOrArray, _check_each, _clip, _is_array, _numpy, _real,
-    _unit_susceptibility, _validated_make,
+    _EXP_ARG_MAX, _POSITIVE, DimerParameters, FloatOrArray, _check_each, _clip, _is_array,
+    _numpy, _real, _unit_susceptibility, _validated_make,
 )
 from .errors import (
     BracketError,
@@ -50,7 +50,7 @@ __all__ = [
 _INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)  # golden-section shrink factor
 _ROOT_RTOL = 4.0 * sys.float_info.epsilon  # relative part of the root stop rule
 # |J| / T_min the fit searches: exp(2|J|/T) is capped above, chi is Curie's to ~1e-6 below
-_FIT_J_MIN, _FIT_J_MAX = 1e-6, 350.0
+_FIT_J_MIN, _FIT_J_MAX = 1e-6, 0.5 * _EXP_ARG_MAX
 
 # Status bits of a measured row, 0 where it passes without a message: its G
 # clamped onto -1 or 1/3, or refused as NaN (an inversion's mark for a value it

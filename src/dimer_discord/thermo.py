@@ -36,7 +36,7 @@ from .dimer_core import (
     _real,
     _scaled_abs,
     _temperature,
-    bleaney_bowers,
+    _unit_susceptibility,
     correlator_from_temperature,
     validate_correlator,
 )
@@ -412,7 +412,7 @@ def susceptibility(params: DimerParameters, temperature: float) -> float:
     """
     temperature = _temperature(temperature)  # a float, which keeps the curve off numpy
     g_factor = _require_g(params, "susceptibility")
-    return bleaney_bowers(params.j_over_kb, g_factor, temperature)
+    return g_factor * g_factor * _unit_susceptibility(params.j_over_kb, temperature)[0]
 
 
 def correlator_from_susceptibility(

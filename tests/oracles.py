@@ -95,9 +95,28 @@ def cm_of_t(j, t):
 
 def cm_inversion(cm, antiferro, side):
     """The correlator where c_m/R equals the float ``cm`` on one flank of the
-    Schottky curve, as a 50-digit mpf.  Bisection in ln x, x = |2J/(k_B T)|,
-    inside (sqrt(cm), x*) on the hot side and (x*, 800) on the cold one:
-    c_m/R <= x^2/4 everywhere, and is below the smallest double past x = 800."""
+    Schottky curve, as a 50-digit mpf (see :func:`cm_inversion_x`)."""
+    return g_of_x(cm_inversion_x(cm, antiferro, side), antiferro)
+
+
+def g_of_x(x, antiferro):
+    """G at x = |2J/(k_B T)| on one branch, as an mpf."""
+    em = mp.expm1(-x)  # e^-x - 1, for x below 1e-50 too
+    return em / (3 * em + 4) if antiferro else -em / (em + 4)
+
+
+def ground_gap(x, antiferro):
+    """How far G lies from its ground state at x = |2J/(k_B T)|, as an mpf: 1 + G
+    antiferro, 1/3 - G ferro, taken from e^-x so that no 50-digit G cancels."""
+    e = mp.e ** (-mp.mpf(x))
+    return 4 * e / (3 * e + 1) if antiferro else 4 * e / (3 * (e + 3))
+
+
+def cm_inversion_x(cm, antiferro, side):
+    """The x = |2J/(k_B T)| where c_m/R equals the float ``cm`` on one flank of the
+    Schottky curve, as an mpf.  Bisection in ln x inside (sqrt(cm), x*) on the hot side
+    and (x*, 800) on the cold one: c_m/R <= x^2/4 everywhere, and is below the smallest
+    double past x = 800."""
     c = mp.mpf(cm)
 
     def log_cm(x):
@@ -115,8 +134,7 @@ def cm_inversion(cm, antiferro, side):
             hi = mid
         else:
             lo = mid
-    em = mp.expm1(-mp.sqrt(lo * hi))  # e^-x - 1, for x below 1e-50 too
-    return em / (3 * em + 4) if antiferro else -em / (em + 4)
+    return mp.sqrt(lo * hi)
 
 
 def u_of_t(j, t):

@@ -1,5 +1,5 @@
-"""The accuracy ledger of the measures: each public measure against its oracle over its
-whole domain, band by band.
+"""The accuracy ledger: each public measure, and each closed form and inversion of the
+thermal channels, against its oracle over its whole domain, band by band.
 
 Each row holds a function, its oracle (``tests/oracles.py``, whose working digits grow as
 the value shrinks), its sample points and its bands, and per band two bounds that every
@@ -8,28 +8,48 @@ of the value right (|error| >= |value|), an absolute error.  A bound of 0 says t
 point takes that way.  The correlator is sampled on both branches, |G| log-spaced from
 the top of the branch down to 1e-300 (ten points a decade down to 1e-16, one a decade
 below), and toward the ground states G -> -1 and G -> 1/3; the concurrence of E from
-1e-300 to 1.
+1e-300 to 1.  The thermal rows take J = -1 and J = +1 (antiferro and ferro), T/|J| ten
+points a decade, banded by decade: G(T) and the Bleaney-Bowers curve from 1e-3 (cells
+frozen into the ground state) to 1e12, c_m/R from 1e-2 to 1e6.  T(G) takes the
+correlators above on both branches.  The Schottky inversion takes each of its four flanks
+from 1e-300 of the peak height c* up to the peak, against 50-digit bisection; on the cold
+flanks a second row holds the small 1 + G (antiferro) or 1/3 - G (ferro).
 
 The bounds are what the code meets today, rounded up to the next of 1, 2 and 5 times a
 power of ten, not what it should meet: a change that makes a measure more exact
-tightens its row.  Each row also checks that the float and the array form of the function
-give the same bits.  Print today's worst error per band with
+tightens its row.  Each row whose function also takes an array checks that its float and
+array forms give the same bits.  Two more tests hold the bounds that
+``temperature_from_correlator`` and ``correlator_from_specific_heat`` state in their
+docstrings.  Print today's worst error per band with
 
     PYTHONPATH=src python tests/test_accuracy_ledger.py
 """
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import oracles
 from dimer_discord.dimer_core import (
+    CODATA,
+    DimerParameters,
+    bleaney_bowers,
     classical_correlation,
+    correlator_from_temperature,
     discord,
     entanglement_of_formation,
     mutual_information,
+    temperature_from_correlator,
+)
+from dimer_discord.thermo import (
+    CM_PEAK_ANTIFERRO,
+    CM_PEAK_FERRO,
+    correlator_from_specific_heat,
+    specific_heat,
 )
 
 # |x| from 1e-300 to 10**-0.1: one point a decade below 1e-16, where a measure is 0 or of
@@ -63,12 +83,61 @@ C_BANDS = {
 }
 
 
+# T/|J| ten points a decade, from 1e-3 to 1e12
+TEMPERATURES = [10.0 ** (k / 10) for k in range(-30, 121)]
+
+
+def _decade_bands(lo: int, hi: int) -> dict[str, Callable[[float], bool]]:
+    """T/|J| by decade from 10**lo up to 10**hi, the top decade closed."""
+    def decade(k):
+        top = k + 1 == hi
+        return lambda t: 10.0**k <= t < 10.0 ** (k + 1) or top and t == 10.0**hi
+
+    return {f"T/|J| in [{10.0**k:g}, {10.0 ** (k + 1):g}{']' if k + 1 == hi else ')'}": decade(k)
+            for k in range(lo, hi)}
+
+
+T_BANDS = _decade_bands(-3, 12)
+CM_TEMPERATURES = [t for t in TEMPERATURES if 1e-2 <= t <= 1e6]
+CM_T_BANDS = _decade_bands(-2, 6)
+
+# heights c of a Schottky flank as shares of its peak c*: every 20 decades from 1e-300,
+# two points a decade from 1e-16 (off the band edges), then 3 * 10**-k below the peak
+HEIGHT_SHARES = sorted({
+    *(10.0**-k for k in range(300, 16, -20)), *(10.0 ** (-k / 2 - 0.25) for k in range(32)),
+    *(1.0 - 3.0 * 10.0**-k for k in range(2, 17)), 1.0,
+})
+
+
+def _height_bands(peak: float) -> dict[str, Callable[[float], bool]]:
+    """The heights c of a flank of peak c* by decade of c/c*, and near the peak of 1 - c/c*."""
+    def share(lo, hi):
+        return lambda c: lo <= c / peak < hi
+
+    return {
+        "c/c* in [0, 1e-16)": share(0.0, 1e-16),
+        "c/c* in [1e-16, 1e-08)": share(1e-16, 1e-8),
+        "c/c* in [1e-08, 0.001)": share(1e-8, 1e-3),
+        "c/c* in [0.001, 0.1)": share(1e-3, 0.1),
+        "c/c* in [0.1, 0.9)": share(0.1, 0.9),
+        "1 - c/c* in (0.001, 0.1]": share(0.9, 0.999),
+        "1 - c/c* in (1e-08, 0.001]": share(0.999, 1.0 - 1e-8),
+        "1 - c/c* in (0, 1e-08]": share(1.0 - 1e-8, 1.0),
+        "c = c*": lambda c: c == peak,
+    }
+
+
+HEIGHT_BANDS = _height_bands(1.0)  # the band names, which both couplings share
+
+
 class Row(NamedTuple):
     function: Callable
     oracle: Callable
     points: list[float]
     bands: dict[str, Callable[[float], bool]]
     bounds: dict[str, tuple[float, float]]  # per band: (ulp, absolute where no digit is right)
+    name: str = ""  # the row's name, where it is not its function's
+    array: bool = True  # whether the function takes an array too
 
 
 LEDGER = [
@@ -123,22 +192,130 @@ LEDGER = [
         "c in [0, 1e-16)": (0, 5e-33),
     }),
 ]
-IDS = [row.function.__name__ for row in LEDGER]
 
 
-def _error(value: float, exact: float) -> tuple[float | None, float]:
-    """``(ulp error, absolute error)`` of ``value``; the first is None where no digit of
-    ``exact`` is right."""
+def _on(j: float, function: Callable) -> Callable[[float], float]:
+    """``function`` of a dimer of coupling ``j``, as a function of its one number."""
+    params = DimerParameters(j)
+    return lambda x: function(params, x)
+
+
+BRANCH_CORRELATORS = [g for g in CORRELATORS if g not in (-1.0, 1.0 / 3.0)]  # T finite
+
+
+def _exact_temperature(g: float) -> mp.mpf:
+    """T(G) at 50 digits, J = -1 on the antiferro branch and +1 on the ferro one."""
+    return oracles.t_of_g(-1.0 if g < 0.0 else 1.0, g)
+
+
+@functools.cache
+def _cm_x(cm: float, antiferro: bool, side: str) -> mp.mpf:
+    # a bisection costs ~6 ms: each height's is taken once, for its G and 1 + G (1/3 - G) rows
+    return oracles.cm_inversion_x(cm, antiferro, side)
+
+
+def _cm_rows(antiferro: bool, side: str, bounds: dict, gap_bounds: dict | None) -> list[Row]:
+    """The Schottky inversion on one flank, and on a cold one the small 1 + G (1/3 - G)."""
+    peak = CM_PEAK_ANTIFERRO if antiferro else CM_PEAK_FERRO
+    params = DimerParameters(-1.0 if antiferro else 1.0)
+    flank = f"{'antiferro' if antiferro else 'ferro'} {side}"
+
+    def invert(c):
+        return correlator_from_specific_heat(params, c, side=side)
+
+    def exact(c):
+        return float(oracles.g_of_x(_cm_x(c, antiferro, side), antiferro))
+
+    def gap(c):  # 1.0 + g is exact on the antiferro cold flank
+        g = invert(c)
+        return 1.0 + g if antiferro else float(mp.mpf(1) / 3 - g)
+
+    def exact_gap(c):
+        return float(oracles.ground_gap(_cm_x(c, antiferro, side), antiferro))
+
+    heights, bands = [peak * r for r in HEIGHT_SHARES], _height_bands(peak)
+    rows = [Row(invert, exact, heights, bands, bounds, f"correlator_from_specific_heat {flank}",
+                False)]
+    if gap_bounds is not None:
+        name = f"{'1 + G' if antiferro else '1/3 - G'} of the {flank} inversion"
+        rows.append(Row(gap, exact_gap, heights, bands, gap_bounds, name, False))
+    return rows
+
+
+def _in_ulp(bands: dict, *ulps: float) -> dict[str, tuple[float, float]]:
+    """A row's bounds in ulp, one per band in order, where no point loses every digit."""
+    return dict(zip(bands, [(ulp, 0) for ulp in ulps], strict=True))
+
+
+LEDGER += [
+    Row(_on(-1.0, correlator_from_temperature), lambda t: oracles.g_of_t(-1.0, t),
+        TEMPERATURES, T_BANDS, _in_ulp(T_BANDS, 0, 0, 0, 10, 100, 1000, 1e4, 2e5, 2e6, 2e7, 2e8,
+                                       1e9, 5e9, 2e11, 5e11),
+        "correlator_from_temperature antiferro"),
+    Row(_on(1.0, correlator_from_temperature), lambda t: oracles.g_of_t(1.0, t),
+        TEMPERATURES, T_BANDS, _in_ulp(T_BANDS, 2, 2, 5, 20, 200, 2000, 1e4, 1e5, 1e6, 5e6, 1e8,
+                                       1e9, 5e9, 2e11, 5e11),
+        "correlator_from_temperature ferro"),
+    Row(_on(-1.0, specific_heat), lambda t: oracles.cm_of_t(-1.0, t), CM_TEMPERATURES,
+        CM_T_BANDS, _in_ulp(CM_T_BANDS, 100, 10, 5, 2, 5, 5, 2, 5),
+        "specific_heat antiferro", False),
+    Row(_on(1.0, specific_heat), lambda t: oracles.cm_of_t(1.0, t), CM_TEMPERATURES,
+        CM_T_BANDS, _in_ulp(CM_T_BANDS, 200, 10, 2, 5, 5, 5, 2, 5),
+        "specific_heat ferro", False),
+    Row(lambda g: temperature_from_correlator(DimerParameters(-1.0 if g < 0.0 else 1.0), g),
+        lambda g: float(_exact_temperature(g)), BRANCH_CORRELATORS, G_BANDS,
+        _in_ulp(G_BANDS, 2, 2, 2, 2, 5, 5, 0, 5, 2, 5, 5, 2),
+        "temperature_from_correlator", False),
+    Row(lambda t: bleaney_bowers(-1.0, 2.0, t),
+        lambda t: oracles.bleaney_bowers(-1.0, 2.0, t, CODATA.curie_prefactor),
+        TEMPERATURES, T_BANDS, _in_ulp(T_BANDS, 500, 100, 10, 2, 2, 2, 2, 5, 5, 2, 2, 2, 2, 2, 2),
+        "bleaney_bowers antiferro"),
+    Row(lambda t: bleaney_bowers(1.0, 2.0, t),
+        lambda t: oracles.bleaney_bowers(1.0, 2.0, t, CODATA.curie_prefactor),
+        TEMPERATURES, T_BANDS, _in_ulp(T_BANDS, 2, 2, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 0, 0, 0),
+        "bleaney_bowers ferro"),
+    # the peak's own rounding moves G by its square root: up to 3e-9 within 1e-8 of it
+    *_cm_rows(True, "hot", _in_ulp(HEIGHT_BANDS, 5, 5, 5, 2, 2, 5, 2000, 5e7, 2), None),
+    *_cm_rows(True, "cold", _in_ulp(HEIGHT_BANDS, 0, 0, 0, 0, 0, 5, 5000, 5e7, 2), {
+        "c/c* in [0, 1e-16)": (0, 5e-24),  # G is -1: 1 + G is 0
+        "c/c* in [1e-16, 1e-08)": (5e15, 1e-16),
+        "c/c* in [1e-08, 0.001)": (2e9, 0),
+        "c/c* in [0.001, 0.1)": (1e4, 0),
+        "c/c* in [0.1, 0.9)": (50, 0),
+        "1 - c/c* in (0.001, 0.1]": (20, 0),
+        "1 - c/c* in (1e-08, 0.001]": (2e4, 0),
+        "1 - c/c* in (0, 1e-08]": (1e8, 0),
+        "c = c*": (5, 0),
+    }),
+    *_cm_rows(False, "hot", _in_ulp(HEIGHT_BANDS, 2, 5, 5, 2, 2, 10, 2000, 2e7, 2e7), None),
+    *_cm_rows(False, "cold", _in_ulp(HEIGHT_BANDS, 0, 0, 2, 2, 2, 5, 2000, 2e7, 2e7), {
+        "c/c* in [0, 1e-16)": (0, 2e-17),  # G is the double nearest 1/3
+        "c/c* in [1e-16, 1e-08)": (2e15, 2e-17),
+        "c/c* in [1e-08, 0.001)": (5e10, 0),
+        "c/c* in [0.001, 0.1)": (5000, 0),
+        "c/c* in [0.1, 0.9)": (100, 0),
+        "1 - c/c* in (0.001, 0.1]": (50, 0),
+        "1 - c/c* in (1e-08, 0.001]": (1e4, 0),
+        "1 - c/c* in (0, 1e-08]": (2e8, 0),
+        "c = c*": (2e8, 0),
+    }),
+]
+IDS = [row.name or row.function.__name__ for row in LEDGER]
+
+
+def _error(value: float, exact: float) -> tuple[float | None, float, float]:
+    """``(ulp error, absolute error, relative error)`` of ``value``; the first is None where
+    no digit of ``exact`` is right."""
     error = abs(value - exact)
     if error == 0.0:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
     if error >= abs(exact):
-        return None, error
-    return error / math.ulp(exact), error
+        return None, error, error / abs(exact) if exact else math.inf
+    return error / math.ulp(exact), error, error / abs(exact)
 
 
-def ledger(row: Row) -> dict[str, list[tuple[float, float | None, float]]]:
-    """Per band: ``(x, ulp error, absolute error)`` at each of its points."""
+def ledger(row: Row) -> dict[str, list[tuple[float, float | None, float, float]]]:
+    """Per band: ``(x, ulp error, absolute error, relative error)`` at each of its points."""
     return {
         band: [(x, *_error(row.function(x), row.oracle(x))) for x in row.points if member(x)]
         for band, member in row.bands.items()
@@ -146,20 +323,22 @@ def ledger(row: Row) -> dict[str, list[tuple[float, float | None, float]]]:
 
 
 def _report(row: Row, table: dict) -> str:
-    """Per band: its points, the worst ulp error where a digit is right, and the worst
-    absolute error where none is."""
-    lines = [f"{row.function.__name__}:"]
+    """Per band: its points, the worst ulp error where a digit is right, the worst
+    absolute error where none is, and the worst relative error."""
+    lines = [f"{row.name or row.function.__name__}:"]
     for band, points in table.items():
-        ulp = max((u for _, u, _ in points if u is not None), default=None)
-        error = max((e for _, u, e in points if u is None), default=None)
+        ulp = max((u for _, u, _, _ in points if u is not None), default=None)
+        error = max((e for _, u, e, _ in points if u is None), default=None)
+        relative = max(r for _, _, _, r in points)
         ulp_text = "-" if ulp is None else f"{ulp:.3g} ulp"
         error_text = "-" if error is None else f"{error:.3g}"
         lines.append(f"  {band:32s} n = {len(points):3d}  worst {ulp_text:>12s}  "
-                     f"no digit right: {error_text}")
+                     f"no digit right: {error_text:>9s}  relative: {relative:.3g}")
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("row", LEDGER, ids=IDS)
+@pytest.mark.parametrize("row", [row for row in LEDGER if row.array],
+                         ids=[i for row, i in zip(LEDGER, IDS) if row.array])
 def test_the_float_and_array_forms_agree_in_bits(row):
     floats = [row.function(x) for x in row.points]
     array = row.function(np.array(row.points)).tolist()
@@ -174,8 +353,58 @@ def test_every_point_meets_its_band_bound(row):
     for band, points in table.items():
         ulp_bound, absolute_bound = row.bounds[band]
         assert points, band
-        for x, ulp, error in points:
+        for x, ulp, error, _ in points:
             assert (ulp is not None and ulp <= ulp_bound) or error <= absolute_bound, (band, x)
+
+
+def test_temperature_from_correlator_within_5e_16_relative():
+    # its docstring's bound, on both branches, against the 50-digit T
+    for g in BRANCH_CORRELATORS:
+        exact = _exact_temperature(g)
+        t = temperature_from_correlator(DimerParameters(-1.0 if g < 0.0 else 1.0), g)
+        assert abs(t - exact) <= 5e-16 * exact, g
+
+
+@pytest.mark.parametrize("antiferro, side", [(True, "hot"), (True, "cold"), (False, "hot"),
+                                             (False, "cold")])
+def test_correlator_from_specific_heat_within_its_stated_bound(antiferro, side):
+    # its docstring: a relative error of about 2e-16/sqrt(1 - c/c*) toward the peak and
+    # ~1e-15 far from it; both hold as 1e-15/sqrt(1 - c/c*), below the peak itself
+    peak = CM_PEAK_ANTIFERRO if antiferro else CM_PEAK_FERRO
+    params = DimerParameters(-1.0 if antiferro else 1.0)
+    for c in [c for c in (peak * r for r in HEIGHT_SHARES) if c < peak]:
+        exact = oracles.g_of_x(_cm_x(c, antiferro, side), antiferro)
+        g = correlator_from_specific_heat(params, c, side=side)
+        assert abs(g - exact) <= 1e-15 / mp.sqrt(1 - mp.mpf(c) / peak) * abs(exact), c
+
+
+def test_the_thermal_oracles_keep_their_value_at_twice_their_digits():
+    # the oracles themselves, not the package: G(T) cancels 12 of its 50 digits at
+    # T/|J| = 1e12, and a cold Schottky root sits at x ~ 700
+    temperatures = TEMPERATURES[::5]
+    shares = [1e-300, 1e-3, 0.5, 1.0 - 3e-8]
+
+    def values():
+        return [
+            *(oracles.g_of_t(j, t) for j in (-1.0, 1.0) for t in temperatures),
+            *(oracles.cm_of_t(j, t) for j in (-1.0, 1.0) for t in CM_TEMPERATURES[::5]),
+            *(float(_exact_temperature(g)) for g in BRANCH_CORRELATORS[::10]),
+            *(oracles.bleaney_bowers(j, 2.0, t, CODATA.curie_prefactor)
+              for j in (-1.0, 1.0) for t in temperatures),
+            *(float(oracles.cm_inversion(peak * r, peak == CM_PEAK_ANTIFERRO, side))
+              for peak in (CM_PEAK_ANTIFERRO, CM_PEAK_FERRO) for side in ("hot", "cold")
+              for r in shares),
+        ]
+
+    at_50 = values()
+    with mp.workdps(100):
+        assert values() == at_50
+
+
+@pytest.mark.parametrize("row", LEDGER, ids=IDS)
+def test_each_point_falls_in_one_band(row):
+    for x in row.points:
+        assert sum(member(x) for member in row.bands.values()) == 1, x
 
 
 if __name__ == "__main__":

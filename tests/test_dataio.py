@@ -30,6 +30,7 @@ from dimer_discord.dataio import (
 from dimer_discord.dimer_core import (
     DimerParameters,
     classical_correlation,
+    correlation_set,
     correlator_from_temperature,
     discord,
     measures_from_correlator,
@@ -470,6 +471,38 @@ class TestResultRecord:
         assert rec.discord == ValueWithUncertainty(discord(-0.54), 0.0)
         assert table.discord.tolist() == discord(np.clip(g, -1.0, 1.0 / 3)).tolist()
         assert [(i, kind) for i, kind, _ in remarks] == [(1, DataWarning)]
+
+    def test_every_discord_is_the_q_that_information_forms(self, monkeypatch):
+        # Q = I - C is formed in dimer_core._information alone: a Q shifted there by 1 moves
+        # every discord by exactly 1, and sigma_Q is the secant of the shifted Q at its ends
+        g = np.array([-0.95, -0.54, 0.2])  # -0.95 - 0.1 leaves the band: one-sided
+        sigma = np.array([0.1, 0.09, 0.0])
+        q = discord(g).tolist()
+        q_up, q_down = discord(g + sigma).tolist(), discord(np.fmax(g - sigma, -1.0)).tolist()
+        measures = measures_from_correlator(g)
+        params = DimerParameters(-2.5)
+        at_t = correlation_set(params, 4.0)
+        information = dimer_core._information
+
+        def shifted(x):
+            i, c, q = information(x)
+            return i, c, q + 1.0
+
+        for module in (dimer_core, dataio):
+            monkeypatch.setattr(module, "_information", shifted)
+        moved = [x + 1.0 for x in q]
+        assert discord(g).tolist() == moved == [discord(x) for x in g.tolist()]
+        got = measures_from_correlator(g)
+        assert got.discord.tolist() == moved
+        assert [x.tolist() for x in got._replace(discord=measures.discord)] == [
+            x.tolist() for x in measures]
+        assert correlation_set(params, 4.0) == at_t._replace(discord=at_t.discord + 1.0)
+        assert results_from_correlators(np.ones(3), g, "theory").discord.tolist() == moved
+        table, _ = dataio._measured_results(np.ones(3), g, sigma, "neutron")
+        assert table.discord.tolist() == moved
+        assert table.sigma_discord.tolist() == [
+            abs((q_up[0] + 1.0) - moved[0]), 0.5 * abs((q_up[1] + 1.0) - (q_down[1] + 1.0)), 0.0
+        ]
 
     def test_float32_correlator_takes_a_double_secant(self):
         # the record stores floats, so the sigma_Q secant ends are doubles

@@ -9,7 +9,8 @@ and a scalar call never pays for it; ``json`` likewise only inside
 ``dataio.json_text``, the one JSON dump, so that CSV and ``key = value``
 commands never load it.  The CLI builds its
 output as column tables only, never through the one-point result record,
-and takes no uncertainty secant of its own.
+and takes no uncertainty secant of its own.  The field a table block takes in
+its row template is picked in ``dataio._row_blocks`` alone.
 The landmark crossings and the susceptibility maximum are frozen constants,
 so neither the CLI nor ``thermo`` calls a solver for them.  No module-level
 private name is left behind without a reference outside its own definition.
@@ -132,6 +133,23 @@ def _names(module: str) -> set[str]:
         elif isinstance(node, ast.alias):
             names.add(node.name)
     return names
+
+
+def _calls(node: ast.AST, names: set[str]) -> list[ast.Call]:
+    """The calls under ``node`` of a function or method named in ``names``."""
+    return [
+        n for n in ast.walk(node) if isinstance(n, ast.Call)
+        and (getattr(n.func, "id", None) or getattr(n.func, "attr", None)) in names
+    ]
+
+
+def test_a_blocks_field_is_picked_only_in_row_blocks():
+    # which field a table block takes (a literal, a float field or a %s one) is one rule
+    names = {"_constant", "_floats"}
+    sites = [(m, n.lineno) for m in MODULES for n in _calls(_tree(m), names)]
+    (rows,) = (f for f in _tree("dataio").body if getattr(f, "name", None) == "_row_blocks")
+    assert sites == [("dataio", n.lineno) for n in _calls(rows, names)]
+    assert len(sites) == 2
 
 
 def test_cli_builds_no_result_record():
