@@ -7,10 +7,13 @@ Seven subcommands: ``theory`` (sweep the exact curves), ``landmarks``
 
 Conventions: machine-readable output on stdout, notes and warnings on
 stderr; exit 0 on success, 1 when a computation fails, 2 on usage errors.
+Each subcommand returns its exit code and its text, which :func:`main` alone
+writes to stdout, so a command's notes and warnings come before its table.
 Identical invocations produce byte-identical stdout.  Every warning is
 shown, in the order it is raised, as one ``Category: text`` line.  The
 environment variable ``DIMER_DISCORD_PRECISION`` overrides the printed
-number of significant digits (default 6).
+number of significant digits (default 6); a JSON value that rounds past the
+largest double at that precision exits 1 with ``error:``.
 
 ``theory`` and ``figure`` compute a grid of up to ``_FLOAT_GRID_MAX`` (8,000, below
 where whole processes break even) points one point at a time in floats, and load no
@@ -119,10 +122,8 @@ def _resolve_parameters(args: argparse.Namespace, *, g_only: bool = False) -> Di
     return DimerParameters(j, g)
 
 
-def _emit(table: ResultTable, args: argparse.Namespace, precision: int) -> None:
-    # the text write_results encodes, written as it is
-    preset_name = getattr(args, "preset", None)
-    sys.stdout.write(dataio._results_text(table, args.format, preset_name, precision))
+def _table_text(table: ResultTable, args: argparse.Namespace, precision: int) -> str:
+    return dataio._results_text(table, args.format, getattr(args, "preset", None), precision)
 
 
 def _note(text: str) -> None:
@@ -137,7 +138,7 @@ def _show_warning(message, category, *_) -> None:
 # subcommands
 
 
-def _cmd_theory(args: argparse.Namespace, precision: int) -> int:
+def _cmd_theory(args: argparse.Namespace, precision: int) -> tuple[int, str]:
     params = _resolve_parameters(args)
     j_abs = abs(params.j_over_kb)
     t_min = args.t_min if args.t_min is not None else 0.02 * j_abs
@@ -149,11 +150,10 @@ def _cmd_theory(args: argparse.Namespace, precision: int) -> int:
     def rows(t: FloatOrArray) -> ResultTable | tuple:
         return dataio._exact_results(t, dimer_core.correlator_from_temperature(params, t), "theory")
 
-    _emit(ResultTable(*_columns(rows, grid)), args, precision)
-    return 0
+    return 0, _table_text(ResultTable(*_columns(rows, grid)), args, precision)
 
 
-def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
+def _cmd_landmarks(args: argparse.Namespace, precision: int) -> tuple[int, str]:
     params = _resolve_parameters(args)
     j, scaled = params.j_over_kb, dimer_core._scaled_abs
     lines: list[tuple[str, object]] = [
@@ -204,16 +204,15 @@ def _cmd_landmarks(args: argparse.Namespace, precision: int) -> int:
                  # chi_max |J| / (N_A g^2 mu_B^2 / k_B)
                  ("chi_peak_reduced", thermo.CHI_PEAK_W / 3.0))
 
-    sys.stdout.write(dataio.text_table(list(zip(*lines)), precision, sep=" = "))
-    return 0
+    return 0, dataio.text_table(list(zip(*lines)), precision, sep=" = ")
 
 
-def _emit_series(
+def _series_text(
     series: dataio.MeasurementSeries, channel: str, args: argparse.Namespace, precision: int,
     g_factor: float | None = None,
-) -> int:
-    """Print a result row per row of ``series`` that inverts, through
-    ``dataio._measured_results`` with ``g_factor``, and on stderr, in row order,
+) -> tuple[int, str]:
+    """The exit code, and the text of a result row per row of ``series`` that inverts,
+    through ``dataio._measured_results`` with ``g_factor``; on stderr, in row order,
     each flagged row's remark named by the row's 1-based number.  The command
     fails only when every row does.
     """
@@ -227,32 +226,31 @@ def _emit_series(
         else:
             _show_warning(line, kind)
     if len(series) and not len(table.t):
-        return 1
-    _emit(table, args, precision)
-    return 0
+        return 1, ""
+    return 0, _table_text(table, args, precision)
 
 
-def _cmd_from_neutron(args: argparse.Namespace, precision: int) -> int:
+def _cmd_from_neutron(args: argparse.Namespace, precision: int) -> tuple[int, str]:
     if (args.g_value is None) == (args.input is None):
         raise _UsageError("give exactly one of --G or --input")
     if args.input is not None:
         series = load_series(args.input, "correlator")
-        return _emit_series(series, "neutron", args, precision)
+        return _series_text(series, "neutron", args, precision)
     g = parse_value_with_uncertainty(args.g_value)  # a value it refuses prints no note
     t = args.temperature
     if t is None:
         _note("no temperature given (--T); T_K is left empty")
-    _emit(ResultTable(*zip(dataio._point_result(t, g.value, g.sigma, "neutron"))), args, precision)
-    return 0
+    table = ResultTable(*zip(dataio._point_result(t, g.value, g.sigma, "neutron")))
+    return 0, _table_text(table, args, precision)
 
 
-def _cmd_from_chi(args: argparse.Namespace, precision: int) -> int:
+def _cmd_from_chi(args: argparse.Namespace, precision: int) -> tuple[int, str]:
     params = _resolve_parameters(args, g_only=True)  # the inversion reads only g
     series = load_series(args.input, "susceptibility", normalization=f"per_{args.per}")
-    return _emit_series(series, "magnetometric", args, precision, params.scalar_g)
+    return _series_text(series, "magnetometric", args, precision, params.scalar_g)
 
 
-def _cmd_from_cm(args: argparse.Namespace, precision: int) -> int:
+def _cmd_from_cm(args: argparse.Namespace, precision: int) -> tuple[int, str]:
     params = _resolve_parameters(args)
     cell = dataio.cell_formatter(precision)
     if args.route == "invert":
@@ -284,39 +282,38 @@ def _cmd_from_cm(args: argparse.Namespace, precision: int) -> int:
                 "so --u0-over-R is ignored"
             )
         _note(f"u({cell(t)} K)/R = {cell(u)} K")
-    _emit(ResultTable(*zip(dataio._point_result(t, g, 0.0, "calorimetric"))), args, precision)
-    return 0
+    table = ResultTable(*zip(dataio._point_result(t, g, 0.0, "calorimetric")))
+    return 0, _table_text(table, args, precision)
 
 
-def _cmd_fit(args: argparse.Namespace, precision: int) -> int:
+def _cmd_fit(args: argparse.Namespace, precision: int) -> tuple[int, str]:
     init = _resolve_parameters(args)  # the fit solves for g, so none is needed
     series = load_series(args.input, "susceptibility", normalization=f"per_{args.per}")
     if len(series) < 3:
         raise _UsageError(f"fitting needs at least 3 points, file has {len(series)}")
     t, chi = series.temperatures, series.values
     result = numerics.fit_bleaney_bowers(t, chi, init, sigma=series.sigmas)
-    fitted = result.parameters
-    chi_model = dimer_core.bleaney_bowers(fitted.j_over_kb, fitted.g_factor, t)
+    j, g = result.parameters
+    chi_model = g * g * dimer_core._unit_susceptibility(j, t)[0]  # T was read by load_series
     names = ("T_K", "chi_emu_per_mol", "chi_model", "residual")
     columns = (t, chi, chi_model, chi_model - chi)
     report = {
         "converged": result.converged,
-        "J_over_kB_K": fitted.j_over_kb,
-        "twoJ_over_kB_K": 2.0 * fitted.j_over_kb,
-        "g_factor": fitted.g_factor,
+        "J_over_kB_K": j,
+        "twoJ_over_kB_K": 2.0 * j,
+        "g_factor": g,
         "residual_norm": result.residual_norm,
         "evaluations": result.evaluations,
         "n_points": len(series),
     }
     if args.format == "json":
-        sys.stdout.write(dataio.json_text(report, precision, rows=columns, keys=names))
+        text = dataio.json_text(report, precision, rows=columns, keys=names)
     else:
         text = dataio.text_table([list(report), list(report.values())], precision, sep=" = ")
-        sys.stdout.write(text + dataio.text_table(columns, precision, header=names))
+        text += dataio.text_table(columns, precision, header=names)
     if not result.converged:
         print("fit did not converge; best parameters so far reported", file=sys.stderr)
-        return 1
-    return 0
+    return (0 if result.converged else 1), text
 
 
 # Grids of up to this many points are lists, which theory and figure compute point by point
@@ -397,20 +394,18 @@ def _figure_data(fig: int, n: int) -> tuple[str, list[str], Sequence]:
     return (
         "copper acetate discord vs temperature",
         ["T_K", "Q_copper_acetate_hydrate", "Q_copper_acetate_anhydrous"],
-        _columns(lambda t: (t, *[dimer_core.discord(dimer_core.correlator_from_temperature(p, t))
-                                 for p in acetates]), grid),
+        # G(T) is in [-1, 1/3]: its Q is read straight from the kernel
+        _columns(lambda t: (t, *[dimer_core._information(
+            dimer_core.correlator_from_temperature(p, t))[2] for p in acetates]), grid),
     )
 
 
-def _cmd_figure(args: argparse.Namespace, precision: int) -> int:
+def _cmd_figure(args: argparse.Namespace, precision: int) -> tuple[int, str]:
     title, names, columns = _figure_data(args.id, args.n_points)
     if args.format == "json":
         doc = {"figure": args.id, "title": title, "columns": names}
-        sys.stdout.write(dataio.json_text(doc, precision, rows=columns))
-    else:
-        text = dataio.text_table(columns, precision, header=names)
-        sys.stdout.write(f"# figure {args.id}: {title}\n{text}")
-    return 0
+        return 0, dataio.json_text(doc, precision, rows=columns)
+    return 0, f"# figure {args.id}: {title}\n{dataio.text_table(columns, precision, header=names)}"
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +519,9 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("always")  # a repeated row remark is shown again
             warnings.showwarning = _show_warning
-            return args.func(args, precision)
+            code, text = args.func(args, precision)
+        sys.stdout.write(text)
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

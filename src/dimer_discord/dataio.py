@@ -592,11 +592,11 @@ _NOT_JSON = "Out of range float values are not JSON compliant"  # as json.dumps 
 
 def _json_floats(strings: Iterable[str]) -> list[str]:
     """json's tokens for the floats that number strings stand for: their
-    ``repr``.  A NaN or infinity raises ValueError, as
-    ``json.dumps(allow_nan=False)`` does."""
+    ``repr``.  A NaN or infinity raises DataError, a ValueError, with the words
+    of ``json.dumps(allow_nan=False)``."""
     tokens = list(map(repr, map(float, strings)))
     if {"nan", "inf", "-inf"}.intersection(tokens):
-        raise ValueError(_NOT_JSON)
+        raise DataError(_NOT_JSON)
     return tokens
 
 
@@ -647,7 +647,7 @@ def json_text(
 ) -> str:
     """Indented JSON of ``doc`` and a table, with every float rounded to
     ``precision`` significant digits; a NaN or infinity, or a float that
-    rounds past the largest double, raises ValueError.
+    rounds past the largest double, raises DataError (a ValueError).
 
     ``doc`` gains a last key ``"rows"`` holding the table ``rows`` (given as
     columns of scalar cells): one object per row keyed by ``keys``, or one
@@ -670,7 +670,10 @@ def json_text(
 
     spec = _number_spec(precision)
     number = spec.__mod__
-    text = json.dumps(_rounded({**doc, "rows": _ROWS_MARK}, number), indent=2, allow_nan=False)
+    try:
+        text = json.dumps(_rounded({**doc, "rows": _ROWS_MARK}, number), indent=2, allow_nan=False)
+    except ValueError as exc:  # a value of doc that is, or rounds to, a NaN or an infinity
+        raise DataError(str(exc)) from None
 
     def token(x: object) -> str:
         return _json_floats((number(x),))[0] if isinstance(x, float) else json.dumps(x)
@@ -678,7 +681,7 @@ def json_text(
     def floats(block: Column, values: Sequence[float]) -> Field:
         if precision == 17:  # %.17g round-trips every double: the token is its repr
             if not all(map(math.isfinite, values)):
-                raise ValueError(_NOT_JSON)
+                raise DataError(_NOT_JSON)
             return "%r", values
         if precision == 16 or not _is_array(block):  # at 16 every cell is flagged
             return "%s", _json_floats(map(number, values))

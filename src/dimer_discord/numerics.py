@@ -233,7 +233,8 @@ def find_root(
             else:  # inverse quadratic
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                denom = dblk * dpre * (fblk - fpre)  # 0 if it underflows: bisect, as brentq does
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:
@@ -503,6 +504,9 @@ def fit_bleaney_bowers(
         cost = float(wy @ wy)  # that of g = 0: every cost the search meets is at most this
     if not cost < math.inf:
         raise DataError("chi/sigma too large to fit: the sum of its squares overflows")
+    # wy over a power of two (exact) so that no square of it underflows; undone on g^2 and the norm
+    y_exp = math.frexp(float(np.abs(wy).max()))[1]
+    wy, y_scale = np.ldexp(wy, -y_exp), 2.0 ** y_exp
 
     sign = math.copysign(1.0, init.j_over_kb)
     x_lo, x_hi = math.log(_FIT_J_MIN * t_min), math.log(_FIT_J_MAX * t_min)
@@ -516,11 +520,11 @@ def fit_bleaney_bowers(
                 u = w * k
                 scale = float(u.max())  # so that no square of u underflows
                 u = u / scale
-                beta = float(u @ wy) / float(u @ u)  # g^2 * scale
+                beta = float(u @ wy) / float(u @ u)  # g^2 * scale / y_scale
                 r = beta * u - wy
                 # d(cost)/dx = J d(cost)/dJ, and w dK/dJ = scale * u * 2e / (T (3 + e))
                 dx = 2.0 * j * beta * float(r @ (u * (2.0 * e / (t * (3.0 + e)))))
-            seen[x] = (dx, beta / scale, math.sqrt(float(r @ r)))
+            seen[x] = (dx, beta / scale * y_scale, math.sqrt(float(r @ r)) * y_scale)
         return seen[x][0]
 
     # walk downhill in x until the slope changes sign (or is zero where it starts)

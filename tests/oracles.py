@@ -9,6 +9,7 @@ partial transpose by index shuffling) that don't presume any of them.
 
 import functools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -39,8 +40,12 @@ def _at_digits(measure):
     return at
 
 
+def _g(j, t):
+    return -1 + 4 / (3 + mp.e ** (-2 * mp.mpf(j) / mp.mpf(t)))
+
+
 def g_of_t(j, t):
-    return float(-1 + 4 / (3 + mp.e ** (-2 * mp.mpf(j) / mp.mpf(t))))
+    return float(_g(j, t))
 
 
 def t_of_g(j, g):
@@ -138,7 +143,39 @@ def cm_inversion_x(cm, antiferro, side):
 
 
 def u_of_t(j, t):
-    return float(mp.mpf("-1.5") * mp.mpf(j) * g_of_t(j, t))
+    return float(mp.mpf("-1.5") * mp.mpf(j) * _g(j, t))
+
+
+def _in_band(g):
+    """``g`` pulled into [-1, 1/3], as a measured correlator just outside it is."""
+    return min(max(g, mp.mpf(-1)), mp.mpf(1) / 3)
+
+
+def g_of_u(j, u):
+    """The correlator -2u/(3J) of the energy ``u`` = u/R, pulled into the band."""
+    return float(_in_band(-2 * mp.mpf(u) / (3 * mp.mpf(j))))
+
+
+def g_of_chi(g_factor, chi, t, curie):
+    """The correlator 2 T chi/(C g^2) - 1 of the susceptibility ``chi``, pulled into the band."""
+    g = 2 * mp.mpf(t) * mp.mpf(chi) / (mp.mpf(curie) * mp.mpf(g_factor) ** 2) - 1
+    return float(_in_band(g))
+
+
+def powder_g(gx, gy, gz):
+    return float(mp.sqrt((mp.mpf(gx) ** 2 + mp.mpf(gy) ** 2 + mp.mpf(gz) ** 2) / 3))
+
+
+def lambert_w(x):
+    return float(mp.lambertw(mp.mpf(x)))
+
+
+def series_integral(t, v, a, t_start):
+    """The exact value, as a Fraction, of the ramp, trapezoid and tail sum
+    t0 v0/2 + sum (t[i+1] - t[i]) (v[i] + v[i+1])/2 + a/t_start over the doubles given."""
+    t, v = [list(map(Fraction, x)) for x in (t, v)]
+    trapezoids = sum((t1 - t0) * (v0 + v1) for t0, t1, v0, v1 in zip(t, t[1:], v, v[1:]))
+    return (t[0] * v[0] + trapezoids) / 2 + Fraction(a) / Fraction(t_start)
 
 
 def chi_of_t(j, g_factor, t, curie):

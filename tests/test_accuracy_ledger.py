@@ -1,5 +1,6 @@
-"""The accuracy ledger: each public measure, and each closed form and inversion of the
-thermal channels, against its oracle over its whole domain, band by band.
+"""The accuracy ledger: each public measure, each closed form and inversion of the
+thermal channels, and the numerical helpers, against its oracle over its whole domain,
+band by band.
 
 Each row holds a function, its oracle (``tests/oracles.py``, whose working digits grow as
 the value shrinks), its sample points and its bands, and per band two bounds that every
@@ -10,17 +11,22 @@ the top of the branch down to 1e-300 (ten points a decade down to 1e-16, one a d
 below), and toward the ground states G -> -1 and G -> 1/3; the concurrence of E from
 1e-300 to 1.  The thermal rows take J = -1 and J = +1 (antiferro and ferro), T/|J| ten
 points a decade, banded by decade: G(T) and the Bleaney-Bowers curve from 1e-3 (cells
-frozen into the ground state) to 1e12, c_m/R from 1e-2 to 1e6.  T(G) takes the
-correlators above on both branches.  The Schottky inversion takes each of its four flanks
+frozen into the ground state) to 1e12, c_m/R from 1e-2 to 1e6; so do u/R and the
+inversion of the correctly rounded Bleaney-Bowers chi at g = 2.  T(G) and the inversion of
+u/R (at J = -2.56 and 35.4, whose 3J is not a double) take the correlators above on both
+branches.  The Schottky inversion takes each of its four flanks
 from 1e-300 of the peak height c* up to the peak, against 50-digit bisection; on the cold
-flanks a second row holds the small 1 + G (antiferro) or 1/3 - G (ferro).
+flanks a second row holds the small 1 + G (antiferro) or 1/3 - G (ferro).  ``powder_g``
+takes a tensor scaled from 1e-153 to 1e153, ``lambert_w`` its argument from the branch
+point -1/e to 1e300, and ``integrate_series_with_tail`` a c_m/R record of 2 to 10,000
+points, against the exact sum of its doubles.
 
 The bounds are what the code meets today, rounded up to the next of 1, 2 and 5 times a
 power of ten, not what it should meet: a change that makes a measure more exact
 tightens its row.  Each row whose function also takes an array checks that its float and
-array forms give the same bits.  Two more tests hold the bounds that
-``temperature_from_correlator`` and ``correlator_from_specific_heat`` state in their
-docstrings.  Print today's worst error per band with
+array forms give the same bits.  Three more tests hold the bounds that
+``temperature_from_correlator``, ``correlator_from_specific_heat`` and ``lambert_w`` state
+in their docstrings.  Print today's worst error per band with
 
     PYTHONPATH=src python tests/test_accuracy_ledger.py
 """
@@ -43,13 +49,19 @@ from dimer_discord.dimer_core import (
     discord,
     entanglement_of_formation,
     mutual_information,
+    powder_g,
     temperature_from_correlator,
 )
+from dimer_discord.numerics import TailModel, integrate_series_with_tail, lambert_w
 from dimer_discord.thermo import (
     CM_PEAK_ANTIFERRO,
     CM_PEAK_FERRO,
+    correlator_from_internal_energy,
     correlator_from_specific_heat,
+    correlator_from_susceptibility,
+    internal_energy,
     specific_heat,
+    specific_heat_from_correlator,
 )
 
 # |x| from 1e-300 to 10**-0.1: one point a decade below 1e-16, where a measure is 0 or of
@@ -300,6 +312,109 @@ LEDGER += [
         "c = c*": (2e8, 0),
     }),
 ]
+
+
+# the energy inversion at couplings whose 3J is not a double: J = -2.56 K on the antiferro
+# branch, 35.4 K on the ferro one
+def _energy_coupling(g: float) -> float:
+    return -2.56 if g < 0.0 else 35.4
+
+
+def _energy_of(g: float) -> float:
+    """u/R = -(3/2) J G of the correlator ``g``, as a double."""
+    return -1.5 * _energy_coupling(g) * g
+
+
+@functools.cache
+def _chi(j: float, t: float) -> float:
+    """The Bleaney-Bowers chi at g = 2, correctly rounded: the point the inversion reads."""
+    return oracles.bleaney_bowers(j, 2.0, t, CODATA.curie_prefactor)
+
+
+def _chi_row(j: float, *bounds: float) -> Row:
+    return Row(lambda t: correlator_from_susceptibility(DimerParameters(j, 2.0), _chi(j, t), t),
+               lambda t: oracles.g_of_chi(2.0, _chi(j, t), t, CODATA.curie_prefactor),
+               TEMPERATURES, T_BANDS, _in_ulp(T_BANDS, *bounds),
+               f"correlator_from_susceptibility {'antiferro' if j < 0.0 else 'ferro'}", False)
+
+
+# powder_g of the tensor x (1.9, 2.05, 2.3): one x a decade from 1e-153 to 1e153, where the
+# squares stay normal, and ten a decade from 0.1 to 10
+POWDER_SCALES = sorted({*(10.0**k for k in range(-153, 154)),
+                        *(10.0 ** (k / 10) for k in range(-10, 10))})
+POWDER_BANDS = {
+    "x in [1e-153, 1e-100)": lambda x: x < 1e-100,
+    "x in [1e-100, 1e100)": lambda x: 1e-100 <= x < 1e100,
+    "x in [1e100, 1e153]": lambda x: 1e100 <= x,
+}
+
+
+def _tensor(x: float) -> tuple[float, float, float]:
+    return 1.9 * x, 2.05 * x, 2.3 * x
+
+
+# W(x) from the branch point -1/e, where W'(x) diverges, to 1e300: x + 1/e from 1e-16 to
+# 1e-3, the correlators' decades below zero, and above zero one point a decade from 1e-300
+# and ten a decade from 1e-3 to 1e3
+LAMBERT_POINTS = sorted({
+    *(float(-1 / mp.e + d) for d in _EDGES),
+    *(-x for x in _DECADES + _BULK if x < 1.0 / math.e - 1e-3),
+    *(10.0**k for k in range(-300, 301)), *(10.0 ** (k / 10) for k in range(-30, 31)),
+})
+_BRANCH = float(-1 / mp.e)
+LAMBERT_BANDS = {
+    "x + 1/e <= 1e-3": lambda x: x <= _BRANCH + 1e-3,
+    "x in (-1/e + 1e-3, -1e-8)": lambda x: _BRANCH + 1e-3 < x < -1e-8,
+    "x in [-1e-8, 0)": lambda x: -1e-8 <= x < 0.0,
+    "x in (0, 1e-8)": lambda x: 0.0 < x < 1e-8,
+    "x in [1e-8, 1)": lambda x: 1e-8 <= x < 1.0,
+    "x in [1, 1e8)": lambda x: 1.0 <= x < 1e8,
+    "x in [1e8, 1e300]": lambda x: 1e8 <= x,
+}
+
+# the c_m/R record of the antiferro dimer at J = -1 on n log-spaced points from T = 0.01 to
+# 100, with its tail c_m/R = 0.75/T^2 from the last point on
+SERIES_LENGTHS = [2, 3, 5, 10, 30, 100, 300, 1000, 3000, 10000]
+SERIES_BANDS = {
+    "n in [2, 10)": lambda n: n < 10,
+    "n in [10, 1000)": lambda n: 10 <= n < 1000,
+    "n in [1000, 10000]": lambda n: 1000 <= n,
+}
+_TAIL = TailModel(0.75, 100.0)
+
+
+@functools.cache
+def _record(n: int) -> tuple[list[float], list[float]]:
+    t = np.geomspace(0.01, 100.0, n)
+    return t.tolist(), specific_heat_from_correlator(
+        correlator_from_temperature(DimerParameters(-1.0), t)).tolist()
+
+
+LEDGER += [
+    Row(_on(-1.0, internal_energy), lambda t: oracles.u_of_t(-1.0, t), TEMPERATURES, T_BANDS,
+        _in_ulp(T_BANDS, 0, 0, 1, 10, 200, 1000, 1e4, 2e5, 5e6, 2e7, 2e8, 1e9, 1e10, 2e11,
+                1e12),
+        "internal_energy antiferro", False),
+    Row(_on(1.0, internal_energy), lambda t: oracles.u_of_t(1.0, t), TEMPERATURES, T_BANDS,
+        _in_ulp(T_BANDS, 1, 2, 5, 20, 200, 1000, 1e4, 2e5, 1e6, 1e7, 1e8, 5e8, 1e10, 2e11,
+                1e12),
+        "internal_energy ferro", False),
+    Row(lambda g: correlator_from_internal_energy(
+            DimerParameters(_energy_coupling(g)), _energy_of(g)),
+        lambda g: oracles.g_of_u(_energy_coupling(g), _energy_of(g)), CORRELATORS, G_BANDS,
+        _in_ulp(G_BANDS, *[1] * 12), "correlator_from_internal_energy", False),
+    # the cold antiferro chi underflows to 0 or holds 1 + G exactly; the hot end cancels
+    _chi_row(-1.0, 0, 0, 0, 5, 100, 1000, 5000, 5e4, 5e5, 1e7, 1e8, 1e9, 1e10, 2e11, 1e12),
+    _chi_row(1.0, 1, 2, 2, 5, 100, 500, 1e4, 1e5, 2e6, 1e7, 1e8, 1e9, 1e10, 2e11, 1e12),
+    Row(lambda x: powder_g(*_tensor(x)), lambda x: oracles.powder_g(*_tensor(x)),
+        POWDER_SCALES, POWDER_BANDS, _in_ulp(POWDER_BANDS, 1, 1, 1), "powder_g", False),
+    # Halley stops at a residual of 1e-12 |x|, an error in W that grows as W'(x) toward -1/e
+    Row(lambert_w, oracles.lambert_w, LAMBERT_POINTS, LAMBERT_BANDS,
+        _in_ulp(LAMBERT_BANDS, 5e7, 2e4, 1e4, 5000, 5000, 500, 200), array=False),
+    Row(lambda n: integrate_series_with_tail(*_record(n), _TAIL),
+        lambda n: float(oracles.series_integral(*_record(n), *_TAIL)), SERIES_LENGTHS,
+        SERIES_BANDS, _in_ulp(SERIES_BANDS, 0, 1, 2), "integrate_series_with_tail", False),
+]
 IDS = [row.name or row.function.__name__ for row in LEDGER]
 
 
@@ -378,9 +493,17 @@ def test_correlator_from_specific_heat_within_its_stated_bound(antiferro, side):
         assert abs(g - exact) <= 1e-15 / mp.sqrt(1 - mp.mpf(c) / peak) * abs(exact), c
 
 
+def test_lambert_w_meets_its_residual_target():
+    # its docstring: Halley stops once |w e^w - x| is within 1e-12 |x|, held here at 50 digits
+    for x in LAMBERT_POINTS:
+        w = mp.mpf(lambert_w(x))
+        assert abs(w * mp.e**w - x) <= 1e-12 * abs(x), x
+
+
 def test_the_thermal_oracles_keep_their_value_at_twice_their_digits():
     # the oracles themselves, not the package: G(T) cancels 12 of its 50 digits at
-    # T/|J| = 1e12, and a cold Schottky root sits at x ~ 700
+    # T/|J| = 1e12, and a cold Schottky root sits at x ~ 700 (the series sum is a Fraction,
+    # exact at any digits)
     temperatures = TEMPERATURES[::5]
     shares = [1e-300, 1e-3, 0.5, 1.0 - 3e-8]
 
@@ -394,6 +517,12 @@ def test_the_thermal_oracles_keep_their_value_at_twice_their_digits():
             *(float(oracles.cm_inversion(peak * r, peak == CM_PEAK_ANTIFERRO, side))
               for peak in (CM_PEAK_ANTIFERRO, CM_PEAK_FERRO) for side in ("hot", "cold")
               for r in shares),
+            *(oracles.u_of_t(j, t) for j in (-1.0, 1.0) for t in temperatures),
+            *(oracles.g_of_u(_energy_coupling(g), _energy_of(g)) for g in CORRELATORS[::10]),
+            *(oracles.g_of_chi(2.0, _chi(j, t), t, CODATA.curie_prefactor)
+              for j in (-1.0, 1.0) for t in temperatures),
+            *(oracles.powder_g(*_tensor(x)) for x in POWDER_SCALES[::10]),
+            *map(oracles.lambert_w, LAMBERT_POINTS[::10]),
         ]
 
     at_50 = values()

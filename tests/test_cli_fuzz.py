@@ -16,19 +16,23 @@ Each example runs ``cli.main`` in process twice and checks the contract of
 * every result table it writes, unchecked, passes the check that ``write_results``
   makes of a table it is handed, and comes back from it cell for cell.
 
-Numbers are drawn from the edge values 0, -0, 5e-324, 1e308, inf and nan
-(with their negatives) and from ordinary ones.  Files hold 0-6 rows: rows of
+Numbers are drawn from the edge values 0, -0, 5e-324, 1e308, the largest double,
+inf and nan (with their negatives) and from ordinary ones.  Files hold 0-6 rows: rows of
 a copper nitrate curve, rows with edge values or bad tokens put in, and rows
 with a wrong field count, with CRLF line ends and form feeds in comments.
 Most invocations give one coupling, one g and the required flags, so that
 they reach the computation; some give none or two.  Examples are
-derandomized, so every run draws the same ones.
+derandomized, so every run draws the same ones.  Run more of them, for each
+subcommand in turn, with
+
+    PYTHONPATH=src python tests/test_cli_fuzz.py 1000
 """
 
 import contextlib
 import io
 import os
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -39,7 +43,8 @@ from dimer_discord import cli, dataio
 from dimer_discord.dataio import PRESETS
 from test_golden_stdout import checked_results_text
 
-EDGES = ["0", "-0", "5e-324", "-5e-324", "1e308", "-1e308", "inf", "-inf", "nan", "-nan"]
+EDGES = ["0", "-0", "5e-324", "-5e-324", "1e308", "-1e308", "1.7976931348623157e308", "inf",
+         "-inf", "nan", "-nan"]
 
 
 def numbers(*ordinary: str) -> st.SearchStrategy[str]:
@@ -209,9 +214,9 @@ def input_path(tmp_path_factory):
     return tmp_path_factory.mktemp("cli-fuzz") / "input.csv"
 
 
-@pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
-def test_cli_contract(subcommand, input_path):
-    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+def check_examples(subcommand: str, input_path: Path, examples: int) -> None:
+    """The contract on ``examples`` drawn invocations of ``subcommand``, each run twice."""
+    @settings(max_examples=examples, derandomize=True, deadline=None, database=None)
     @given(
         argv=invocations(subcommand),
         text=input_files(subcommand),
@@ -227,32 +232,88 @@ def test_cli_contract(subcommand, input_path):
     contract()
 
 
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
+def test_cli_contract(subcommand, input_path):
+    check_examples(subcommand, input_path, 40)
+
+
+# a JSON value that %.{p}g rounds past the largest double raised a bare ValueError from json:
+# (argv, input file, precision) by id
+JSON_PAST_THE_LARGEST_DOUBLE = {
+    "from-neutron-point-json-p1":
+        (["from-neutron", "--G=-0.5", "--T=1.7e308", "--format=json"], "", "1"),
+    "from-neutron-point-json-p5":
+        (["from-neutron", "--G=-0.5", "--T=1.7976931348623157e308", "--format=json"], "", "5"),
+    "from-neutron-series-json-p1":
+        (["from-neutron", f"--input={FILE}", "--format=json"], "T_K,G\n1.7e308,-0.5\n2,-0.4\n",
+         "1"),
+    "theory-json-p1": (["theory", "--J-over-kB=-1e306", "--t-min=1e307", "--t-max=1.7e308",
+                        "--n-points=2", "--format=json"], "", "1"),
+    "from-cm-json-p1": (["from-cm", "--route=integrate", "--tail-a=1", "--tail-from=1.7e308",
+                         "--J-over-kB=-1e-300", "--format=json"], "", "1"),
+}
+
+
+def _run_case(argv: list[str], text: str, precision: str | None, input_path: Path):
+    input_path.write_text(text)
+    argv = [a.replace(FILE, str(input_path)) for a in argv]
+    return argv, _invoke(argv, precision)
+
+
 @pytest.mark.parametrize(
-    "argv, text",
+    "argv, text, precision",
     [
         # a susceptibility peak beyond the largest double printed "inf" with exit 0
-        (["landmarks", "--J-over-kB=-5e-324", "--g-factor=2.11"], ""),
+        (["landmarks", "--J-over-kB=-5e-324", "--g-factor=2.11"], "", None),
         # |J| from 1e-6 of the lowest temperature underflowed to 0: math.log raised ValueError
         (["fit", f"--input={FILE}", "--J-over-kB=-2.56", "--g-factor=2.11"],
          "T_K,chi_emu_per_mol,sigma_chi\n1,0.0196107,0.001\n2,0.104808,0.001\n"
-         "5e-324,0.130833,0.001\n"),
+         "5e-324,0.130833,0.001\n", None),
         # a cost past the largest double printed residual_norm = inf with exit 0
         (["fit", f"--input={FILE}", "--2J-over-kB=70.8", "--g-factor=2.11"],
-         "chi_emu_per_mol,T_K\n0.0196107,1\n1e308,2\n0.130833,3"),
+         "chi_emu_per_mol,T_K\n0.0196107,1\n1e308,2\n0.130833,3", None),
         # T (3 + e) past the largest double printed numpy overflow warnings, then exit 0
         (["fit", f"--input={FILE}", "--2J-over-kB=-5.12"],
-         "T_K,chi_emu_per_mol\n1,0.05\n1e308,0.001\n3,0.02\n"),
+         "T_K,chi_emu_per_mol\n1,0.05\n1e308,0.001\n3,0.02\n", None),
         # a per-monomer chi doubled past the largest double printed a numpy warning
         # and dropped its row as "susceptibility inf emu/mol"
         (["from-chi", f"--input={FILE}", "--per=monomer", "--g-factor=2.11"],
-         "T_K,chi_emu_per_mol,sigma_chi\n3,1e308,0.001\n4,0.0126595,0.001\n"),
+         "T_K,chi_emu_per_mol,sigma_chi\n3,1e308,0.001\n4,0.0126595,0.001\n", None),
+        # chi of 1e-160, whose squares underflow: the solver divided by 0 (ZeroDivisionError)
+        (["fit", f"--input={FILE}", "--J-over-kB=-1"],
+         "T_K,chi_emu_per_mol\n1,1e-160\n2,2e-160\n3,1.5e-160\n4,1e-160\n", None),
+        *JSON_PAST_THE_LARGEST_DOUBLE.values(),
     ],
     ids=[
         "landmarks-chi-peak-overflow", "fit-subnormal-temperature", "fit-cost-overflow",
-        "fit-temperature-overflow", "from-chi-monomer-overflow",
+        "fit-temperature-overflow", "from-chi-monomer-overflow", "fit-underflowing-squares",
+        *JSON_PAST_THE_LARGEST_DOUBLE,
     ],
 )
-def test_drawn_faults_stay_mended(argv, text, input_path):
-    input_path.write_text(text)
-    argv = [a.replace(FILE, str(input_path)) for a in argv]
-    check_contract(argv, _invoke(argv, None))
+def test_drawn_faults_stay_mended(argv, text, precision, input_path):
+    check_contract(*_run_case(argv, text, precision, input_path))
+
+
+@pytest.mark.parametrize("argv, text, precision", JSON_PAST_THE_LARGEST_DOUBLE.values(),
+                         ids=JSON_PAST_THE_LARGEST_DOUBLE)
+def test_a_json_value_past_the_largest_double_is_one_error_line(argv, text, precision,
+                                                                input_path):
+    _, (code, out, err) = _run_case(argv, text, precision, input_path)
+    assert (code, out) == (1, "")
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [err.splitlines()[-1]] == ["error: Out of range float values are not JSON "
+                                                 "compliant"]
+
+
+if __name__ == "__main__":
+    import sys
+    import tempfile
+    import time
+
+    examples = int(sys.argv[1])
+    with tempfile.TemporaryDirectory() as directory:
+        for subcommand in sorted(SUBCOMMANDS):
+            start = time.perf_counter()
+            check_examples(subcommand, Path(directory) / "input.csv", examples)
+            print(f"{subcommand}: {examples} examples, each run twice, kept the contract "
+                  f"({time.perf_counter() - start:.1f} s)")

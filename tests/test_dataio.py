@@ -1344,7 +1344,7 @@ class TestTableWriter:
     def test_json_refuses_non_finite_cells_in_clean_blocks(self, column, precision):
         with pytest.raises(ValueError):
             reference_json({"rows": [[x] for x in column.tolist()]}, precision)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):  # a ValueError, which the CLI maps to exit 1
             json_text({}, precision, rows=[column, np.linspace(0.1, 0.2, column.size)])
         # CSV writes them as %g does
         assert text_table([column], precision) == reference_text_rows(as_rows([column]), precision)
@@ -1368,7 +1368,7 @@ class TestTableWriter:
         column = [1.0, bad]
         with pytest.raises(ValueError):
             reference_json({"rows": [[x] for x in column]}, precision)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             json_text({}, precision, rows=[np.array(column) if as_array else column])
 
     @pytest.mark.parametrize("as_array", [True, False])
@@ -1384,8 +1384,10 @@ class TestTableWriter:
                 expected = reference_json({"rows": [[x] for x in column]}, precision)
             except ValueError:
                 refused.append(precision)
-                with pytest.raises(ValueError):
+                with pytest.raises(DataError):
                     json_text({}, precision, rows=rows)
+                with pytest.raises(DataError):  # a value of the document, not of its table
+                    json_text({"value": column[1]}, precision, rows=[])
             else:
                 assert json_text({}, precision, rows=rows) == expected
         assert refused == [1, 2, 3, 4, 5, 10, 11, 15, 16]

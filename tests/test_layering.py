@@ -10,7 +10,8 @@ and a scalar call never pays for it; ``json`` likewise only inside
 commands never load it.  The CLI builds its
 output as column tables only, never through the one-point result record,
 and takes no uncertainty secant of its own.  The field a table block takes in
-its row template is picked in ``dataio._row_blocks`` alone.
+its row template is picked in ``dataio._row_blocks`` alone.  The CLI writes stdout
+once, in ``main``, the text its subcommand returns.
 The landmark crossings and the susceptibility maximum are frozen constants,
 so neither the CLI nor ``thermo`` calls a solver for them.  No module-level
 private name is left behind without a reference outside its own definition.
@@ -150,6 +151,19 @@ def test_a_blocks_field_is_picked_only_in_row_blocks():
     (rows,) = (f for f in _tree("dataio").body if getattr(f, "name", None) == "_row_blocks")
     assert sites == [("dataio", n.lineno) for n in _calls(rows, names)]
     assert len(sites) == 2
+
+
+def test_cli_writes_stdout_once_in_main():
+    # each subcommand returns its text, and main writes it: one output path
+    tree = _tree("cli")
+    (main,) = (f for f in tree.body if getattr(f, "name", None) == "main")
+
+    def writes(node):
+        return [n for n in _calls(node, {"write"}) if ast.unparse(n.func) == "sys.stdout.write"]
+
+    assert len(writes(tree)) == 1 and writes(main) == writes(tree)
+    for call in _calls(tree, {"print"}):  # every print goes to stderr
+        assert [ast.unparse(k.value) for k in call.keywords if k.arg == "file"] == ["sys.stderr"]
 
 
 def test_cli_builds_no_result_record():

@@ -134,6 +134,15 @@ class TestFindRoot:
         _, info = brentq(lambda x: x * x - 2.0, 0.0, 2.0, xtol=1e-12, full_output=True)
         assert len(seen) == info.function_calls
 
+    def test_an_inverse_quadratic_step_whose_denominator_underflows_bisects(self):
+        # dblk * dpre * (fblk - fpre) underflowed to 0 and raised a bare ZeroDivisionError;
+        # brentq divides by it too, gets inf or nan, and bisects
+        def f(x):
+            return (x**3 - 0.3) * 1e-310
+
+        root = find_root(f, 0.0, 1.0)
+        assert root == brentq(f, 0.0, 1.0, xtol=1e-12) == 0.6694329500821276
+
     def test_bit_identical_to_brentq(self):
         """Same roots as scipy's brentq, to the last bit, on a seeded family."""
         rng = np.random.default_rng(20110)
@@ -513,6 +522,34 @@ class TestFit:
             assert res.converged
             assert_allclose(res.j_over_kb, -10.0, rtol=1e-12)
             assert_allclose(res.g_factor, 2.0, rtol=1e-12)
+
+    def test_a_curve_whose_squares_underflow_fits_as_its_scaled_copy(self):
+        # chi of 1e-160: wy @ wy underflowed, and the solver divided by 0; scaled by a power of
+        # two the curve fits to the same J bit for bit, and g scales by its square root
+        t = [1.0, 2.0, 3.0, 4.0]
+        chi = np.array([1e-160, 2e-160, 1.5e-160, 1e-160])
+        res = fit_bleaney_bowers(t, chi, DimerParameters(-1.0))
+        assert res.converged
+        assert_allclose(res.j_over_kb, -1.50859, rtol=1e-5)
+        assert_allclose(res.g_factor, 5.88319e-80, rtol=1e-5)
+        scaled = fit_bleaney_bowers(t, chi * 2.0**500, DimerParameters(-1.0))
+        assert scaled.j_over_kb == res.j_over_kb and scaled.evaluations == res.evaluations
+        assert scaled.g_factor == res.g_factor * 2.0**250
+        assert scaled.residual_norm == res.residual_norm * 2.0**500
+        # and as a curve of ordinary size, 1e150 times larger
+        ordinary = fit_bleaney_bowers(t, chi * 1e150, DimerParameters(-1.0))
+        assert_allclose(ordinary.j_over_kb, res.j_over_kb, rtol=1e-12)
+        assert_allclose(ordinary.g_factor, res.g_factor * 1e75, rtol=1e-12)
+
+    def test_a_curie_curve_at_the_largest_temperatures_ends_at_its_curie_edge(self):
+        # chi = C/T at T ~ 1e306: wy @ wy underflowed, the slope read 0 at the guess, and the
+        # fit said converged after one evaluation, with J the guess and g = 1.34142.  A Curie
+        # law is the limit |J| -> 0 at g = sqrt(2), the lowest |J| searched, 1e-6 T_min
+        t = np.array([1e306, 2e306, 4e306, 8e306])
+        res = fit_bleaney_bowers(t, 0.3751481 / t, DimerParameters(3e305))
+        assert not res.converged
+        assert_allclose(res.j_over_kb, 1e-6 * 1e306, rtol=1e-12)
+        assert_allclose(res.g_factor, math.sqrt(2.0), rtol=1e-6)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(DataError):
