@@ -5,15 +5,15 @@ Seven subcommands: ``theory`` (sweep the exact curves), ``landmarks``
 ``from-neutron`` (the three experimental inversion channels), ``fit``
 (Bleaney-Bowers least squares), and ``figure`` (re-plottable curve data).
 
-Conventions: machine-readable output on stdout, notes and warnings on
-stderr; exit 0 on success, 1 when a computation fails, 2 on usage errors.
-Each subcommand returns its exit code and its text, which :func:`main` alone
-writes to stdout, so a command's notes and warnings come before its table.
-Identical invocations produce byte-identical stdout.  Every warning is
-shown, in the order it is raised, as one ``Category: text`` line.  The
-environment variable ``DIMER_DISCORD_PRECISION`` overrides the printed
-number of significant digits (default 6); a JSON value that rounds past the
-largest double at that precision exits 1 with ``error:``.
+Conventions: machine-readable output on stdout, notes and warnings on stderr; exit 0 on
+success, 1 when a computation fails, 2 on usage errors.  Each subcommand returns its exit
+code and its text, which :func:`main` alone writes to stdout, so a command's notes and
+warnings come before its table.  Identical invocations produce byte-identical stdout.
+Every warning is shown, in the order it is raised, as one ``Category: text`` line.  The
+environment variable ``DIMER_DISCORD_PRECISION`` overrides the printed number of
+significant digits (default 6).  Every printed number reads back: a value that would
+not (NaN, inf, or one rounding past the largest double at that precision) exits 1, in
+every format, with one ``error:`` line naming its column, row and a precision printing it.
 
 ``theory`` and ``figure`` compute a grid of up to ``_FLOAT_GRID_MAX`` (8,000, below
 where whole processes break even) points one point at a time in floats, and load no

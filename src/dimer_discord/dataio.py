@@ -23,14 +23,16 @@ import math
 import re
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import cache
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
 from . import thermo
 from .dimer_core import (
-    CODATA, G_MAX, G_MIN, DimerParameters, FloatOrArray, _G_TOL, _check_each, _clip, _information,
-    _is_array, _measures, _numpy, _real, _temperature, _temperatures, validate_correlator,
+    CODATA, G_MAX, G_MIN, DimerParameters, FloatOrArray, _G_TOL, _MAX, _check_each, _clip,
+    _information, _is_array, _measures, _numpy, _real, _temperature, _temperatures,
+    validate_correlator,
 )
 from .errors import DataError, DataWarning, DomainError, InconsistencyError, PropagationWarning
 from .numerics import (
@@ -164,7 +166,7 @@ class ResultTable(NamedTuple):
     """Output rows held as columns, in the order of the CSV header: float
     arrays, or sequences whose ``t`` may hold None (no temperature).
     :func:`write_results` checks every row: a positive temperature or None,
-    real numbers in the float columns, a known channel, and Q = I - C."""
+    finite numbers in the float columns, a known channel, and Q = I - C."""
 
     t: Column
     correlator: Column
@@ -532,26 +534,58 @@ def _floats(block: Column) -> Sequence[float] | None:
     return block if {*map(type, block)} == {float} else None
 
 
+@cache
+def _print_limit(precision: int) -> float:
+    """The least double whose ``%.{precision}g`` string reads back as inf, bisected once per
+    precision, or inf where none does (at 6-9, 12-14 and 17 digits)."""
+    spec, lo, hi = _number_spec(precision), 0.0, math.inf  # lo's string reads back, hi's not
+    while (mid := min(lo + (hi - lo) / 2, _MAX)) not in (lo, hi):
+        lo, hi = (mid, hi) if float(spec % mid) < math.inf else (lo, mid)
+    return hi
+
+
+def _printable(cells: Column, precision: int, where: Callable[[int], str]) -> None:
+    """The one rule of a printed value: each float of ``cells`` prints as a number that reads
+    back.  The first that does not (NaN, +-inf, or from :func:`_print_limit` up) raises a
+    DataError with ``where(i)`` of its index, its ``repr`` and the least precision printing it."""
+    limit = _print_limit(precision)
+    if _is_array(cells):
+        bad = (~(abs(cells) < limit)).nonzero()[0].tolist()
+    else:
+        bad = [i for i, x in enumerate(cells) if isinstance(x, float) and not abs(x) < limit]
+    if bad:
+        x = float(cells[bad[0]])  # 17 digits print every finite double
+        higher = next((p for p in range(precision + 1, 18) if abs(x) < _print_limit(p)), None)
+        why = "is not a finite number" if higher is None else (
+            f"rounds past the largest double at precision {precision}; "
+            f"precision {higher} prints it")
+        raise DataError(f"{where(bad[0])}: {x!r} {why}")
+
+
 def _row_blocks(
-    columns: Sequence[Column], cell: Callable[[object], str],
-    floats: Callable[[Column, Sequence[float]], Field],
+    columns: Sequence[Column], names: Sequence[object] | None, precision: int,
+    cell: Callable[[object], str], floats: Callable[[Column, Sequence[float]], Field],
     prefixes: Sequence[str], end: str, sep: str,
 ) -> Iterator[str]:
-    """Each block of rows of ``columns``, the rows joined by ``sep``.  A block's rows come
-    from one ``%`` row template, built for the block: ``prefixes[k]`` then the field of the
-    block of column k, for each k, then ``end``.  The field is picked by the block's cells,
-    not by their container, and here only: a block that holds one value (:func:`_constant`)
-    is a literal, ``cell`` of that value with its ``%`` escaped; a block of floats
-    (:func:`_floats`) is the field ``floats(block, values)`` gives; any other block is a
-    ``%s`` field of its cells as ``cell`` writes them.  A block of literals only is its one
-    row repeated.  Rows stop with the shortest column."""
+    """Each block of rows of ``columns``, the rows joined by ``sep``, every block first held
+    to :func:`_printable` at ``precision``: a cell is named ``names[k]`` in column k, or with
+    no ``names`` by its row's first cell (a ``key = value`` line's key), and its 1-based row.
+    A block's rows come from one ``%`` row template, built for the block: ``prefixes[k]``
+    then the field of the block of column k, for each k, then ``end``.  The field is picked
+    by the block's cells, not by their container, and here only: a block that holds one
+    value (:func:`_constant`) is a literal, ``cell`` of that value with its ``%`` escaped; a
+    block of floats (:func:`_floats`) is the field ``floats(block, values)`` gives; any
+    other block is a ``%s`` field of its cells as ``cell`` writes them.  A block of literals
+    only is its one row repeated.  Rows stop with the shortest column."""
     n = min(map(len, columns), default=0)
     prefixes = [prefix.replace("%", "%%") for prefix in prefixes]
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         template, fills = [], []
-        for prefix, column in zip(prefixes, columns):
+        for k, (prefix, column) in enumerate(zip(prefixes, columns)):
             block = column[start:stop]
+            _printable(block, precision, lambda i: (
+                f"{columns[0][start + i] if names is None else names[k]} in row {start + i + 1}"))
             if _constant(block):
                 template += prefix, cell(block[0]).replace("%", "%%")
                 continue
@@ -564,10 +598,7 @@ def _row_blocks(
 
 
 def text_table(
-    columns: Sequence[Column],
-    precision: int,
-    *,
-    header: Sequence[str] | None = None,
+    columns: Sequence[Column], precision: int, *, header: Sequence[str] | None = None,
     sep: str = ",",
 ) -> str:
     """The rows of ``columns`` as lines, cells joined by ``sep``: CSV below a
@@ -576,62 +607,46 @@ def text_table(
     Each block of lines (:data:`_BLOCK_ROWS` of them) comes from one ``%`` row
     template whose fields :func:`_row_blocks` picks, each cell written by
     :func:`cell_formatter`: a block of floats is a ``%.{precision}g`` field
-    filled with its values.
+    filled with its values.  A float that :func:`_printable` refuses raises
+    DataError naming its ``header`` column, or without one its line's key, and row.
     """
     number = _number_spec(precision)
     prefixes = ["", *[sep] * (len(columns) - 1)]
     head = "" if header is None else sep.join(header) + "\n"
-    blocks = _row_blocks(
-        columns, cell_formatter(precision), lambda _, values: (number, values), prefixes, "\n", ""
-    )
+    blocks = _row_blocks(columns, header, precision, cell_formatter(precision),
+                         lambda _, values: (number, values), prefixes, "\n", "")
     return "".join([head, *blocks])
 
 
-_NOT_JSON = "Out of range float values are not JSON compliant"  # as json.dumps words it
-
-
-def _json_floats(strings: Iterable[str]) -> list[str]:
-    """json's tokens for the floats that number strings stand for: their
-    ``repr``.  A NaN or infinity raises DataError, a ValueError, with the words
-    of ``json.dumps(allow_nan=False)``."""
-    tokens = list(map(repr, map(float, strings)))
-    if {"nan", "inf", "-inf"}.intersection(tokens):
-        raise DataError(_NOT_JSON)
-    return tokens
-
-
 def _flagged(block: np.ndarray, precision: int) -> list[int]:
-    """The cells of a float block whose ``%.{precision}g`` string may not be
-    json's token (the ``repr`` of :func:`_json_floats`), for a precision up
-    to 15: the non-finite, those under 1e-306 in size, and those within
+    """The cells of a block of finite floats whose ``%.{precision}g`` string may
+    not be json's token (the ``repr`` of the float it stands for), for a
+    precision up to 15: those under 1e-306 in size, and those within
     |x| * 10**(1-precision) of an integer.
 
-    Up to 15 digits (DBL_DIG) a normal double keeps the digits of its
-    string, so the two differ only where ``repr`` adds ``.0`` to an integer
-    or ``-0`` or writes an exponent from ``precision`` to 15 out in full, and
-    where an exponent of 308 or more in size changes the digits (a subnormal
-    losing some, or a rounding past the largest double).  The flagged cells
-    are a superset of these.  A cell that
-    ``%g`` writes as an integer or ``-0`` is within half a unit of its last
-    digit, at most |x| * 10**(1-precision) / 2, of an integer.  So is every
-    cell from 10**(precision-1) / 2 up in size, and with it every exponent
-    from ``precision`` up, 308 and more included.  An exponent of -308 or
-    less (a subnormal, which may lose digits) needs a cell under 1e-306.
+    Up to 15 digits (DBL_DIG) a normal double keeps the digits of its string,
+    so the two differ only where ``repr`` adds ``.0`` to an integer or ``-0``
+    or writes an exponent from ``precision`` to 15 out in full, and where a
+    subnormal loses digits.  A cell that ``%g`` writes as an integer or ``-0``
+    is within half a unit of its last digit, at most |x| * 10**(1-precision) / 2,
+    of an integer; so is every cell from 10**(precision-1) / 2 up in size.  A
+    subnormal (an exponent of -308 or less) needs a cell under 1e-306.
     """
-    np = _numpy()
-    size = np.abs(block)
-    with np.errstate(invalid="ignore"):  # inf - inf: a NaN, which compares False
-        clean = np.abs(block - np.rint(block)) > size * 10.0 ** (1 - precision)
+    size = abs(block)
+    clean = abs(block - _numpy().rint(block)) > size * 10.0 ** (1 - precision)
     return (~clean | (size < 1e-306)).nonzero()[0].tolist()
 
 
-def _rounded(x: object, number: Callable[[object], str]) -> object:
+def _rounded(x: object, precision: int, key: object = None) -> object:
+    """``x`` with each float rounded to ``precision`` digits, each first held to
+    :func:`_printable`, named by its ``key``."""
     if isinstance(x, float):
-        return float(number(x))
+        _printable((x,), precision, lambda _: f"{key}")
+        return float(_number_spec(precision) % x)
     if isinstance(x, dict):
-        return {k: _rounded(v, number) for k, v in x.items()}
+        return {k: _rounded(v, precision, k) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_rounded(v, number) for v in x]
+        return [_rounded(v, precision, key) for v in x]
     return x
 
 
@@ -639,74 +654,63 @@ _ROWS_MARK = "\0rows"  # stands in for the table while the rest is dumped
 
 
 def json_text(
-    doc: dict,
-    precision: int,
-    *,
-    rows: Sequence[Column],
-    keys: Sequence[str] | None = None,
+    doc: dict, precision: int, *, rows: Sequence[Column], keys: Sequence[str] | None = None,
 ) -> str:
     """Indented JSON of ``doc`` and a table, with every float rounded to
-    ``precision`` significant digits; a NaN or infinity, or a float that
-    rounds past the largest double, raises DataError (a ValueError).
+    ``precision`` significant digits; a float that :func:`_printable` refuses
+    raises DataError (a ValueError) that names its key, or its column and row.
 
     ``doc`` gains a last key ``"rows"`` holding the table ``rows`` (given as
     columns of scalar cells): one object per row keyed by ``keys``, or one
     array per row without keys.  The bytes are those of
     ``json.dumps(..., indent=2)`` of the rounded document with the table in
     it.  Each block of rows comes from one ``%`` row template at that depth,
-    whose fields :func:`_row_blocks` picks, each cell written as its token.  A
-    float's token is the ``repr`` of the float its ``%.{precision}g`` string
-    stands for (:func:`_json_floats`); any other cell's is the one ``json``
-    dumps.  A block of floats takes one field: at 17 digits that float is the
-    cell itself, so once every cell is finite the field is ``%r``; at
-    16, and for a list up to 16, it is a ``%s`` field of the tokens, made in
-    one call.  Up to 15 an array block in which :func:`_flagged` names no
-    cell is a ``%.{precision}g`` field, since each cell's string is its token;
-    any other is a ``%s`` field of the strings, the flagged ones replaced by
-    their tokens, each distinct string converted once.  Every block is built
-    before the text is returned, so a cell that raises leaves no partial table.
+    whose fields :func:`_row_blocks` picks, each cell written as its token: a
+    float's is the ``repr`` of the float its ``%.{precision}g`` string stands
+    for, any other cell's the one ``json`` dumps.  A block of floats takes one
+    field: ``%r`` at 17 digits, where that float is the cell itself; at 16, and
+    for a list up to 16, a ``%s`` field of the tokens.  Up to 15 an array block
+    in which :func:`_flagged` names no cell is a ``%.{precision}g`` field, each
+    cell's string being its token; any other is a ``%s`` field of the strings,
+    the flagged ones replaced by their tokens, each distinct string converted
+    once.  Every block is built before the text is returned, so a cell that
+    raises leaves no partial table.
     """
     import json  # only a JSON command loads it
 
     spec = _number_spec(precision)
     number = spec.__mod__
-    try:
-        text = json.dumps(_rounded({**doc, "rows": _ROWS_MARK}, number), indent=2, allow_nan=False)
-    except ValueError as exc:  # a value of doc that is, or rounds to, a NaN or an infinity
-        raise DataError(str(exc)) from None
+    text = json.dumps(_rounded({**doc, "rows": _ROWS_MARK}, precision), indent=2)
 
     def token(x: object) -> str:
-        return _json_floats((number(x),))[0] if isinstance(x, float) else json.dumps(x)
+        return repr(float(number(x))) if isinstance(x, float) else json.dumps(x)
 
     def floats(block: Column, values: Sequence[float]) -> Field:
         if precision == 17:  # %.17g round-trips every double: the token is its repr
-            if not all(map(math.isfinite, values)):
-                raise DataError(_NOT_JSON)
             return "%r", values
         if precision == 16 or not _is_array(block):  # at 16 every cell is flagged
-            return "%s", _json_floats(map(number, values))
+            return "%s", list(map(repr, map(float, map(number, values))))
         flagged = _flagged(block, precision)
         if not flagged:
             return spec, values
         strings = list(map(number, values))
         picked = [strings[i] for i in flagged]
-        tokens = dict.fromkeys(picked)  # a block's flagged strings repeat: convert each once
-        tokens = dict(zip(tokens, _json_floats(tokens)))
+        tokens = {s: repr(float(s)) for s in set(picked)}  # strings repeat: each once
         for i, s in zip(flagged, map(tokens.__getitem__, picked)):
             strings[i] = s
         return "%s", strings
 
     if keys is None:
-        opening, closing = "[", "]"
-        names = [""] * len(rows)
+        opening, closing, names = "[", "]", [""] * len(rows)
+        keys = [f"column {k + 1}" for k in range(len(rows))]  # as a refusal names a cell
     else:
-        opening, closing = "{", "}"
-        names = [json.dumps(key) + ": " for key in keys]
+        opening, closing, names = "{", "}", [json.dumps(key) + ": " for key in keys]
     # one row at the depth json.dumps(indent=2) gives the items of a top-level key
     prefixes = [f",\n      {name}" for name in names]
     if prefixes:
         prefixes[0] = f"    {opening}\n      {names[0]}"
-    table = ",\n".join(_row_blocks(rows, token, floats, prefixes, f"\n    {closing}", ",\n"))
+    table = ",\n".join(_row_blocks(rows, keys, precision, token, floats, prefixes,
+                                   f"\n    {closing}", ",\n"))
     head, _, tail = text.rpartition(json.dumps(_ROWS_MARK))
     return "".join([head, "[\n", table, "\n  ]", tail, "\n"] if table else [head, "[]", tail, "\n"])
 
@@ -730,11 +734,7 @@ def _results_text(table: ResultTable, fmt: str, preset_name: str | None, precisi
 
 
 def write_results(
-    table: ResultTable,
-    fmt: str = "csv",
-    *,
-    preset_name: str | None = None,
-    precision: int = 6,
+    table: ResultTable, fmt: str = "csv", *, preset_name: str | None = None, precision: int = 6,
 ) -> bytes:
     """Serialize a :class:`ResultTable` to CSV or JSON bytes.
 

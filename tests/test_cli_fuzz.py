@@ -10,7 +10,9 @@ Each example runs ``cli.main`` in process twice and checks the contract of
   are: a fit that did not converge prints its best point on stdout and says
   so on stderr, and a series whose every row is dropped ends with the last
   row's ``row N (T = X K): reason`` line;
-* on 0, stdout holds no ``nan`` or ``inf`` token;
+* on 0, stdout holds no ``nan`` or ``inf`` token, and every number on it reads back
+  as a finite double: each CSV cell and ``key = value`` value that reads as a number,
+  and each JSON number (a NaN or an infinity token fails to parse);
 * no stderr line is a numpy ``RuntimeWarning``;
 * both runs give the same exit code and the same bytes;
 * every result table it writes, unchecked, passes the check that ``write_results``
@@ -30,6 +32,8 @@ subcommand in turn, with
 
 import contextlib
 import io
+import json
+import math
 import os
 import re
 from pathlib import Path
@@ -190,6 +194,26 @@ NOT_CONVERGED = "fit did not converge; best parameters so far reported"
 DROPPED_ROW = re.compile(r"row \d+ \(T = [^)]*\): ")
 
 
+def _no_constant(token: str) -> None:
+    raise AssertionError(f"JSON holds {token}")
+
+
+def printed_numbers(out: str) -> list[float]:
+    """Every number on stdout, read back as a double: each JSON number, or each CSV cell
+    and ``key = value`` value that reads as one (a ``#`` line is a title)."""
+    numbers = []
+    if out.startswith("{"):
+        json.loads(out, parse_float=lambda s: numbers.append(float(s)),
+                   parse_constant=_no_constant)
+        return numbers
+    for line in out.splitlines():
+        if not line.startswith("#"):
+            for cell in [line.partition(" = ")[2]] if " = " in line else line.split(","):
+                with contextlib.suppress(ValueError):
+                    numbers.append(float(cell))
+    return numbers
+
+
 def check_contract(argv: list[str], result: tuple[object, str, str]) -> None:
     code, out, err = result
     last = err.splitlines()[-1] if err else ""
@@ -201,6 +225,7 @@ def check_contract(argv: list[str], result: tuple[object, str, str]) -> None:
     assert code in (0, 1, 2), (argv, code)
     if code == 0:
         assert NON_FINITE.search(out) is None, (argv, out)
+        assert all(map(math.isfinite, printed_numbers(out))), (argv, out)
     elif not last.startswith(("error:", "usage error:")):
         documented = (
             (argv[0] == "fit" and last == NOT_CONVERGED and "converged" in out)
@@ -252,6 +277,28 @@ JSON_PAST_THE_LARGEST_DOUBLE = {
     "from-cm-json-p1": (["from-cm", "--route=integrate", "--tail-a=1", "--tail-from=1.7e308",
                          "--J-over-kB=-1e-300", "--format=json"], "", "1"),
 }
+# the same in CSV, and key = value lines, printed the value (T_K = 2e+308) with exit 0
+PAST_THE_LARGEST_DOUBLE = {
+    **JSON_PAST_THE_LARGEST_DOUBLE,
+    **{name.replace("-json-", "-csv-"): ([a for a in argv if a != "--format=json"], text, p)
+       for name, (argv, text, p) in JSON_PAST_THE_LARGEST_DOUBLE.items()},
+    "landmarks-ferro-p1": (["landmarks", "--J-over-kB=1.7e308"], "", "1"),
+}
+# each one's error, by its id without the format: the cell, the value, a precision that prints it
+REFUSED = {
+    "from-neutron-point-p1": "T_K in row 1: 1.7e+308 rounds past the largest double at "
+                             "precision 1; precision 2 prints it",
+    "from-neutron-point-p5": "T_K in row 1: 1.7976931348623157e+308 rounds past the largest "
+                             "double at precision 5; precision 6 prints it",
+    "from-neutron-series-p1": "T_K in row 2: 1.7e+308 rounds past the largest double at "
+                              "precision 1; precision 2 prints it",
+    "theory-p1": "T_K in row 2: 1.7e+308 rounds past the largest double at precision 1; "
+                 "precision 2 prints it",
+    "from-cm-p1": "T_K in row 1: 1.7e+308 rounds past the largest double at precision 1; "
+                  "precision 2 prints it",
+    "landmarks-ferro-p1": "J_over_kB_K in row 2: 1.7e+308 rounds past the largest double at "
+                          "precision 1; precision 2 prints it",
+}
 
 
 def _run_case(argv: list[str], text: str, precision: str | None, input_path: Path):
@@ -282,27 +329,48 @@ def _run_case(argv: list[str], text: str, precision: str | None, input_path: Pat
         # chi of 1e-160, whose squares underflow: the solver divided by 0 (ZeroDivisionError)
         (["fit", f"--input={FILE}", "--J-over-kB=-1"],
          "T_K,chi_emu_per_mol\n1,1e-160\n2,2e-160\n3,1.5e-160\n4,1e-160\n", None),
-        *JSON_PAST_THE_LARGEST_DOUBLE.values(),
+        *PAST_THE_LARGEST_DOUBLE.values(),
     ],
     ids=[
         "landmarks-chi-peak-overflow", "fit-subnormal-temperature", "fit-cost-overflow",
         "fit-temperature-overflow", "from-chi-monomer-overflow", "fit-underflowing-squares",
-        *JSON_PAST_THE_LARGEST_DOUBLE,
+        *PAST_THE_LARGEST_DOUBLE,
     ],
 )
 def test_drawn_faults_stay_mended(argv, text, precision, input_path):
     check_contract(*_run_case(argv, text, precision, input_path))
 
 
-@pytest.mark.parametrize("argv, text, precision", JSON_PAST_THE_LARGEST_DOUBLE.values(),
-                         ids=JSON_PAST_THE_LARGEST_DOUBLE)
-def test_a_json_value_past_the_largest_double_is_one_error_line(argv, text, precision,
-                                                                input_path):
-    _, (code, out, err) = _run_case(argv, text, precision, input_path)
+@pytest.mark.parametrize("case", PAST_THE_LARGEST_DOUBLE)
+def test_a_json_value_past_the_largest_double_is_one_error_line(case, input_path):
+    # in every format: one error naming the cell, where JSON gave json.dumps' words
+    _, (code, out, err) = _run_case(*PAST_THE_LARGEST_DOUBLE[case], input_path)
     assert (code, out) == (1, "")
     errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert errors == [err.splitlines()[-1]] == ["error: Out of range float values are not JSON "
-                                                 "compliant"]
+    words = REFUSED[case.replace("-json-", "-").replace("-csv-", "-")]
+    assert errors == [err.splitlines()[-1]] == [f"error: {words}"]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(
+    j=st.floats(1e-3, 1e3).flatmap(lambda j: st.sampled_from([-j, j])),
+    start=st.floats(-2.0, 2.0),
+    decades=st.floats(0.01, 4.0),
+    n=st.integers(2, 50),
+    grid=st.sampled_from(["log", "linear"]),
+)
+def test_a_theory_table_reads_back_cell_for_cell(j, start, decades, n, grid, input_path):
+    # the README's promise: the tool's own output fed back in as a correlator series
+    # reprints every cell at 17 digits, the channel aside
+    t_min = abs(j) * 10.0**start
+    argv = ["theory", f"--J-over-kB={j!r}", f"--t-min={t_min!r}",
+            f"--t-max={t_min * 10.0**decades!r}", f"--n-points={n}", f"--grid={grid}"]
+    code, table, _ = _invoke(argv, "17")
+    assert code == 0, argv
+    input_path.write_text(table)
+    code, again, err = _invoke(["from-neutron", f"--input={input_path}"], "17")
+    assert (code, err) == (0, ""), argv
+    assert again.replace(",neutron\n", ",theory\n") == table, argv
 
 
 if __name__ == "__main__":

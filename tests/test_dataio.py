@@ -769,6 +769,26 @@ class TestResultTable:
         for fmt in ("csv", "json"):
             assert write_results(ResultTable(**cols), fmt) == write_results(floats, fmt)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("form", ["list", "array"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ResultTable._fields[1:-1])
+    def test_a_non_finite_cell_is_refused_by_its_column(self, column, bad, form, fmt):
+        # CSV wrote nan (a NaN in Q, I and C passes Q = I - C) and inf (a sigma_G of inf,
+        # from a list and from an array), which JSON refused; an infinite Q, C or I alone
+        # breaks Q = I - C, which is refused first
+        cols = self.columns(2)
+        cells = cols[column].tolist()
+        cells[1] = bad
+        cols[column] = cells if form == "list" else np.array(cells)
+        if column in ("discord", "classical", "mutual_information") and math.isinf(bad):
+            with pytest.raises(InconsistencyError):
+                write_results(ResultTable(**cols), fmt)
+            return
+        name = dataio._RESULT_COLUMNS[ResultTable._fields.index(column)]
+        with _raises(f"{name} in row 2: {bad!r} is not a finite number"):
+            write_results(ResultTable(**cols), fmt)
+
     def test_a_column_of_another_shape_is_refused_by_name(self):
         # a table of 2-d columns raised a bare TypeError from the writer, a 0-d column one
         # from len()
@@ -1054,6 +1074,12 @@ def reference_text_rows(rows, precision, sep=","):
     return "".join([sep.join(map(cell, row)) + "\n" for row in rows])
 
 
+def reads_back(rows, precision):
+    """Whether each float cell's ``%.{precision}g`` string reads back as a finite double."""
+    spec = f"%.{precision}g"
+    return all(math.isfinite(float(spec % x)) for row in rows for x in row if isinstance(x, float))
+
+
 def reference_json(doc, precision):
     cell = cell_formatter(precision)
 
@@ -1117,6 +1143,11 @@ class TestTableWriter:
     @example(columns=[[None, 4.0, 1e6], ["theory", "neutron", "%s"]], precision=6)
     def test_csv_matches_row_writer(self, columns, precision):
         header = KEYS[: len(columns)]
+        if not reads_back(as_rows(columns), precision):  # a cell rounds past the largest double
+            for kwargs in ({"header": header}, {"sep": " = "}):
+                with pytest.raises(DataError, match="rounds past the largest double"):
+                    text_table(columns, precision, **kwargs)
+            return
         expected = reference_text_rows([header, *as_rows(columns)], precision)
         assert text_table(columns, precision, header=header) == expected
         expected = reference_text_rows(as_rows(columns), precision, sep=" = ")
@@ -1260,9 +1291,11 @@ class TestTableWriter:
         # leaves out has a %g string that is json's token, the repr of the
         # float it stands for.  Random 64-bit patterns (every exponent, NaNs
         # and infinities), subnormals, zeros of both signs, and cells
-        # N(1 +- k 10**-p) near an integer N of every size up to 1e17
+        # N(1 +- k 10**-p) near an integer N of every size up to 1e17.  The
+        # NaNs and infinities are left out: _row_blocks refuses them first
         rng = np.random.default_rng(15_000 + precision)
         patterns = np.frombuffer(rng.bytes(8 * 20_000), dtype=np.float64)
+        patterns = patterns[np.isfinite(patterns)]
         mantissas = np.frombuffer(rng.bytes(8 * 2_000), dtype=np.uint64) & np.uint64(2**52 - 1)
         subnormals = mantissas.view(np.float64) * rng.choice([-1.0, 1.0], 2_000)
         integers = np.rint(10.0 ** rng.uniform(0.0, 17.0, 20_000)) * rng.choice([-1.0, 1.0], 20_000)
@@ -1346,8 +1379,10 @@ class TestTableWriter:
             reference_json({"rows": [[x] for x in column.tolist()]}, precision)
         with pytest.raises(DataError):  # a ValueError, which the CLI maps to exit 1
             json_text({}, precision, rows=[column, np.linspace(0.1, 0.2, column.size)])
-        # CSV writes them as %g does
-        assert text_table([column], precision) == reference_text_rows(as_rows([column]), precision)
+        # CSV refuses them too, where it wrote them as %g does
+        i = np.flatnonzero(~np.isfinite(column))[0]
+        with _raises(f"x in row {i + 1}: {float(column[i])!r} is not a finite number"):
+            text_table([column], precision, header=["x"])
 
     @staticmethod
     def _check_both_writers(columns, precisions):
@@ -1384,12 +1419,18 @@ class TestTableWriter:
                 expected = reference_json({"rows": [[x] for x in column]}, precision)
             except ValueError:
                 refused.append(precision)
-                with pytest.raises(DataError):
+                higher = 12 if precision in (10, 11) else 17 if precision > 11 else 6
+                words = (f"{column[1]!r} rounds past the largest double at precision "
+                         f"{precision}; precision {higher} prints it")
+                with _raises(f"column 1 in row 2: {words}"):
                     json_text({}, precision, rows=rows)
-                with pytest.raises(DataError):  # a value of the document, not of its table
+                with _raises(f"value: {words}"):  # a value of the document, not of its table
                     json_text({"value": column[1]}, precision, rows=[])
+                with _raises(f"x in row 2: {words}"):  # CSV refuses it too
+                    text_table(rows, precision, header=["x"])
             else:
                 assert json_text({}, precision, rows=rows) == expected
+                assert text_table(rows, precision) == reference_text_rows(as_rows(rows), precision)
         assert refused == [1, 2, 3, 4, 5, 10, 11, 15, 16]
         assert "1.7976931348623157e+308" in json_text({}, 17, rows=rows)
 

@@ -10,7 +10,9 @@ and a scalar call never pays for it; ``json`` likewise only inside
 commands never load it.  The CLI builds its
 output as column tables only, never through the one-point result record,
 and takes no uncertainty secant of its own.  The field a table block takes in
-its row template is picked in ``dataio._row_blocks`` alone.  The CLI writes stdout
+its row template is picked in ``dataio._row_blocks`` alone, and whether a float prints as a
+number that reads back is decided by ``dataio._printable``, called by ``_row_blocks`` for
+every table cell and by ``_rounded`` for a JSON document's own values.  The CLI writes stdout
 once, in ``main``, the text its subcommand returns.
 The landmark crossings and the susceptibility maximum are frozen constants,
 so neither the CLI nor ``thermo`` calls a solver for them.  No module-level
@@ -151,6 +153,18 @@ def test_a_blocks_field_is_picked_only_in_row_blocks():
     (rows,) = (f for f in _tree("dataio").body if getattr(f, "name", None) == "_row_blocks")
     assert sites == [("dataio", n.lineno) for n in _calls(rows, names)]
     assert len(sites) == 2
+
+
+def test_a_printed_value_is_refused_by_one_rule():
+    # a NaN, an infinity or a float rounded past the largest double is refused by one check,
+    # in every format: JSON's own refusals (json.dumps' allow_nan=False) are gone
+    callers = [(m, f.name) for m in MODULES for f in _tree(m).body
+               if isinstance(f, ast.FunctionDef) and _calls(f, {"_printable"})]
+    assert sorted(callers) == [("dataio", "_rounded"), ("dataio", "_row_blocks")]
+    assert sum(len(_calls(_tree(m), {"_printable"})) for m in MODULES) == 2
+    for module in MODULES:
+        assert not _names(module) & {"_NOT_JSON", "allow_nan"}, module
+        assert "allow_nan" not in (SRC / f"{module}.py").read_text(encoding="utf-8"), module
 
 
 def test_cli_writes_stdout_once_in_main():
