@@ -210,7 +210,8 @@ def _check_table(table: ResultTable) -> ResultTable:
     q, i, c = floats["discord"], floats["mutual_information"], floats["classical"]
     if any(map(_is_array, (q, i, c))):
         q, i, c = (_numpy().asarray(x, dtype=float) for x in (q, i, c))
-        inconsistent = (abs(q - (i - c)) > 1e-12).any()
+        with _numpy().errstate(all="ignore"):  # I = C = inf: a NaN, left for _printable to refuse
+            inconsistent = (abs(q - (i - c)) > 1e-12).any()
     else:
         inconsistent = any(abs(qr - (ir - cr)) > 1e-12 for qr, ir, cr in zip(q, i, c))
     if inconsistent:
@@ -489,15 +490,24 @@ def _number_spec(precision: int) -> str:
     return f"%.{precision}g"
 
 
+@cache
+def _is_number(kind: type) -> bool:
+    """The one number-cell rule of both writers: a cell of type ``kind`` is written as
+    ``float(cell)`` if it is a real number but no bool or int (a numpy float or int, a Fraction)."""
+    if kind in (float, str, type(None)):  # the common cells load nothing
+        return kind is float
+    import numbers  # only another type loads it, as dimer_core._real does
+    return issubclass(kind, numbers.Real) and not issubclass(kind, int)
+
+
 def cell_formatter(precision: int) -> Callable[[object], str]:
-    """Formatter for one output cell, its format string built once: strings
-    as they are, None as an empty field, booleans as ``true``/``false``,
-    integers in full, other numbers with ``precision`` significant digits."""
+    """Formatter for one output cell, its format string built once: strings as they are, None
+    as an empty field, booleans as ``true``/``false``, integers in full, and any other cell
+    with ``precision`` significant digits of its float, as ``%g`` writes a number's
+    (:func:`_is_number`)."""
     number = _number_spec(precision).__mod__
 
     def cell(x: object) -> str:
-        if isinstance(x, float):
-            return number(x)
         if isinstance(x, str):
             return x
         if x is None:
@@ -526,12 +536,16 @@ def _constant(block: Column) -> bool:
     return isinstance(block[0], str) and block.count(block[0]) == len(block)
 
 
-def _floats(block: Column) -> Sequence[float] | None:
-    """A float block's cells: an array's as floats, or a sequence whose every cell is exactly
-    a ``float`` (``%r`` writes a numpy float as its constructor); None for any other block."""
+def _floats(block: Column) -> tuple[Sequence[float] | None, Column]:
+    """``(values, numbers)`` of a block, a list's types scanned once: the floats of an array
+    or of a list of number cells (:func:`_is_number`; ``%r`` writes a numpy float as its
+    constructor), else None; and the floats :func:`_printable` holds, any other cell as 0."""
     if _is_array(block):
-        return block.tolist()
-    return block if {*map(type, block)} == {float} else None
+        return block.tolist(), block
+    kinds = {*map(type, block)}
+    if (numbers := {*filter(_is_number, kinds)}) == kinds:
+        return (values := [*map(float, block)]), values
+    return None, [float(x) if type(x) in numbers else 0.0 for x in block] if numbers else ()
 
 
 @cache
@@ -545,14 +559,15 @@ def _print_limit(precision: int) -> float:
 
 
 def _printable(cells: Column, precision: int, where: Callable[[int], str]) -> None:
-    """The one rule of a printed value: each float of ``cells`` prints as a number that reads
-    back.  The first that does not (NaN, +-inf, or from :func:`_print_limit` up) raises a
-    DataError with ``where(i)`` of its index, its ``repr`` and the least precision printing it."""
+    """The one rule of a printed value: each float of ``cells`` (an array or a list) prints as
+    a number that reads back.  The first that does not (NaN, +-inf, or from :func:`_print_limit`
+    up) raises a DataError naming ``where(i)``, its ``repr`` and the least precision printing it."""
     limit = _print_limit(precision)
     if _is_array(cells):
         bad = (~(abs(cells) < limit)).nonzero()[0].tolist()
-    else:
-        bad = [i for i, x in enumerate(cells) if isinstance(x, float) and not abs(x) < limit]
+    else:  # sizes summing below the limit are each below it; a NaN or an inf fails the sum
+        bad = () if sum(map(abs, cells)) < limit else [
+            i for i, x in enumerate(cells) if not abs(x) < limit]
     if bad:
         x = float(cells[bad[0]])  # 17 digits print every finite double
         higher = next((p for p in range(precision + 1, 18) if abs(x) < _print_limit(p)), None)
@@ -567,16 +582,16 @@ def _row_blocks(
     cell: Callable[[object], str], floats: Callable[[Column, Sequence[float]], Field],
     prefixes: Sequence[str], end: str, sep: str,
 ) -> Iterator[str]:
-    """Each block of rows of ``columns``, the rows joined by ``sep``, every block first held
-    to :func:`_printable` at ``precision``: a cell is named ``names[k]`` in column k, or with
-    no ``names`` by its row's first cell (a ``key = value`` line's key), and its 1-based row.
-    A block's rows come from one ``%`` row template, built for the block: ``prefixes[k]``
-    then the field of the block of column k, for each k, then ``end``.  The field is picked
-    by the block's cells, not by their container, and here only: a block that holds one
-    value (:func:`_constant`) is a literal, ``cell`` of that value with its ``%`` escaped; a
-    block of floats (:func:`_floats`) is the field ``floats(block, values)`` gives; any
-    other block is a ``%s`` field of its cells as ``cell`` writes them.  A block of literals
-    only is its one row repeated.  Rows stop with the shortest column."""
+    """Each block of rows of ``columns``, the rows joined by ``sep``, its numbers first held to
+    :func:`_printable` at ``precision``: a cell is named ``names[k]`` in column k, or with no
+    ``names`` by its row's first cell (a ``key = value`` line's key), and its 1-based row.  A
+    block's rows come from one ``%`` row template built for it: ``prefixes[k]`` then column
+    k's field, for each k, then ``end``.  The field is picked by the block's cells, not their
+    container, and here only: a block of one value (:func:`_constant`) is a literal, ``cell``
+    of it with its ``%`` escaped; a block of numbers is the field ``floats(block, values)``
+    gives, ``values`` their floats (:func:`_floats`); any other is a ``%s`` field of its cells
+    as ``cell`` writes them.  A block of literals only is its one row repeated; rows stop with
+    the shortest column."""
     n = min(map(len, columns), default=0)
     prefixes = [prefix.replace("%", "%%") for prefix in prefixes]
     for start in range(0, n, _BLOCK_ROWS):
@@ -584,12 +599,13 @@ def _row_blocks(
         template, fills = [], []
         for k, (prefix, column) in enumerate(zip(prefixes, columns)):
             block = column[start:stop]
-            _printable(block, precision, lambda i: (
+            constant = _constant(block)  # every cell is the first: the first alone is held
+            values, numbers = _floats(block[:1] if constant else block)
+            _printable(numbers, precision, lambda i: (
                 f"{columns[0][start + i] if names is None else names[k]} in row {start + i + 1}"))
-            if _constant(block):
+            if constant:
                 template += prefix, cell(block[0]).replace("%", "%%")
                 continue
-            values = _floats(block)
             spec, cells = ("%s", map(cell, block)) if values is None else floats(block, values)
             template += prefix, spec
             fills.append(cells)
@@ -601,15 +617,13 @@ def text_table(
     columns: Sequence[Column], precision: int, *, header: Sequence[str] | None = None,
     sep: str = ",",
 ) -> str:
-    """The rows of ``columns`` as lines, cells joined by ``sep``: CSV below a
-    ``header`` line, or ``key = value`` lines with ``sep=" = "``.
+    """The rows of ``columns`` as lines, cells joined by ``sep``: CSV below a ``header``
+    line, or ``key = value`` lines with ``sep=" = "``.
 
-    Each block of lines (:data:`_BLOCK_ROWS` of them) comes from one ``%`` row
-    template whose fields :func:`_row_blocks` picks, each cell written by
-    :func:`cell_formatter`: a block of floats is a ``%.{precision}g`` field
-    filled with its values.  A float that :func:`_printable` refuses raises
-    DataError naming its ``header`` column, or without one its line's key, and row.
-    """
+    Each block of lines (:data:`_BLOCK_ROWS` of them) comes from one ``%`` row template whose
+    fields :func:`_row_blocks` picks, each cell written by :func:`cell_formatter`: a block of
+    numbers is a ``%.{precision}g`` field of their floats.  A number :func:`_printable` refuses
+    raises DataError naming its ``header`` column, or without one its line's key, and row."""
     number = _number_spec(precision)
     prefixes = ["", *[sep] * (len(columns) - 1)]
     head = "" if header is None else sep.join(header) + "\n"
@@ -638,10 +652,10 @@ def _flagged(block: np.ndarray, precision: int) -> list[int]:
 
 
 def _rounded(x: object, precision: int, key: object = None) -> object:
-    """``x`` with each float rounded to ``precision`` digits, each first held to
-    :func:`_printable`, named by its ``key``."""
-    if isinstance(x, float):
-        _printable((x,), precision, lambda _: f"{key}")
+    """``x`` with each number (:func:`_is_number`) its float rounded to ``precision`` digits,
+    each first held to :func:`_printable`, named by its ``key``."""
+    if _is_number(type(x)):
+        _printable((float(x),), precision, lambda _: f"{key}")
         return float(_number_spec(precision) % x)
     if isinstance(x, dict):
         return {k: _rounded(v, precision, k) for k, v in x.items()}
@@ -656,26 +670,23 @@ _ROWS_MARK = "\0rows"  # stands in for the table while the rest is dumped
 def json_text(
     doc: dict, precision: int, *, rows: Sequence[Column], keys: Sequence[str] | None = None,
 ) -> str:
-    """Indented JSON of ``doc`` and a table, with every float rounded to
-    ``precision`` significant digits; a float that :func:`_printable` refuses
-    raises DataError (a ValueError) that names its key, or its column and row.
+    """Indented JSON of ``doc`` and a table, every number (:func:`_is_number`) written as its
+    float rounded to ``precision`` significant digits; a number that :func:`_printable`
+    refuses raises DataError (a ValueError) that names its key, or its column and row.
 
-    ``doc`` gains a last key ``"rows"`` holding the table ``rows`` (given as
-    columns of scalar cells): one object per row keyed by ``keys``, or one
-    array per row without keys.  The bytes are those of
-    ``json.dumps(..., indent=2)`` of the rounded document with the table in
-    it.  Each block of rows comes from one ``%`` row template at that depth,
-    whose fields :func:`_row_blocks` picks, each cell written as its token: a
-    float's is the ``repr`` of the float its ``%.{precision}g`` string stands
-    for, any other cell's the one ``json`` dumps.  A block of floats takes one
-    field: ``%r`` at 17 digits, where that float is the cell itself; at 16, and
-    for a list up to 16, a ``%s`` field of the tokens.  Up to 15 an array block
-    in which :func:`_flagged` names no cell is a ``%.{precision}g`` field, each
-    cell's string being its token; any other is a ``%s`` field of the strings,
-    the flagged ones replaced by their tokens, each distinct string converted
-    once.  Every block is built before the text is returned, so a cell that
-    raises leaves no partial table.
-    """
+    ``doc`` gains a last key ``"rows"`` holding the table ``rows`` (given as columns of
+    scalar cells): one object per row keyed by ``keys``, or one array per row without keys.
+    The bytes are those of ``json.dumps(..., indent=2)`` of the rounded document with the
+    table in it.  Each block of rows comes from one ``%`` row template at that depth, whose
+    fields :func:`_row_blocks` picks, each cell written as its token: a number's is the
+    ``repr`` of the float its ``%.{precision}g`` string stands for, any other cell's the one
+    ``json`` dumps.  A block of numbers takes one field of their floats: ``%r`` at 17 digits,
+    where that float is the cell's own; at 16, and for a list up to 16, a ``%s`` field of the
+    tokens.  Up to 15 an array block in which :func:`_flagged` names no cell is a
+    ``%.{precision}g`` field, each cell's string being its token; any other is a ``%s`` field
+    of the strings, the flagged ones replaced by their tokens, each distinct string converted
+    once.  Every block is built before the text is returned: a cell that raises leaves no
+    partial table."""
     import json  # only a JSON command loads it
 
     spec = _number_spec(precision)
@@ -683,7 +694,7 @@ def json_text(
     text = json.dumps(_rounded({**doc, "rows": _ROWS_MARK}, precision), indent=2)
 
     def token(x: object) -> str:
-        return repr(float(number(x))) if isinstance(x, float) else json.dumps(x)
+        return repr(float(number(x))) if _is_number(type(x)) else json.dumps(x)
 
     def floats(block: Column, values: Sequence[float]) -> Field:
         if precision == 17:  # %.17g round-trips every double: the token is its repr

@@ -389,10 +389,10 @@ def concurrence(g: FloatOrArray, antiferro: bool) -> FloatOrArray:
 
 
 def _entanglement(c: FloatOrArray) -> FloatOrArray:
+    # c is max(0, c): a c that is not > 0 is +0, and so is its entropy, so only an entangled
+    # c is mapped (none on the ferro branch), a float as each cell of an array
     if type(c) is float:
-        return _binary_entropy(c)
-    # c is max(0, c): a cell that is not > 0 is +0, and so is its entropy, so only the
-    # entangled cells are mapped (none on the ferro branch)
+        return _binary_entropy(c) if c > 0.0 else 0.0
     e, entangled = _numpy().zeros_like(c), c > 0.0
     e[entangled] = _binary_entropy(c[entangled])
     return e[()]  # a 0-d array's scalar, as its arithmetic gives; any other array as it is

@@ -442,9 +442,11 @@ def _chi_correlator(
     return 2.0 * temperature * chi / (CODATA.curie_prefactor * g_factor**2) - 1.0
 
 
-def _chi_column(g_factor: float, chi: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
-    """:func:`correlator_from_susceptibility` on a chi column at positive
+def _chi_column(g_factor: float, chi: FloatOrArray, temperatures: FloatOrArray) -> FloatOrArray:
+    """:func:`correlator_from_susceptibility` on a chi column, or a float, at positive
     ``temperatures``, before its clamp: NaN where it refuses a negative chi."""
+    if type(chi) is float:  # the cell's own bits: g**2 > 0, so no float operation raises
+        return _chi_correlator(g_factor, chi, temperatures) if chi >= 0.0 else math.nan
     np = _numpy()
     with np.errstate(all="ignore"):
         return np.where(chi >= 0.0, _chi_correlator(g_factor, chi, temperatures), np.nan)

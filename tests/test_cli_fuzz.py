@@ -18,6 +18,12 @@ Each example runs ``cli.main`` in process twice and checks the contract of
 * every result table it writes, unchecked, passes the check that ``write_results``
   makes of a table it is handed, and comes back from it cell for cell.
 
+On the same draws, in CSV, a table whose columns ``load_series`` reads (a results table, a
+fit's susceptibility, figure 6) reads back cell for cell at precision 17, and at a drawn
+precision from 1 to 16 it reads back or the command exits 1 with the printed-value error
+(two temperatures that print as one are refused by the loader as a duplicate: each cell
+must then still read back by itself).
+
 Numbers are drawn from the edge values 0, -0, 5e-324, 1e308, the largest double,
 inf and nan (with their negatives) and from ordinary ones.  Files hold 0-6 rows: rows of
 a copper nitrate curve, rows with edge values or bad tokens put in, and rows
@@ -39,8 +45,9 @@ import re
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimer_discord import cli, dataio
@@ -373,6 +380,98 @@ def test_a_theory_table_reads_back_cell_for_cell(j, start, decades, n, grid, inp
     assert again.replace(",neutron\n", ",theory\n") == table, argv
 
 
+def read_back(out: str, path: Path, precision: int) -> bool:
+    """Whether ``out`` holds a CSV table whose columns ``load_series`` reads (T_K and a value
+    column of a kind, every row with a temperature); if so, it is written to ``path`` and must
+    read back cell for cell: the loader's T, value and sigma columns are the printed cells.
+    Below 17 digits two temperatures may print as one: the loader refuses the table as a
+    duplicate, and then each cell must still read back by the loader's own cell rule."""
+    lines = [line for line in out.splitlines() if not line.startswith("#") and " = " not in line]
+    header = lines[0].split(",") if lines else []
+    kinds = [(kind, [tag for tag in (*tags, sigma) if tag in header])
+             for kind, (tags, sigma) in dataio._TAGS.items() if set(tags) & set(header)]
+    if "T_K" not in header or not kinds:
+        return False
+    (kind, tags), = kinds
+    columns = {name: list(cells) for name, *cells in zip(*[line.split(",") for line in lines])}
+    if "" in columns.get("T_K", []):  # a row without a temperature: nothing to sort it by
+        return False
+    path.write_text("\n".join(lines) + "\n")
+    temperatures = columns.get("T_K", [])
+    try:
+        series = dataio.load_series(path, kind)
+    except dataio.DataError as exc:
+        if not (precision < 17 and len(set(temperatures)) < len(temperatures)
+                and "duplicate temperature" in str(exc)):
+            raise
+        for name in ("T_K", *tags):
+            for line_no, cell in enumerate(columns[name], 2):
+                dataio._parse_float(cell, str(path), line_no, name, sigma=name not in ("T_K", tags[0]))
+        return True
+    order = sorted(range(len(temperatures)), key=lambda i: float(temperatures[i]))
+    sigmas = np.empty(0) if series.sigmas is None else series.sigmas  # none on no rows
+    for name, got in zip(["T_K", *tags], [series.temperatures, series.values, sigmas]):
+        cells = [float(columns[name][i]) for i in order]
+        assert got.tobytes() == np.array(cells, dtype=float).tobytes(), (name, cells, got)
+    return True
+
+
+PAST_THE_LARGEST = re.compile(
+    r"error: .+ in row \d+: \S+ rounds past the largest double at precision (\d+); "
+    r"precision \d+ prints it")
+# an invocation of each subcommand that prints a table the loader reads, with its input file
+READ_BACK = {
+    "figure": (["figure", "6"], ""),
+    "fit": (["fit", f"--input={FILE}", "--J-over-kB=-2.56", "--g-factor=2.11"],
+            "T_K,chi_emu_per_mol\n" + "".join(f"{t},{chi}\n" for t, chi, *_ in CURVE)),
+    "from-chi": (["from-chi", f"--input={FILE}", "--g-factor=2.11"],
+                 "T_K,chi_emu_per_mol,sigma_chi\n" + "".join(
+                     f"{t},{chi},0.001\n" for t, chi, *_ in CURVE)),
+    "from-cm": (["from-cm", "--route=invert", "--T=4", "--cm-over-R=0.406249",
+                 "--J-over-kB=-2.56"], ""),
+    "from-neutron": (["from-neutron", f"--input={FILE}"], "T_K,G,sigma_G\n" + "".join(
+        f"{t},{g},0.001\n" for t, _, g, _ in CURVE)),
+    "theory": (["theory", "--J-over-kB=-2.56", "--t-min=0.1", "--t-max=10"], ""),
+}
+
+
+def check_read_back(subcommand: str, input_path: Path, examples: int) -> int:
+    """On ``examples`` drawn invocations of ``subcommand`` in CSV, and its invocation in
+    :data:`READ_BACK` at one digit: a table printed at precision 17 that the loader reads
+    reads back cell for cell (:func:`read_back`), and at a drawn precision from 1 to 16 it
+    reads back too, or the command exits 1 with the printed-value error at that precision.
+    Returns how many of the invocations printed such a table."""
+    table = input_path.with_name("table.csv")
+    checked = []
+
+    def property(argv, text, precision):
+        input_path.write_bytes(text.encode("utf-8"))
+        argv = [a.replace(FILE, str(input_path)) for a in argv if not a.startswith("--format")]
+        code, out, _ = _invoke(argv, "17")
+        if code != 0 or not read_back(out, table, 17):
+            return
+        checked.append(argv)
+        code, out, err = _invoke(argv, str(precision))
+        if code == 1:
+            match = PAST_THE_LARGEST.fullmatch(err.splitlines()[-1])
+            assert match is not None and match[1] == str(precision), (argv, precision, err)
+        else:
+            assert code == 0 and read_back(out, table, precision), (argv, precision, code)
+
+    argv, text = READ_BACK[subcommand]
+    settings(max_examples=examples, derandomize=True, deadline=None, database=None)(
+        example(argv=argv, text=text, precision=1)(
+            given(argv=invocations(subcommand), text=input_files(subcommand),
+                  precision=st.integers(1, 16))(property)))()
+    return len(checked)
+
+
+@pytest.mark.parametrize("subcommand", sorted(READ_BACK))
+def test_a_printed_table_reads_back_or_is_refused(subcommand, input_path):
+    # the README's promise, on the contract fuzz's draws: the tool's own CSV tables fed back
+    assert check_read_back(subcommand, input_path, 40) > 0
+
+
 if __name__ == "__main__":
     import sys
     import tempfile
@@ -385,3 +484,8 @@ if __name__ == "__main__":
             check_examples(subcommand, Path(directory) / "input.csv", examples)
             print(f"{subcommand}: {examples} examples, each run twice, kept the contract "
                   f"({time.perf_counter() - start:.1f} s)")
+        for subcommand in sorted(READ_BACK):
+            start = time.perf_counter()
+            tables = check_read_back(subcommand, Path(directory) / "input.csv", examples)
+            print(f"{subcommand}: {tables} of {examples} examples and the pinned invocation "
+                  f"printed a table that read back ({time.perf_counter() - start:.1f} s)")

@@ -638,6 +638,35 @@ def test_a_float_point_is_its_one_element_column(seed):
             assert record[0] == t and _bits(record[1:8]) == _bits(row[1:8])
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("channel", ["neutron", "magnetometric"])
+def test_a_float_point_keeps_float_cells_in_both_channels(channel, seed):
+    # a float chi point left the float path (the chi kernel took arrays only, so its row held
+    # numpy floats): each kind of point, a correlator or the susceptibility Bleaney-Bowers
+    # gives for it, is its one-element column's row in bits and remark in text, in floats
+    rng = np.random.default_rng([seed, len(channel)])
+    g_factor = 2.11 if channel == "magnetometric" else None
+    per_g = dimer_core.CODATA.curie_prefactor * 2.11**2 / 2.0  # chi T per unit of 1 + G
+    kinds = set()
+    for draw, _ in MEASURED_KINDS.values():
+        for _ in range(25):
+            g, sigma = draw(rng.uniform)
+            t = rng.uniform(0.1, 300.0)
+            if g_factor is not None:
+                g, sigma = (1.0 + g) * per_g / t, sigma * per_g / t
+            row, remarks = dataio._measured_results(t, g, sigma, channel, g_factor)
+            table, column_remarks = dataio._measured_results(
+                np.array([t]), np.array([g]), np.array([sigma]), channel, g_factor)
+            assert remarks == column_remarks, (channel, g, sigma)
+            assert [type(cell) for cell in row] == [float] * 8 + [str], (channel, g, sigma)
+            kinds |= {kind for _, kind, _ in remarks} or {None}
+            if len(table.t):
+                assert _bits(row[:8]) == _bits([column[0] for column in table[:8]])
+            else:  # dropped: its remark is what the scalar path raises
+                assert not issubclass(remarks[0][1], Warning)
+    assert {None, DataWarning, PropagationWarning, InconsistencyError, DomainError} == kinds
+
+
 class TestResultTable:
     def columns(self, n=3):
         g = np.linspace(-0.9, 0.3, n)
@@ -788,6 +817,21 @@ class TestResultTable:
         name = dataio._RESULT_COLUMNS[ResultTable._fields.index(column)]
         with _raises(f"{name} in row 2: {bad!r} is not a finite number"):
             write_results(ResultTable(**cols), fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("form", ["list", "array"])
+    def test_an_infinite_i_and_c_is_refused_by_name_and_nothing_else(self, form, fmt):
+        # I = C = inf in a row: Q = I - C is a NaN there, which passes that check, and numpy
+        # warned of the invalid subtraction (raised in place of the refusal under -W error)
+        # before the printed-value rule refused the row
+        cols = self.columns(2)
+        cols["classical"][1] = cols["mutual_information"][1] = math.inf
+        if form == "list":  # Q = I - C taken on floats, which warn of nothing
+            cols.update({k: cols[k].tolist() for k in ("discord", "classical", "mutual_information")})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with _raises("C in row 2: inf is not a finite number"):
+                write_results(ResultTable(**cols), fmt)
 
     def test_a_column_of_another_shape_is_refused_by_name(self):
         # a table of 2-d columns raised a bare TypeError from the writer, a 0-d column one
@@ -1126,6 +1170,13 @@ def _constant_blocks(columns):
     ]
 
 
+# cells of each number type the writers take as their floats (float32 NaN and inf included)
+NUMBER_CELLS = {
+    "float32": st.floats(width=32).map(np.float32),
+    "float64": st.one_of(FINITE, EDGE_FLOATS, st.just(math.inf)).map(np.float64),
+    "int64": st.integers(-2**63, 2**63 - 1).map(np.int64),
+    "fraction": st.one_of(FINITE.map(Fraction), st.fractions(-10**6, 10**6)),
+}
 KEYS = ["T_K", 'a"b', "%s", "Q"]
 # where 15 and 16 digits part: 16 digits need not survive the double
 # (0.587851162064913 prints 0.5878511620649129), and an exponent of 15 is
@@ -1284,6 +1335,49 @@ class TestTableWriter:
         for write in writers:
             assert_same_text(write(arrays), write(lists))
         self._check_both_writers(lists, [precision])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        cells=st.sampled_from(sorted(NUMBER_CELLS)).flatmap(
+            lambda kind: st.lists(NUMBER_CELLS[kind], min_size=1, max_size=6)),
+        mixed=st.booleans(),
+        precision=st.integers(1, 17),
+    )
+    @example(cells=[np.float32("nan"), np.float32(1.0)], mixed=False, precision=6)
+    @example(cells=[Fraction(1, 3), Fraction(2, 1)], mixed=True, precision=1)
+    def test_a_list_of_number_cells_is_written_as_its_floats(self, cells, mixed, precision):
+        # numpy floats and ints and Fractions in a list column take the float field and the
+        # printed-value rule as their floats do: CSV wrote a float32 NaN as nan, and
+        # json.dumps raised TypeError for each of these cells
+        floats = [float(x) for x in cells]
+        if mixed:  # beside a None: a %s block, each cell written alone
+            cells, floats = [None, *cells], [None, *floats]
+        keys = [f"k{i}" for i in range(len(cells))]
+        writers = [
+            lambda column: text_table([column, keys], precision, header=["x", "key"]),
+            lambda column: text_table([keys, column], precision, sep=" = "),
+            lambda column: json_text({"last": column[-1]}, precision, rows=[column, keys],
+                                     keys=["x", "key"]),
+            lambda column: json_text({}, precision, rows=[keys, column]),
+        ]
+        for write in writers:
+            try:
+                expected = write(floats)
+            except DataError as exc:
+                with _raises(str(exc)):
+                    write(cells)
+            else:
+                assert write(cells) == expected
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float64, float])
+    def test_a_nan_of_any_float_type_is_refused_by_name(self, kind):
+        column = [kind("nan"), 1.0]
+        with _raises("x in row 1: nan is not a finite number"):
+            text_table([column], 6, header=["x"])
+        with _raises("x in row 1: nan is not a finite number"):
+            json_text({}, 6, rows=[column], keys=["x"])
+        with _raises("x: nan is not a finite number"):
+            json_text({"x": column[0]}, 6, rows=[])
 
     @pytest.mark.parametrize("precision", range(1, 16))
     def test_unflagged_cells_print_their_token(self, precision):

@@ -714,6 +714,21 @@ class TestColumns:
         expected = [entanglement_of_formation(x) for x in c]
         assert_same_bits(entanglement_of_formation(np.array(c)), expected)
 
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.floats(0.0, 1.0))
+    @example(c=0.0)
+    @example(c=5e-324)
+    @example(c=1e-8)
+    def test_a_float_e_is_its_one_element_column(self, c):
+        # E of a concurrence c, already max(0, c): the same bits on the float and array paths
+        assert_same_bits(dimer_core._entanglement(np.array([c])), [dimer_core._entanglement(c)])
+
+    def test_a_float_e_at_zero_takes_no_entropy(self, monkeypatch):
+        # the array path maps only the cells with c > 0; a float c = 0 is +0 as such a cell
+        # is, where it took the entropy (+0 too) on every separable point
+        monkeypatch.setattr(dimer_core, "_binary_entropy", None)
+        assert_same_bits([dimer_core._entanglement(0.0)], [0.0])
+
     @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 700.0, -700.0, 700.5, -700.5])
     def test_boltzmann_caps_the_exponent_alike_for_a_float_and_an_array(self, a):
         # a = -2J/T for J = -a/2 at T = 1; a NaN goes to the lower bound on both paths

@@ -10,9 +10,11 @@ and a scalar call never pays for it; ``json`` likewise only inside
 commands never load it.  The CLI builds its
 output as column tables only, never through the one-point result record,
 and takes no uncertainty secant of its own.  The field a table block takes in
-its row template is picked in ``dataio._row_blocks`` alone, and whether a float prints as a
-number that reads back is decided by ``dataio._printable``, called by ``_row_blocks`` for
-every table cell and by ``_rounded`` for a JSON document's own values.  The CLI writes stdout
+its row template is picked in ``dataio._row_blocks`` alone, a list block's types scanned once
+by ``_floats``; whether a cell is a number, written as its float, is decided by
+``dataio._is_number`` alone; and whether a float prints as a number that reads back is
+decided by ``dataio._printable``, called by ``_row_blocks`` for every table block and by
+``_rounded`` for a JSON document's own values.  The CLI writes stdout
 once, in ``main``, the text its subcommand returns.
 The landmark crossings and the susceptibility maximum are frozen constants,
 so neither the CLI nor ``thermo`` calls a solver for them.  No module-level
@@ -146,13 +148,54 @@ def _calls(node: ast.AST, names: set[str]) -> list[ast.Call]:
     ]
 
 
+def _function(module: str, name: str) -> ast.FunctionDef:
+    (function,) = (f for f in _tree(module).body if getattr(f, "name", None) == name)
+    return function
+
+
 def test_a_blocks_field_is_picked_only_in_row_blocks():
-    # which field a table block takes (a literal, a float field or a %s one) is one rule
+    # which field a table block takes (a literal, a float field or a %s one) is one rule, and
+    # a list block's types are scanned once, by _floats: _printable holds the numbers it gives
     names = {"_constant", "_floats"}
     sites = [(m, n.lineno) for m in MODULES for n in _calls(_tree(m), names)]
-    (rows,) = (f for f in _tree("dataio").body if getattr(f, "name", None) == "_row_blocks")
+    rows = _function("dataio", "_row_blocks")
     assert sites == [("dataio", n.lineno) for n in _calls(rows, names)]
     assert len(sites) == 2
+    (scan,) = (n for n in ast.walk(rows) if isinstance(n, ast.Assign) and _calls(n, {"_floats"}))
+    (check,) = _calls(rows, {"_printable"})
+    assert ast.unparse(check.args[0]) == ast.unparse(scan.targets[0].elts[1])
+    scans = [f.name for f in _tree("dataio").body if isinstance(f, ast.FunctionDef)
+             for n in _calls(f, {"map"}) if ast.unparse(n.args[0]) == "type"]
+    assert scans == ["_floats"]
+
+
+def _float_tests(node: ast.AST) -> list[str]:
+    """Each test under ``node`` of whether a value is a float: ``isinstance``/``issubclass``
+    with ``float`` among its types, or a comparison (``is``, ``==``, ``in``) with ``float``."""
+    found = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("isinstance", "issubclass"):
+            if "float" in {x.id for x in ast.walk(n.args[1]) if isinstance(x, ast.Name)}:
+                found.append(ast.unparse(n))
+        elif isinstance(n, ast.Compare) and any(
+            isinstance(x, ast.Name) and x.id == "float" for side in (n.left, *n.comparators)
+            for x in [side, *getattr(side, "elts", [])]  # float, or a tuple or set holding it
+        ):
+            found.append(ast.unparse(n))
+    return found
+
+
+def test_a_number_cell_is_decided_by_one_helper():
+    # whether a table cell or a JSON value is a number, and so written as its float, is decided
+    # by dataio._is_number alone: the writer section tests no value for float anywhere else
+    first, last = (_function("dataio", name).lineno for name in ("_number_spec", "write_results"))
+    writers = [f for f in _tree("dataio").body
+               if isinstance(f, ast.FunctionDef) and first <= f.lineno <= last]
+    tests = {f.name: _float_tests(f) for f in writers if _float_tests(f)}
+    assert list(tests) == ["_is_number"], tests
+    readers = {f.name for f in writers
+               if any(getattr(n, "id", None) == "_is_number" for n in ast.walk(f))}
+    assert readers == {"_floats", "_rounded", "json_text"}  # cell_formatter %g's the rest
 
 
 def test_a_printed_value_is_refused_by_one_rule():
